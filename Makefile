@@ -1,13 +1,18 @@
 # Mirrors .github/workflows/ci.yml so local runs and CI stay identical.
 GO ?= go
 
-.PHONY: build test service-smoke cluster-smoke chaos-smoke bench lint ci
+.PHONY: build test bench-module service-smoke cluster-smoke chaos-smoke bench lint ci
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test -race ./...
+
+# bench-module vets and tests the benchmark module (bench/ has its own
+# go.mod, so ./... from the root does not reach it).
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # service-smoke drives the fvevald service tier end to end under
 # httptest: registry listing, submit/stream/poll/cancel, admission
@@ -61,4 +66,4 @@ lint:
 	fi
 	$(GO) vet ./...
 
-ci: build lint test service-smoke cluster-smoke chaos-smoke bench
+ci: build lint test bench-module service-smoke cluster-smoke chaos-smoke bench

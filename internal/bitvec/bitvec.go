@@ -34,15 +34,12 @@ func Const(val uint64, width int) BV {
 // FromBool wraps a single node as a 1-bit vector.
 func FromBool(n logic.Node) BV { return BV{[]logic.Node{n}} }
 
-// Inputs allocates width fresh input nodes, all carrying the vector's
-// base name as their debug name. Per-bit "[i]" suffixes used to be
-// materialized here; input allocation sits on the trace-environment
-// hot path and the per-bit string builds were measurable, while the
-// bit position is recoverable from allocation order when debugging.
-func Inputs(b *logic.Builder, name string, width int) BV {
+// Inputs allocates width fresh input nodes, least significant bit
+// first.
+func Inputs(b *logic.Builder, width int) BV {
 	bits := make([]logic.Node, width)
 	for i := range bits {
-		bits[i] = b.Input(name)
+		bits[i] = b.Input()
 	}
 	return BV{bits}
 }

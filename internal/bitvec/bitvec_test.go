@@ -26,8 +26,8 @@ func evalBV(b *logic.Builder, v BV, env map[logic.Node]bool) uint64 {
 func withInputs(w int, av, bv uint64) (*logic.Builder, Ops, BV, BV, map[logic.Node]bool) {
 	b := logic.NewBuilder()
 	o := Ops{b}
-	x := Inputs(b, "x", w)
-	y := Inputs(b, "y", w)
+	x := Inputs(b, w)
+	y := Inputs(b, w)
 	env := map[logic.Node]bool{}
 	for i := 0; i < w; i++ {
 		env[x.Bits[i]] = av&(1<<uint(i)) != 0
@@ -118,7 +118,7 @@ func TestReductionsAndCounts(t *testing.T) {
 		av := uint64(raw) & m
 		b := logic.NewBuilder()
 		o := Ops{b}
-		x := Inputs(b, "x", w)
+		x := Inputs(b, w)
 		env := map[logic.Node]bool{}
 		for i := 0; i < w; i++ {
 			env[x.Bits[i]] = av&(1<<uint(i)) != 0
@@ -159,8 +159,8 @@ func TestSymbolicShifts(t *testing.T) {
 		amt := uint64(rng.Intn(w + 3))
 		b := logic.NewBuilder()
 		o := Ops{b}
-		x := Inputs(b, "x", w)
-		a := Inputs(b, "a", 4)
+		x := Inputs(b, w)
+		a := Inputs(b, 4)
 		env := map[logic.Node]bool{}
 		for i := 0; i < w; i++ {
 			env[x.Bits[i]] = av&(1<<uint(i)) != 0
@@ -225,7 +225,7 @@ func TestExtendTruncate(t *testing.T) {
 func TestMuxVector(t *testing.T) {
 	b := logic.NewBuilder()
 	o := Ops{b}
-	s := b.Input("s")
+	s := b.Input()
 	tv := Const(0b11, 2)
 	fv := Const(0b00, 2)
 	m := o.Mux(s, tv, fv)
@@ -241,7 +241,7 @@ func TestMuxVector(t *testing.T) {
 
 func TestEvalConstNonConst(t *testing.T) {
 	b := logic.NewBuilder()
-	x := b.Input("x")
+	x := b.Input()
 	if _, ok := EvalConst(BV{[]logic.Node{x}}); ok {
 		t.Fatalf("EvalConst must reject symbolic bits")
 	}

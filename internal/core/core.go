@@ -211,6 +211,7 @@ func ResetMemos() {
 	candParses.Clear()
 	candParsesSize.Store(0)
 	designParses.Clear()
+	designParsesSize.Store(0)
 }
 
 // refBLEU memoizes each reference assertion's rendered source and
@@ -301,44 +302,69 @@ func JudgeTranslation(id, response string, ref *sva.Assertion, sigs *equiv.Sigs,
 	return out
 }
 
+// designParses memoizes the design half of the Design2SVA parse: one
+// design is judged against dozens of candidate snippets, and only the
+// testbench half changes between them. A runner judges one design's
+// candidates together, so the memo only needs to span the designs in
+// flight: it is cleared at a small bound, keeping a run's parsed
+// designs from accumulating in the live heap.
+var designParses sync.Map // design source -> designParse
+var designParsesSize atomic.Int64
+
+const designParsesMax = 16
+
+type designParse struct {
+	f       *rtl.File
+	defines map[string]string
+}
+
+// parseDesignBench parses design followed by bench with snippet
+// spliced in — rtl.Parse(design+"\n"+bench') — from the memoized
+// design half: the bench half is parsed with the design's macros in
+// scope. It parses the whole file instead whenever the split could
+// expand a macro differently: the design does not parse on its own
+// (say, it uses a macro only the bench defines), the bench redefines
+// one of the design's macros, or the snippet carries a directive.
+func parseDesignBench(design, bench, snippet string) (*rtl.File, error) {
+	bench = insertBeforeEndmodule(bench, snippet)
+	if strings.Contains(snippet, "`") {
+		return rtl.Parse(design + "\n" + bench)
+	}
+	var d designParse
+	if v, ok := designParses.Load(design); ok {
+		d = v.(designParse)
+	} else if f, defines, err := rtl.ParseAfter(design, nil); err == nil {
+		d = designParse{f, defines}
+		if designParsesSize.Add(1) > designParsesMax {
+			designParses.Clear()
+			designParsesSize.Store(1)
+		}
+		designParses.Store(design, d)
+	} else {
+		return rtl.Parse(design + "\n" + bench)
+	}
+	bf, own, err := rtl.ParseAfter(bench, d.defines)
+	for k, v := range own {
+		if dv, ok := d.defines[k]; ok && dv != v {
+			return rtl.Parse(design + "\n" + bench)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	f := &rtl.File{Modules: make([]*rtl.Module, 0, len(d.f.Modules)+len(bf.Modules))}
+	f.Modules = append(append(f.Modules, d.f.Modules...), bf.Modules...)
+	return f, nil
+}
+
 // JudgeDesign re-formats the testbench with the model's snippet,
 // elaborates the bound DUT+testbench system, and model-checks the
 // assertion — the paper's Design2SVA evaluation flow. The checker
-// options (budget, depths, stats sink) pass through to
+// options (budget, depths, stats sink, frame cache) pass through to
 // mc.CheckAssertion.
-// designParses memoizes the design half of the Design2SVA parse: one
-// design is judged against dozens of candidate snippets, and only the
-// testbench half changes between them. The split parse is taken only
-// when the design carries no preprocessor directives (no backtick), so
-// a design `define can never silently stop reaching the bench.
-var designParses sync.Map // design source -> *rtl.File
-
-func parseDesignBench(design, bench string) (*rtl.File, error) {
-	if !strings.Contains(design, "`") {
-		var df *rtl.File
-		if v, ok := designParses.Load(design); ok {
-			df = v.(*rtl.File)
-		} else if parsed, err := rtl.Parse(design); err == nil {
-			designParses.Store(design, parsed)
-			df = parsed
-		}
-		if df != nil {
-			bf, err := rtl.Parse(bench)
-			if err != nil {
-				return nil, err
-			}
-			f := &rtl.File{Modules: make([]*rtl.Module, 0, len(df.Modules)+len(bf.Modules))}
-			f.Modules = append(append(f.Modules, df.Modules...), bf.Modules...)
-			return f, nil
-		}
-	}
-	return rtl.Parse(design + "\n" + bench)
-}
-
 func JudgeDesign(inst *rtlgen.Instance, snippet string, opt mc.Options) (syntaxOK, proven bool) {
 	psp := opt.Span.Child("parse").SetPhase(obs.PhaseParse)
-	merged := insertBeforeEndmodule(inst.Bench, snippet)
-	f, err := parseDesignBench(inst.Design, merged)
+	f, err := parseDesignBench(inst.Design, inst.Bench, snippet)
 	if err != nil {
 		psp.SetBool("ok", false).End()
 		return false, false

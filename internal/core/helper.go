@@ -63,8 +63,7 @@ func JudgeHelper(inst *helpergen.Instance, snippet string, opt mc.Options) (synt
 	if !ok {
 		return false, false, false
 	}
-	merged := insertBeforeEndmodule(inst.Bench, inst.Target)
-	f, err := parseDesignBench(inst.Design, merged)
+	f, err := parseDesignBench(inst.Design, inst.Bench, inst.Target)
 	if err != nil {
 		return false, false, false
 	}

@@ -6,7 +6,7 @@ import (
 	"fveval/internal/core"
 	"fveval/internal/helpergen"
 	"fveval/internal/llm"
-	"fveval/internal/obs"
+	"fveval/internal/mc"
 )
 
 // ---- AGR (assertion-guided helper generation) ---------------------------
@@ -23,46 +23,24 @@ type helperCell struct{ syntax, valid, unlocked bool }
 func (e *Engine) HelperGrid(ctx context.Context, models []llm.Model, obs Observer) (*Grid, error) {
 	kept, total := clip(helpergen.Sweep(), e.cfg)
 	n := e.passKSamples()
-	prompts := make([]*llm.Prompt, len(kept))
-	for i, inst := range kept {
-		prompts[i] = llm.BuildHelperPrompt(inst)
-	}
-	outs, err := e.runGrid(ctx, names(models), len(kept), n, func(jctx context.Context, j job) core.Outcome {
-		inst := kept[j.inst]
-		resp := generate(jctx, models[j.model], prompts[j.inst], j.sample)
-		code := llm.ExtractCode(resp)
-		c := e.judgeHelperMemo(jctx, inst, code)
-		return core.Outcome{InstanceID: inst.ID, Response: code, Syntax: c.syntax, Partial: c.valid, Full: c.unlocked}
+	outs, err := e.runGrid(ctx, names(models), len(kept), n, func(i int) evalFunc {
+		inst := kept[i]
+		prompt := llm.BuildHelperPrompt(inst)
+		frames := mc.NewFrames()
+		return func(jctx context.Context, j job) core.Outcome {
+			resp := generate(jctx, models[j.model], prompt, j.sample)
+			code := llm.ExtractCode(resp)
+			c := e.st.helper.get(jctx, inst.ID+"\x00"+code, func() helperCell {
+				syn, valid, unlocked := judgeHelper(inst, code, e.mcOptions(jctx, frames))
+				return helperCell{syntax: syn, valid: valid, unlocked: unlocked}
+			})
+			return core.Outcome{InstanceID: inst.ID, Response: code, Syntax: c.syntax, Partial: c.valid, Full: c.unlocked}
+		}
 	}, obs)
 	if err != nil {
 		return nil, err
 	}
 	return e.newGrid(names(models), total, len(kept), n, outs), nil
-}
-
-// judgeHelperMemo memoizes core.JudgeHelper per (instance, snippet).
-// Duplicate computation under contention is possible but harmless:
-// the judgment is deterministic.
-func (e *Engine) judgeHelperMemo(ctx context.Context, inst *helpergen.Instance, code string) helperCell {
-	st := e.st
-	if st.helperMemo == nil {
-		syn, valid, unlocked := core.JudgeHelper(inst, code, e.mcOptions(ctx))
-		return helperCell{syntax: syn, valid: valid, unlocked: unlocked}
-	}
-	key := inst.ID + "\x00" + code
-	st.helperMu.Lock()
-	c, ok := st.helperMemo[key]
-	st.helperMu.Unlock()
-	if ok {
-		obs.SpanFrom(ctx).SetBool("memo_hit", true)
-		return c
-	}
-	syn, valid, unlocked := core.JudgeHelper(inst, code, e.mcOptions(ctx))
-	c = helperCell{syntax: syn, valid: valid, unlocked: unlocked}
-	st.helperMu.Lock()
-	st.helperMemo[key] = c
-	st.helperMu.Unlock()
-	return c
 }
 
 // ---- CEX-guided refinement ----------------------------------------------
@@ -103,14 +81,13 @@ func (e *Engine) RefinementGrid(ctx context.Context, models []llm.Model, rounds,
 			Rounds:     &e.st.refineRounds,
 		}
 	}
-	prompts := make([]*llm.Prompt, len(kept))
-	for i, in := range kept {
-		prompts[i] = llm.BuildMachinePrompt(in.ID, in.NL, 3, in.Reference)
-	}
-	outs, err := e.runGrid(ctx, names(models), len(kept), n, func(jctx context.Context, j job) core.Outcome {
-		in := kept[j.inst]
-		resp := generate(jctx, wrapped[j.model], prompts[j.inst], j.sample)
-		return e.judgeTranslation(jctx, datasetMachine, in.ID, resp, in.Reference, in.Sigs)
+	outs, err := e.runGrid(ctx, names(models), len(kept), n, func(i int) evalFunc {
+		in := kept[i]
+		prompt := llm.BuildMachinePrompt(in.ID, in.NL, 3, in.Reference)
+		return func(jctx context.Context, j job) core.Outcome {
+			resp := generate(jctx, wrapped[j.model], prompt, j.sample)
+			return e.judgeTranslation(jctx, datasetMachine, in.ID, resp, in.Reference, in.Sigs)
+		}
 	}, obs)
 	if err != nil {
 		return nil, err

@@ -1,11 +1,18 @@
 // Package engine is the unified evaluation runner for all FVEval
 // sub-benchmarks. It flattens an entire run — every (model, instance,
-// sample) tuple — into one job queue, drains the queue with a bounded
-// worker pool, and streams outcomes into per-model aggregators whose
-// final fold walks outcome slots in deterministic grid order. Final
-// tables are therefore byte-identical regardless of worker count,
-// scheduling order, sharding off/on differences aside, or whether the
-// equivalence-check cache is enabled.
+// sample) tuple — into one grid, drains it with a bounded worker pool
+// one instance row at a time (a worker judges all of an instance's
+// (model, sample) jobs in order), and streams outcomes into per-model
+// aggregators whose final fold walks outcome slots in deterministic
+// grid order. Final tables are therefore byte-identical regardless of
+// worker count, scheduling order, sharding off/on differences aside,
+// or whether the equivalence-check cache is enabled.
+//
+// The row is also the lifetime of per-design state: the duplicate
+// responses of one instance meet the run-wide judgment memo one after
+// another instead of being judged twice by racing workers, and the
+// model checks of one design share an mc.Frames that is dropped when
+// the row ends.
 //
 // One engine owns one run-wide equiv.Cache: pass@k evaluation
 // re-checks many duplicate candidate/reference pairs across samples
@@ -189,26 +196,14 @@ type state struct {
 	// request's queries.
 	bank *formal.Bank
 
-	// transMu guards transMemo, the run-wide translation-judgment memo:
-	// identical extracted responses recur across samples and models, and
-	// memoizing the whole judgment skips their repeated parse, BLEU, and
-	// equivalence work. nil when caching is disabled.
-	transMu   sync.Mutex
-	transMemo map[string]core.Outcome
-
-	// designMu guards designMemo: identical Design2SVA snippets recur
-	// across samples and models, so the expensive elaborate+prove
-	// judgment is memoized per (kind, instance, snippet). nil when
-	// caching is disabled.
-	designMu   sync.Mutex
-	designMemo map[string]designCell
-
-	// helperMu guards helperMemo, the AGR analogue of designMemo:
-	// identical helper-set snippets recur across samples and models,
-	// so the lemma-pipeline judgment is memoized per (instance,
-	// snippet). nil when caching is disabled.
-	helperMu   sync.Mutex
-	helperMemo map[string]helperCell
+	// Judgment memos: identical extracted responses recur across
+	// samples and models, so each task family's whole judgment (parse,
+	// BLEU and equivalence; elaborate and prove; the lemma pipeline)
+	// is memoized per (instance, response). nil when caching is
+	// disabled.
+	trans  *memo[core.Outcome]
+	design *memo[designCell]
+	helper *memo[helperCell]
 
 	// refineRounds counts FeedbackModel retry rounds performed by
 	// refinement runs on this pool — the per-run delta is surfaced as
@@ -220,11 +215,42 @@ func newState(noCache bool) *state {
 	st := &state{formal: &formal.Stats{}, bank: formal.NewBank(0)}
 	if !noCache {
 		st.cache = equiv.NewCache()
-		st.transMemo = map[string]core.Outcome{}
-		st.designMemo = map[string]designCell{}
-		st.helperMemo = map[string]helperCell{}
+		st.trans = newMemo[core.Outcome]()
+		st.design = newMemo[designCell]()
+		st.helper = newMemo[helperCell]()
 	}
 	return st
+}
+
+// memo is a run-wide judgment memo keyed by content. A nil memo
+// (NoCache) computes every lookup.
+type memo[V any] struct {
+	mu sync.Mutex
+	m  map[string]V
+}
+
+func newMemo[V any]() *memo[V] { return &memo[V]{m: map[string]V{}} }
+
+// get returns key's memoized value, computing and storing it on a
+// miss; a hit marks ctx's job span. Judgments are deterministic, so a
+// concurrent duplicate computation (possible only between separate
+// runs sharing the pool) stores the same value.
+func (c *memo[V]) get(ctx context.Context, key string, compute func() V) V {
+	if c == nil {
+		return compute()
+	}
+	c.mu.Lock()
+	v, ok := c.m[key]
+	c.mu.Unlock()
+	if ok {
+		obs.SpanFrom(ctx).SetBool("memo_hit", true)
+		return v
+	}
+	v = compute()
+	c.mu.Lock()
+	c.m[key] = v
+	c.mu.Unlock()
+	return v
 }
 
 // Engine executes benchmark runs over one shared equivalence cache.
@@ -275,30 +301,14 @@ func (e *Engine) Reconfigure(cfg Config) (*Engine, error) {
 // instance, extracted code). The judgment depends only on the code and
 // the instance's reference environment — never on the prompt or shot
 // count — so entries are shared across samples, models, and shot
-// settings. Judgments are deterministic, so racing duplicate
-// computation is harmless.
+// settings.
 func (e *Engine) judgeTranslation(ctx context.Context, dataset, id, response string, ref *sva.Assertion, sigs *equiv.Sigs) core.Outcome {
-	opt := e.equivOptions(ctx)
-	st := e.st
-	if st.transMemo == nil {
-		return core.JudgeTranslation(id, response, ref, sigs, opt, st.cache)
-	}
+	// ExtractCode is idempotent, so the extracted code stands in for
+	// the raw response.
 	code := llm.ExtractCode(response)
-	key := dataset + "\x00" + id + "\x00" + code
-	st.transMu.Lock()
-	o, ok := st.transMemo[key]
-	st.transMu.Unlock()
-	if ok {
-		obs.SpanFrom(ctx).SetBool("memo_hit", true)
-		return o
-	}
-	// ExtractCode is idempotent, so the pre-extracted code stands in
-	// for the raw response.
-	o = core.JudgeTranslation(id, code, ref, sigs, opt, st.cache)
-	st.transMu.Lock()
-	st.transMemo[key] = o
-	st.transMu.Unlock()
-	return o
+	return e.st.trans.get(ctx, dataset+"\x00"+id+"\x00"+code, func() core.Outcome {
+		return core.JudgeTranslation(id, code, ref, sigs, e.equivOptions(ctx), e.st.cache)
+	})
 }
 
 // Config returns the resolved (defaulted) configuration.
@@ -342,18 +352,20 @@ func (e *Engine) equivOptions(ctx context.Context) equiv.Options {
 
 // mcOptions resolves the model-checker options for this run. MaxBound
 // caps the falsification depth; proof depths stay at backend defaults.
-func (e *Engine) mcOptions(ctx context.Context) mc.Options {
+// frames is the calling row's frame cache (see runGrid).
+func (e *Engine) mcOptions(ctx context.Context, frames *mc.Frames) mc.Options {
 	return mc.Options{
 		Budget:      e.cfg.Budget,
 		BMCDepth:    e.cfg.MaxBound,
 		SimPatterns: e.cfg.SimPatterns,
 		Bank:        e.simBank(),
 		Stats:       e.st.formal,
+		Frames:      frames,
 		Span:        obs.SpanFrom(ctx),
 	}
 }
 
-// ---- flattened job grid -------------------------------------------------
+// ---- row-scheduled job grid ---------------------------------------------
 
 // job identifies one evaluation cell in the flattened grid.
 type job struct {
@@ -363,17 +375,27 @@ type job struct {
 // slot addresses a job's outcome: outcomes[model][inst*samples+sample].
 func (j job) slot(samples int) int { return j.inst*samples + j.sample }
 
+// evalFunc judges one job.
+type evalFunc func(ctx context.Context, j job) core.Outcome
+
 // runGrid drains the full models × instances × samples grid through a
-// bounded worker pool. Workers stream results to a single collector
-// goroutine that places each outcome in its deterministic slot and
-// notifies the observer; aggregation then folds the slots in grid
-// order, so the result is independent of worker count and completion
-// order.
+// bounded worker pool, one instance row at a time: a worker takes an
+// instance, builds its judge with row(inst), and runs all of the
+// row's (model, sample) jobs through it in order. The duplicate
+// responses of one row thus hit the run-wide memo instead of being
+// judged twice by racing workers, and whatever row(inst) sets up for
+// the instance — its prompt, the mc.Frames its model checks share —
+// lives exactly as long as the row. Each job still gets its own span,
+// fault seam and cancellation check. Workers stream results to a
+// single collector goroutine that places each outcome in its
+// deterministic slot and notifies the observer; aggregation then folds
+// the slots in grid order, so the result is independent of worker
+// count and completion order.
 //
-// Cancelling ctx stops feeding the queue and wakes idle workers; the
-// grid returns ctx.Err() once in-flight jobs have drained, and the
-// partial outcome grid is discarded by every caller.
-func (e *Engine) runGrid(ctx context.Context, models []string, nInst, nSamples int, eval func(ctx context.Context, j job) core.Outcome, observer Observer) ([][]core.Outcome, error) {
+// Cancelling ctx stops handing out rows and stops every worker before
+// its next job; the grid returns ctx.Err() once in-flight jobs have
+// drained, and the partial outcome grid is discarded by every caller.
+func (e *Engine) runGrid(ctx context.Context, models []string, nInst, nSamples int, row func(inst int) evalFunc, observer Observer) ([][]core.Outcome, error) {
 	nModels := len(models)
 	outcomes := make([][]core.Outcome, nModels)
 	for m := range outcomes {
@@ -390,7 +412,7 @@ func (e *Engine) runGrid(ctx context.Context, models []string, nInst, nSamples i
 	ctx, abort := context.WithCancelCause(ctx)
 	defer abort(nil)
 
-	jobs := make(chan job, e.cfg.Workers)
+	rows := make(chan int, e.cfg.Workers)
 	type result struct {
 		j    job
 		out  core.Outcome
@@ -401,7 +423,7 @@ func (e *Engine) runGrid(ctx context.Context, models []string, nInst, nSamples i
 	// evalJob wraps one evaluation in its per-job span (model/sample
 	// known up front, instance and verdict attached after) and times
 	// it; when the run is untraced the span calls are nil no-ops.
-	evalJob := func(j job) result {
+	evalJob := func(eval evalFunc, j job) result {
 		jctx, sp := obs.Start(ctx, "job")
 		sp.SetStr("model", models[j.model]).SetInt("sample", int64(j.sample))
 		start := time.Now()
@@ -413,12 +435,30 @@ func (e *Engine) runGrid(ctx context.Context, models []string, nInst, nSamples i
 		sp.End()
 		return result{j: j, out: out, wall: wall}
 	}
+	// evalRow judges one instance row; false means the grid is over.
+	evalRow := func(inst int) bool {
+		eval := row(inst)
+		for m := 0; m < nModels; m++ {
+			for s := 0; s < nSamples; s++ {
+				if ctx.Err() != nil {
+					return false
+				}
+				if err := fault.Hit(fault.EngineJob); err != nil {
+					abort(err)
+					return false
+				}
+				select {
+				case results <- evalJob(eval, job{model: m, inst: inst, sample: s}):
+				case <-ctx.Done():
+					return false
+				}
+			}
+		}
+		return true
+	}
 
 	var workers sync.WaitGroup
-	w := e.cfg.Workers
-	if w > total {
-		w = total
-	}
+	w := min(e.cfg.Workers, nInst)
 	for i := 0; i < w; i++ {
 		workers.Add(1)
 		go func() {
@@ -427,17 +467,8 @@ func (e *Engine) runGrid(ctx context.Context, models []string, nInst, nSamples i
 				select {
 				case <-ctx.Done():
 					return
-				case j, ok := <-jobs:
-					if !ok {
-						return
-					}
-					if err := fault.Hit(fault.EngineJob); err != nil {
-						abort(err)
-						return
-					}
-					select {
-					case results <- evalJob(j):
-					case <-ctx.Done():
+				case inst, ok := <-rows:
+					if !ok || !evalRow(inst) {
 						return
 					}
 				}
@@ -467,18 +498,14 @@ func (e *Engine) runGrid(ctx context.Context, models []string, nInst, nSamples i
 	}()
 
 feed:
-	for m := 0; m < nModels; m++ {
-		for i := 0; i < nInst; i++ {
-			for s := 0; s < nSamples; s++ {
-				select {
-				case jobs <- job{model: m, inst: i, sample: s}:
-				case <-ctx.Done():
-					break feed
-				}
-			}
+	for i := 0; i < nInst; i++ {
+		select {
+		case rows <- i:
+		case <-ctx.Done():
+			break feed
 		}
 	}
-	close(jobs)
+	close(rows)
 	workers.Wait()
 	close(results)
 	collector.Wait()
@@ -551,16 +578,15 @@ func (e *Engine) HumanGrid(ctx context.Context, models []llm.Model, sampled bool
 	if sampled {
 		n = e.passKSamples()
 	}
-	// Prompts depend only on the instance, so build each once instead
-	// of once per (model, sample) job; models treat them read-only.
-	prompts := make([]*llm.Prompt, len(kept))
-	for i, in := range kept {
-		prompts[i] = llm.BuildHumanPrompt(in.ID, in.Testbench.Source, in.NL, in.Reference)
-	}
-	outs, err := e.runGrid(ctx, names(models), len(kept), n, func(jctx context.Context, j job) core.Outcome {
-		in := kept[j.inst]
-		resp := generate(jctx, models[j.model], prompts[j.inst], j.sample)
-		return e.judgeTranslation(jctx, datasetHuman, in.ID, resp, in.Reference, in.Sigs)
+	outs, err := e.runGrid(ctx, names(models), len(kept), n, func(i int) evalFunc {
+		// A prompt depends only on its instance: one per row, which
+		// models treat read-only.
+		in := kept[i]
+		prompt := llm.BuildHumanPrompt(in.ID, in.Testbench.Source, in.NL, in.Reference)
+		return func(jctx context.Context, j job) core.Outcome {
+			resp := generate(jctx, models[j.model], prompt, j.sample)
+			return e.judgeTranslation(jctx, datasetHuman, in.ID, resp, in.Reference, in.Sigs)
+		}
 	}, obs)
 	if err != nil {
 		return nil, err
@@ -597,14 +623,13 @@ func (e *Engine) MachineGrid(ctx context.Context, models []llm.Model, shots, cou
 	if sampled {
 		n = e.passKSamples()
 	}
-	prompts := make([]*llm.Prompt, len(kept))
-	for i, in := range kept {
-		prompts[i] = llm.BuildMachinePrompt(in.ID, in.NL, shots, in.Reference)
-	}
-	outs, err := e.runGrid(ctx, names(models), len(kept), n, func(jctx context.Context, j job) core.Outcome {
-		in := kept[j.inst]
-		resp := generate(jctx, models[j.model], prompts[j.inst], j.sample)
-		return e.judgeTranslation(jctx, datasetMachine, in.ID, resp, in.Reference, in.Sigs)
+	outs, err := e.runGrid(ctx, names(models), len(kept), n, func(i int) evalFunc {
+		in := kept[i]
+		prompt := llm.BuildMachinePrompt(in.ID, in.NL, shots, in.Reference)
+		return func(jctx context.Context, j job) core.Outcome {
+			resp := generate(jctx, models[j.model], prompt, j.sample)
+			return e.judgeTranslation(jctx, datasetMachine, in.ID, resp, in.Reference, in.Sigs)
+		}
 	}, obs)
 	if err != nil {
 		return nil, err
@@ -639,16 +664,20 @@ func (e *Engine) NL2SVAMachinePassK(ctx context.Context, models []llm.Model, ks 
 func (e *Engine) DesignGrid(ctx context.Context, models []llm.Model, kind string, obs Observer) (*Grid, error) {
 	kept, total := clip(rtlgen.Sweep96(kind), e.cfg)
 	n := e.passKSamples()
-	prompts := make([]*llm.Prompt, len(kept))
-	for i, inst := range kept {
-		prompts[i] = llm.BuildDesignPrompt(inst)
-	}
-	outs, err := e.runGrid(ctx, names(models), len(kept), n, func(jctx context.Context, j job) core.Outcome {
-		inst := kept[j.inst]
-		resp := generate(jctx, models[j.model], prompts[j.inst], j.sample)
-		code := llm.ExtractCode(resp)
-		c := e.judgeDesignMemo(jctx, kind, inst, code)
-		return core.Outcome{InstanceID: inst.ID, Response: code, Syntax: c.syntax, Full: c.proven}
+	outs, err := e.runGrid(ctx, names(models), len(kept), n, func(i int) evalFunc {
+		inst := kept[i]
+		prompt := llm.BuildDesignPrompt(inst)
+		// The row's model checks all unroll this one design.
+		frames := mc.NewFrames()
+		return func(jctx context.Context, j job) core.Outcome {
+			resp := generate(jctx, models[j.model], prompt, j.sample)
+			code := llm.ExtractCode(resp)
+			c := e.st.design.get(jctx, kind+"\x00"+inst.ID+"\x00"+code, func() designCell {
+				syn, prov := judgeDesign(inst, code, e.mcOptions(jctx, frames))
+				return designCell{syntax: syn, proven: prov}
+			})
+			return core.Outcome{InstanceID: inst.ID, Response: code, Syntax: c.syntax, Full: c.proven}
+		}
 	}, obs)
 	if err != nil {
 		return nil, err
@@ -675,30 +704,12 @@ func (e *Engine) design2SVA(ctx context.Context, models []llm.Model, kind string
 	return g.DesignReports(kind, ks), nil
 }
 
-// judgeDesignMemo memoizes core.JudgeDesign per (kind, instance,
-// snippet). Duplicate computation under contention is possible but
-// harmless: the judgment is deterministic.
-func (e *Engine) judgeDesignMemo(ctx context.Context, kind string, inst *rtlgen.Instance, code string) designCell {
-	st := e.st
-	if st.designMemo == nil {
-		syn, prov := core.JudgeDesign(inst, code, e.mcOptions(ctx))
-		return designCell{syntax: syn, proven: prov}
-	}
-	key := kind + "\x00" + inst.ID + "\x00" + code
-	st.designMu.Lock()
-	c, ok := st.designMemo[key]
-	st.designMu.Unlock()
-	if ok {
-		obs.SpanFrom(ctx).SetBool("memo_hit", true)
-		return c
-	}
-	syn, prov := core.JudgeDesign(inst, code, e.mcOptions(ctx))
-	c = designCell{syntax: syn, proven: prov}
-	st.designMu.Lock()
-	st.designMemo[key] = c
-	st.designMu.Unlock()
-	return c
-}
+// judgeDesign and judgeHelper are the judgments the Design2SVA and
+// AGR grids memoize; tests swap them to count invocations.
+var (
+	judgeDesign = core.JudgeDesign
+	judgeHelper = core.JudgeHelper
+)
 
 // ---- one-shot conveniences ----------------------------------------------
 

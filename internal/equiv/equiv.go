@@ -475,7 +475,7 @@ func findWitnesses(fa, fb ltl.Formula, sigs *Sigs, ks []int, usesPast, unbounded
 
 			rsp := opt.Span.Child("ramp").SetPhase(obs.PhaseSAT).
 				SetInt("bound", int64(k)).SetInt("dir", int64(di))
-			act := b.Input(fmt.Sprintf("ramp_act@%d.%d", k, di))
+			act := b.Input()
 			cnf.AssertIf(act, total)
 
 			pre := s.Stats()

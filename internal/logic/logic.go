@@ -37,6 +37,10 @@ func (n Node) Not() Node { return n ^ 1 }
 // Compl reports whether n is in complemented form.
 func (n Node) Compl() bool { return n.compl() }
 
+// Map returns n's image under remap, a table indexed by node index
+// (see Builder.CopyFrom), keeping n's complement bit.
+func (n Node) Map(remap []Node) Node { return remap[n.index()] ^ n&1 }
+
 type gate struct {
 	a, b Node // two-input AND gate; inputs may be complemented
 }
@@ -50,14 +54,13 @@ type gate struct {
 // hottest constructor in the formal backend, and the flat table cuts
 // both the hash and the probe to a few instructions.
 type Builder struct {
-	gates    []gate   // index 0 unused (reserved for constants)
-	htab     []int32  // open addressing: gate index + 1, 0 = empty
-	hshift   uint     // 64 - log2(len(htab))
-	hcount   int      // occupied slots
-	inputs   []Node   // free input nodes in creation order
-	names    []string // per-index debug names ("" for gates)
-	isVar    []bool   // per-index: true if free input
-	hashHits int64    // And calls answered from the hash table
+	gates    []gate  // index 0 unused (reserved for constants)
+	htab     []int32 // open addressing: gate index + 1, 0 = empty
+	hshift   uint    // 64 - log2(len(htab))
+	hcount   int     // occupied slots
+	inputs   []Node  // free input nodes in creation order
+	isVar    []bool  // per-index: true if free input
+	hashHits int64   // And calls answered from the hash table
 }
 
 // NewBuilder returns an empty circuit builder.
@@ -68,7 +71,6 @@ func NewBuilder() *Builder {
 	}
 	b.gates = append(b.gates, gate{}) // index 0: constants
 	b.isVar = append(b.isVar, false)
-	b.names = append(b.names, "")
 	return b
 }
 
@@ -106,12 +108,11 @@ func (b *Builder) NumNodes() int { return len(b.gates) - 1 }
 // builder alive across a ramp of bounds.
 func (b *Builder) HashHits() int64 { return b.hashHits }
 
-// Input allocates a fresh free input node with a debug name.
-func (b *Builder) Input(name string) Node {
+// Input allocates a fresh free input node.
+func (b *Builder) Input() Node {
 	idx := int32(len(b.gates))
 	b.gates = append(b.gates, gate{})
 	b.isVar = append(b.isVar, true)
-	b.names = append(b.names, name)
 	n := Node(idx << 1)
 	b.inputs = append(b.inputs, n)
 	return n
@@ -119,9 +120,6 @@ func (b *Builder) Input(name string) Node {
 
 // Inputs returns the inputs in creation order.
 func (b *Builder) Inputs() []Node { return b.inputs }
-
-// Name returns the debug name of an input node.
-func (b *Builder) Name(n Node) string { return b.names[n.index()] }
 
 // IsInput reports whether n references a free input node.
 func (b *Builder) IsInput(n Node) bool { return b.isVar[n.index()] }
@@ -163,13 +161,30 @@ func (b *Builder) And(x, y Node) Node {
 	idx := int32(len(b.gates))
 	b.gates = append(b.gates, g)
 	b.isVar = append(b.isVar, false)
-	b.names = append(b.names, "")
 	b.htab[slot] = idx + 1
 	b.hcount++
 	if 10*b.hcount >= 7*len(b.htab) {
 		b.hrehash()
 	}
 	return Node(idx << 1)
+}
+
+// CopyFrom rebuilds src's nodes with indices in [from, to) in b, in
+// index order, and records each one's image in remap, which is indexed
+// by src node index and must already hold the images of every node
+// below from that the range refers to. A gate's image is the And of
+// its children's images, so b's constant folding and structural
+// hashing apply as if the gate had been built here directly; each
+// input's image is the next node input returns, in index order.
+func (b *Builder) CopyFrom(src *Builder, from, to int, remap []Node, input func() Node) {
+	for i := from; i < to; i++ {
+		if src.isVar[i] {
+			remap[i] = input()
+			continue
+		}
+		g := src.gates[i]
+		remap[i] = b.And(g.a.Map(remap), g.b.Map(remap))
+	}
 }
 
 // Or returns the disjunction of x and y.

@@ -10,7 +10,7 @@ import (
 
 func TestConstantFolding(t *testing.T) {
 	b := NewBuilder()
-	x := b.Input("x")
+	x := b.Input()
 	cases := []struct {
 		got, want Node
 		name      string
@@ -38,8 +38,8 @@ func TestConstantFolding(t *testing.T) {
 
 func TestStructuralHashing(t *testing.T) {
 	b := NewBuilder()
-	x := b.Input("x")
-	y := b.Input("y")
+	x := b.Input()
+	y := b.Input()
 	a1 := b.And(x, y)
 	a2 := b.And(y, x)
 	if a1 != a2 {
@@ -54,9 +54,9 @@ func TestStructuralHashing(t *testing.T) {
 
 func TestEval(t *testing.T) {
 	b := NewBuilder()
-	x := b.Input("x")
-	y := b.Input("y")
-	z := b.Input("z")
+	x := b.Input()
+	y := b.Input()
+	z := b.Input()
 	f := b.Or(b.And(x, y), b.And(x.Not(), z)) // mux(x, y, z)
 	for mask := 0; mask < 8; mask++ {
 		env := map[Node]bool{
@@ -82,7 +82,7 @@ func TestCNFAgreesWithEval(t *testing.T) {
 		nIn := 2 + rng.Intn(5)
 		var ins []Node
 		for i := 0; i < nIn; i++ {
-			ins = append(ins, b.Input("i"))
+			ins = append(ins, b.Input())
 		}
 		pool := append([]Node(nil), ins...)
 		for i := 0; i < 12; i++ {
@@ -145,7 +145,7 @@ func TestCNFAgreesWithEval(t *testing.T) {
 
 func TestCNFUnsat(t *testing.T) {
 	b := NewBuilder()
-	x := b.Input("x")
+	x := b.Input()
 	s := sat.New()
 	c := NewCNF(b, s)
 	c.Assert(b.And(x, x.Not()))
@@ -177,7 +177,7 @@ func TestDeepChainEncoding(t *testing.T) {
 	acc := True
 	var ins []Node
 	for i := 0; i < 5000; i++ {
-		in := b.Input("x")
+		in := b.Input()
 		ins = append(ins, in)
 		acc = b.And(acc, in)
 	}
@@ -203,7 +203,7 @@ func TestAndAllOrAll(t *testing.T) {
 	if b.OrAll() != False {
 		t.Fatalf("empty OrAll must be False")
 	}
-	x, y := b.Input("x"), b.Input("y")
+	x, y := b.Input(), b.Input()
 	if b.AndAll(x, y) != b.And(x, y) {
 		t.Fatalf("AndAll(x,y) != And(x,y)")
 	}
@@ -220,7 +220,7 @@ func TestCNFIncrementalEmission(t *testing.T) {
 	b := NewBuilder()
 	s := sat.New()
 	c := NewCNF(b, s)
-	x, y := b.Input("x"), b.Input("y")
+	x, y := b.Input(), b.Input()
 	n1 := b.And(x, y)
 	c.Assert(n1)
 	enc1, hw1, vars1 := c.Encoded(), c.HighWater(), s.NumVars()
@@ -237,7 +237,7 @@ func TestCNFIncrementalEmission(t *testing.T) {
 
 	// A new gate over the old cone pays only for the new nodes.
 	preNodes := b.NumNodes()
-	n2 := b.Or(n1, b.Input("z"))
+	n2 := b.Or(n1, b.Input())
 	newNodes := b.NumNodes() - preNodes
 	c.Assert(n2)
 	if got := c.Encoded() - enc1; got != newNodes {
@@ -258,8 +258,8 @@ func TestCNFActivationGating(t *testing.T) {
 	b := NewBuilder()
 	s := sat.New()
 	c := NewCNF(b, s)
-	x := b.Input("x")
-	act := b.Input("act")
+	x := b.Input()
+	act := b.Input()
 	c.AssertIf(act, x.Not())
 	c.Assert(x) // permanent: x is true
 

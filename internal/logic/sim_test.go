@@ -10,7 +10,7 @@ import (
 func randomCircuit(rng *rand.Rand, b *Builder, nVars, nGates int) ([]Node, []Node) {
 	inputs := make([]Node, nVars)
 	for i := range inputs {
-		inputs[i] = b.Input("x")
+		inputs[i] = b.Input()
 	}
 	pool := append([]Node{True, False}, inputs...)
 	for i := 0; i < nGates; i++ {
@@ -73,8 +73,8 @@ func TestSimMatchesEval(t *testing.T) {
 // bound ramp.
 func TestSimIncrementalGrowth(t *testing.T) {
 	b := NewBuilder()
-	x := b.Input("x")
-	y := b.Input("y")
+	x := b.Input()
+	y := b.Input()
 	g1 := b.And(x, y)
 	sim := NewSim(b)
 	sim.SetInput(x, 0b1100)
@@ -83,7 +83,7 @@ func TestSimIncrementalGrowth(t *testing.T) {
 	if sim.Val(g1)&0xF != 0b1000 {
 		t.Fatalf("and lanes = %b", sim.Val(g1)&0xF)
 	}
-	z := b.Input("z")
+	z := b.Input()
 	g2 := b.Or(g1, z)
 	sim.SetInput(z, 0b0001)
 	sim.Run()
@@ -103,8 +103,8 @@ func TestSimIncrementalGrowth(t *testing.T) {
 // read correctly through it.
 func TestEvalCacheSpill(t *testing.T) {
 	b := NewBuilder()
-	x := b.Input("x")
-	y := b.Input("y")
+	x := b.Input()
+	y := b.Input()
 	n := b.Xor(x, y)
 	env := map[Node]bool{x: true}
 	cache := map[int32]bool{}

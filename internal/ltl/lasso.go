@@ -249,7 +249,7 @@ func (te *TraceEnv) Signal(name string, pos int) (bitvec.BV, error) {
 	if v, ok := te.vars[key]; ok {
 		return v, nil
 	}
-	v := bitvec.Inputs(te.B, name+"@"+itoa(pos), w)
+	v := bitvec.Inputs(te.B, w)
 	te.vars[key] = v
 	return v, nil
 }
@@ -270,26 +270,4 @@ func (te *TraceEnv) Constant(name string) (uint64, int, bool) {
 func (te *TraceEnv) At(name string, pos int) (bitvec.BV, bool) {
 	v, ok := te.vars[sigPos{name, pos}]
 	return v, ok
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }

@@ -22,7 +22,6 @@ package mc
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"fveval/internal/bitvec"
@@ -93,6 +92,14 @@ type Options struct {
 	// Stats, when non-nil, receives solver-reuse counters from the
 	// incremental sessions. Never affects verdicts.
 	Stats *formal.Stats
+	// Frames, when non-nil, supplies unrolled frames of the system's
+	// transition relation from per-design templates instead of
+	// re-deriving them in every check (see Frames). Never affects
+	// verdicts, depths or counterexamples. Stats' GatesShared then
+	// counts only the hash hits of the session's own builder: the
+	// structural sharing inside a copied frame was found once, by its
+	// template, and is not counted again.
+	Frames *Frames
 	// Span, when non-nil, is the traced parent span of this check:
 	// every BMC depth, induction step, and prefilter decision records a
 	// child span under it. Like Stats it never affects verdicts; a nil
@@ -159,6 +166,7 @@ func CheckCover(sys *rtl.System, a *sva.Assertion, opt Options) (Result, error) 
 	b := logic.NewBuilder()
 	fe := newFrameEnv(b, sys)
 	fe.initFrame0(false)
+	fe.useFrames(opt.Frames, false)
 	if err := fe.unroll(n); err != nil {
 		return Result{}, err
 	}
@@ -240,6 +248,16 @@ type frameEnv struct {
 	states map[sigPos]bitvec.BV
 	nets   map[sigPos]bitvec.BV
 	busy   map[sigPos]bool
+
+	// src, when non-nil, supplies frames 1.. from a Frames template
+	// instead of unrolling them here.
+	src *frameCopy
+	// record is set on a template's own environment: it logs the input
+	// vectors it creates, and numbers the nets it builds, in creation
+	// order.
+	record bool
+	inLog  []sigPos
+	netSeq map[sigPos]int
 }
 
 type sigPos struct {
@@ -266,15 +284,29 @@ func (fe *frameEnv) initFrame0(free bool) {
 	for _, r := range fe.sys.Regs {
 		key := sigPos{r.Name, 0}
 		if free {
-			fe.states[key] = bitvec.Inputs(fe.b, r.Name+"@0", r.Width)
+			fe.states[key] = bitvec.Inputs(fe.b, r.Width)
 		} else {
 			fe.states[key] = bitvec.Const(r.Init, r.Width)
 		}
 	}
 }
 
+// useFrames makes unroll copy frames from frames' template for the
+// system in the initial-state mode initFrame0 seated; with a nil
+// frames, unroll keeps building them here. It must directly follow
+// initFrame0 on a new builder: the builder then holds exactly the
+// template's frame 0.
+func (fe *frameEnv) useFrames(frames *Frames, free bool) {
+	if t := frames.template(fe.sys, free); t != nil {
+		fe.src = newFrameCopy(t)
+	}
+}
+
 // unroll extends register states through frame n (exclusive).
 func (fe *frameEnv) unroll(n int) error {
+	if fe.src != nil {
+		return fe.src.unroll(fe, n)
+	}
 	for p := 1; p < n; p++ {
 		if _, ok := fe.states[sigPos{firstRegName(fe.sys), p}]; ok && len(fe.sys.Regs) > 0 {
 			continue
@@ -308,8 +340,11 @@ func (fe *frameEnv) Signal(name string, pos int) (bitvec.BV, error) {
 			return v, nil
 		}
 		w := fe.sys.Widths[name]
-		v := bitvec.Inputs(fe.b, name+"@"+strconv.Itoa(pos), w)
+		v := bitvec.Inputs(fe.b, w)
 		fe.inputs[key] = v
+		if fe.record {
+			fe.inLog = append(fe.inLog, key)
+		}
 		return v, nil
 	}
 	if _, isReg := fe.sys.RegByName(name); isReg {
@@ -319,6 +354,12 @@ func (fe *frameEnv) Signal(name string, pos int) (bitvec.BV, error) {
 	if net, ok := fe.sys.NetByName(name); ok {
 		if v, ok := fe.nets[key]; ok {
 			return v, nil
+		}
+		if fe.src != nil {
+			if v, ok := fe.src.net(key); ok {
+				fe.nets[key] = v
+				return v, nil
+			}
 		}
 		if fe.busy[key] {
 			return bitvec.BV{}, &ltl.ElabError{Reason: "combinational loop through \"" + name + "\""}
@@ -331,6 +372,9 @@ func (fe *frameEnv) Signal(name string, pos int) (bitvec.BV, error) {
 		delete(fe.busy, key)
 		v = v.Extend(net.Width)
 		fe.nets[key] = v
+		if fe.record {
+			fe.netSeq[key] = len(fe.netSeq)
+		}
 		return v, nil
 	}
 	return bitvec.BV{}, &ltl.ElabError{Reason: fmt.Sprintf("undeclared identifier %q", name)}
@@ -448,6 +492,7 @@ func newSafetySession(sys *rtl.System, f ltl.Formula, abort sva.Expr, assumes []
 	b := logic.NewBuilder()
 	fe := newFrameEnv(b, sys)
 	fe.initFrame0(freeInit)
+	fe.useFrames(opt.Frames, freeInit)
 	s := sat.New()
 	if opt.Budget > 0 {
 		// Per-call budget: every depth's Solve gets the full allowance,
@@ -661,12 +706,12 @@ func (ss *safetySession) grow(n int) (*ltl.LassoEval, error) {
 // constraint but keep everything learnt. Pending path constraints are
 // flushed into the CNF first (in the order they accumulated, so the
 // encoding matches the eager-assertion layout exactly).
-func (ss *safetySession) solveGated(name string, v logic.Node) (bool, []bool, error) {
+func (ss *safetySession) solveGated(v logic.Node) (bool, []bool, error) {
 	for _, n := range ss.pending {
 		ss.cnf.Assert(n)
 	}
 	ss.pending = ss.pending[:0]
-	act := ss.b.Input(name)
+	act := ss.b.Input()
 	ss.cnf.AssertIf(act, v)
 	pre := ss.s.Stats()
 	if pre.Solves > 0 {
@@ -712,7 +757,7 @@ func (ss *safetySession) checkDepth(k int) (*Cex, error) {
 		return decodeCexLane(ss.sys, ss.fe, ss.sim, lane, ss.frames, -1), nil
 	}
 	rsp := ss.opt.Span.Child("bmc").SetPhase(obs.PhaseSAT).SetInt("bound", int64(k))
-	ok, model, err := ss.solveGated(fmt.Sprintf("bmc_act@%d", k), v)
+	ok, model, err := ss.solveGated(v)
 	if err != nil {
 		rsp.SetStr("verdict", "error").End()
 		return nil, err
@@ -760,7 +805,7 @@ func (ss *safetySession) induct(k int) (bool, error) {
 		return false, nil
 	}
 	rsp := ss.opt.Span.Child("induct").SetPhase(obs.PhaseSAT).SetInt("bound", int64(k))
-	ok, model, err := ss.solveGated(fmt.Sprintf("ind_act@%d", k), v)
+	ok, model, err := ss.solveGated(v)
 	if err != nil {
 		rsp.SetStr("verdict", "error").End()
 		return false, err
@@ -857,6 +902,7 @@ func checkLiveness(sys *rtl.System, f ltl.Formula, abort sva.Expr, assumes []ltl
 	b := logic.NewBuilder()
 	fe := newFrameEnv(b, sys)
 	fe.initFrame0(false)
+	fe.useFrames(opt.Frames, false)
 	if err := fe.unroll(k); err != nil {
 		return Result{}, err
 	}

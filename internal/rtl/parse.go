@@ -2,6 +2,8 @@ package rtl
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
 	"fveval/internal/sv"
@@ -33,29 +35,53 @@ func Preprocess(src string) (string, map[string]string) {
 
 // Parse parses a source file (after running the preprocessor).
 func Parse(src string) (*File, error) {
-	text, defines := Preprocess(src)
+	f, _, err := ParseAfter(src, nil)
+	return f, err
+}
+
+// ParseAfter parses src as the tail of a file whose earlier part
+// defined the macros in outer: src's macro uses see outer's
+// definitions overlaid by src's own, as Preprocess merges them over a
+// whole file. It also returns src's own definitions. Whether the
+// earlier part would have expanded differently under src's definitions
+// is the caller's concern.
+func ParseAfter(src string, outer map[string]string) (*File, map[string]string, error) {
+	text, own := Preprocess(src)
+	defines := own
+	switch {
+	case len(own) == 0:
+		defines = outer
+	case len(outer) > 0:
+		defines = maps.Clone(outer)
+		maps.Copy(defines, own)
+	}
 	toks, err := sv.Tokenize(text)
 	if err != nil {
-		return nil, err
+		return nil, own, err
 	}
 	// Splice macro uses.
 	toks, err = expandMacros(toks, defines)
 	if err != nil {
-		return nil, err
+		return nil, own, err
 	}
 	p := &rparser{toks: toks}
 	f := &File{}
 	for !p.at(sv.EOF, "") {
 		m, err := p.parseModule()
 		if err != nil {
-			return nil, err
+			return nil, own, err
 		}
 		f.Modules = append(f.Modules, m)
 	}
-	return f, nil
+	return f, own, nil
 }
 
+// expandMacros splices macro uses; a stream without any comes back
+// as is.
 func expandMacros(toks []sv.Token, defines map[string]string) ([]sv.Token, error) {
+	if !slices.ContainsFunc(toks, func(t sv.Token) bool { return t.Kind == sv.Macro }) {
+		return toks, nil
+	}
 	var out []sv.Token
 	for _, t := range toks {
 		if t.Kind != sv.Macro {
