@@ -1,13 +1,20 @@
 # Mirrors .github/workflows/ci.yml so local runs and CI stay identical.
 GO ?= go
 
-.PHONY: build test bench-module service-smoke cluster-smoke chaos-smoke bench lint ci
+.PHONY: build test examples bench-module service-smoke cluster-smoke chaos-smoke bench lint ci
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test -race ./...
+
+# examples runs every program under examples/, the public facade's
+# only non-test callers.
+EXAMPLES = quickstart design2sva equivalence failure_modes nl2sva_machine
+
+examples:
+	for d in $(EXAMPLES); do $(GO) run ./examples/$$d > /dev/null || exit 1; done
 
 # bench-module vets and tests the benchmark module (bench/ has its own
 # go.mod, so ./... from the root does not reach it).
@@ -66,4 +73,4 @@ lint:
 	fi
 	$(GO) vet ./...
 
-ci: build lint test bench-module service-smoke cluster-smoke chaos-smoke bench
+ci: build lint test examples bench-module service-smoke cluster-smoke chaos-smoke bench

@@ -33,7 +33,6 @@ package fveval
 
 import (
 	"context"
-	"fmt"
 
 	"fveval/internal/core"
 	"fveval/internal/engine"
@@ -166,127 +165,6 @@ func DesignModels() []Model { return llm.DesignModels() }
 
 // ModelByName finds a proxy model.
 func ModelByName(name string) Model { return llm.ModelByName(name) }
-
-// ---- deprecated per-table entry points ----------------------------------
-//
-// The Run* functions below are thin wrappers over the task registry,
-// kept for source compatibility. They accept only models from the
-// built-in proxy fleet (the registry resolves models by name).
-
-// fleetNames maps facade model values onto registry names.
-func fleetNames(models []Model) ([]string, error) {
-	out := make([]string, 0, len(models))
-	for _, m := range models {
-		if m == nil {
-			return nil, fmt.Errorf("fveval: nil model")
-		}
-		if llm.ModelByName(m.Name()) == nil {
-			return nil, fmt.Errorf("fveval: model %q is not in the proxy fleet; use Engine.Run with a registry task instead", m.Name())
-		}
-		out = append(out, m.Name())
-	}
-	return out, nil
-}
-
-// runTask executes one registry request on a fresh engine.
-func runTask(req Request) (*Result, error) {
-	return Run(context.Background(), req)
-}
-
-// RunNL2SVAHuman runs Table 1's evaluation.
-//
-// Deprecated: use Run with the "nl2sva-human" task.
-func RunNL2SVAHuman(models []Model, opt Options) ([]ModelReport, error) {
-	names, err := fleetNames(models)
-	if err != nil {
-		return nil, err
-	}
-	run, err := runTask(Request{Task: "nl2sva-human", Params: Params{Models: names}, Options: opt})
-	if err != nil {
-		return nil, err
-	}
-	return run.Report.Group("").ModelReports(), nil
-}
-
-// RunNL2SVAHumanPassK runs Table 2's evaluation.
-//
-// Deprecated: use Run with the "nl2sva-human-passk" task.
-func RunNL2SVAHumanPassK(models []Model, ks []int, opt Options) ([]PassKReport, error) {
-	names, err := fleetNames(models)
-	if err != nil {
-		return nil, err
-	}
-	run, err := runTask(Request{Task: "nl2sva-human-passk", Params: Params{Models: names, Ks: ks}, Options: opt})
-	if err != nil {
-		return nil, err
-	}
-	return run.Report.Group("").PassKReports(), nil
-}
-
-// RunNL2SVAMachine runs one shot-setting of Table 3.
-//
-// Deprecated: use Run with the "nl2sva-machine" task (its default
-// parameters evaluate both shot settings in one run).
-func RunNL2SVAMachine(models []Model, shots, count int, opt Options) ([]ModelReport, error) {
-	if count < 1 {
-		return nil, fmt.Errorf("fveval: count %d out of range (must be >= 1)", count)
-	}
-	names, err := fleetNames(models)
-	if err != nil {
-		return nil, err
-	}
-	run, err := runTask(Request{
-		Task:    "nl2sva-machine",
-		Params:  Params{Models: names, Shots: []int{shots}, Count: count},
-		Options: opt,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return run.Report.Groups[0].ModelReports(), nil
-}
-
-// RunNL2SVAMachinePassK runs Table 4's evaluation.
-//
-// Deprecated: use Run with the "nl2sva-machine-passk" task.
-func RunNL2SVAMachinePassK(models []Model, ks []int, count int, opt Options) ([]PassKReport, error) {
-	if count < 1 {
-		return nil, fmt.Errorf("fveval: count %d out of range (must be >= 1)", count)
-	}
-	names, err := fleetNames(models)
-	if err != nil {
-		return nil, err
-	}
-	run, err := runTask(Request{
-		Task:    "nl2sva-machine-passk",
-		Params:  Params{Models: names, Ks: ks, Count: count},
-		Options: opt,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return run.Report.Group("").PassKReports(), nil
-}
-
-// RunDesign2SVA runs one category half of Table 5.
-//
-// Deprecated: use Run with the "design2sva" task (its default
-// parameters evaluate both categories in one run).
-func RunDesign2SVA(models []Model, kind string, opt Options) ([]DesignReport, error) {
-	names, err := fleetNames(models)
-	if err != nil {
-		return nil, err
-	}
-	run, err := runTask(Request{
-		Task:    "design2sva",
-		Params:  Params{Models: names, Kinds: []string{kind}},
-		Options: opt,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return run.Report.Group(kind).DesignReports(), nil
-}
 
 // Table and figure renderers.
 var (

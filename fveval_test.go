@@ -49,11 +49,15 @@ func TestFacadeFleet(t *testing.T) {
 }
 
 func TestFacadeEndToEndSlice(t *testing.T) {
-	reports, err := RunNL2SVAHuman([]Model{ModelByName("gpt-4o")}, Options{Limit: 8})
+	run, err := Run(context.Background(), Request{
+		Task:    "nl2sva-human",
+		Params:  Params{Models: []string{"gpt-4o"}},
+		Options: Options{Limit: 8},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := FormatTable1(reports)
+	out := FormatTable1(run.Report.Group("").ModelReports())
 	if !strings.Contains(out, "gpt-4o") {
 		t.Fatalf("report malformed:\n%s", out)
 	}
@@ -79,74 +83,5 @@ func TestFacadeRegistryRun(t *testing.T) {
 	}
 	if _, err := Run(context.Background(), Request{Task: "nl2sva-human", Options: Options{Samples: -1}}); err == nil {
 		t.Fatalf("invalid options accepted")
-	}
-}
-
-// TestDeprecatedWrappersMatchRegistry demands that the deprecated
-// Run* wrappers render byte-identical tables to registry runs of the
-// same tasks.
-func TestDeprecatedWrappersMatchRegistry(t *testing.T) {
-	ctx := context.Background()
-	opt := Options{Limit: 5, Samples: 2, Workers: 2}
-	models := []Model{ModelByName("gpt-4o"), ModelByName("llama-3.1-70b")}
-	namesOf := Params{Models: []string{"gpt-4o", "llama-3.1-70b"}}
-
-	viaRegistry := func(taskName string, p Params) string {
-		t.Helper()
-		run, err := Run(ctx, Request{Task: taskName, Params: p, Options: opt})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return run.Report.Render()
-	}
-
-	t1, err := RunNL2SVAHuman(models, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := FormatTable1(t1), viaRegistry("nl2sva-human", namesOf); got != want {
-		t.Errorf("table 1 wrapper diverged:\n--- wrapper ---\n%s--- registry ---\n%s", got, want)
-	}
-
-	t2, err := RunNL2SVAHumanPassK(models, []int{1, 3, 5}, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := FormatTable2(t2), viaRegistry("nl2sva-human-passk", namesOf); got != want {
-		t.Errorf("table 2 wrapper diverged:\n--- wrapper ---\n%s--- registry ---\n%s", got, want)
-	}
-
-	zero, err := RunNL2SVAMachine(models, 0, 8, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	three, err := RunNL2SVAMachine(models, 3, 8, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p3 := namesOf
-	p3.Count = 8
-	if got, want := FormatTable3(zero, three), viaRegistry("nl2sva-machine", p3); got != want {
-		t.Errorf("table 3 wrapper diverged:\n--- wrapper ---\n%s--- registry ---\n%s", got, want)
-	}
-
-	t4, err := RunNL2SVAMachinePassK(models, []int{1, 3, 5}, 8, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := FormatTable4(t4), viaRegistry("nl2sva-machine-passk", p3); got != want {
-		t.Errorf("table 4 wrapper diverged:\n--- wrapper ---\n%s--- registry ---\n%s", got, want)
-	}
-
-	pipe, err := RunDesign2SVA(models, "pipeline", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fsm, err := RunDesign2SVA(models, "fsm", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := FormatTable5(pipe, fsm), viaRegistry("design2sva", namesOf); got != want {
-		t.Errorf("table 5 wrapper diverged:\n--- wrapper ---\n%s--- registry ---\n%s", got, want)
 	}
 }

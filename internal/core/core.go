@@ -360,8 +360,7 @@ func parseDesignBench(design, bench, snippet string) (*rtl.File, error) {
 // JudgeDesign re-formats the testbench with the model's snippet,
 // elaborates the bound DUT+testbench system, and model-checks the
 // assertion — the paper's Design2SVA evaluation flow. The checker
-// options (budget, depths, stats sink, frame cache) pass through to
-// mc.CheckAssertion.
+// options (budget, depths, stats sink) pass through to mc.CheckAssertion.
 func JudgeDesign(inst *rtlgen.Instance, snippet string, opt mc.Options) (syntaxOK, proven bool) {
 	psp := opt.Span.Child("parse").SetPhase(obs.PhaseParse)
 	f, err := parseDesignBench(inst.Design, inst.Bench, snippet)

@@ -8,11 +8,9 @@
 // worker count, scheduling order, sharding off/on differences aside,
 // or whether the equivalence-check cache is enabled.
 //
-// The row is also the lifetime of per-design state: the duplicate
+// Because a row is never split across workers, the duplicate
 // responses of one instance meet the run-wide judgment memo one after
-// another instead of being judged twice by racing workers, and the
-// model checks of one design share an mc.Frames that is dropped when
-// the row ends.
+// another instead of being judged twice by racing workers.
 //
 // One engine owns one run-wide equiv.Cache: pass@k evaluation
 // re-checks many duplicate candidate/reference pairs across samples
@@ -352,15 +350,13 @@ func (e *Engine) equivOptions(ctx context.Context) equiv.Options {
 
 // mcOptions resolves the model-checker options for this run. MaxBound
 // caps the falsification depth; proof depths stay at backend defaults.
-// frames is the calling row's frame cache (see runGrid).
-func (e *Engine) mcOptions(ctx context.Context, frames *mc.Frames) mc.Options {
+func (e *Engine) mcOptions(ctx context.Context) mc.Options {
 	return mc.Options{
 		Budget:      e.cfg.Budget,
 		BMCDepth:    e.cfg.MaxBound,
 		SimPatterns: e.cfg.SimPatterns,
 		Bank:        e.simBank(),
 		Stats:       e.st.formal,
-		Frames:      frames,
 		Span:        obs.SpanFrom(ctx),
 	}
 }
@@ -384,13 +380,12 @@ type evalFunc func(ctx context.Context, j job) core.Outcome
 // row's (model, sample) jobs through it in order. The duplicate
 // responses of one row thus hit the run-wide memo instead of being
 // judged twice by racing workers, and whatever row(inst) sets up for
-// the instance — its prompt, the mc.Frames its model checks share —
-// lives exactly as long as the row. Each job still gets its own span,
-// fault seam and cancellation check. Workers stream results to a
-// single collector goroutine that places each outcome in its
-// deterministic slot and notifies the observer; aggregation then folds
-// the slots in grid order, so the result is independent of worker
-// count and completion order.
+// the instance, such as its prompt, lives exactly as long as the row.
+// Each job still gets its own span, fault seam and cancellation check.
+// Workers stream results to a single collector goroutine that places
+// each outcome in its deterministic slot and notifies the observer;
+// aggregation then folds the slots in grid order, so the result is
+// independent of worker count and completion order.
 //
 // Cancelling ctx stops handing out rows and stops every worker before
 // its next job; the grid returns ctx.Err() once in-flight jobs have
@@ -667,13 +662,11 @@ func (e *Engine) DesignGrid(ctx context.Context, models []llm.Model, kind string
 	outs, err := e.runGrid(ctx, names(models), len(kept), n, func(i int) evalFunc {
 		inst := kept[i]
 		prompt := llm.BuildDesignPrompt(inst)
-		// The row's model checks all unroll this one design.
-		frames := mc.NewFrames()
 		return func(jctx context.Context, j job) core.Outcome {
 			resp := generate(jctx, models[j.model], prompt, j.sample)
 			code := llm.ExtractCode(resp)
 			c := e.st.design.get(jctx, kind+"\x00"+inst.ID+"\x00"+code, func() designCell {
-				syn, prov := judgeDesign(inst, code, e.mcOptions(jctx, frames))
+				syn, prov := judgeDesign(inst, code, e.mcOptions(jctx))
 				return designCell{syntax: syn, proven: prov}
 			})
 			return core.Outcome{InstanceID: inst.ID, Response: code, Syntax: c.syntax, Full: c.proven}

@@ -56,9 +56,8 @@ func TestRowsJudgeEachSnippetOnce(t *testing.T) {
 	}
 }
 
-// TestRowsKeepVerdicts pins the row-scoped frame caches to the
-// verdicts of judging every job in isolation, as a NoCache run with no
-// frames shared between jobs would.
+// TestRowsKeepVerdicts pins row-scheduled judging to the verdicts of
+// judging every job in isolation, as a NoCache run would.
 func TestRowsKeepVerdicts(t *testing.T) {
 	models := llm.DesignModels()
 	rows, err := New(Config{Limit: 8, Workers: 2}).DesignGrid(context.Background(), models, "fsm", nil)

@@ -85,9 +85,7 @@ func (s *Stats) Query(solves, conflicts, learntKept int64, early bool) {
 }
 
 // GatesShared records circuit nodes a ramp step obtained from the
-// structural hash instead of building and encoding afresh. Frames a
-// model-checking session copies from a template (mc.Frames) add only
-// the hits the copy itself makes.
+// structural hash instead of building and encoding afresh.
 func (s *Stats) GatesShared(n int64) {
 	if s == nil || n <= 0 {
 		return

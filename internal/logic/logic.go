@@ -37,10 +37,6 @@ func (n Node) Not() Node { return n ^ 1 }
 // Compl reports whether n is in complemented form.
 func (n Node) Compl() bool { return n.compl() }
 
-// Map returns n's image under remap, a table indexed by node index
-// (see Builder.CopyFrom), keeping n's complement bit.
-func (n Node) Map(remap []Node) Node { return remap[n.index()] ^ n&1 }
-
 type gate struct {
 	a, b Node // two-input AND gate; inputs may be complemented
 }
@@ -167,24 +163,6 @@ func (b *Builder) And(x, y Node) Node {
 		b.hrehash()
 	}
 	return Node(idx << 1)
-}
-
-// CopyFrom rebuilds src's nodes with indices in [from, to) in b, in
-// index order, and records each one's image in remap, which is indexed
-// by src node index and must already hold the images of every node
-// below from that the range refers to. A gate's image is the And of
-// its children's images, so b's constant folding and structural
-// hashing apply as if the gate had been built here directly; each
-// input's image is the next node input returns, in index order.
-func (b *Builder) CopyFrom(src *Builder, from, to int, remap []Node, input func() Node) {
-	for i := from; i < to; i++ {
-		if src.isVar[i] {
-			remap[i] = input()
-			continue
-		}
-		g := src.gates[i]
-		remap[i] = b.And(g.a.Map(remap), g.b.Map(remap))
-	}
 }
 
 // Or returns the disjunction of x and y.

@@ -54,14 +54,8 @@ type Lemma struct {
 // whether it was load-bearing. Ablating the candidate (not just the
 // assumption) means a helper whose only role is enabling another
 // helper's proof is still correctly marked load-bearing.
-//
-// Every check of the pipeline unrolls the same system, so they all
-// copy frames from one Frames: the caller's, or a private one.
 func CheckWithLemmas(sys *rtl.System, target *sva.Assertion, helpers []*sva.Assertion, opt Options) (Result, []Lemma, error) {
 	opt = opt.withDefaults()
-	if opt.Frames == nil {
-		opt.Frames = NewFrames()
-	}
 	assumes, err := lowerAssumes(sys)
 	if err != nil {
 		return Result{}, nil, err

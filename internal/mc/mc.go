@@ -92,14 +92,6 @@ type Options struct {
 	// Stats, when non-nil, receives solver-reuse counters from the
 	// incremental sessions. Never affects verdicts.
 	Stats *formal.Stats
-	// Frames, when non-nil, supplies unrolled frames of the system's
-	// transition relation from per-design templates instead of
-	// re-deriving them in every check (see Frames). Never affects
-	// verdicts, depths or counterexamples. Stats' GatesShared then
-	// counts only the hash hits of the session's own builder: the
-	// structural sharing inside a copied frame was found once, by its
-	// template, and is not counted again.
-	Frames *Frames
 	// Span, when non-nil, is the traced parent span of this check:
 	// every BMC depth, induction step, and prefilter decision records a
 	// child span under it. Like Stats it never affects verdicts; a nil
@@ -166,7 +158,6 @@ func CheckCover(sys *rtl.System, a *sva.Assertion, opt Options) (Result, error) 
 	b := logic.NewBuilder()
 	fe := newFrameEnv(b, sys)
 	fe.initFrame0(false)
-	fe.useFrames(opt.Frames, false)
 	if err := fe.unroll(n); err != nil {
 		return Result{}, err
 	}
@@ -248,16 +239,6 @@ type frameEnv struct {
 	states map[sigPos]bitvec.BV
 	nets   map[sigPos]bitvec.BV
 	busy   map[sigPos]bool
-
-	// src, when non-nil, supplies frames 1.. from a Frames template
-	// instead of unrolling them here.
-	src *frameCopy
-	// record is set on a template's own environment: it logs the input
-	// vectors it creates, and numbers the nets it builds, in creation
-	// order.
-	record bool
-	inLog  []sigPos
-	netSeq map[sigPos]int
 }
 
 type sigPos struct {
@@ -291,22 +272,8 @@ func (fe *frameEnv) initFrame0(free bool) {
 	}
 }
 
-// useFrames makes unroll copy frames from frames' template for the
-// system in the initial-state mode initFrame0 seated; with a nil
-// frames, unroll keeps building them here. It must directly follow
-// initFrame0 on a new builder: the builder then holds exactly the
-// template's frame 0.
-func (fe *frameEnv) useFrames(frames *Frames, free bool) {
-	if t := frames.template(fe.sys, free); t != nil {
-		fe.src = newFrameCopy(t)
-	}
-}
-
 // unroll extends register states through frame n (exclusive).
 func (fe *frameEnv) unroll(n int) error {
-	if fe.src != nil {
-		return fe.src.unroll(fe, n)
-	}
 	for p := 1; p < n; p++ {
 		if _, ok := fe.states[sigPos{firstRegName(fe.sys), p}]; ok && len(fe.sys.Regs) > 0 {
 			continue
@@ -342,9 +309,6 @@ func (fe *frameEnv) Signal(name string, pos int) (bitvec.BV, error) {
 		w := fe.sys.Widths[name]
 		v := bitvec.Inputs(fe.b, w)
 		fe.inputs[key] = v
-		if fe.record {
-			fe.inLog = append(fe.inLog, key)
-		}
 		return v, nil
 	}
 	if _, isReg := fe.sys.RegByName(name); isReg {
@@ -354,12 +318,6 @@ func (fe *frameEnv) Signal(name string, pos int) (bitvec.BV, error) {
 	if net, ok := fe.sys.NetByName(name); ok {
 		if v, ok := fe.nets[key]; ok {
 			return v, nil
-		}
-		if fe.src != nil {
-			if v, ok := fe.src.net(key); ok {
-				fe.nets[key] = v
-				return v, nil
-			}
 		}
 		if fe.busy[key] {
 			return bitvec.BV{}, &ltl.ElabError{Reason: "combinational loop through \"" + name + "\""}
@@ -372,9 +330,6 @@ func (fe *frameEnv) Signal(name string, pos int) (bitvec.BV, error) {
 		delete(fe.busy, key)
 		v = v.Extend(net.Width)
 		fe.nets[key] = v
-		if fe.record {
-			fe.netSeq[key] = len(fe.netSeq)
-		}
 		return v, nil
 	}
 	return bitvec.BV{}, &ltl.ElabError{Reason: fmt.Sprintf("undeclared identifier %q", name)}
@@ -492,7 +447,6 @@ func newSafetySession(sys *rtl.System, f ltl.Formula, abort sva.Expr, assumes []
 	b := logic.NewBuilder()
 	fe := newFrameEnv(b, sys)
 	fe.initFrame0(freeInit)
-	fe.useFrames(opt.Frames, freeInit)
 	s := sat.New()
 	if opt.Budget > 0 {
 		// Per-call budget: every depth's Solve gets the full allowance,
@@ -902,7 +856,6 @@ func checkLiveness(sys *rtl.System, f ltl.Formula, abort sva.Expr, assumes []ltl
 	b := logic.NewBuilder()
 	fe := newFrameEnv(b, sys)
 	fe.initFrame0(false)
-	fe.useFrames(opt.Frames, false)
 	if err := fe.unroll(k); err != nil {
 		return Result{}, err
 	}

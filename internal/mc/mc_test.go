@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"strings"
 	"testing"
 
 	"fveval/internal/rtl"
@@ -295,13 +296,73 @@ endmodule`
 	}
 }
 
+// TestElaborationErrorSurfaces checks that a property naming an unknown
+// signal fails to elaborate in every check kind — safety, liveness and
+// cover — and that the error reaches the caller.
 func TestElaborationErrorSurfaces(t *testing.T) {
+	ghost := func(src string) string { return strings.Replace(src, "fsm_out", "ghost_signal", 1) }
 	sys := fsmSystem(t)
-	a, err := sva.ParseAssertion(`assert property (@(posedge clk) ghost_signal == 1'b1);`)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range errorSurfaceChecks(t, sys, ghost(surfaceSafety), ghost(surfaceLive), ghost(surfaceCover)) {
+		if err := c.run(); err == nil || !strings.Contains(err.Error(), "undeclared identifier") {
+			t.Errorf("%s check: error %v, want undeclared identifier", c.kind, err)
+		}
 	}
-	if _, err := CheckAssertion(sys, a, Options{}); err == nil {
-		t.Fatalf("expected elaboration error for unknown signal")
+}
+
+// TestFramesUnrollErrorsSurface plants unroll failures in a register's
+// next-state logic — a combinational loop and an undeclared
+// identifier, which the elaborator would normally reject — and checks
+// that unrolling the time frames reports the error to every check kind,
+// and reports the same error again when the same system is checked a
+// second time.
+func TestFramesUnrollErrorsSurface(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		plant func(sys *rtl.System)
+		want  string
+	}{
+		{"loop", func(sys *rtl.System) {
+			n := &sys.Nets[len(sys.Nets)-1]
+			n.Expr = &sva.Ident{Name: n.Name}
+			sys.Regs[0].Next = &sva.Ident{Name: n.Name}
+		}, "combinational loop"},
+		{"undeclared", func(sys *rtl.System) {
+			sys.Regs[0].Next = &sva.Ident{Name: "ghost"}
+		}, "undeclared identifier"},
+	} {
+		sys := fsmSystem(t)
+		tc.plant(sys)
+		checks := errorSurfaceChecks(t, sys, surfaceSafety, surfaceLive, surfaceCover)
+		for _, c := range checks {
+			first := c.run()
+			if first == nil || !strings.Contains(first.Error(), tc.want) {
+				t.Fatalf("%s, %s check: error %v, want %q", tc.name, c.kind, first, tc.want)
+			}
+			if again := c.run(); again == nil || again.Error() != first.Error() {
+				t.Errorf("%s, %s check: second run error %v, first %v", tc.name, c.kind, again, first)
+			}
+		}
+	}
+}
+
+const (
+	surfaceSafety = `assert property (@(posedge clk) fsm_out != 2'b11);`
+	surfaceLive   = `assert property (@(posedge clk) disable iff (!reset_) s_eventually (fsm_out == 2'b00));`
+	surfaceCover  = `cover property (@(posedge clk) fsm_out == 2'b01);`
+)
+
+type errorSurfaceCheck struct {
+	kind string
+	run  func() error
+}
+
+// errorSurfaceChecks returns one safety, one liveness and one cover
+// check of sys, each returning the error its model check reports.
+func errorSurfaceChecks(t *testing.T, sys *rtl.System, safety, live, cover string) []errorSurfaceCheck {
+	a, l, c := parseA(t, safety), parseA(t, live), parseA(t, cover)
+	return []errorSurfaceCheck{
+		{"safety", func() error { _, err := CheckAssertion(sys, a, Options{}); return err }},
+		{"liveness", func() error { _, err := CheckAssertion(sys, l, Options{}); return err }},
+		{"cover", func() error { _, err := CheckCover(sys, c, Options{}); return err }},
 	}
 }

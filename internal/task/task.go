@@ -4,8 +4,7 @@
 // plus parameter overrides, and an Engine whose single Run entry
 // point executes any registered task and returns one unified Report.
 //
-// The registry replaces the old grid of per-table entry points
-// (RunNL2SVAHuman, RunNL2SVAMachinePassK, ...): a new workload is a
+// The registry is the one way to run a workload: a new workload is a
 // new Spec, not a new exported function, and everything registered is
 // automatically reachable from the CLI (-task/-list), the facade
 // (fveval.Run), and the HTTP service (cmd/fvevald).
