@@ -1,13 +1,19 @@
 # Mirrors .github/workflows/ci.yml so local runs and CI stay identical.
 GO ?= go
 
-.PHONY: build test examples bench-module service-smoke cluster-smoke chaos-smoke bench lint ci
+.PHONY: build test fuzz examples bench-module service-smoke cluster-smoke chaos-smoke bench lint ci
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test -race ./...
+
+# fuzz explores the SAT solver's incremental interface (gated clauses,
+# retired activation literals, assumptions) past the seed corpus that
+# go test runs, checking every answer by brute force.
+fuzz:
+	$(GO) test -run='^$$' -fuzz=FuzzIncremental -fuzztime=15s ./internal/sat
 
 # examples runs every program under examples/, the public facade's
 # only non-test callers.
@@ -73,4 +79,4 @@ lint:
 	fi
 	$(GO) vet ./...
 
-ci: build lint test examples bench-module service-smoke cluster-smoke chaos-smoke bench
+ci: build lint test fuzz examples bench-module service-smoke cluster-smoke chaos-smoke bench

@@ -23,7 +23,7 @@ func main() {
 	prompt := llm.BuildDesignPrompt(inst)
 	for sample := 0; sample < 4; sample++ {
 		resp := llm.ExtractCode(model.Generate(prompt, sample))
-		syntax, proven := core.JudgeDesign(inst, resp, mc.Options{})
+		syntax, proven := core.JudgeDesign(inst, resp, mc.Options{}, nil)
 		fmt.Printf("--- %s attempt %d ---\n%s\n", model.Name(), sample+1, resp)
 		fmt.Printf("Syntax: %s | Functionality (is proven): %s\n\n",
 			passFail(syntax), passFail(proven))

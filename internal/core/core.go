@@ -360,8 +360,11 @@ func parseDesignBench(design, bench, snippet string) (*rtl.File, error) {
 // JudgeDesign re-formats the testbench with the model's snippet,
 // elaborates the bound DUT+testbench system, and model-checks the
 // assertion — the paper's Design2SVA evaluation flow. The checker
-// options (budget, depths, stats sink) pass through to mc.CheckAssertion.
-func JudgeDesign(inst *rtlgen.Instance, snippet string, opt mc.Options) (syntaxOK, proven bool) {
+// options (budget, depths, stats sink) pass through to the model
+// checker; a non-nil design context shares its session pair with the
+// other checks judged through it (one instance row's candidates), nil
+// means a fresh pair per assertion. Verdicts are identical either way.
+func JudgeDesign(inst *rtlgen.Instance, snippet string, opt mc.Options, design *mc.Design) (syntaxOK, proven bool) {
 	psp := opt.Span.Child("parse").SetPhase(obs.PhaseParse)
 	f, err := parseDesignBench(inst.Design, inst.Bench, snippet)
 	if err != nil {
@@ -389,7 +392,7 @@ func JudgeDesign(inst *rtlgen.Instance, snippet string, opt mc.Options) (syntaxO
 	syntaxOK = true
 	proven = true
 	for _, a := range sys.Asserts {
-		res, err := mc.CheckAssertion(sys, a, opt)
+		res, err := design.CheckAssertion(sys, a, opt)
 		if err != nil {
 			return false, false // elaboration error inside the property
 		}

@@ -117,20 +117,20 @@ func TestJudgeDesign(t *testing.T) {
 	}
 	body += ")"
 	good := "assert property (@(posedge clk) disable iff (tb_reset) " + body + ");"
-	syn, proven := JudgeDesign(inst, good, mc.Options{})
+	syn, proven := JudgeDesign(inst, good, mc.Options{}, nil)
 	if !syn || !proven {
 		t.Fatalf("ground-truth assertion: syntax=%v proven=%v\n%s", syn, proven, good)
 	}
 	// DUT-internal signal reference must fail syntax (elaboration)
 	bad := "assert property (@(posedge clk) disable iff (tb_reset) state == 'd0);"
-	syn, _ = JudgeDesign(inst, bad, mc.Options{})
+	syn, _ = JudgeDesign(inst, bad, mc.Options{}, nil)
 	if syn {
 		t.Fatalf("DUT-internal signal must fail elaboration")
 	}
 	// wrong successor claim parses but is not proven
 	wrong := "assert property (@(posedge clk) disable iff (tb_reset) fsm_out == S0 |=> (fsm_out == S0));"
 	if intNotIn(succ, 0) {
-		syn, proven = JudgeDesign(inst, wrong, mc.Options{})
+		syn, proven = JudgeDesign(inst, wrong, mc.Options{}, nil)
 		if !syn {
 			t.Fatalf("wrong claim must still pass syntax")
 		}

@@ -58,7 +58,11 @@ func parseHelperSet(code string) ([]*sva.Assertion, bool) {
 //	           validity in the paper's AGR scoring);
 //	unlocked — the target, unprovable alone by construction, is
 //	           proved with the candidate helpers assumed.
-func JudgeHelper(inst *helpergen.Instance, snippet string, opt mc.Options) (syntaxOK, valid, unlocked bool) {
+//
+// A non-nil design context shares its session pair with the other
+// helper sets judged through it, as in JudgeDesign; nil means a fresh
+// pair for this set.
+func JudgeHelper(inst *helpergen.Instance, snippet string, opt mc.Options, design *mc.Design) (syntaxOK, valid, unlocked bool) {
 	helpers, ok := parseHelperSet(snippet)
 	if !ok {
 		return false, false, false
@@ -71,7 +75,7 @@ func JudgeHelper(inst *helpergen.Instance, snippet string, opt mc.Options) (synt
 	if err != nil {
 		return false, false, false
 	}
-	res, lemmas, err := mc.CheckWithLemmas(sys, inst.TargetAst, helpers, opt)
+	res, lemmas, err := design.CheckWithLemmas(sys, inst.TargetAst, helpers, opt)
 	if err != nil {
 		// elaboration error inside a property (undeclared signals etc.)
 		// counts against the syntax metric, like the other judges

@@ -6,6 +6,7 @@ import (
 	"fveval/internal/core"
 	"fveval/internal/helpergen"
 	"fveval/internal/llm"
+	"fveval/internal/mc"
 )
 
 // ---- AGR (assertion-guided helper generation) ---------------------------
@@ -25,11 +26,12 @@ func (e *Engine) HelperGrid(ctx context.Context, models []llm.Model, obs Observe
 	outs, err := e.runGrid(ctx, names(models), len(kept), n, func(i int) evalFunc {
 		inst := kept[i]
 		prompt := llm.BuildHelperPrompt(inst)
+		design := mc.NewDesign() // the row's helper sets share one session pair
 		return func(jctx context.Context, j job) core.Outcome {
 			resp := generate(jctx, models[j.model], prompt, j.sample)
 			code := llm.ExtractCode(resp)
 			c := e.st.helper.get(jctx, inst.ID+"\x00"+code, func() helperCell {
-				syn, valid, unlocked := judgeHelper(inst, code, e.mcOptions(jctx))
+				syn, valid, unlocked := judgeHelper(inst, code, e.mcOptions(jctx), design)
 				return helperCell{syntax: syn, valid: valid, unlocked: unlocked}
 			})
 			return core.Outcome{InstanceID: inst.ID, Response: code, Syntax: c.syntax, Partial: c.valid, Full: c.unlocked}

@@ -380,7 +380,8 @@ type evalFunc func(ctx context.Context, j job) core.Outcome
 // row's (model, sample) jobs through it in order. The duplicate
 // responses of one row thus hit the run-wide memo instead of being
 // judged twice by racing workers, and whatever row(inst) sets up for
-// the instance, such as its prompt, lives exactly as long as the row.
+// the instance, such as its prompt or its model-checking context,
+// lives exactly as long as the row.
 // Each job still gets its own span, fault seam and cancellation check.
 // Workers stream results to a single collector goroutine that places
 // each outcome in its deterministic slot and notifies the observer;
@@ -662,11 +663,14 @@ func (e *Engine) DesignGrid(ctx context.Context, models []llm.Model, kind string
 	outs, err := e.runGrid(ctx, names(models), len(kept), n, func(i int) evalFunc {
 		inst := kept[i]
 		prompt := llm.BuildDesignPrompt(inst)
+		// One model-checking context per row: the row's candidates share
+		// its session pair, and it dies with the row.
+		design := mc.NewDesign()
 		return func(jctx context.Context, j job) core.Outcome {
 			resp := generate(jctx, models[j.model], prompt, j.sample)
 			code := llm.ExtractCode(resp)
 			c := e.st.design.get(jctx, kind+"\x00"+inst.ID+"\x00"+code, func() designCell {
-				syn, prov := judgeDesign(inst, code, e.mcOptions(jctx))
+				syn, prov := judgeDesign(inst, code, e.mcOptions(jctx), design)
 				return designCell{syntax: syn, proven: prov}
 			})
 			return core.Outcome{InstanceID: inst.ID, Response: code, Syntax: c.syntax, Full: c.proven}

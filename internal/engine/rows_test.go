@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fveval/internal/core"
+	"fveval/internal/formal"
 	"fveval/internal/gen/rtlgen"
 	"fveval/internal/helpergen"
 	"fveval/internal/llm"
@@ -26,13 +27,13 @@ func TestRowsJudgeEachSnippetOnce(t *testing.T) {
 	}
 	design, helper := judgeDesign, judgeHelper
 	t.Cleanup(func() { judgeDesign, judgeHelper = design, helper })
-	judgeDesign = func(inst *rtlgen.Instance, code string, opt mc.Options) (bool, bool) {
+	judgeDesign = func(inst *rtlgen.Instance, code string, opt mc.Options, d *mc.Design) (bool, bool) {
 		count(inst.ID, code)
-		return design(inst, code, opt)
+		return design(inst, code, opt, d)
 	}
-	judgeHelper = func(inst *helpergen.Instance, code string, opt mc.Options) (bool, bool, bool) {
+	judgeHelper = func(inst *helpergen.Instance, code string, opt mc.Options, d *mc.Design) (bool, bool, bool) {
 		count(inst.ID, code)
-		return helper(inst, code, opt)
+		return helper(inst, code, opt, d)
 	}
 
 	models := llm.DesignModels()
@@ -70,12 +71,40 @@ func TestRowsKeepVerdicts(t *testing.T) {
 			p := llm.BuildDesignPrompt(inst)
 			for s := 0; s < rows.Samples; s++ {
 				code := llm.ExtractCode(model.Generate(p, s))
-				syn, prov := core.JudgeDesign(inst, code, mc.Options{})
+				syn, prov := core.JudgeDesign(inst, code, mc.Options{}, nil)
 				got := rows.Outcomes[m][i*rows.Samples+s]
 				if got.Syntax != syn || got.Full != prov {
 					t.Errorf("%s %s sample %d: row verdict (%v, %v), isolated (%v, %v)", model.Name(), inst.ID, s, got.Syntax, got.Full, syn, prov)
 				}
 			}
 		}
+	}
+}
+
+// TestRowSessionsDeterministic runs the Design2SVA and AGR grids twice
+// on fresh engines at Workers=1. Row order is the order in which a
+// row's checks share their model-checking sessions, so the formal
+// counters (wall times aside) must repeat exactly.
+func TestRowSessionsDeterministic(t *testing.T) {
+	run := func() formal.Snapshot {
+		e := New(Config{Limit: 12, Workers: 1})
+		for _, kind := range []string{"pipeline", "fsm"} {
+			if _, err := e.DesignGrid(context.Background(), llm.DesignModels(), kind, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := e.HelperGrid(context.Background(), llm.Models(), nil); err != nil {
+			t.Fatal(err)
+		}
+		s := e.FormalStats()
+		s.SolveWallNS, s.SolveWallHist = 0, [formal.SolveWallBucketCount]int64{}
+		return s
+	}
+	first, second := run(), run()
+	if first.Queries == 0 || first.Encoded == 0 {
+		t.Fatalf("no model checking recorded: %+v", first)
+	}
+	if first != second {
+		t.Errorf("formal counters differ between identical runs:\n first  %+v\n second %+v", first, second)
 	}
 }

@@ -39,13 +39,13 @@ func TestConstructionSoundness(t *testing.T) {
 			t.Errorf("%s: target alone: got %v, want unknown (hard by construction)", inst.ID, alone.Status)
 		}
 
-		if syn, valid, unlocked := core.JudgeHelper(inst, strings.Join(inst.Helpers, "\n"), mc.Options{}); !syn || !valid || !unlocked {
+		if syn, valid, unlocked := core.JudgeHelper(inst, strings.Join(inst.Helpers, "\n"), mc.Options{}, nil); !syn || !valid || !unlocked {
 			t.Errorf("%s: golden helpers: syn=%v valid=%v unlocked=%v, want all true", inst.ID, syn, valid, unlocked)
 		}
-		if syn, valid, unlocked := core.JudgeHelper(inst, inst.Insufficient, mc.Options{}); !syn || !valid || unlocked {
+		if syn, valid, unlocked := core.JudgeHelper(inst, inst.Insufficient, mc.Options{}, nil); !syn || !valid || unlocked {
 			t.Errorf("%s: insufficient helper: syn=%v valid=%v unlocked=%v, want valid but not unlocked", inst.ID, syn, valid, unlocked)
 		}
-		if syn, valid, unlocked := core.JudgeHelper(inst, inst.Invalid, mc.Options{}); !syn || valid || unlocked {
+		if syn, valid, unlocked := core.JudgeHelper(inst, inst.Invalid, mc.Options{}, nil); !syn || valid || unlocked {
 			t.Errorf("%s: invalid helper: syn=%v valid=%v unlocked=%v, want syntax-only", inst.ID, syn, valid, unlocked)
 		}
 	}
@@ -62,7 +62,7 @@ func TestGoldenOrderIndependent(t *testing.T) {
 		for i, h := range inst.Helpers {
 			rev[len(rev)-1-i] = h
 		}
-		if syn, valid, unlocked := core.JudgeHelper(inst, strings.Join(rev, "\n"), mc.Options{}); !syn || !valid || !unlocked {
+		if syn, valid, unlocked := core.JudgeHelper(inst, strings.Join(rev, "\n"), mc.Options{}, nil); !syn || !valid || !unlocked {
 			t.Errorf("%s: reversed golden helpers: syn=%v valid=%v unlocked=%v, want all true", inst.ID, syn, valid, unlocked)
 		}
 	}

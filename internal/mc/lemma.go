@@ -54,7 +54,21 @@ type Lemma struct {
 // whether it was load-bearing. Ablating the candidate (not just the
 // assumption) means a helper whose only role is enabling another
 // helper's proof is still correctly marked load-bearing.
+//
+// It is the one-check form of Design.CheckWithLemmas: every safety
+// check of the pipeline runs in one fresh session pair.
 func CheckWithLemmas(sys *rtl.System, target *sva.Assertion, helpers []*sva.Assertion, opt Options) (Result, []Lemma, error) {
+	return NewDesign().CheckWithLemmas(sys, target, helpers, opt)
+}
+
+// CheckWithLemmas is the package-level CheckWithLemmas with every
+// safety check of the pipeline run in c's session pair; each check
+// gates its own assumed lemmas, so a lemma never outlives the check
+// that assumed it.
+func (c *Design) CheckWithLemmas(sys *rtl.System, target *sva.Assertion, helpers []*sva.Assertion, opt Options) (Result, []Lemma, error) {
+	if c == nil {
+		c = NewDesign()
+	}
 	opt = opt.withDefaults()
 	assumes, err := lowerAssumes(sys)
 	if err != nil {
@@ -102,7 +116,7 @@ func CheckWithLemmas(sys *rtl.System, target *sva.Assertion, helpers []*sva.Asse
 				if i == exclude || !cands[i].ok || proved[i] {
 					continue
 				}
-				res, err := checkSafety(sys, cands[i].f, cands[i].abort, assumes, lemmas, opt)
+				res, err := c.checkSafety(sys, cands[i].f, cands[i].abort, assumes, lemmas, opt)
 				if err != nil {
 					return Result{}, nil, nil, err
 				}
@@ -121,7 +135,7 @@ func CheckWithLemmas(sys *rtl.System, target *sva.Assertion, helpers []*sva.Asse
 			// helper validity is still reported.
 			tres, err = checkLiveness(sys, tf, tabort, assumes, opt)
 		} else {
-			tres, err = checkSafety(sys, tf, tabort, assumes, lemmas, opt)
+			tres, err = c.checkSafety(sys, tf, tabort, assumes, lemmas, opt)
 		}
 		if err != nil {
 			return Result{}, nil, nil, err

@@ -6,11 +6,14 @@
 // counterexample within the bound is reported as a bounded proof).
 //
 // Safety checking is incremental (DESIGN.md §7): one persistent
-// solver serves the BMC base cases (frame-by-frame unroll, per-depth
-// bad-state activation literals, early exit on the first
-// counterexample) and a second persistent solver is shared across the
-// k-induction steps, so learnt clauses and the Tseitin encoding are
-// paid for once per assertion rather than once per depth.
+// solver serves the BMC base cases (frame-by-frame unroll, the
+// frontier violation passed as an assumption, early exit on the first
+// counterexample) and a second persistent solver serves the
+// k-induction steps. A Design keeps that solver pair alive across
+// every check of one design's transition relation, each check's own
+// constraints gated behind its activation literal, so the unroll,
+// learnt clauses and the Tseitin encoding are paid for once per design
+// rather than once per assertion.
 //
 // Reset handling follows the formal-testbench convention of the
 // benchmark: registers start from their post-reset values, reset
@@ -114,25 +117,10 @@ func (o Options) withDefaults() Options {
 
 // CheckAssertion proves or falsifies an assertion against the system.
 // Assumptions declared in the system (assume property) constrain the
-// explored traces.
+// explored traces. It is the one-check form of Design.CheckAssertion:
+// safety properties are checked in a fresh session pair.
 func CheckAssertion(sys *rtl.System, a *sva.Assertion, opt Options) (Result, error) {
-	opt = opt.withDefaults()
-	f, err := ltl.LowerAssertion(a)
-	if err != nil {
-		return Result{}, err
-	}
-	var abort sva.Expr
-	if a.DisableIff != nil {
-		abort = a.DisableIff
-	}
-	assumes, err := lowerAssumes(sys)
-	if err != nil {
-		return Result{}, err
-	}
-	if ltl.HasUnbounded(f) {
-		return checkLiveness(sys, f, abort, assumes, opt)
-	}
-	return checkSafety(sys, f, abort, assumes, nil, opt)
+	return NewDesign().CheckAssertion(sys, a, opt)
 }
 
 // CheckCover decides reachability for a cover property: whether some
@@ -239,6 +227,7 @@ type frameEnv struct {
 	states map[sigPos]bitvec.BV
 	nets   map[sigPos]bitvec.BV
 	busy   map[sigPos]bool
+	frames int // register frames built (frame 0 by initFrame0)
 }
 
 type sigPos struct {
@@ -270,30 +259,51 @@ func (fe *frameEnv) initFrame0(free bool) {
 			fe.states[key] = bitvec.Const(r.Init, r.Width)
 		}
 	}
+	fe.frames = 1
 }
 
-// unroll extends register states through frame n (exclusive).
+// unroll extends register states through frame n (exclusive). A frame
+// is committed only once every register's next state has evaluated,
+// so a failure leaves no half-built frame behind.
 func (fe *frameEnv) unroll(n int) error {
-	for p := 1; p < n; p++ {
-		if _, ok := fe.states[sigPos{firstRegName(fe.sys), p}]; ok && len(fe.sys.Regs) > 0 {
-			continue
-		}
-		for _, r := range fe.sys.Regs {
-			next, err := fe.ev.Eval(r.Next, p-1)
+	for p := fe.frames; p < n; p++ {
+		next := make([]bitvec.BV, len(fe.sys.Regs))
+		for i, r := range fe.sys.Regs {
+			v, err := fe.ev.Eval(r.Next, p-1)
 			if err != nil {
 				return err
 			}
-			fe.states[sigPos{r.Name, p}] = next.Extend(r.Width)
+			next[i] = v.Extend(r.Width)
 		}
+		for i, r := range fe.sys.Regs {
+			fe.states[sigPos{r.Name, p}] = next[i]
+		}
+		fe.frames = p + 1
 	}
 	return nil
 }
 
-func firstRegName(sys *rtl.System) string {
-	if len(sys.Regs) > 0 {
-		return sys.Regs[0].Name
+// rebind points the environment at sys, a system with the same
+// transition fingerprint as the one it was unrolling (DESIGN.md §7),
+// and reports whether sys is a different system. Registers, inputs and
+// the nets inside the fingerprint's cone resolve identically under
+// both; cached nets outside it are dropped, so a helper net the new
+// system defines differently is evaluated afresh. The expression memos
+// go too: they are keyed by expression identity, and two systems may
+// share an expression (one parsed assertion checked against both)
+// whose value differs between them.
+func (fe *frameEnv) rebind(sys *rtl.System, cone map[string]bool) bool {
+	if fe.sys == sys {
+		return false
 	}
-	return ""
+	fe.sys = sys
+	for key := range fe.nets {
+		if !cone[key.name] {
+			delete(fe.nets, key)
+		}
+	}
+	fe.ev = &ltl.ExprEval{Ops: fe.ev.Ops, Env: fe}
+	return true
 }
 
 // Signal implements ltl.Env.
@@ -324,10 +334,10 @@ func (fe *frameEnv) Signal(name string, pos int) (bitvec.BV, error) {
 		}
 		fe.busy[key] = true
 		v, err := fe.ev.Eval(net.Expr, pos)
+		delete(fe.busy, key)
 		if err != nil {
 			return bitvec.BV{}, err
 		}
-		delete(fe.busy, key)
 		v = v.Extend(net.Width)
 		fe.nets[key] = v
 		return v, nil
@@ -394,457 +404,6 @@ func lassoReach(le *ltl.LassoEval, p int) []int {
 		}
 	}
 	return out
-}
-
-// safetySession is a persistent incremental solving context for one
-// side of the safety check (BMC base case or induction step): one
-// builder, frame environment, and SAT solver serve every depth, with
-// the unroll extended frame by frame, assumption instances asserted as
-// their windows come into range, and each depth's bad-state constraint
-// gated behind an activation literal (DESIGN.md §7). Learnt clauses,
-// variable activity, and the Tseitin encoding all carry across depths.
-type safetySession struct {
-	sys     *rtl.System
-	f       ltl.Formula
-	abort   sva.Expr
-	assumes []ltl.Formula
-	lemmas  []assumedLemma
-	d       int
-	opt     Options
-
-	b      *logic.Builder
-	fe     *frameEnv
-	family *ltl.LassoFamily
-	s      *sat.Solver
-	cnf    *logic.CNF
-
-	frames   int   // frames currently unrolled
-	asmNext  []int // per assumption: next position to assert
-	lemNext  []int // per assumed lemma: next position to assert
-	goodNext int   // induction: good-attempt constraints asserted below this
-
-	// Path constraints (assumption instances, good-attempt clauses)
-	// are collected here and only flushed into the CNF right before a
-	// real solver call, so a run the prefilter fully discharges never
-	// pays for Tseitin encoding at all. conj is the running
-	// conjunction of every constraint for the simulation side (one new
-	// gate per constraint, not one chain per query); pending holds the
-	// suffix the solver has not seen yet.
-	conj    logic.Node
-	pending []logic.Node
-
-	// Bit-parallel prefilter state (nil / zero when disabled).
-	sim      *logic.Sim
-	banked   []formal.Pattern
-	rng      uint64
-	scratch  []uint64 // per-signal lane-word buffer, reused across rounds
-	freeInit bool
-
-	solves, conflicts, learntKept, hashMark int64
-}
-
-func newSafetySession(sys *rtl.System, f ltl.Formula, abort sva.Expr, assumes []ltl.Formula, lemmas []assumedLemma, d int, freeInit bool, opt Options) *safetySession {
-	b := logic.NewBuilder()
-	fe := newFrameEnv(b, sys)
-	fe.initFrame0(freeInit)
-	s := sat.New()
-	if opt.Budget > 0 {
-		// Per-call budget: every depth's Solve gets the full allowance,
-		// mirroring the former one-solver-per-query accounting.
-		s.SetBudget(opt.Budget)
-	}
-	ss := &safetySession{
-		sys: sys, f: f, abort: abort, assumes: assumes, lemmas: lemmas, d: d, opt: opt,
-		b: b, fe: fe, family: ltl.NewLassoFamily(fe.ev),
-		s: s, cnf: logic.NewCNF(b, s),
-		asmNext:  make([]int, len(assumes)),
-		lemNext:  make([]int, len(lemmas)),
-		conj:     logic.True,
-		freeInit: freeInit,
-	}
-	if opt.SimPatterns > 0 {
-		ss.sim = logic.NewSim(b)
-		ss.banked = opt.Bank.Patterns(64)
-		// Fixed seed: deterministic pattern stream per session.
-		ss.rng = 0x5eed5eed5eed5eed
-	}
-	return ss
-}
-
-// addConstraint records a permanent path constraint: visible to the
-// prefilter immediately (folded into the running conjunction),
-// asserted into the CNF lazily.
-func (ss *safetySession) addConstraint(n logic.Node) {
-	ss.conj = ss.b.And(ss.conj, n)
-	ss.pending = append(ss.pending, n)
-}
-
-// simRefute simulates banked + random patterns over the session's
-// path constraints conjoined with the violation v. A satisfying lane
-// is a complete concrete witness for the depth's SAT query — the
-// caller reads it off the still-warm Sim. Missing is not a verdict.
-func (ss *safetySession) simRefute(v logic.Node) (int, bool, bool) {
-	if ss.sim == nil {
-		return 0, false, false
-	}
-	target := ss.b.And(v, ss.conj)
-	if target == logic.False {
-		return 0, false, false
-	}
-	// Refresh the bank snapshot per query: models found earlier in this
-	// very session (or by its sibling) are the best predictors of the
-	// next depth's refutation.
-	ss.banked = ss.opt.Bank.Patterns(64)
-	// Free-initial-state sessions get one structured round first: lane
-	// j seeds every register with the small value j, sweeping all 64
-	// low state encodings at once — for the benchmark's FSM and
-	// shallow-pipeline designs this covers the entire state space
-	// deterministically, where uniform random 16-bit states almost
-	// never land on a valid encoding.
-	if ss.freeInit {
-		ss.setSimInputs(-1, 0)
-		ss.sim.Run()
-		ss.opt.Stats.SimPatterns(64)
-		if lane, ok := ss.sim.FirstLane(target); ok {
-			return lane, true, false
-		}
-	}
-	remaining := ss.opt.SimPatterns
-	for round := 0; remaining > 0 || (round == 0 && len(ss.banked) > 0); round++ {
-		bankLanes := 0
-		if round == 0 {
-			bankLanes = len(ss.banked)
-		}
-		bankMask := ^uint64(0)
-		if bankLanes < 64 {
-			bankMask = 1<<uint(bankLanes) - 1
-		}
-		ss.setSimInputs(bankLanes, bankMask)
-		ss.sim.Run()
-		ss.opt.Stats.SimPatterns(64)
-		remaining -= 64 - bankLanes
-		if lane, ok := ss.sim.FirstLane(target); ok {
-			return lane, true, lane < bankLanes
-		}
-	}
-	return 0, false, false
-}
-
-// laneIndexMasks[i] holds bit i of the lane number in every lane:
-// loading them into a register's low bits makes lane j's register
-// value equal j.
-var laneIndexMasks = [6]uint64{
-	0xaaaaaaaaaaaaaaaa, 0xcccccccccccccccc, 0xf0f0f0f0f0f0f0f0,
-	0xff00ff00ff00ff00, 0xffff0000ffff0000, 0xffffffff00000000,
-}
-
-// setSimInputs loads one round of patterns: free inputs at every
-// unrolled frame, plus the free initial registers of an induction
-// session. Iteration follows the system's declaration order, keeping
-// the random stream deterministic. bankLanes < 0 selects the
-// structured state round: random inputs, lane-index register values.
-func (ss *safetySession) setSimInputs(bankLanes int, bankMask uint64) {
-	structured := bankLanes < 0
-	if structured {
-		bankLanes = 0
-	}
-	load := func(bv bitvec.BV, fill func(words []uint64)) {
-		if cap(ss.scratch) < len(bv.Bits) {
-			ss.scratch = make([]uint64, len(bv.Bits))
-		}
-		words := ss.scratch[:len(bv.Bits)]
-		fill(words)
-		for i, bit := range bv.Bits {
-			if bit.IsConst() {
-				continue
-			}
-			ss.sim.SetInput(bit, words[i]|formal.SplitMix64(&ss.rng)&^bankMask)
-		}
-	}
-	zero := func(words []uint64) {
-		for i := range words {
-			words[i] = 0
-		}
-	}
-	for _, in := range ss.sys.Inputs {
-		for p := 0; p < ss.frames; p++ {
-			bv, ok := ss.fe.inputs[sigPos{in.Name, p}]
-			if !ok {
-				continue
-			}
-			if bankLanes > 0 {
-				load(bv, func(w []uint64) { formal.LaneWords(ss.banked, bankLanes, in.Name, p, w) })
-			} else {
-				load(bv, zero)
-			}
-		}
-	}
-	if ss.freeInit {
-		// Free initial registers seed from the banked traces' first
-		// frame: recycled valid-looking states refute induction steps
-		// where uniform random state bits rarely do (empirically they
-		// beat deep-frame states, which tend to sit mid-violation).
-		for _, r := range ss.sys.Regs {
-			bv, ok := ss.fe.states[sigPos{r.Name, 0}]
-			if !ok {
-				continue
-			}
-			switch {
-			case structured:
-				for i, bit := range bv.Bits {
-					if bit.IsConst() {
-						continue
-					}
-					w := uint64(0)
-					if i < len(laneIndexMasks) {
-						w = laneIndexMasks[i]
-					}
-					ss.sim.SetInput(bit, w)
-				}
-			case bankLanes > 0:
-				load(bv, func(w []uint64) { formal.LaneWords(ss.banked, bankLanes, r.Name, 0, w) })
-			default:
-				load(bv, zero)
-			}
-		}
-	}
-}
-
-// grow extends the unroll to n frames and asserts every assumption
-// instance whose bounded window newly fits, then returns the lasso
-// evaluator for the grown bound. Bounded formulas evaluated strictly
-// inside the unroll never reach the saturating last frame, so nodes
-// built at smaller bounds are structurally identical at larger ones
-// and the CNF layer emits nothing twice.
-func (ss *safetySession) grow(n int) (*ltl.LassoEval, error) {
-	if n > ss.frames {
-		if err := ss.fe.unroll(n); err != nil {
-			return nil, err
-		}
-		ss.frames = n
-	}
-	le := ss.family.At(ss.frames, ss.frames-1)
-	for i, af := range ss.assumes {
-		ad := ltl.Depth(af)
-		for p := ss.asmNext[i]; p+ad < ss.frames; p++ {
-			node, err := le.Truth(af, p)
-			if err != nil {
-				return nil, err
-			}
-			ss.addConstraint(node)
-			ss.asmNext[i] = p + 1
-		}
-	}
-	// Assumed lemmas constrain every position the same way stimulus
-	// assumptions do, except abort-aware: the constraint at p is the
-	// negation of the lemma's violation there ("the lemma holds at p,
-	// or its attempt is aborted"). In the induction session this is
-	// exactly the hypothesis strengthening of prove-then-assume: free
-	// initial states outside a proved invariant are discarded, which is
-	// sound because every reachable state satisfies it.
-	for i, lm := range ss.lemmas {
-		for p := ss.lemNext[i]; p+lm.d < ss.frames; p++ {
-			v, err := violation(ss.fe, le, lm.f, lm.abort, p, lm.d, false)
-			if err != nil {
-				return nil, err
-			}
-			ss.addConstraint(v.Not())
-			ss.lemNext[i] = p + 1
-		}
-	}
-	return le, nil
-}
-
-// solveGated solves under a fresh activation literal guarding node v;
-// on UNSAT the activation is retired so later depths drop the
-// constraint but keep everything learnt. Pending path constraints are
-// flushed into the CNF first (in the order they accumulated, so the
-// encoding matches the eager-assertion layout exactly).
-func (ss *safetySession) solveGated(v logic.Node) (bool, []bool, error) {
-	for _, n := range ss.pending {
-		ss.cnf.Assert(n)
-	}
-	ss.pending = ss.pending[:0]
-	act := ss.b.Input()
-	ss.cnf.AssertIf(act, v)
-	pre := ss.s.Stats()
-	if pre.Solves > 0 {
-		ss.learntKept += int64(pre.Learnt)
-	}
-	ok, model, err := ss.s.SolveModel(ss.cnf.Lit(act))
-	post := ss.s.Stats()
-	ss.solves++
-	ss.conflicts += post.Conflicts - pre.Conflicts
-	if pre.Solves == 0 {
-		ss.hashMark = ss.b.HashHits()
-	}
-	if err != nil || !ok {
-		ss.cnf.Retire(act)
-	}
-	return ok, model, err
-}
-
-// checkDepth asks whether the attempt at position k-1 can be violated
-// from the session's initial frame (the incremental BMC base case:
-// attempts below k-1 were refuted at earlier depths under a subset of
-// the current stimulus constraints, so they stay refuted and only the
-// frontier needs solving).
-func (ss *safetySession) checkDepth(k int) (*Cex, error) {
-	le, err := ss.grow(k + ss.d + 1)
-	if err != nil {
-		return nil, err
-	}
-	v, err := violation(ss.fe, le, ss.f, ss.abort, k-1, ss.d, false)
-	if err != nil {
-		return nil, err
-	}
-	// Refute before solving: a simulated lane violating the frontier
-	// attempt under all path constraints is already the
-	// counterexample — the solver (and, if nothing was solved yet, the
-	// whole Tseitin encoding) is skipped.
-	ssp := ss.opt.Span.Child("sim").SetPhase(obs.PhaseSim).SetInt("bound", int64(k))
-	lane, hit, fromBank := ss.simRefute(v)
-	ssp.SetBool("refuted", hit).SetBool("bank_hit", fromBank)
-	ssp.End()
-	if hit {
-		ss.opt.Stats.SimRefuted(fromBank, 1)
-		return decodeCexLane(ss.sys, ss.fe, ss.sim, lane, ss.frames, -1), nil
-	}
-	rsp := ss.opt.Span.Child("bmc").SetPhase(obs.PhaseSAT).SetInt("bound", int64(k))
-	ok, model, err := ss.solveGated(v)
-	if err != nil {
-		rsp.SetStr("verdict", "error").End()
-		return nil, err
-	}
-	if !ok {
-		rsp.SetStr("verdict", "unsat").End()
-		return nil, nil
-	}
-	rsp.SetStr("verdict", "sat").End()
-	cex := decodeCex(ss.sys, ss.fe, ss.cnf, model, ss.frames, -1)
-	bankCex(ss.opt.Bank, cex)
-	return cex, nil
-}
-
-// induct checks whether k consecutive good attempts from an arbitrary
-// state force the k+1st to be good. true = inductive. Good-attempt
-// path constraints accumulate permanently as k grows; only the bad
-// k-th attempt is gated per depth.
-func (ss *safetySession) induct(k int) (bool, error) {
-	le, err := ss.grow(k + ss.d + 2)
-	if err != nil {
-		return false, err
-	}
-	for p := ss.goodNext; p < k; p++ {
-		v, err := violation(ss.fe, le, ss.f, ss.abort, p, ss.d, false)
-		if err != nil {
-			return false, err
-		}
-		ss.addConstraint(v.Not())
-	}
-	ss.goodNext = k
-	v, err := violation(ss.fe, le, ss.f, ss.abort, k, ss.d, false)
-	if err != nil {
-		return false, err
-	}
-	// A simulated lane with k good attempts followed by a bad one is a
-	// concrete refutation of the induction step: report "not
-	// inductive" without opening the solver.
-	ssp := ss.opt.Span.Child("sim").SetPhase(obs.PhaseSim).SetInt("bound", int64(k))
-	_, hit, fromBank := ss.simRefute(v)
-	ssp.SetBool("refuted", hit).SetBool("bank_hit", fromBank)
-	ssp.End()
-	if hit {
-		ss.opt.Stats.SimRefuted(fromBank, 1)
-		return false, nil
-	}
-	rsp := ss.opt.Span.Child("induct").SetPhase(obs.PhaseSAT).SetInt("bound", int64(k))
-	ok, model, err := ss.solveGated(v)
-	if err != nil {
-		rsp.SetStr("verdict", "error").End()
-		return false, err
-	}
-	if ok {
-		rsp.SetStr("verdict", "sat")
-	} else {
-		rsp.SetStr("verdict", "unsat")
-	}
-	rsp.End()
-	if ok && ss.opt.Bank != nil {
-		// Fold the refuting model (free initial state + stimulus) into
-		// the bank: it seeds the prefilter for later depths and runs.
-		bankCex(ss.opt.Bank, decodeCex(ss.sys, ss.fe, ss.cnf, model, ss.frames, -1))
-	}
-	return !ok, nil
-}
-
-// report streams the session's reuse counters into the stats sink.
-func (ss *safetySession) report(st *formal.Stats, early bool) {
-	st.Query(ss.solves, ss.conflicts, ss.learntKept, early)
-	st.GatesShared(ss.b.HashHits() - ss.hashMark)
-	st.NodesEncoded(int64(ss.cnf.Encoded()))
-}
-
-func checkSafety(sys *rtl.System, f ltl.Formula, abort sva.Expr, assumes []ltl.Formula, lemmas []assumedLemma, opt Options) (Result, error) {
-	d := ltl.Depth(f)
-	started := time.Now()
-	base := newSafetySession(sys, f, abort, assumes, lemmas, d, false, opt)
-	step := newSafetySession(sys, f, abort, assumes, lemmas, d, true, opt)
-	finish := func(res Result, early bool) Result {
-		base.report(opt.Stats, early)
-		step.report(opt.Stats, early)
-		opt.Stats.SolveWall(time.Since(started).Nanoseconds())
-		return res
-	}
-	// Error exits (budget exhaustion, elaboration failures) must still
-	// account the sessions' solver work.
-	fail := func(err error) (Result, error) {
-		finish(Result{}, false)
-		return Result{}, err
-	}
-	// Interleave BMC base cases with induction steps on the two
-	// persistent solvers.
-	for k := 1; k <= opt.MaxInduction; k++ {
-		// Base: frames 0..k+d from reset; frontier attempt k-1.
-		cex, err := base.checkDepth(k)
-		if err != nil {
-			return fail(err)
-		}
-		if cex != nil {
-			return finish(Result{Status: Falsified, Depth: k, Cex: cex}, true), nil
-		}
-		// Step: free initial state; no violation in 0..k-1, violation
-		// at k.
-		ind, err := step.induct(k)
-		if err != nil {
-			return fail(err)
-		}
-		if ind {
-			return finish(Result{Status: Proven, Depth: k}, true), nil
-		}
-	}
-	// Deep falsification ramp before giving up, continuing the base
-	// session depth by depth with early exit on the first
-	// counterexample. Grow to the full deep window first so every
-	// frontier solves under the same assumption instances the one-shot
-	// deep query (frames BMCDepth+d+1) would conjoin — state-dependent
-	// assume properties beyond a frontier's own window must keep
-	// rejecting traces exactly as before.
-	if opt.MaxInduction < opt.BMCDepth {
-		if _, err := base.grow(opt.BMCDepth + d + 1); err != nil {
-			return fail(err)
-		}
-	}
-	for k := opt.MaxInduction + 1; k <= opt.BMCDepth; k++ {
-		cex, err := base.checkDepth(k)
-		if err != nil {
-			return fail(err)
-		}
-		if cex != nil {
-			return finish(Result{Status: Falsified, Depth: opt.BMCDepth, Cex: cex}, k < opt.BMCDepth), nil
-		}
-	}
-	return finish(Result{Status: Unknown, Depth: opt.BMCDepth}, false), nil
 }
 
 func checkLiveness(sys *rtl.System, f ltl.Formula, abort sva.Expr, assumes []ltl.Formula, opt Options) (Result, error) {

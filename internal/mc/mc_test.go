@@ -296,15 +296,38 @@ endmodule`
 	}
 }
 
-// TestElaborationErrorSurfaces checks that a property naming an unknown
-// signal fails to elaborate in every check kind — safety, liveness and
-// cover — and that the error reaches the caller.
+// TestElaborationErrorSurfaces checks that a property that fails to
+// elaborate — it names an unknown signal, or a helper net whose own
+// definition does — fails in every check kind (safety, liveness,
+// cover), that the error reaches the caller, and that checking it again,
+// through the same design context too, reports the same error text.
 func TestElaborationErrorSurfaces(t *testing.T) {
 	ghost := func(src string) string { return strings.Replace(src, "fsm_out", "ghost_signal", 1) }
-	sys := fsmSystem(t)
-	for _, c := range errorSurfaceChecks(t, sys, ghost(surfaceSafety), ghost(surfaceLive), ghost(surfaceCover)) {
-		if err := c.run(); err == nil || !strings.Contains(err.Error(), "undeclared identifier") {
-			t.Errorf("%s check: error %v, want undeclared identifier", c.kind, err)
+	for _, tc := range []struct {
+		name  string
+		sys   func() *rtl.System
+		props [3]string
+	}{
+		{"unknown signal", func() *rtl.System { return fsmSystem(t) },
+			[3]string{ghost(surfaceSafety), ghost(surfaceLive), ghost(surfaceCover)}},
+		{"bad helper net", func() *rtl.System {
+			sys := fsmSystem(t)
+			n, ok := sys.NetByName("fsm_out")
+			if !ok {
+				t.Fatal("fsm has no fsm_out net")
+			}
+			n.Expr = &sva.Ident{Name: "ghost_signal"}
+			return sys
+		}, [3]string{surfaceSafety, surfaceLive, surfaceCover}},
+	} {
+		for _, c := range errorSurfaceChecks(t, tc.sys(), tc.props[0], tc.props[1], tc.props[2]) {
+			first := c.run()
+			if first == nil || !strings.Contains(first.Error(), "undeclared identifier") {
+				t.Fatalf("%s, %s check: error %v, want undeclared identifier", tc.name, c.kind, first)
+			}
+			if again := c.run(); again == nil || again.Error() != first.Error() {
+				t.Errorf("%s, %s check: second run error %v, first %v", tc.name, c.kind, again, first)
+			}
 		}
 	}
 }
@@ -357,11 +380,14 @@ type errorSurfaceCheck struct {
 }
 
 // errorSurfaceChecks returns one safety, one liveness and one cover
-// check of sys, each returning the error its model check reports.
+// check of sys, each returning the error its model check reports, plus
+// a safety check through one design context that every run reuses.
 func errorSurfaceChecks(t *testing.T, sys *rtl.System, safety, live, cover string) []errorSurfaceCheck {
 	a, l, c := parseA(t, safety), parseA(t, live), parseA(t, cover)
+	design := NewDesign()
 	return []errorSurfaceCheck{
 		{"safety", func() error { _, err := CheckAssertion(sys, a, Options{}); return err }},
+		{"shared safety", func() error { _, err := design.CheckAssertion(sys, a, Options{}); return err }},
 		{"liveness", func() error { _, err := CheckAssertion(sys, l, Options{}); return err }},
 		{"cover", func() error { _, err := CheckCover(sys, c, Options{}); return err }},
 	}
