@@ -1,7 +1,7 @@
 # Mirrors .github/workflows/ci.yml so local runs and CI stay identical.
 GO ?= go
 
-.PHONY: build test fuzz examples bench-module service-smoke cluster-smoke chaos-smoke bench lint ci
+.PHONY: build test fuzz examples regenerate bench-module service-smoke cluster-smoke chaos-smoke bench lint ci
 
 build:
 	$(GO) build ./...
@@ -53,24 +53,19 @@ cluster-smoke:
 chaos-smoke:
 	./scripts/chaos_smoke.sh
 
-# bench regenerates every table/figure once and refreshes the
-# BENCH_tables.json perf-trajectory artifact (benchmark -> ns/op plus
-# schema-v4 metrics such as the prefilter hit rate, with the prior run
-# kept as baseline_ns_per_op for before/after diffs). The benchjson
-# -gate-pct flag doubles as the regression guard: any tableN entry
-# more than BENCH_GATE_PCT percent slower than the committed baseline
-# fails the target (and the CI job) after writing the artifact.
-BENCH_GATE_PCT ?= 20
-
+# bench gates the working tree against the last commit on the
+# repository's benchmark: five alternating pairs of bench/run.sh runs
+# per workload, compared against BENCHMARK.json's bounds. It fails on a
+# wrong report, a failed operation or a regressed metric, and takes
+# about twenty minutes on 2 vCPUs. CI runs the same script against the
+# PR's base, one job per workload.
 bench:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' ./... > bench.out || \
-		{ cat bench.out; rm -f bench.out; exit 1; }
-	cat bench.out
-	@gate_rc=0; \
-	$(GO) run ./cmd/benchjson -prev BENCH_tables.json -gate-pct $(BENCH_GATE_PCT) < bench.out > BENCH_tables.json.tmp || gate_rc=$$?; \
-	mv BENCH_tables.json.tmp BENCH_tables.json; \
-	rm -f bench.out; \
-	exit $$gate_rc
+	./scripts/bench_gate.sh
+
+# regenerate renders every table and figure at full size through the
+# task registry, the path fvevald serves.
+regenerate:
+	$(GO) run ./cmd/fveval -all > /dev/null
 
 lint:
 	@unformatted="$$(gofmt -l .)"; \
@@ -79,4 +74,4 @@ lint:
 	fi
 	$(GO) vet ./...
 
-ci: build lint test fuzz examples bench-module service-smoke cluster-smoke chaos-smoke bench
+ci: build lint test fuzz examples regenerate bench-module service-smoke cluster-smoke chaos-smoke bench

@@ -22,11 +22,14 @@
 // instance axis (never the sample axis, so per-instance pass@k folds
 // stay complete within a shard).
 //
-// Every evaluation method takes a context.Context and an optional
-// Observer: cancelling the context stops feeding the worker pool and
-// the method returns ctx.Err(); the observer receives one Progress
-// per completed job, delivered from the collector goroutine (calls
-// are serialized, never concurrent).
+// Every evaluation method (HumanGrid, MachineGrid, DesignGrid,
+// HelperGrid, RefinementGrid) returns a *Grid, which the caller folds
+// into reports with Grid.ModelReports, PassKReports or DesignReports.
+// Each takes a context.Context and an optional Observer: cancelling the
+// context stops feeding the worker pool and the method returns
+// ctx.Err(); the observer receives one Progress per completed job,
+// delivered from the collector goroutine (calls are serialized, never
+// concurrent).
 package engine
 
 import (
@@ -590,24 +593,6 @@ func (e *Engine) HumanGrid(ctx context.Context, models []llm.Model, sampled bool
 	return e.newGrid(names(models), total, len(kept), n, outs), nil
 }
 
-// NL2SVAHuman evaluates models with greedy decoding (Table 1).
-func (e *Engine) NL2SVAHuman(ctx context.Context, models []llm.Model, obs Observer) ([]core.ModelReport, error) {
-	g, err := e.HumanGrid(ctx, models, false, obs)
-	if err != nil {
-		return nil, err
-	}
-	return g.ModelReports(), nil
-}
-
-// NL2SVAHumanPassK evaluates pass@k with multiple samples (Table 2).
-func (e *Engine) NL2SVAHumanPassK(ctx context.Context, models []llm.Model, ks []int, obs Observer) ([]core.PassKReport, error) {
-	g, err := e.HumanGrid(ctx, models, true, obs)
-	if err != nil {
-		return nil, err
-	}
-	return g.PassKReports(ks), nil
-}
-
 // ---- NL2SVA-Machine -----------------------------------------------------
 
 // MachineGrid evaluates the NL2SVA-Machine grid at a shot count and
@@ -631,25 +616,6 @@ func (e *Engine) MachineGrid(ctx context.Context, models []llm.Model, shots, cou
 		return nil, err
 	}
 	return e.newGrid(names(models), total, len(kept), n, outs), nil
-}
-
-// NL2SVAMachine evaluates the machine benchmark at a shot count
-// (Table 3 columns).
-func (e *Engine) NL2SVAMachine(ctx context.Context, models []llm.Model, shots, count int, obs Observer) ([]core.ModelReport, error) {
-	g, err := e.MachineGrid(ctx, models, shots, count, false, obs)
-	if err != nil {
-		return nil, err
-	}
-	return g.ModelReports(), nil
-}
-
-// NL2SVAMachinePassK evaluates machine pass@k at 3-shot (Table 4).
-func (e *Engine) NL2SVAMachinePassK(ctx context.Context, models []llm.Model, ks []int, count int, obs Observer) ([]core.PassKReport, error) {
-	g, err := e.MachineGrid(ctx, models, 3, count, true, obs)
-	if err != nil {
-		return nil, err
-	}
-	return g.PassKReports(ks), nil
 }
 
 // ---- Design2SVA ---------------------------------------------------------
@@ -682,65 +648,9 @@ func (e *Engine) DesignGrid(ctx context.Context, models []llm.Model, kind string
 	return e.newGrid(names(models), total, len(kept), n, outs), nil
 }
 
-// Design2SVA evaluates models on a design category with n samples per
-// instance (Table 5 halves). Outcome.Full carries "proven".
-func (e *Engine) Design2SVA(ctx context.Context, models []llm.Model, kind string, obs Observer) ([]core.DesignReport, error) {
-	return e.design2SVA(ctx, models, kind, []int{1, 5}, obs)
-}
-
-// Design2SVAKs is Design2SVA with a caller-chosen pass@k set.
-func (e *Engine) Design2SVAKs(ctx context.Context, models []llm.Model, kind string, ks []int, obs Observer) ([]core.DesignReport, error) {
-	return e.design2SVA(ctx, models, kind, ks, obs)
-}
-
-func (e *Engine) design2SVA(ctx context.Context, models []llm.Model, kind string, ks []int, obs Observer) ([]core.DesignReport, error) {
-	g, err := e.DesignGrid(ctx, models, kind, obs)
-	if err != nil {
-		return nil, err
-	}
-	return g.DesignReports(kind, ks), nil
-}
-
 // judgeDesign and judgeHelper are the judgments the Design2SVA and
 // AGR grids memoize; tests swap them to count invocations.
 var (
 	judgeDesign = core.JudgeDesign
 	judgeHelper = core.JudgeHelper
 )
-
-// ---- one-shot conveniences ----------------------------------------------
-
-// RunNL2SVAHuman runs Table 1's evaluation on a fresh engine.
-func RunNL2SVAHuman(models []llm.Model, cfg Config) ([]core.ModelReport, error) {
-	return New(cfg).NL2SVAHuman(context.Background(), models, nil)
-}
-
-// RunNL2SVAHumanPassK runs Table 2's evaluation on a fresh engine.
-func RunNL2SVAHumanPassK(models []llm.Model, ks []int, cfg Config) ([]core.PassKReport, error) {
-	return New(cfg).NL2SVAHumanPassK(context.Background(), models, ks, nil)
-}
-
-// RunNL2SVAMachine runs one shot-setting of Table 3 on a fresh engine.
-func RunNL2SVAMachine(models []llm.Model, shots, count int, cfg Config) ([]core.ModelReport, error) {
-	return New(cfg).NL2SVAMachine(context.Background(), models, shots, count, nil)
-}
-
-// RunNL2SVAMachinePassK runs Table 4's evaluation on a fresh engine.
-func RunNL2SVAMachinePassK(models []llm.Model, ks []int, count int, cfg Config) ([]core.PassKReport, error) {
-	return New(cfg).NL2SVAMachinePassK(context.Background(), models, ks, count, nil)
-}
-
-// RunDesign2SVA runs one category half of Table 5 on a fresh engine.
-func RunDesign2SVA(models []llm.Model, kind string, cfg Config) ([]core.DesignReport, error) {
-	return New(cfg).Design2SVA(context.Background(), models, kind, nil)
-}
-
-// Figure6 runs the NL2SVA-Human evaluation and renders the BLEU-vs-
-// functional-correctness correlation analysis.
-func (e *Engine) Figure6(ctx context.Context, models []llm.Model, obs Observer) (string, error) {
-	reports, err := e.NL2SVAHuman(ctx, models, obs)
-	if err != nil {
-		return "", err
-	}
-	return core.Figure6(reports), nil
-}

@@ -12,12 +12,21 @@ import (
 	"fveval/internal/llm"
 )
 
+// must returns a grid evaluation's result, failing t on its error:
+// must(t)(e.HumanGrid(...)).
+func must(t *testing.T) func(*Grid, error) *Grid {
+	return func(g *Grid, err error) *Grid {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+}
+
 func TestRunHumanSmall(t *testing.T) {
 	models := []llm.Model{llm.ModelByName("gpt-4o"), llm.ModelByName("llama-3-8b")}
-	reports, err := RunNL2SVAHuman(models, Config{Limit: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
+	reports := must(t)(New(Config{Limit: 12}).HumanGrid(context.Background(), models, false, nil)).ModelReports()
 	if len(reports) != 2 {
 		t.Fatalf("reports: %d", len(reports))
 	}
@@ -45,14 +54,9 @@ func TestRunHumanSmall(t *testing.T) {
 
 func TestRunMachineSmallBothShots(t *testing.T) {
 	models := []llm.Model{llm.ModelByName("gemini-1.5-pro")}
-	zero, err := RunNL2SVAMachine(models, 0, 20, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	three, err := RunNL2SVAMachine(models, 3, 20, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctx := context.Background()
+	zero := must(t)(New(Config{}).MachineGrid(ctx, models, 0, 20, false, nil)).ModelReports()
+	three := must(t)(New(Config{}).MachineGrid(ctx, models, 3, 20, false, nil)).ModelReports()
 	// gemini-1.5-pro has the paper's dramatic 0-shot -> 3-shot syntax
 	// jump (0.467 -> 0.880); with only 20 instances allow wide noise
 	// but demand an improvement.
@@ -68,10 +72,7 @@ func TestRunMachineSmallBothShots(t *testing.T) {
 
 func TestPassKImprovesOverPass1(t *testing.T) {
 	models := []llm.Model{llm.ModelByName("gpt-4o")}
-	reports, err := RunNL2SVAHumanPassK(models, []int{1, 3, 5}, Config{Limit: 15, Samples: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	reports := must(t)(New(Config{Limit: 15, Samples: 5}).HumanGrid(context.Background(), models, true, nil)).PassKReports([]int{1, 3, 5})
 	r := reports[0]
 	if r.FuncK[5] < r.FuncK[1] {
 		t.Errorf("func@5 (%f) must be >= func@1 (%f)", r.FuncK[5], r.FuncK[1])
@@ -86,10 +87,7 @@ func TestPassKImprovesOverPass1(t *testing.T) {
 
 func TestRunDesignSmall(t *testing.T) {
 	models := []llm.Model{llm.ModelByName("gpt-4o")}
-	reports, err := RunDesign2SVA(models, "fsm", Config{Limit: 4, Samples: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	reports := must(t)(New(Config{Limit: 4, Samples: 3}).DesignGrid(context.Background(), models, "fsm", nil)).DesignReports("fsm", []int{1, 5})
 	r := reports[0]
 	if r.SyntaxK[5] < r.SyntaxK[1] || r.FuncK[5] < r.FuncK[1] {
 		t.Fatalf("pass@5 must dominate pass@1: %+v", r)
@@ -105,26 +103,15 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	models := []llm.Model{llm.ModelByName("gpt-4o"), llm.ModelByName("llama-3.1-70b")}
 	render := func(workers int) string {
 		cfg := Config{Limit: 10, Samples: 3, Workers: workers}
+		ctx := context.Background()
 		var b strings.Builder
-		t1, err := RunNL2SVAHuman(models, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		t1 := must(t)(New(cfg).HumanGrid(ctx, models, false, nil)).ModelReports()
 		b.WriteString(core.FormatTable1(t1))
-		t2, err := RunNL2SVAHumanPassK(models, []int{1, 3, 5}, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		t2 := must(t)(New(cfg).HumanGrid(ctx, models, true, nil)).PassKReports([]int{1, 3, 5})
 		b.WriteString(core.FormatTable2(t2))
-		t4, err := RunNL2SVAMachinePassK(models, []int{1, 3, 5}, 20, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		t4 := must(t)(New(cfg).MachineGrid(ctx, models, 3, 20, true, nil)).PassKReports([]int{1, 3, 5})
 		b.WriteString(core.FormatTable4(t4))
-		t5, err := RunDesign2SVA(models, "fsm", cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		t5 := must(t)(New(cfg).DesignGrid(ctx, models, "fsm", nil)).DesignReports("fsm", []int{1, 5})
 		b.WriteString(core.FormatTable5(t5, t5))
 		b.WriteString(core.Figure6(t1))
 		return b.String()
@@ -141,28 +128,17 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 // equality, outcome by outcome, on the machine dataset.
 func TestCacheDoesNotChangeVerdicts(t *testing.T) {
 	models := []llm.Model{llm.ModelByName("gpt-4o"), llm.ModelByName("gemini-1.5-flash")}
-	cached, err := RunNL2SVAMachinePassK(models, []int{1, 5}, 15, Config{Samples: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	uncached, err := RunNL2SVAMachinePassK(models, []int{1, 5}, 15, Config{Samples: 4, NoCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctx := context.Background()
+	cached := must(t)(New(Config{Samples: 4}).MachineGrid(ctx, models, 3, 15, true, nil)).PassKReports([]int{1, 5})
+	uncached := must(t)(New(Config{Samples: 4, NoCache: true}).MachineGrid(ctx, models, 3, 15, true, nil)).PassKReports([]int{1, 5})
 	if got, want := core.FormatTable4(cached), core.FormatTable4(uncached); got != want {
 		t.Fatalf("cache changed the table:\n--- cached ---\n%s\n--- uncached ---\n%s", got, want)
 	}
 	// outcome-level equality on the greedy flow too
 	ec := New(Config{Limit: 20})
 	eu := New(Config{Limit: 20, NoCache: true})
-	rc, err := ec.NL2SVAMachine(context.Background(), models, 3, 20, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ru, err := eu.NL2SVAMachine(context.Background(), models, 3, 20, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rc := must(t)(ec.MachineGrid(ctx, models, 3, 20, false, nil)).ModelReports()
+	ru := must(t)(eu.MachineGrid(ctx, models, 3, 20, false, nil)).ModelReports()
 	for m := range rc {
 		for i := range rc[m].Outcomes {
 			c, u := rc[m].Outcomes[i], ru[m].Outcomes[i]
@@ -184,7 +160,7 @@ func TestCacheDoesNotChangeVerdicts(t *testing.T) {
 func TestCacheHitsOnPassK(t *testing.T) {
 	e := New(Config{Limit: 10, Samples: 5})
 	models := []llm.Model{llm.ModelByName("gpt-4o"), llm.ModelByName("llama-3.1-70b")}
-	if _, err := e.NL2SVAMachinePassK(context.Background(), models, []int{1, 5}, 10, nil); err != nil {
+	if _, err := e.MachineGrid(context.Background(), models, 3, 10, true, nil); err != nil {
 		t.Fatal(err)
 	}
 	st := e.CacheStats()
@@ -201,10 +177,8 @@ func TestCacheHitsOnPassK(t *testing.T) {
 // the instances they own.
 func TestShardsPartitionInstances(t *testing.T) {
 	models := []llm.Model{llm.ModelByName("gpt-4o")}
-	full, err := RunNL2SVAHuman(models, Config{Limit: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctx := context.Background()
+	full := must(t)(New(Config{Limit: 12}).HumanGrid(ctx, models, false, nil)).ModelReports()
 	byID := map[string]core.Outcome{}
 	for _, o := range full[0].Outcomes {
 		byID[o.InstanceID] = o
@@ -212,10 +186,7 @@ func TestShardsPartitionInstances(t *testing.T) {
 	seen := map[string]bool{}
 	const n = 3
 	for i := 0; i < n; i++ {
-		part, err := RunNL2SVAHuman(models, Config{Limit: 12, Shard: Shard{Index: i, Count: n}})
-		if err != nil {
-			t.Fatal(err)
-		}
+		part := must(t)(New(Config{Limit: 12, Shard: Shard{Index: i, Count: n}}).HumanGrid(ctx, models, false, nil)).ModelReports()
 		for _, o := range part[0].Outcomes {
 			if seen[o.InstanceID] {
 				t.Fatalf("instance %s appears in two shards", o.InstanceID)
@@ -252,10 +223,7 @@ func TestShardValidate(t *testing.T) {
 
 func TestEngineFigure6(t *testing.T) {
 	e := New(Config{Limit: 10})
-	out, err := e.Figure6(context.Background(), []llm.Model{llm.ModelByName("gpt-4o")}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := core.Figure6(must(t)(e.HumanGrid(context.Background(), []llm.Model{llm.ModelByName("gpt-4o")}, false, nil)).ModelReports())
 	if !strings.Contains(out, "corr(BLEU, Func)") {
 		t.Fatalf("figure 6 malformed:\n%s", out)
 	}
@@ -305,7 +273,7 @@ func TestObserverStreamsEveryJob(t *testing.T) {
 	e := New(Config{Limit: 6, Samples: 2, Workers: 4})
 	models := []llm.Model{llm.ModelByName("gpt-4o"), llm.ModelByName("llama-3-8b")}
 	var events []Progress
-	_, err := e.NL2SVAHumanPassK(context.Background(), models, []int{1, 2}, func(p Progress) {
+	_, err := e.HumanGrid(context.Background(), models, true, func(p Progress) {
 		events = append(events, p)
 	})
 	if err != nil {
@@ -333,14 +301,14 @@ func TestCancellationStopsRun(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.NL2SVAHuman(ctx, models, nil); !errors.Is(err, context.Canceled) {
+	if _, err := e.HumanGrid(ctx, models, false, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled run returned %v, want context.Canceled", err)
 	}
 
 	ctx, cancel = context.WithCancel(context.Background())
 	defer cancel()
 	var seen atomic.Int64
-	_, err := e.NL2SVAHumanPassK(ctx, models, []int{1}, func(p Progress) {
+	_, err := e.HumanGrid(ctx, models, true, func(p Progress) {
 		if seen.Add(1) == 2 {
 			cancel()
 		}
@@ -359,7 +327,7 @@ func TestCancellationStopsRun(t *testing.T) {
 func TestReconfigureSharesCache(t *testing.T) {
 	base := New(Config{Limit: 8})
 	models := []llm.Model{llm.ModelByName("gpt-4o")}
-	if _, err := base.NL2SVAHuman(context.Background(), models, nil); err != nil {
+	if _, err := base.HumanGrid(context.Background(), models, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	warm := base.CacheStats()
@@ -374,7 +342,7 @@ func TestReconfigureSharesCache(t *testing.T) {
 	if derived.st != base.st {
 		t.Fatalf("derived engine did not share the memo pool")
 	}
-	if _, err := derived.NL2SVAHuman(context.Background(), models, nil); err != nil {
+	if _, err := derived.HumanGrid(context.Background(), models, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	// The shared judgment memo absorbs the duplicate workload before it
@@ -410,7 +378,7 @@ func TestEngineJobFaultFailsRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := New(Config{Limit: 12, Workers: 2})
-	_, err := e.NL2SVAHuman(context.Background(), []llm.Model{llm.ModelByName("gpt-4o")}, nil)
+	_, err := e.HumanGrid(context.Background(), []llm.Model{llm.ModelByName("gpt-4o")}, false, nil)
 	if err == nil || !strings.Contains(err.Error(), fault.EngineJob) {
 		t.Fatalf("injected engine.job fault returned %v, want the injected cause", err)
 	}

@@ -21,12 +21,10 @@ func TestPrefilterDoesNotChangeTables(t *testing.T) {
 		{Samples: 3, SimPatterns: 512}, // heavier prefilter
 		{Samples: 3, NoSim: true},      // pure SAT
 	}
+	ctx := context.Background()
 	var tables []string
 	for _, cfg := range variants {
-		reports, err := RunNL2SVAMachinePassK(models, []int{1, 3}, 12, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		reports := must(t)(New(cfg).MachineGrid(ctx, models, 3, 12, true, nil)).PassKReports([]int{1, 3})
 		tables = append(tables, core.FormatTable4(reports))
 	}
 	for i := 1; i < len(tables); i++ {
@@ -38,17 +36,10 @@ func TestPrefilterDoesNotChangeTables(t *testing.T) {
 
 	// Outcome-level equality on the greedy machine flow and the mc-backed
 	// design flow.
-	ctx := context.Background()
 	eOn := New(Config{Limit: 12})
 	eOff := New(Config{Limit: 12, NoSim: true})
-	on, err := eOn.NL2SVAMachine(ctx, models, 0, 12, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	off, err := eOff.NL2SVAMachine(ctx, models, 0, 12, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	on := must(t)(eOn.MachineGrid(ctx, models, 0, 12, false, nil)).ModelReports()
+	off := must(t)(eOff.MachineGrid(ctx, models, 0, 12, false, nil)).ModelReports()
 	for m := range on {
 		for i := range on[m].Outcomes {
 			if on[m].Outcomes[i] != off[m].Outcomes[i] {
@@ -67,14 +58,8 @@ func TestPrefilterDoesNotChangeTables(t *testing.T) {
 	dOn := New(Config{Limit: 2, Samples: 2})
 	dOff := New(Config{Limit: 2, Samples: 2, NoSim: true})
 	designModels := llm.DesignModels()[:2]
-	ron, err := dOn.Design2SVA(ctx, designModels, "fsm", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	roff, err := dOff.Design2SVA(ctx, designModels, "fsm", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ron := must(t)(dOn.DesignGrid(ctx, designModels, "fsm", nil)).DesignReports("fsm", []int{1, 5})
+	roff := must(t)(dOff.DesignGrid(ctx, designModels, "fsm", nil)).DesignReports("fsm", []int{1, 5})
 	if got, want := core.FormatTable5(nil, ron), core.FormatTable5(nil, roff); got != want {
 		t.Fatalf("prefilter changed the design table:\n--- on ---\n%s\n--- off ---\n%s", got, want)
 	}

@@ -208,6 +208,17 @@ func TestLivenessDistinctions(t *testing.T) {
 	if res.Verdict != BImpliesA {
 		t.Errorf("expected B=>A, got %v", res.Verdict)
 	}
+	// The verdict holds at every fixed lasso bound, not only where the
+	// ramp settles.
+	for _, k := range []int{8, 12, 16, 20} {
+		res, err := Check(mustParse(t, a), mustParse(t, b), sigs, Options{Bound: k})
+		if err != nil {
+			t.Fatalf("K=%d: %v", k, err)
+		}
+		if res.Verdict != BImpliesA {
+			t.Errorf("K=%d: expected B=>A, got %v", k, res.Verdict)
+		}
+	}
 	// weak unbounded tail is vacuous on infinite traces: implied by
 	// everything, including the trivial property.
 	weak := clkReset + "wr_push |-> ##[1:$] rd_pop);"

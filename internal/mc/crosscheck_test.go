@@ -3,6 +3,7 @@ package mc
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"fveval/internal/bitvec"
@@ -233,6 +234,36 @@ endmodule`, seed, seed-1, seed)
 			seed+1))
 		if res.Status != Proven {
 			t.Errorf("depth %d latency: %v", seed+1, res.Status)
+		}
+	}
+
+	// A generated FSM's ground-truth successor assertion for S0 is
+	// proven at every induction depth cap, shallow ones included.
+	inst := rtlgen.GenerateFSM(rtlgen.FSMParams{States: 6, Edges: 10, Width: 16, Complexity: 3, Seed: 77})
+	f, err := rtl.Parse(inst.Design + "\n" + inst.Bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := rtl.ElaborateBound(f, inst.DUTTop, inst.BenchTop, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	succ := make([]string, len(inst.FSM.Succ[0]))
+	for i, s := range inst.FSM.Succ[0] {
+		succ[i] = fmt.Sprintf("fsm_out == S%d", s)
+	}
+	a, err := sva.ParseAssertion("assert property (@(posedge clk) disable iff (tb_reset) fsm_out == S0 |=> (" +
+		strings.Join(succ, " || ") + "));")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{2, 5, 10} {
+		res, err := CheckAssertion(sys, a, Options{MaxInduction: k})
+		if err != nil {
+			t.Fatalf("MaxInduction %d: %v", k, err)
+		}
+		if res.Status != Proven {
+			t.Errorf("MaxInduction %d: S0 successors %v, want proven", k, res.Status)
 		}
 	}
 }

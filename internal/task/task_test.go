@@ -154,8 +154,9 @@ func TestMultiGroupTasks(t *testing.T) {
 }
 
 // TestRenderMatchesLegacyEntryPoints demands byte-identical table
-// output between registry runs and the pre-redesign per-table entry
-// points, for every table and figure.
+// output between registry runs and the engine's grids folded and
+// rendered by hand (grid → Grid.*Reports → core.FormatTableN /
+// core.Figure6), for every table and figure.
 func TestRenderMatchesLegacyEntryPoints(t *testing.T) {
 	ctx := context.Background()
 	cfg := engine.Config{Limit: 4, Samples: 2, Workers: 2}
@@ -171,56 +172,42 @@ func TestRenderMatchesLegacyEntryPoints(t *testing.T) {
 		}
 		return run.Report.Render()
 	}
+	grid := func(g *engine.Grid, err error) *engine.Grid {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
 
 	// Table 1
-	legacy1, err := engine.RunNL2SVAHuman(fleet, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	legacy1 := grid(engine.New(cfg).HumanGrid(ctx, fleet, false, nil)).ModelReports()
 	if got, want := runTask("nl2sva-human", Params{Models: models}), core.FormatTable1(legacy1); got != want {
 		t.Errorf("table 1 diverged:\n--- registry ---\n%s--- legacy ---\n%s", got, want)
 	}
 
 	// Table 2
-	legacy2, err := engine.RunNL2SVAHumanPassK(fleet, []int{1, 3, 5}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	legacy2 := grid(engine.New(cfg).HumanGrid(ctx, fleet, true, nil)).PassKReports([]int{1, 3, 5})
 	if got, want := runTask("nl2sva-human-passk", Params{Models: models}), core.FormatTable2(legacy2); got != want {
 		t.Errorf("table 2 diverged:\n--- registry ---\n%s--- legacy ---\n%s", got, want)
 	}
 
 	// Table 3
-	zero, err := engine.RunNL2SVAMachine(fleet, 0, 8, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	three, err := engine.RunNL2SVAMachine(fleet, 3, 8, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	zero := grid(engine.New(cfg).MachineGrid(ctx, fleet, 0, 8, false, nil)).ModelReports()
+	three := grid(engine.New(cfg).MachineGrid(ctx, fleet, 3, 8, false, nil)).ModelReports()
 	if got, want := runTask("nl2sva-machine", Params{Models: models, Count: 8}), core.FormatTable3(zero, three); got != want {
 		t.Errorf("table 3 diverged:\n--- registry ---\n%s--- legacy ---\n%s", got, want)
 	}
 
 	// Table 4
-	legacy4, err := engine.RunNL2SVAMachinePassK(fleet, []int{1, 3, 5}, 8, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	legacy4 := grid(engine.New(cfg).MachineGrid(ctx, fleet, 3, 8, true, nil)).PassKReports([]int{1, 3, 5})
 	if got, want := runTask("nl2sva-machine-passk", Params{Models: models, Count: 8}), core.FormatTable4(legacy4); got != want {
 		t.Errorf("table 4 diverged:\n--- registry ---\n%s--- legacy ---\n%s", got, want)
 	}
 
 	// Table 5
-	pipe, err := engine.RunDesign2SVA(fleet, "pipeline", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fsm, err := engine.RunDesign2SVA(fleet, "fsm", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pipe := grid(engine.New(cfg).DesignGrid(ctx, fleet, "pipeline", nil)).DesignReports("pipeline", []int{1, 5})
+	fsm := grid(engine.New(cfg).DesignGrid(ctx, fleet, "fsm", nil)).DesignReports("fsm", []int{1, 5})
 	if got, want := runTask("design2sva", Params{Models: models}), core.FormatTable5(pipe, fsm); got != want {
 		t.Errorf("table 5 diverged:\n--- registry ---\n%s--- legacy ---\n%s", got, want)
 	}
@@ -242,10 +229,7 @@ func TestRenderMatchesLegacyEntryPoints(t *testing.T) {
 	if got, want := runTask("design-token-lengths", Params{}), core.Figure4(); got != want {
 		t.Errorf("figure 4 diverged")
 	}
-	legacyFig6, err := engine.New(cfg).Figure6(ctx, resolveModels([]string{"gpt-4o"}), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	legacyFig6 := core.Figure6(grid(engine.New(cfg).HumanGrid(ctx, resolveModels([]string{"gpt-4o"}), false, nil)).ModelReports())
 	if got := runTask("bleu-correlation", Params{Models: []string{"gpt-4o"}}); got != legacyFig6 {
 		t.Errorf("figure 6 diverged:\n--- registry ---\n%s--- legacy ---\n%s", got, legacyFig6)
 	}
