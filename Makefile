@@ -36,11 +36,12 @@ service-smoke:
 
 # cluster-smoke launches a real fvevald coordinator (persistent data
 # dir) plus two self-registering workers on localhost, runs fvevalctl
-# against them — static fleet, registered fleet, dead-worker retry,
-# loopback fleet — diffs every distributed output against the
-# single-process run, kill -9s the coordinator mid-flight and checks
-# restart recovery serves finished runs byte-identical, and scrapes
-# /metrics.
+# against them — `run` over a static fleet, with a dead worker (retry)
+# and over a loopback fleet; `submit -distributed` over the registered
+# fleet — diffs every distributed output against the single-process
+# run, kill -9s the coordinator mid-flight and checks restart recovery
+# serves finished runs byte-identical and the re-registered fleet
+# serves a fresh distributed run, and scrapes /metrics.
 cluster-smoke:
 	./scripts/cluster_smoke.sh
 

@@ -13,18 +13,14 @@
 //	fveval -table 3 -count 300
 //	fveval -figure 6
 //	fveval -all -limit 20         # everything, truncated for a quick look
-//	fveval -table 4 -workers 8 -shard 0/4   # first of four horizontal shards
 //	fveval -table 2 -cache=false            # disable the equivalence memo
 //	fveval -table 2 -maxbound 12            # cap the formal bound ramp
 //	fveval -table 3 -simpatterns 0          # disable the simulation prefilter
 //	fveval -table 5 -simpatterns 256        # more refute-before-solve patterns
 //
-// A sharded invocation emits the partial-report JSON wire shape
-// (-json is implied): raw outcome grids with slot provenance instead
-// of an unmergeable partial table. Collect all n shards' outputs and
-// recombine them with task.MergeReports (or run the whole thing under
-// cmd/fvevalctl, which does the fan-out and merge for you); the merged
-// report is byte-identical to an unsharded run.
+// fveval evaluates in one process on one engine; cmd/fvevalctl run
+// spreads a task across a worker fleet, and its merged report is
+// byte-identical to this command's output.
 //
 // Solver-reuse and ramp statistics from the incremental formal
 // backend print to stderr next to the cache statistics.
@@ -36,8 +32,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"fveval/internal/engine"
 	"fveval/internal/task"
@@ -54,7 +48,6 @@ func main() {
 	count := flag.Int("count", 0, "NL2SVA-Machine dataset size (0 = task default, 300)")
 	samples := flag.Int("samples", 5, "samples per instance for pass@k runs")
 	workers := flag.Int("workers", 0, "evaluation parallelism (0 = GOMAXPROCS)")
-	shard := flag.String("shard", "", "evaluate one instance slice, as i/n (e.g. 0/4), and emit mergeable partial-report JSON; combine n processes to cover a run")
 	cache := flag.Bool("cache", true, "memoize formal equivalence checks across the run")
 	maxBound := flag.Int("maxbound", 0, "cap for the formal backend's bound ramp: lasso bound for equivalence, BMC depth for model checking (0 = defaults, 16 each)")
 	budget := flag.Int64("budget", 0, "SAT conflict budget per formal query (0 = default 200000)")
@@ -66,18 +59,12 @@ func main() {
 		return
 	}
 
-	shardSpec, err := parseShard(*shard)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fveval:", err)
-		os.Exit(2)
-	}
 	cfg := engine.Config{
 		Limit:       *limit,
 		Samples:     *samples,
 		Budget:      *budget,
 		MaxBound:    *maxBound,
 		Workers:     *workers,
-		Shard:       shardSpec,
 		NoCache:     !*cache,
 		SimPatterns: *simPatterns,
 		NoSim:       *simPatterns == 0,
@@ -112,27 +99,6 @@ func printRegistry() {
 		}
 		fmt.Printf("%-24s %-8s %-8s %s\n", s.Name, paper, s.Kind, s.Title)
 	}
-}
-
-// parseShard reads an "i/n" spec; empty means no sharding.
-func parseShard(s string) (engine.Shard, error) {
-	if s == "" {
-		return engine.Shard{}, nil
-	}
-	idx, cnt, ok := strings.Cut(s, "/")
-	if !ok {
-		return engine.Shard{}, fmt.Errorf("shard %q: want i/n", s)
-	}
-	i, err1 := strconv.Atoi(idx)
-	n, err2 := strconv.Atoi(cnt)
-	if err1 != nil || err2 != nil {
-		return engine.Shard{}, fmt.Errorf("shard %q: want integer i/n", s)
-	}
-	sh := engine.Shard{Index: i, Count: n}
-	if err := sh.Validate(); err != nil {
-		return engine.Shard{}, err
-	}
-	return sh, nil
 }
 
 func run(eng *task.Engine, taskName string, table, figure int, all bool, count int, jsonOut bool) error {
@@ -204,24 +170,13 @@ func runTask(eng *task.Engine, name string, count int, jsonOut, explicit bool) e
 			p.Count = count
 		}
 	}
-	req := task.Request{Task: spec.Name, Params: p}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if eng.Config().Shard.Enabled() {
-		// A shard's aggregated table cannot be recombined; emit the
-		// partial-report wire shape instead (-json implied) so shards
-		// stay composable via task.MergeReports.
-		partial, err := eng.RunPartial(context.Background(), req)
-		if err != nil {
-			return err
-		}
-		return enc.Encode(partial)
-	}
-	run, err := eng.Run(context.Background(), req)
+	run, err := eng.Run(context.Background(), task.Request{Task: spec.Name, Params: p})
 	if err != nil {
 		return err
 	}
 	if jsonOut {
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
 		return enc.Encode(run)
 	}
 	fmt.Println(run.Report.Render())

@@ -1,15 +1,18 @@
 // Command fvevalctl is the operator CLI for the FVEval service tier.
-// It can coordinate a distributed run itself (splitting one registry
-// task into shard slices, fanning them out across a worker fleet, and
-// merging the partial reports into a report byte-identical to an
-// unsharded run), or drive a fvevald coordinator remotely over the v1
-// API through internal/service/client.
+// A distributed run has one coordinator (internal/dist), which splits
+// a registry task into shard slices, fans them out across a worker
+// fleet, and merges the partial reports into a report byte-identical
+// to an unsharded run. fvevalctl starts it two ways: `run` coordinates
+// in-process over a static -workers fleet or -local loopback engines,
+// and `submit -distributed` has a fvevald coordinator drive it over
+// its registered fleet, with shard checkpoints and crash resume. The
+// other commands drive fvevald over the v1 API through
+// internal/service/client.
 //
 // Usage:
 //
 //	fvevalctl tasks                                             # list the registry
 //	fvevalctl run -task table2 -workers http://a:8080,http://b:8080
-//	fvevalctl run -task table2 -registry http://coord:8080      # fleet = registered workers
 //	fvevalctl run -task nl2sva-human -local 4                   # 4 in-process engines
 //	fvevalctl submit -to http://coord:8080 -task table1         # queue a run, print its id
 //	fvevalctl submit -to http://coord:8080 -task table2 -distributed -follow
@@ -28,6 +31,8 @@
 // -task accepts registry names plus tableN / figureN aliases. Worker
 // failures are retried on the remaining fleet (-attempts per shard);
 // a worker that keeps failing is benched for the rest of the run.
+// Each command takes only its own flags; an unknown or malformed flag
+// exits 2, a failed command exits 1.
 package main
 
 import (
@@ -94,10 +99,18 @@ func usage() {
   fvevalctl report -to <url> <id>    print a finished run's payload
   fvevalctl workers -to <url>        list the registered worker fleet
   fvevalctl metrics -to <url>        scrape the service /metrics
-  fvevalctl trace -to <url> <id>     export a traced run (Chrome trace-event JSON)
-run flags:`)
-	fs := runFlags(&runConfig{})
+  fvevalctl trace -to <url> <id>     export a traced run (Chrome trace-event JSON)`)
+	printFlags("request flags (run and submit):", func(fs *flag.FlagSet) { requestFlags(fs, &requestConfig{}) })
+	printFlags("run flags:", func(fs *flag.FlagSet) { coordinatorFlags(fs, &runConfig{}) })
+	printFlags("submit flags:", func(fs *flag.FlagSet) { submitFlags(fs, &submitConfig{}) })
+}
+
+// printFlags prints one flag set's defaults under a heading.
+func printFlags(title string, register func(*flag.FlagSet)) {
+	fs := flag.NewFlagSet(title, flag.ContinueOnError)
+	register(fs)
 	fs.SetOutput(os.Stderr)
+	fmt.Fprintln(os.Stderr, title)
 	fs.PrintDefaults()
 }
 
@@ -119,21 +132,11 @@ func printRegistry() {
 	}
 }
 
-// runConfig collects the run subcommand's flags.
-type runConfig struct {
+// requestConfig collects the flags that shape the request itself;
+// run and submit both read them.
+type requestConfig struct {
 	taskName string
-	workers  string
-	registry string
-	local    int
-	shards   int
-	attempts int
-	timeout  time.Duration
-	hedge    bool
-	backoff  time.Duration
-	backCap  time.Duration
-	seed     int64
 	deadline time.Duration
-	faults   string
 	jsonOut  bool
 	verbose  bool
 	traceOut string
@@ -148,23 +151,11 @@ type runConfig struct {
 	budget   int64
 }
 
-func runFlags(c *runConfig) *flag.FlagSet {
-	fs := flag.NewFlagSet("run", flag.ContinueOnError)
+func requestFlags(fs *flag.FlagSet, c *requestConfig) {
 	fs.StringVar(&c.taskName, "task", "", "registry task to run (name, or tableN / figureN alias)")
-	fs.StringVar(&c.workers, "workers", "", "comma-separated fvevald worker URLs (http://host:port,...)")
-	fs.StringVar(&c.registry, "registry", "", "coordinator URL; fleet = its live registered workers")
-	fs.IntVar(&c.local, "local", 0, "spin N in-process loopback engines instead of remote workers (0 = NumCPU when -workers is empty)")
-	fs.IntVar(&c.shards, "shards", 0, "shard count override (0 = one per worker)")
-	fs.IntVar(&c.attempts, "attempts", 0, "max attempts per shard before the run fails (0 = 3)")
-	fs.DurationVar(&c.timeout, "shard-timeout", 0, "per-attempt deadline; an expired shard is reassigned (0 = none)")
-	fs.BoolVar(&c.hedge, "hedge", false, "speculatively re-dispatch the last straggler shard to an idle worker (run only)")
-	fs.DurationVar(&c.backoff, "backoff", 0, "base shard retry backoff, doubled per attempt with full jitter (0 = 50ms; run only)")
-	fs.DurationVar(&c.backCap, "backoff-cap", 0, "shard retry backoff ceiling (0 = 2s; run only)")
-	fs.Int64Var(&c.seed, "seed", 0, "deterministic seed for retry jitter and hedge timing (0 = 1; run only)")
-	fs.DurationVar(&c.deadline, "timeout", 0, "end-to-end run deadline, forwarded to workers per shard (0 = none)")
-	fs.StringVar(&c.faults, "faults", "", "client-side fault-injection plan (requires a -tags faultinject build; run only)")
-	fs.BoolVar(&c.jsonOut, "json", false, "emit the merged run plus fleet metadata as JSON")
-	fs.BoolVar(&c.verbose, "v", false, "stream coordinator progress to stderr")
+	fs.DurationVar(&c.deadline, "timeout", 0, "end-to-end run deadline (0 = none)")
+	fs.BoolVar(&c.jsonOut, "json", false, "emit the run as JSON (run adds fleet metadata)")
+	fs.BoolVar(&c.verbose, "v", false, "stream progress to stderr")
 	fs.StringVar(&c.traceOut, "trace", "", "record a run trace and write Chrome trace-event JSON here")
 	fs.IntVar(&c.traceCap, "trace-cap", 0, "completed-span ring capacity for -trace (0 = 1M client-side, server default on submit)")
 	fs.IntVar(&c.limit, "limit", 0, "truncate instance lists (0 = full size)")
@@ -174,7 +165,54 @@ func runFlags(c *runConfig) *flag.FlagSet {
 	fs.BoolVar(&c.cache, "cache", true, "memoize formal equivalence checks within each worker")
 	fs.IntVar(&c.maxBound, "maxbound", 0, "cap for the formal backend's bound ramp (0 = defaults)")
 	fs.Int64Var(&c.budget, "budget", 0, "SAT conflict budget per formal query (0 = default)")
-	return fs
+}
+
+// runConfig adds the coordinator flags that only run reads: the fleet
+// and the shard retry policy.
+type runConfig struct {
+	requestConfig
+	workers  string
+	local    int
+	shards   int
+	attempts int
+	timeout  time.Duration
+	hedge    bool
+	backoff  time.Duration
+	backCap  time.Duration
+	seed     int64
+	faults   string
+}
+
+func coordinatorFlags(fs *flag.FlagSet, c *runConfig) {
+	fs.StringVar(&c.workers, "workers", "", "comma-separated fvevald worker URLs (http://host:port,...)")
+	fs.IntVar(&c.local, "local", 0, "spin N in-process loopback engines instead of remote workers (0 = NumCPU when -workers is empty)")
+	fs.IntVar(&c.shards, "shards", 0, "shard count override (0 = one per worker)")
+	fs.IntVar(&c.attempts, "attempts", 0, "max attempts per shard before the run fails (0 = 3)")
+	fs.DurationVar(&c.timeout, "shard-timeout", 0, "per-attempt deadline; an expired shard is reassigned (0 = none)")
+	fs.BoolVar(&c.hedge, "hedge", false, "speculatively re-dispatch the last straggler shard to an idle worker")
+	fs.DurationVar(&c.backoff, "backoff", 0, "base shard retry backoff, doubled per attempt with full jitter (0 = 50ms)")
+	fs.DurationVar(&c.backCap, "backoff-cap", 0, "shard retry backoff ceiling (0 = 2s)")
+	fs.Int64Var(&c.seed, "seed", 0, "deterministic seed for retry jitter and hedge timing (0 = 1)")
+	fs.StringVar(&c.faults, "faults", "", "client-side fault-injection plan (requires a -tags faultinject build)")
+}
+
+// submitConfig adds the flags that only submit reads: the service to
+// queue on and the submission envelope.
+type submitConfig struct {
+	requestConfig
+	to          string
+	apiKey      string
+	distributed bool
+	priority    int
+	follow      bool
+}
+
+func submitFlags(fs *flag.FlagSet, c *submitConfig) {
+	fs.StringVar(&c.to, "to", "", "fvevald base URL (required)")
+	fs.StringVar(&c.apiKey, "api-key", "", "X-API-Key admission identity")
+	fs.BoolVar(&c.distributed, "distributed", false, "fan the run across the service's registered worker fleet")
+	fs.IntVar(&c.priority, "priority", 0, "admission priority 0..9 (higher runs first)")
+	fs.BoolVar(&c.follow, "follow", false, "wait for the run and print its report")
 }
 
 // aliasPattern resolves tableN / figN / figureN task aliases.
@@ -194,7 +232,9 @@ func resolveTask(name string) (*task.Spec, error) {
 }
 
 // buildRequest resolves the task and option flags into a request.
-func buildRequest(c *runConfig) (task.Request, error) {
+// Parameters the task does not accept are left to Request.Validate,
+// which the coordinator and the service both run before any work.
+func buildRequest(c *requestConfig) (task.Request, error) {
 	if c.taskName == "" {
 		return task.Request{}, fmt.Errorf("missing -task (see fvevalctl tasks)")
 	}
@@ -202,8 +242,9 @@ func buildRequest(c *runConfig) (task.Request, error) {
 	if err != nil {
 		return task.Request{}, err
 	}
-	req := task.Request{
-		Task: spec.Name,
+	return task.Request{
+		Task:   spec.Name,
+		Params: task.Params{Count: c.count},
 		Options: engine.Config{
 			Limit:    c.limit,
 			Samples:  c.samples,
@@ -212,23 +253,16 @@ func buildRequest(c *runConfig) (task.Request, error) {
 			Workers:  c.parallel,
 			NoCache:  !c.cache,
 		},
-	}
-	if c.count > 0 {
-		if !acceptsCount(spec) {
-			return task.Request{}, fmt.Errorf("task %s does not accept -count", spec.Name)
-		}
-		req.Params.Count = c.count
-	}
-	return req, nil
+	}, nil
 }
 
 func runCmd(args []string) error {
 	var c runConfig
-	fs := runFlags(&c)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	req, err := buildRequest(&c)
+	fs := flag.NewFlagSet("run", flag.ExitOnError)
+	requestFlags(fs, &c.requestConfig)
+	coordinatorFlags(fs, &c)
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits 2, no error comes back
+	req, err := buildRequest(&c.requestConfig)
 	if err != nil {
 		return err
 	}
@@ -333,33 +367,13 @@ func activateFaults(spec string) error {
 	return nil
 }
 
-// buildFleet resolves -workers / -registry / -local into runners.
+// buildFleet resolves -workers / -local into runners.
 func buildFleet(c *runConfig) ([]dist.Runner, error) {
 	if c.local < 0 {
 		return nil, fmt.Errorf("-local %d out of range", c.local)
 	}
-	modes := 0
-	for _, set := range []bool{c.workers != "", c.registry != "", c.local > 0} {
-		if set {
-			modes++
-		}
-	}
-	if modes > 1 {
-		return nil, fmt.Errorf("-workers, -registry, and -local are mutually exclusive")
-	}
-	if c.registry != "" {
-		workers, err := client.New(c.registry).Workers(context.Background())
-		if err != nil {
-			return nil, fmt.Errorf("registry %s: %w", c.registry, err)
-		}
-		if len(workers) == 0 {
-			return nil, fmt.Errorf("registry %s lists no live workers", c.registry)
-		}
-		runners := make([]dist.Runner, len(workers))
-		for i, w := range workers {
-			runners[i] = dist.NewHTTPRunner(w.URL)
-		}
-		return runners, nil
+	if c.workers != "" && c.local > 0 {
+		return nil, fmt.Errorf("-workers and -local are mutually exclusive")
 	}
 	if c.workers != "" {
 		var runners []dist.Runner
@@ -385,51 +399,29 @@ func buildFleet(c *runConfig) ([]dist.Runner, error) {
 	return dist.Loopback(n, engine.Config{}), nil
 }
 
-func acceptsCount(spec *task.Spec) bool {
-	for _, f := range spec.Accepts {
-		if f == "count" {
-			return true
-		}
-	}
-	return false
-}
-
 // submitCmd queues a run on a fvevald service. Without -follow it
 // prints the run id and exits; with -follow it streams progress and
 // prints the finished report.
 func submitCmd(args []string) error {
-	var c runConfig
-	var (
-		to          string
-		apiKey      string
-		distributed bool
-		priority    int
-		follow      bool
-	)
-	fs := runFlags(&c)
-	fs.Init("submit", flag.ContinueOnError)
-	fs.StringVar(&to, "to", "", "fvevald base URL (required)")
-	fs.StringVar(&apiKey, "api-key", "", "X-API-Key admission identity")
-	fs.BoolVar(&distributed, "distributed", false, "fan the run across the service's registered worker fleet")
-	fs.IntVar(&priority, "priority", 0, "admission priority 0..9 (higher runs first)")
-	fs.BoolVar(&follow, "follow", false, "wait for the run and print its report")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if to == "" {
+	var c submitConfig
+	fs := flag.NewFlagSet("submit", flag.ExitOnError)
+	requestFlags(fs, &c.requestConfig)
+	submitFlags(fs, &c)
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits 2, no error comes back
+	if c.to == "" {
 		return fmt.Errorf("missing -to <url>")
 	}
-	req, err := buildRequest(&c)
+	req, err := buildRequest(&c.requestConfig)
 	if err != nil {
 		return err
 	}
 	if c.traceOut != "" {
 		req.Trace = &obs.TraceContext{Cap: c.traceCap}
 	}
-	cl := newClient(to, apiKey)
-	sub := api.Submission{Request: req, Distributed: distributed, Priority: priority, TimeoutMS: c.deadline.Milliseconds()}
+	cl := newClient(c.to, c.apiKey)
+	sub := api.Submission{Request: req, Distributed: c.distributed, Priority: c.priority, TimeoutMS: c.deadline.Milliseconds()}
 
-	if !follow {
+	if !c.follow {
 		resp, err := cl.Submit(context.Background(), sub)
 		if err != nil {
 			return err
@@ -437,7 +429,7 @@ func submitCmd(args []string) error {
 		fmt.Fprintf(os.Stderr, "fvevalctl: %s %s (position %d, cached %v)\n", resp.ID, resp.Status, resp.Position, resp.Cached)
 		if c.traceOut != "" {
 			fmt.Fprintf(os.Stderr, "fvevalctl: tracing on; export later with: fvevalctl trace -to %s -o %s %s\n",
-				to, c.traceOut, resp.ID)
+				c.to, c.traceOut, resp.ID)
 		}
 		fmt.Println(resp.ID)
 		return nil
@@ -469,14 +461,12 @@ func submitCmd(args []string) error {
 // and write it as Chrome trace-event JSON (Perfetto-loadable), or as
 // the raw span NDJSON with -raw.
 func traceCmd(args []string) error {
-	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
+	fs := flag.NewFlagSet("trace", flag.ExitOnError)
 	to := fs.String("to", "", "fvevald base URL (required)")
 	apiKey := fs.String("api-key", "", "X-API-Key admission identity")
 	out := fs.String("o", "", "output file (default stdout)")
 	raw := fs.Bool("raw", false, "emit the raw span NDJSON instead of Chrome trace-event JSON")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits 2, no error comes back
 	if *to == "" {
 		return fmt.Errorf("missing -to <url>")
 	}
@@ -534,12 +524,10 @@ func writeChromeTrace(path string, spans []obs.SpanData, dropped int64) error {
 // byte-stable across server restarts, which is what the smoke tests
 // diff.
 func reportCmd(args []string) error {
-	fs := flag.NewFlagSet("report", flag.ContinueOnError)
+	fs := flag.NewFlagSet("report", flag.ExitOnError)
 	to := fs.String("to", "", "fvevald base URL (required)")
 	apiKey := fs.String("api-key", "", "X-API-Key admission identity")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits 2, no error comes back
 	if *to == "" {
 		return fmt.Errorf("missing -to <url>")
 	}
@@ -581,12 +569,10 @@ func printRunView(view api.RunView, jsonOut bool) error {
 
 // workersCmd lists the live registered fleet.
 func workersCmd(args []string) error {
-	fs := flag.NewFlagSet("workers", flag.ContinueOnError)
+	fs := flag.NewFlagSet("workers", flag.ExitOnError)
 	to := fs.String("to", "", "fvevald base URL (required)")
 	jsonOut := fs.Bool("json", false, "emit JSON")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits 2, no error comes back
 	if *to == "" {
 		return fmt.Errorf("missing -to <url>")
 	}
@@ -608,11 +594,9 @@ func workersCmd(args []string) error {
 
 // metricsCmd scrapes and prints the service /metrics exposition.
 func metricsCmd(args []string) error {
-	fs := flag.NewFlagSet("metrics", flag.ContinueOnError)
+	fs := flag.NewFlagSet("metrics", flag.ExitOnError)
 	to := fs.String("to", "", "fvevald base URL (required)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits 2, no error comes back
 	if *to == "" {
 		return fmt.Errorf("missing -to <url>")
 	}

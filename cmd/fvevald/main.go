@@ -30,9 +30,9 @@
 //
 // A process can be both coordinator and worker. Started with -join,
 // it registers its own -advertise URL with the coordinator and
-// heartbeats for as long as it lives, so `fvevalctl run -registry`
-// and server-side distributed runs discover the fleet without any
-// static -workers flag list.
+// heartbeats for as long as it lives, so the coordinator's
+// distributed runs (`"distributed": true`, or `fvevalctl submit
+// -distributed`) find the fleet without a static -workers list.
 //
 // Quick start:
 //

@@ -48,10 +48,6 @@ import (
 // malformed values (negative sizes or budgets) instead of clamping.
 type Options = engine.Config
 
-// Shard restricts a process to one horizontal slice of the instance
-// axis for multi-process runs.
-type Shard = engine.Shard
-
 // TaskSpec describes one registry task: name, paper table/figure,
 // default parameters, and which parameters it accepts.
 type TaskSpec = task.Spec
@@ -78,25 +74,8 @@ type Result = task.Run
 
 // Engine executes registry tasks over one shared memo pool
 // (equivalence cache, judgment memos, formal counters); reuse one
-// engine across runs to share the pool. Engine.RunPartial evaluates
-// one shard of a distributed run (see Options.Shard and Partial).
+// engine across runs to share the pool.
 type Engine = task.Engine
-
-// Partial is one shard's raw contribution to a distributed run: the
-// outcome grids with slot provenance instead of aggregated rows. A
-// complete shard partition recombines via MergeReports; the
-// coordinator in internal/dist (cmd/fvevalctl) automates the fan-out.
-type Partial = task.Partial
-
-// MergeReports deterministically recombines a complete shard
-// partition into the unified Report. The merge is commutative, and
-// Render/Encode output is byte-identical to an unsharded run with the
-// same parameters.
-func MergeReports(partials []*Partial) (*Report, error) { return task.MergeReports(partials) }
-
-// MergeRuns is MergeReports plus folded execution metadata, shaped
-// like a local Engine.Run result.
-func MergeRuns(partials []*Partial) (*Result, error) { return task.MergeRuns(partials) }
 
 // CacheStats reports equivalence-cache hit/miss counters for a run.
 type CacheStats = equiv.CacheStats

@@ -205,7 +205,12 @@ func TestCoordinatorBenchesDeadWorker(t *testing.T) {
 // TestCoordinatorFailsWhenFleetDies demands a clean error — not a
 // hang — when every worker is dead.
 func TestCoordinatorFailsWhenFleetDies(t *testing.T) {
-	c, err := New([]Runner{&deadRunner{name: "a"}, &deadRunner{name: "b"}}, Options{Shards: 2})
+	c, err := New([]Runner{&deadRunner{name: "a"}, &deadRunner{name: "b"}}, Options{
+		Shards:          2,
+		BreakerCooldown: 5 * time.Millisecond,
+		BackoffBase:     time.Millisecond,
+		BackoffCap:      2 * time.Millisecond,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -250,7 +250,9 @@ func outcomeKind(o core.Outcome) string {
 // the task's spec, the evaluation runs on this engine's memo pool
 // under the request's options, progress streams to req.Progress, and
 // the unified report comes back with run metadata. Cancelling ctx
-// aborts the evaluation and returns ctx.Err().
+// aborts the evaluation and returns ctx.Err(). A shard-scoped request
+// is an error: one slice's aggregated table is not the task's, so
+// shards go through RunPartial.
 func (e *Engine) Run(ctx context.Context, req Request) (*Run, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -258,6 +260,9 @@ func (e *Engine) Run(ctx context.Context, req Request) (*Run, error) {
 	spec, p, eng, err := e.prepare(req)
 	if err != nil {
 		return nil, err
+	}
+	if sh := eng.Config().Shard; sh.Enabled() {
+		return nil, fmt.Errorf("task %s: shard %d/%d is a partial run; use RunPartial", spec.Name, sh.Index, sh.Count)
 	}
 	groups, stats, err := e.execute(ctx, spec, p, eng, req.Progress)
 	if err != nil {

@@ -18,9 +18,9 @@ import (
 // into a Report byte-identical to an unsharded Engine.Run — the merge
 // invariant the distributed layer (internal/dist) is built on.
 //
-// Partials round-trip through JSON (Encode/DecodePartial), so they
-// double as the fvevald partial-run response body and the cmd/fveval
-// -shard output format.
+// Partials round-trip through JSON (Encode/DecodePartial): they are
+// the fvevald partial-run response body a coordinator reads back from
+// each worker.
 type Partial struct {
 	// Task is the registry name; Params echo the fully resolved
 	// parameters (identical across every shard of one run).

@@ -247,3 +247,23 @@ func TestMergeRejectsBrokenPartitions(t *testing.T) {
 		t.Errorf("mixed options: got %v", err)
 	}
 }
+
+// TestRunRejectsShardedRequest pins that Run refuses a shard-scoped
+// request — set on the request or on the engine's defaults — instead
+// of rendering one slice's table as the task's; RunPartial takes it.
+func TestRunRejectsShardedRequest(t *testing.T) {
+	sharded := engine.Config{Limit: 6, Workers: 2, Shard: engine.Shard{Index: 1, Count: 3}}
+	req := Request{Task: "nl2sva-human", Params: Params{Models: []string{"gpt-4o"}}}
+
+	viaRequest := req
+	viaRequest.Options = sharded
+	if _, err := NewEngine(engine.Config{}).Run(context.Background(), viaRequest); err == nil || !strings.Contains(err.Error(), "RunPartial") {
+		t.Errorf("sharded request: got %v, want an error naming RunPartial", err)
+	}
+	if _, err := NewEngine(sharded).Run(context.Background(), req); err == nil || !strings.Contains(err.Error(), "RunPartial") {
+		t.Errorf("sharded engine default: got %v, want an error naming RunPartial", err)
+	}
+	if _, err := NewEngine(engine.Config{}).RunPartial(context.Background(), viaRequest); err != nil {
+		t.Errorf("RunPartial on the same request: %v", err)
+	}
+}

@@ -3,11 +3,12 @@
 # plus two workers that register themselves with it, and drive
 # distributed runs through fvevalctl four ways — static -workers
 # fleet, dead-worker retry, loopback fleet, and the registered fleet
-# via -registry and a server-side -distributed submission — demanding
+# via a server-side `submit -distributed` run — demanding
 # byte-identical output against the single-process run each time.
 # Then kill -9 the coordinator, restart it on the same data dir, and
 # check the finished run is served byte-identical from the recovered
-# journal while the workers re-register on their own. A traced
+# journal while the workers re-register on their own and serve a
+# fresh distributed submission. A traced
 # distributed submission then exercises the observability path: the
 # stitched span tree is fetched from /v1/runs/{id}/trace and
 # jq-validated (single root, worker spans present), the Perfetto
@@ -103,10 +104,6 @@ echo "cluster-smoke: 4 loopback workers"
 "$BIN/fvevalctl" run -task table1 -local 4 2>/dev/null >"$BIN/loop4.out"
 diff "$BIN/single.out" "$BIN/loop4.out"
 
-echo "cluster-smoke: registered fleet via -registry (no static worker flags)"
-"$BIN/fvevalctl" run -task table1 -registry "$COORD_URL" 2>/dev/null >"$BIN/reg.out"
-diff "$BIN/single.out" "$BIN/reg.out"
-
 echo "cluster-smoke: server-side distributed run over the registered fleet"
 "$BIN/fvevalctl" submit -to "$COORD_URL" -task table1 -distributed -follow \
   2>/dev/null >"$BIN/sdist.out"
@@ -145,7 +142,10 @@ diff "$BIN/pre-crash.json" "$BIN/post-crash.json"
 
 echo "cluster-smoke: workers re-register with the restarted coordinator"
 wait_fleet
-"$BIN/fvevalctl" run -task table1 -registry "$COORD_URL" 2>/dev/null >"$BIN/reg2.out"
+# -cache=false keeps the recovered result cache out of the way, so the
+# run is dispatched to the re-registered fleet.
+"$BIN/fvevalctl" submit -to "$COORD_URL" -task table1 -distributed -follow -cache=false \
+  2>/dev/null >"$BIN/reg2.out"
 diff "$BIN/single.out" "$BIN/reg2.out"
 
 echo "cluster-smoke: traced distributed run (stitched spans + Perfetto export)"
