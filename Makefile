@@ -9,11 +9,15 @@ build:
 test:
 	$(GO) test -race ./...
 
-# fuzz explores the SAT solver's incremental interface (gated clauses,
-# retired activation literals, assumptions) past the seed corpus that
-# go test runs, checking every answer by brute force.
+# fuzz explores past the seed corpora that go test runs: the SAT
+# solver's incremental interface (gated clauses, retired activation
+# literals, assumptions) checked by brute force, the equivalence checker
+# against its one-shot oracle with every witness replayed, and the SVA
+# parser on arbitrary text.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzIncremental -fuzztime=15s ./internal/sat
+	$(GO) test -run='^$$' -fuzz=FuzzCheckDifferential -fuzztime=15s ./internal/equiv
+	$(GO) test -run='^$$' -fuzz=FuzzParseAssertion -fuzztime=15s ./internal/sva
 
 # examples runs every program under examples/, the public facade's
 # only non-test callers.

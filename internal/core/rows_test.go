@@ -46,7 +46,7 @@ func rowResponses(models []llm.Model, p *llm.Prompt) []string {
 }
 
 func sharedOptions() mc.Options {
-	return mc.Options{SimPatterns: 128, Bank: formal.NewBank(0)}
+	return mc.Options{Search: formal.Search{SimPatterns: 128, Bank: formal.NewBank(0)}}
 }
 
 func TestDesignRowsMatchFreshChecks(t *testing.T) {

@@ -323,45 +323,33 @@ func (e *Engine) CacheStats() equiv.CacheStats { return e.st.cache.Stats() }
 // and bound-ramp counters for this engine's runs.
 func (e *Engine) FormalStats() formal.Snapshot { return e.st.formal.Snapshot() }
 
-// SimStats snapshots the simulation-prefilter counters (a projection
-// of FormalStats, for callers that only surface the prefilter).
-func (e *Engine) SimStats() formal.SimStats { return e.st.formal.Snapshot().Sim }
-
-// simBank resolves the pattern bank the formal backend should use:
-// the shared pool bank, or nil when the prefilter is off (no point
-// collecting patterns nothing will replay).
-func (e *Engine) simBank() *formal.Bank {
-	if e.cfg.SimPatterns == 0 {
-		return nil
-	}
-	return e.st.bank
-}
-
-// equivOptions resolves the equivalence-checker options for this run;
-// the context's current span (if the run is traced) rides along so the
-// checker can hang its ramp-step and prefilter spans under the job.
-func (e *Engine) equivOptions(ctx context.Context) equiv.Options {
-	return equiv.Options{
+// search resolves the formal-search options both checkers share; the
+// context's current span (if the run is traced) rides along so the
+// checkers can hang their prefilter and solver spans under the job.
+// The pool's pattern bank is left out when the prefilter is off: no
+// point collecting patterns nothing will replay.
+func (e *Engine) search(ctx context.Context) formal.Search {
+	s := formal.Search{
 		Budget:      e.cfg.Budget,
-		MaxBound:    e.cfg.MaxBound,
 		SimPatterns: e.cfg.SimPatterns,
-		Bank:        e.simBank(),
 		Stats:       e.st.formal,
 		Span:        obs.SpanFrom(ctx),
 	}
+	if s.SimPatterns > 0 {
+		s.Bank = e.st.bank
+	}
+	return s
+}
+
+// equivOptions resolves the equivalence-checker options for this run.
+func (e *Engine) equivOptions(ctx context.Context) equiv.Options {
+	return equiv.Options{MaxBound: e.cfg.MaxBound, Search: e.search(ctx)}
 }
 
 // mcOptions resolves the model-checker options for this run. MaxBound
 // caps the falsification depth; proof depths stay at backend defaults.
 func (e *Engine) mcOptions(ctx context.Context) mc.Options {
-	return mc.Options{
-		Budget:      e.cfg.Budget,
-		BMCDepth:    e.cfg.MaxBound,
-		SimPatterns: e.cfg.SimPatterns,
-		Bank:        e.simBank(),
-		Stats:       e.st.formal,
-		Span:        obs.SpanFrom(ctx),
-	}
+	return mc.Options{BMCDepth: e.cfg.MaxBound, Search: e.search(ctx)}
 }
 
 // ---- row-scheduled job grid ---------------------------------------------

@@ -48,11 +48,11 @@ func TestPrefilterDoesNotChangeTables(t *testing.T) {
 			}
 		}
 	}
-	if eOn.SimStats().Patterns == 0 {
+	if eOn.FormalStats().Sim.Patterns == 0 {
 		t.Fatal("prefilter engine simulated nothing; the comparison is vacuous")
 	}
-	if eOff.SimStats().Patterns != 0 {
-		t.Fatalf("NoSim engine still simulated: %+v", eOff.SimStats())
+	if eOff.FormalStats().Sim.Patterns != 0 {
+		t.Fatalf("NoSim engine still simulated: %+v", eOff.FormalStats().Sim)
 	}
 
 	dOn := New(Config{Limit: 2, Samples: 2})

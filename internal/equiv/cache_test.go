@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"fveval/internal/formal"
 	"fveval/internal/sva"
 )
 
@@ -70,7 +71,7 @@ func TestCacheKeySeparatesDifferentQueries(t *testing.T) {
 	if _, err := c.Check(a, b, wide, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Check(a, b, sigs, Options{Budget: 5000}); err != nil {
+	if _, err := c.Check(a, b, sigs, Options{Search: formal.Search{Budget: 5000}}); err != nil {
 		t.Fatal(err)
 	}
 	st := c.Stats()

@@ -19,30 +19,29 @@ import (
 // reuse.
 
 // oneShotFindWitness is the fixed-bound oracle: one builder, one
-// solver, one query at bound k.
-func oneShotFindWitness(f, g ltl.Formula, sigs *Sigs, k int, usesPast, unbounded bool, opt Options) (*Trace, error) {
+// solver, one query at bound k. It reports whether a trace satisfying
+// f and violating g exists.
+func oneShotFindWitness(f, g ltl.Formula, sigs *Sigs, k int, usesPast, unbounded bool, opt Options) (bool, error) {
 	b := logic.NewBuilder()
 	env := ltl.NewTraceEnv(b, sigs.Widths, sigs.Consts)
-	ev := &ltl.ExprEval{Ops: bitvec.Ops{B: b}, Env: env}
+	q := &query{env: env, ev: &ltl.ExprEval{Ops: bitvec.Ops{B: b}, Env: env}}
 	names := unionNames(f, g)
 
-	perLoop := make(map[int]logic.Node)
 	total := logic.False
 	for _, l := range loopsFor(k, usesPast, unbounded) {
-		le := ltl.NewLassoEval(ev, k, l)
+		le := ltl.NewLassoEval(q.ev, k, l)
 		tf, err := le.Truth(f, 0)
 		if err != nil {
-			return nil, err
+			return false, err
 		}
 		tg, err := le.Truth(g, 0)
 		if err != nil {
-			return nil, err
+			return false, err
 		}
 		viol := b.And(tf, tg.Not())
 		if usesPast && l >= 1 {
-			viol = b.And(viol, seamConstraint(b, env, ev, names, l, k))
+			viol = b.And(viol, q.seamConstraint(names, l, k))
 		}
-		perLoop[l] = viol
 		total = b.Or(total, viol)
 	}
 
@@ -52,17 +51,11 @@ func oneShotFindWitness(f, g ltl.Formula, sigs *Sigs, k int, usesPast, unbounded
 	}
 	cnf := logic.NewCNF(b, s)
 	cnf.Assert(total)
-	ok, model, err := s.SolveModel()
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, nil
-	}
-	return decodeTrace(b, env, cnf, model, names, sigs, k, perLoop), nil
+	return s.Solve()
 }
 
-// oneShotCheck mirrors Check but runs the oracle solve path.
+// oneShotCheck mirrors Check but runs the oracle solve path for the
+// implication directions.
 func oneShotCheck(a, b *sva.Assertion, sigs *Sigs, opt Options) (Result, error) {
 	if a.ClockEdge != b.ClockEdge {
 		return Result{Verdict: Inequivalent}, nil
@@ -75,7 +68,7 @@ func oneShotCheck(a, b *sva.Assertion, sigs *Sigs, opt Options) (Result, error) 
 	if err != nil {
 		return Result{}, err
 	}
-	condRel, err := disableRelation(a.DisableIff, b.DisableIff, sigs, opt)
+	condRel, err := newQuery(sigs, opt).disableRelation(a.DisableIff, b.DisableIff)
 	if err != nil {
 		return Result{}, err
 	}
@@ -104,21 +97,21 @@ func oneShotCheck(a, b *sva.Assertion, sigs *Sigs, opt Options) (Result, error) 
 	usesPast := ltl.UsesPast(fa) || ltl.UsesPast(fb)
 	unbounded := ltl.HasUnbounded(fa) || ltl.HasUnbounded(fb)
 
-	abTrace, err := oneShotFindWitness(fa, fb, sigs, k, usesPast, unbounded, opt)
+	ab, err := oneShotFindWitness(fa, fb, sigs, k, usesPast, unbounded, opt)
 	if err != nil {
 		return Result{}, err
 	}
-	baTrace, err := oneShotFindWitness(fb, fa, sigs, k, usesPast, unbounded, opt)
+	ba, err := oneShotFindWitness(fb, fa, sigs, k, usesPast, unbounded, opt)
 	if err != nil {
 		return Result{}, err
 	}
-	res := Result{AB: abTrace, BA: baTrace, Bound: k}
+	res := Result{Bound: k}
 	switch {
-	case abTrace == nil && baTrace == nil:
+	case !ab && !ba:
 		res.Verdict = Equivalent
-	case abTrace == nil:
+	case !ab:
 		res.Verdict = AImpliesB
-	case baTrace == nil:
+	case !ba:
 		res.Verdict = BImpliesA
 	default:
 		res.Verdict = Inequivalent
@@ -197,7 +190,7 @@ func TestDifferentialPrefilterVsSolver(t *testing.T) {
 	compare := func(a, b *sva.Assertion, tag string) {
 		t.Helper()
 		pre := st.Snapshot().Sim.Refutations
-		got, err1 := Check(a, b, sigs, Options{SimPatterns: 128, Bank: bank, Stats: &st})
+		got, err1 := Check(a, b, sigs, Options{Search: formal.Search{SimPatterns: 128, Bank: bank, Stats: &st}})
 		want, err2 := Check(a, b, sigs, Options{})
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("%s: error disagreement: prefilter=%v solver=%v\nA: %s\nB: %s",

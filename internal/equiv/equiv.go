@@ -3,7 +3,12 @@
 // Jasper function in the paper's evaluation flow (§3.2). Signals are
 // treated as unconstrained inputs of their declared widths; two
 // assertions are compared per evaluation attempt over all infinite
-// (ultimately periodic) traces.
+// (ultimately periodic) traces. Equivalence checking is model checking
+// over a stateless environment (ltl.TraceEnv: every signal a free
+// input at every position), so each Check runs on the same
+// bounded-search core as package mc: the disable-iff comparison and
+// the two implication directions are obligations on one
+// formal.Session.
 //
 // Verdicts mirror the paper's metrics: Equivalent feeds the Func
 // metric; either implication direction additionally feeds the
@@ -19,8 +24,6 @@ import (
 	"fveval/internal/formal"
 	"fveval/internal/logic"
 	"fveval/internal/ltl"
-	"fveval/internal/obs"
-	"fveval/internal/sat"
 	"fveval/internal/sva"
 )
 
@@ -54,7 +57,13 @@ type Sigs struct {
 	Consts map[string]ltl.ConstVal
 }
 
-// Options tunes the checker.
+// Options tunes the checker. The embedded formal.Search carries the
+// conflict budget (each ramp step of each direction gets the full
+// allowance, so the final-bound solve keeps the budget a one-shot
+// check would give it), the simulation prefilter (run over each
+// direction's violation cone before its solve; a satisfying lane is
+// the direction's witness), the pattern bank and the run-wide sinks.
+// None of them affects a verdict, and the cache keys only the budget.
 type Options struct {
 	// MaxBound caps the lasso length K the ramp may grow to
 	// (0 = default 16).
@@ -63,36 +72,12 @@ type Options struct {
 	// (clamped to the formula depth + 1) and disables the ramp —
 	// one solve at that bound; used by bound-sweep ablations.
 	Bound int
-	// Budget caps SAT conflicts per solver call (0 = unlimited): each
-	// ramp step of each direction gets the full allowance, so the
-	// authoritative final-bound solve keeps exactly the budget the
-	// former one-shot check gave it.
-	Budget int64
-	// SimPatterns enables the bit-parallel simulation prefilter
-	// (DESIGN.md §10): before each direction's SAT call, this many
-	// random patterns (rounded up to 64-lane rounds, plus recycled
-	// Bank patterns) are simulated over the violation cone, and a lane
-	// satisfying it decides the direction — with the lane as the
-	// witness — without opening the solver. 0 disables. The prefilter
-	// is refute-only, so verdicts are identical either way (and the
-	// knob is excluded from cache keys).
-	SimPatterns int
-	// Bank, when non-nil, supplies recycled counterexample patterns to
-	// the prefilter and receives every SAT witness found here, so later
-	// queries in the same run are refuted by earlier counterexamples.
-	Bank *formal.Bank
-	// Stats, when non-nil, receives solver-reuse and ramp counters.
-	// It never affects verdicts (and is excluded from cache keys).
-	Stats *formal.Stats
-	// Span, when non-nil, is the traced parent span of this check:
-	// every ramp step and prefilter decision records a child span under
-	// it. Like Stats it never affects verdicts and is excluded from
-	// cache keys; a nil Span makes every span call a no-op.
-	Span *obs.Span
+	formal.Search
 }
 
 // Trace is a decoded counterexample: signal values per position with a
-// loop back-edge from the last position to Loop.
+// loop back-edge from the last position to Loop. Signals may share
+// storage with the run's pattern bank: read-only.
 type Trace struct {
 	Loop    int
 	Len     int
@@ -129,7 +114,10 @@ type Result struct {
 	Bound int
 }
 
-// Check decides the relationship between two assertions.
+// Check decides the relationship between two assertions. Everything
+// it solves — the disable-iff comparison and both implication
+// directions — runs as obligations on one session over a trace
+// environment where every signal is a free input at every position.
 func Check(a, b *sva.Assertion, sigs *Sigs, opt Options) (Result, error) {
 	// Clock compatibility: assertion equivalence is defined relative to
 	// a common clocking event.
@@ -146,16 +134,20 @@ func Check(a, b *sva.Assertion, sigs *Sigs, opt Options) (Result, error) {
 		return Result{}, err
 	}
 
+	started := time.Now()
+	defer func() { opt.Stats.SolveWall(time.Since(started).Nanoseconds()) }()
+	q := newQuery(sigs, opt)
+
 	// Reconcile disable-iff conditions (see DESIGN.md §4): equal
 	// conditions reduce the comparison to abort-free traces; a missing
 	// condition on one side can only weaken verdicts toward the
 	// implication from the stronger (undisabled) assertion.
-	condRel, err := disableRelation(a.DisableIff, b.DisableIff, sigs, opt)
+	condRel, err := q.disableRelation(a.DisableIff, b.DisableIff)
 	if err != nil {
 		return Result{}, err
 	}
 
-	res, err := checkFormulas(fa, fb, sigs, opt)
+	res, err := q.checkFormulas(fa, fb)
 	if err != nil {
 		return Result{}, err
 	}
@@ -163,18 +155,21 @@ func Check(a, b *sva.Assertion, sigs *Sigs, opt Options) (Result, error) {
 	return res, nil
 }
 
-// CheckProperties compares two bare properties (no clocking or disable
-// handling) — used by tests and the model checker.
-func CheckProperties(pa, pb sva.Property, sigs *Sigs, opt Options) (Result, error) {
-	fa, err := ltl.LowerProperty(pa)
-	if err != nil {
-		return Result{}, err
-	}
-	fb, err := ltl.LowerProperty(pb)
-	if err != nil {
-		return Result{}, err
-	}
-	return checkFormulas(fa, fb, sigs, opt)
+// query is one Check's session: a stateless trace environment over the
+// session's builder.
+type query struct {
+	ss  *formal.Session
+	env *ltl.TraceEnv
+	ev  *ltl.ExprEval
+	opt Options
+
+	cols []formal.Column // columns' buffer, reused across queries
+}
+
+func newQuery(sigs *Sigs, opt Options) *query {
+	ss := formal.NewSession()
+	env := ltl.NewTraceEnv(ss.B, sigs.Widths, sigs.Consts)
+	return &query{ss: ss, env: env, ev: &ltl.ExprEval{Ops: bitvec.Ops{B: ss.B}, Env: env}, opt: opt}
 }
 
 // disable relation outcomes.
@@ -187,7 +182,7 @@ const (
 	disDiffers                   // both present but inequivalent
 )
 
-func disableRelation(da, db sva.Expr, sigs *Sigs, opt Options) (disableRel, error) {
+func (q *query) disableRelation(da, db sva.Expr) (disableRel, error) {
 	switch {
 	case da == nil && db == nil:
 		return disSame, nil
@@ -196,7 +191,7 @@ func disableRelation(da, db sva.Expr, sigs *Sigs, opt Options) (disableRel, erro
 	case da == nil && db != nil:
 		return disOnlyB, nil
 	}
-	eq, err := boolExprEquivalent(da, db, sigs, opt)
+	eq, err := q.boolExprEquivalent(da, db)
 	if err != nil {
 		return disSame, err
 	}
@@ -230,35 +225,26 @@ func combineDisable(body Verdict, rel disableRel) Verdict {
 	return Inequivalent
 }
 
-// boolExprEquivalent SAT-checks two boolean-layer expressions for
-// functional equality over free signals.
-func boolExprEquivalent(x, y sva.Expr, sigs *Sigs, opt Options) (bool, error) {
-	b := logic.NewBuilder()
-	env := ltl.NewTraceEnv(b, sigs.Widths, sigs.Consts)
-	ev := &ltl.ExprEval{Ops: bitvec.Ops{B: b}, Env: env}
-	nx, err := ev.Bool(x, 0)
+// boolExprEquivalent decides functional equality of two boolean-layer
+// expressions over free signals: one obligation, one solve of their
+// difference at position 0.
+func (q *query) boolExprEquivalent(x, y sva.Expr) (bool, error) {
+	nx, err := q.ev.Bool(x, 0)
 	if err != nil {
 		return false, err
 	}
-	ny, err := ev.Bool(y, 0)
+	ny, err := q.ev.Bool(y, 0)
 	if err != nil {
 		return false, err
 	}
-	diff := b.Xor(nx, ny)
-	s := sat.New()
-	if opt.Budget > 0 {
-		s.SetBudget(opt.Budget)
-	}
-	cnf := logic.NewCNF(b, s)
-	cnf.Assert(diff)
-	satisfiable, err := s.Solve()
-	if err != nil {
-		return false, err
-	}
-	return !satisfiable, nil
+	ob := q.ss.Open(q.opt.Search)
+	differ, _, err := ob.Solve("ramp", 1, q.ss.B.Xor(nx, ny))
+	ob.Close(false)
+	return !differ, err
 }
 
-func checkFormulas(fa, fb ltl.Formula, sigs *Sigs, opt Options) (Result, error) {
+func (q *query) checkFormulas(fa, fb ltl.Formula) (Result, error) {
+	opt := q.opt
 	depth := ltl.Depth(fa)
 	if d := ltl.Depth(fb); d > depth {
 		depth = d
@@ -303,23 +289,7 @@ func checkFormulas(fa, fb ltl.Formula, sigs *Sigs, opt Options) (Result, error) 
 		ks = rampSchedule(depth+1, k)
 	}
 
-	abTrace, baTrace, solved, err := findWitnesses(fa, fb, sigs, ks, usesPast, unbounded, opt)
-	if err != nil {
-		return Result{}, err
-	}
-
-	res := Result{AB: abTrace, BA: baTrace, Bound: solved}
-	switch {
-	case abTrace == nil && baTrace == nil:
-		res.Verdict = Equivalent
-	case abTrace == nil:
-		res.Verdict = AImpliesB
-	case baTrace == nil:
-		res.Verdict = BImpliesA
-	default:
-		res.Verdict = Inequivalent
-	}
-	return res, nil
+	return q.findWitnesses(fa, fb, ks, usesPast, unbounded)
 }
 
 // loopsFor picks the candidate loop positions at bound k. Pure
@@ -358,176 +328,144 @@ func rampSchedule(kMin, kMax int) []int {
 	return []int{kMin, kMax}
 }
 
-// direction tracks one implication direction's progress through the
-// shared incremental session.
+// direction is one implication direction: an obligation searching for
+// a trace satisfying f and violating g.
 type direction struct {
-	f, g  ltl.Formula // searching for a trace satisfying f, violating g
+	f, g  ltl.Formula
+	ob    *formal.Obligation
 	trace *Trace
-	done  bool
 	early bool // decided before the final ramp bound
-
-	solves, conflicts, learntKept int64
 }
 
 // findWitnesses searches for lasso traces separating the two formulas
-// in both directions at once, ramping the lasso bound through ks on
-// one persistent solver shared by the whole pair (see DESIGN.md §7).
-// Both directions' violation circuits are built over one structurally
-// hashed builder — their truth cones are the same two formulas — and
-// each (direction, bound) constraint is gated behind its own
-// activation literal: solved under assumption, retired on UNSAT. The
-// solver's learnt clauses, variable activity, and the Tseitin
-// encoding carry across bounds and directions. A nil trace means no
-// witness up to the final bound (that direction's implication holds).
-func findWitnesses(fa, fb ltl.Formula, sigs *Sigs, ks []int, usesPast, unbounded bool, opt Options) (*Trace, *Trace, int, error) {
-	b := logic.NewBuilder()
-	env := ltl.NewTraceEnv(b, sigs.Widths, sigs.Consts)
-	ev := &ltl.ExprEval{Ops: bitvec.Ops{B: b}, Env: env}
-	family := ltl.NewLassoFamily(ev)
-
+// in both directions at once, ramping the lasso bound through ks on the
+// query's session (see DESIGN.md §7). Both directions' violation
+// circuits share the structurally hashed builder — their truth cones
+// are the same two formulas — and each direction is an obligation that
+// assumes its violation at each bound, so nothing one bound solves
+// outlives it while the learnt clauses, variable activity and the
+// Tseitin encoding carry across bounds and directions. A nil trace
+// means no witness up to the final bound (that direction's implication
+// holds).
+func (q *query) findWitnesses(fa, fb ltl.Formula, ks []int, usesPast, unbounded bool) (Result, error) {
+	family := ltl.NewLassoFamily(q.ev)
 	names := unionNames(fa, fb)
-
-	s := sat.New()
-	if opt.Budget > 0 {
-		s.SetBudget(opt.Budget)
-	}
-	cnf := logic.NewCNF(b, s)
+	b := q.ss.B
 	dirs := [2]*direction{
-		{f: fa, g: fb},
-		{f: fb, g: fa},
-	}
-	var hashBase int64
-	started := time.Now()
-	report := func() {
-		for _, dir := range dirs {
-			opt.Stats.Query(dir.solves, dir.conflicts, dir.learntKept, dir.early)
-		}
-		opt.Stats.GatesShared(b.HashHits() - hashBase)
-		opt.Stats.NodesEncoded(int64(cnf.Encoded()))
-		opt.Stats.SolveWall(time.Since(started).Nanoseconds())
+		{f: fa, g: fb, ob: q.ss.Open(q.opt.Search)},
+		{f: fb, g: fa, ob: q.ss.Open(q.opt.Search)},
 	}
 	// Every exit — verdict, budget exhaustion, or elaboration error —
 	// must account the session's solver work.
-	fail := func(err error) (*Trace, *Trace, int, error) {
-		report()
-		return nil, nil, 0, err
-	}
-
-	var pf *simPrefilter
-	if opt.SimPatterns > 0 {
-		pf = newSimPrefilter(b, env, opt)
-	}
+	defer func() {
+		for _, dir := range dirs {
+			dir.ob.Close(dir.early)
+		}
+	}()
 
 	solved := 0
 	for step, k := range ks {
 		solved = k // reaching a step means at least one direction solves here
 		loops := loopsFor(k, usesPast, unbounded)
-		for di, dir := range dirs {
-			if dir.done {
+		for _, dir := range dirs {
+			if dir.trace != nil {
 				continue
 			}
-			perLoop := make(map[int]logic.Node)
+			perLoop := make([]logic.Node, len(loops))
 			total := logic.False
-			for _, l := range loops {
+			for i, l := range loops {
 				le := family.At(k, l)
 				tf, err := le.Truth(dir.f, 0)
 				if err != nil {
-					return fail(err)
+					return Result{}, err
 				}
 				tg, err := le.Truth(dir.g, 0)
 				if err != nil {
-					return fail(err)
+					return Result{}, err
 				}
 				viol := b.And(tf, tg.Not())
 				if usesPast && l >= 1 {
 					// Seam consistency: past references at the loop entry
 					// must agree between the first and repeated loop
 					// traversals.
-					viol = b.And(viol, seamConstraint(b, env, ev, names, l, k))
+					viol = b.And(viol, q.seamConstraint(names, l, k))
 				}
-				perLoop[l] = viol
+				perLoop[i] = viol
 				total = b.Or(total, viol)
-			}
-			if step == 0 && di == 0 {
-				// Reuse below the first direction's first bound is
-				// baseline circuit CSE, not incremental savings.
-				hashBase = b.HashHits()
 			}
 
 			// Refute before solving: a simulation lane satisfying the
 			// violation disjunction is a complete concrete witness at
 			// this exact bound, so the SAT call it preempts could only
 			// have returned the same verdict (DESIGN.md §10).
-			if pf != nil {
-				ssp := opt.Span.Child("sim").SetPhase(obs.PhaseSim).
-					SetInt("bound", int64(k)).SetInt("dir", int64(di))
-				lane, hit, fromBank := pf.refute(names, k, total)
-				ssp.SetBool("refuted", hit).SetBool("bank_hit", fromBank)
-				ssp.End()
-				if hit {
-					dir.trace = decodeTraceLane(pf.sim, lane, env, names, k, perLoop)
-					dir.done = true
-					dir.early = step < len(ks)-1
-					opt.Stats.SimRefuted(fromBank, 1)
+			cols := q.columns(names, k)
+			lane, hit := dir.ob.Refute(total, k, cols)
+			var model []bool
+			if !hit {
+				ok, m, err := dir.ob.Solve("ramp", k, total)
+				if err != nil {
+					return Result{}, err
+				}
+				if !ok {
 					continue
 				}
+				model = m
 			}
-
-			rsp := opt.Span.Child("ramp").SetPhase(obs.PhaseSAT).
-				SetInt("bound", int64(k)).SetInt("dir", int64(di))
-			act := b.Input()
-			cnf.AssertIf(act, total)
-
-			pre := s.Stats()
-			if pre.Solves > 0 {
-				dir.learntKept += int64(pre.Learnt)
+			// A SAT model also goes into the bank, so later pairs can be
+			// refuted by it.
+			w := dir.ob.Decode(lane, model, k, cols)
+			dir.trace = &Trace{Loop: -1, Len: k, Signals: w.Vals}
+			for i, viol := range perLoop {
+				if w.Holds(viol) {
+					dir.trace.Loop = loops[i]
+					break
+				}
 			}
-			ok, model, err := s.SolveModel(cnf.Lit(act))
-			post := s.Stats()
-			dir.solves++
-			dir.conflicts += post.Conflicts - pre.Conflicts
-			if err != nil {
-				rsp.SetStr("verdict", "error").End()
-				return fail(err)
-			}
-			if ok {
-				rsp.SetStr("verdict", "sat")
-			} else {
-				rsp.SetStr("verdict", "unsat")
-			}
-			rsp.End()
-			if ok {
-				dir.trace = decodeTrace(b, env, cnf, model, names, sigs, k, perLoop)
-				dir.done = true
-				dir.early = step < len(ks)-1
-				// Counterexample-guided refinement: fold the witness into
-				// the shared bank so later pairs can be refuted by it.
-				bankTrace(opt.Bank, dir.trace)
-			}
-			// Retire the activation either way: a found witness ends this
-			// direction, and an UNSAT bound's constraints must drop out
-			// before the next one. Everything learnt stays.
-			cnf.Retire(act)
+			dir.early = step < len(ks)-1
 		}
-		if dirs[0].done && dirs[1].done {
-			report()
-			return dirs[0].trace, dirs[1].trace, solved, nil
+		if dirs[0].trace != nil && dirs[1].trace != nil {
+			break
 		}
 	}
-	report()
-	return dirs[0].trace, dirs[1].trace, solved, nil
+	res := Result{AB: dirs[0].trace, BA: dirs[1].trace, Bound: solved}
+	switch {
+	case res.AB == nil && res.BA == nil:
+		res.Verdict = Equivalent
+	case res.AB == nil:
+		res.Verdict = AImpliesB
+	case res.BA == nil:
+		res.Verdict = BImpliesA
+	default:
+		res.Verdict = Inequivalent
+	}
+	return res, nil
 }
 
-func seamConstraint(b *logic.Builder, env *ltl.TraceEnv, ev *ltl.ExprEval, names []string, l, k int) logic.Node {
-	acc := logic.True
-	ops := bitvec.Ops{B: b}
+// columns lists every signal of the pair at every position below k:
+// the prefilter's inputs and the witness's values (positions the
+// formulas never read stay zero). The slice is valid until the next
+// call.
+func (q *query) columns(names []string, k int) []formal.Column {
+	cols := q.cols[:0]
 	for _, n := range names {
-		prev, err1 := env.Signal(n, l-1)
-		last, err2 := env.Signal(n, k-1)
+		for pos := 0; pos < k; pos++ {
+			bv, _ := q.env.At(n, pos)
+			cols = append(cols, formal.Column{Name: n, Pos: pos, Bits: bv.Bits})
+		}
+	}
+	q.cols = cols
+	return cols
+}
+
+func (q *query) seamConstraint(names []string, l, k int) logic.Node {
+	acc := logic.True
+	for _, n := range names {
+		prev, err1 := q.env.Signal(n, l-1)
+		last, err2 := q.env.Signal(n, k-1)
 		if err1 != nil || err2 != nil {
 			continue
 		}
-		acc = b.And(acc, ops.Eq(prev, last))
+		acc = q.ev.Ops.B.And(acc, q.ev.Ops.Eq(prev, last))
 	}
 	return acc
 }
@@ -546,155 +484,6 @@ func unionNames(f, g ltl.Formula) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// decodeTrace decodes a SAT model into a witness trace: the model's
-// input values are broadcast into a one-lane simulation of the dense
-// evaluator (no maps, no recursion) and the trace reads off lane 0.
-func decodeTrace(b *logic.Builder, env *ltl.TraceEnv, cnf *logic.CNF,
-	model []bool, names []string, sigs *Sigs, k int, perLoop map[int]logic.Node) *Trace {
-
-	sim := logic.NewSim(b)
-	for _, n := range names {
-		for pos := 0; pos < k; pos++ {
-			if bv, ok := env.At(n, pos); ok {
-				for _, bit := range bv.Bits {
-					if !bit.IsConst() && cnf.InputValue(model, bit) {
-						sim.SetInput(bit, ^uint64(0))
-					}
-				}
-			}
-		}
-	}
-	sim.Run()
-	return decodeTraceLane(sim, 0, env, names, k, perLoop)
-}
-
-// decodeTraceLane reads one simulation lane off as a witness trace —
-// the shared decode path of the SAT model decoder and the prefilter
-// (whose hit lane is already a complete assignment).
-func decodeTraceLane(sim *logic.Sim, lane int, env *ltl.TraceEnv,
-	names []string, k int, perLoop map[int]logic.Node) *Trace {
-
-	tr := &Trace{Loop: -1, Len: k, Signals: map[string][]uint64{}}
-	for l, viol := range perLoop {
-		if sim.Bit(viol, lane) {
-			tr.Loop = l
-			break
-		}
-	}
-	for _, n := range names {
-		vals := make([]uint64, k)
-		for pos := 0; pos < k; pos++ {
-			if bv, ok := env.At(n, pos); ok {
-				var v uint64
-				for i, bit := range bv.Bits {
-					if i < 64 && sim.Bit(bit, lane) {
-						v |= 1 << uint(i)
-					}
-				}
-				vals[pos] = v
-			}
-		}
-		tr.Signals[n] = vals
-	}
-	return tr
-}
-
-// bankTrace folds a decoded witness into the shared pattern bank
-// (copying the values: banked patterns are read-only and the trace is
-// cached alongside the verdict).
-func bankTrace(bank *formal.Bank, t *Trace) {
-	if bank == nil || t == nil {
-		return
-	}
-	vals := make(map[string][]uint64, len(t.Signals))
-	for n, vs := range t.Signals {
-		vals[n] = append([]uint64(nil), vs...)
-	}
-	bank.Add(formal.Pattern{Len: t.Len, Vals: vals})
-}
-
-// ---- bit-parallel simulation prefilter (DESIGN.md §10) ------------------
-
-// simPrefilter drives refute-before-solve for one findWitnesses
-// session: one Sim over the session's shared builder, a snapshot of
-// the run-wide pattern bank, and a deterministic random stream.
-type simPrefilter struct {
-	env     *ltl.TraceEnv
-	sim     *logic.Sim
-	lanes   int // random lanes to simulate per query
-	banked  []formal.Pattern
-	rng     uint64
-	st      *formal.Stats
-	scratch []uint64 // per-signal lane-word buffer, reused across rounds
-}
-
-func newSimPrefilter(b *logic.Builder, env *ltl.TraceEnv, opt Options) *simPrefilter {
-	return &simPrefilter{
-		env:    env,
-		sim:    logic.NewSim(b),
-		lanes:  opt.SimPatterns,
-		banked: opt.Bank.Patterns(64),
-		// Fixed seed: every session draws the same deterministic
-		// stream, keeping stats and witness traces reproducible.
-		rng: 0x5eed5eed5eed5eed,
-		st:  opt.Stats,
-	}
-}
-
-// refute simulates banked + random patterns over the violation
-// disjunction at bound k. A true lane is a complete concrete witness;
-// the caller decodes it from the still-warm Sim. Missing is not a
-// verdict — the SAT path runs as before.
-func (pf *simPrefilter) refute(names []string, k int, total logic.Node) (int, bool, bool) {
-	if total == logic.False {
-		// Constant-folded to unsatisfiable: nothing to refute.
-		return 0, false, false
-	}
-	remaining := pf.lanes
-	for round := 0; remaining > 0 || (round == 0 && len(pf.banked) > 0); round++ {
-		bankLanes := 0
-		if round == 0 {
-			bankLanes = len(pf.banked)
-		}
-		bankMask := ^uint64(0)
-		if bankLanes < 64 {
-			bankMask = 1<<uint(bankLanes) - 1
-		}
-		for _, name := range names {
-			for pos := 0; pos < k; pos++ {
-				bv, ok := pf.env.At(name, pos)
-				if !ok {
-					continue
-				}
-				if cap(pf.scratch) < len(bv.Bits) {
-					pf.scratch = make([]uint64, len(bv.Bits))
-				}
-				words := pf.scratch[:len(bv.Bits)]
-				if bankLanes > 0 {
-					formal.LaneWords(pf.banked, bankLanes, name, pos, words)
-				} else {
-					for i := range words {
-						words[i] = 0
-					}
-				}
-				for i, bit := range bv.Bits {
-					if bit.IsConst() {
-						continue
-					}
-					pf.sim.SetInput(bit, words[i]|formal.SplitMix64(&pf.rng)&^bankMask)
-				}
-			}
-		}
-		pf.sim.Run()
-		pf.st.SimPatterns(64)
-		remaining -= 64 - bankLanes
-		if lane, ok := pf.sim.FirstLane(total); ok {
-			return lane, true, lane < bankLanes
-		}
-	}
-	return 0, false, false
 }
 
 // DefaultMachineSigs is the symbolic signal environment of the

@@ -7,6 +7,7 @@
 // opening a solver: assertion pairs in one benchmark run are highly
 // correlated, so the pattern separating one pair very often separates
 // the next.
+
 package formal
 
 import "sync"
@@ -115,12 +116,12 @@ func (b *Bank) Adds() int64 {
 	return b.adds
 }
 
-// LaneWords packs the first n patterns' value of (name, pos) into dst:
+// laneWords packs the first n patterns' value of (name, pos) into dst:
 // dst[i] receives bit i of each pattern's value in that pattern's
 // lane. One map lookup per pattern covers a whole signal, where a
 // per-bit helper would pay the lookup width × n times. Signals or
 // positions a pattern does not cover stay zero.
-func LaneWords(pats []Pattern, n int, name string, pos int, dst []uint64) {
+func laneWords(pats []Pattern, n int, name string, pos int, dst []uint64) {
 	for i := range dst {
 		dst[i] = 0
 	}
@@ -139,12 +140,12 @@ func LaneWords(pats []Pattern, n int, name string, pos int, dst []uint64) {
 	}
 }
 
-// SplitMix64 steps a deterministic 64-bit generator — the random
+// splitMix64 steps a deterministic 64-bit generator — the random
 // pattern source of the simulation prefilter. Determinism matters only
 // for reproducible stats and witness traces; verdicts are
 // pattern-independent because the prefilter is refute-only with a SAT
 // fallback.
-func SplitMix64(s *uint64) uint64 {
+func splitMix64(s *uint64) uint64 {
 	*s += 0x9e3779b97f4a7c15
 	z := *s
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9

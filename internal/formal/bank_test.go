@@ -76,15 +76,15 @@ func TestLaneWords(t *testing.T) {
 		pat(2, "t", 5, 6),       // lane 2 (no signal s)
 	}
 	dst := make([]uint64, 2)
-	LaneWords(pats, 3, "s", 0, dst)
+	laneWords(pats, 3, "s", 0, dst)
 	if dst[0] != 0b001 || dst[1] != 0b010 {
 		t.Fatalf("pos 0: dst=%b,%b", dst[0], dst[1])
 	}
-	LaneWords(pats, 3, "s", 1, dst)
+	laneWords(pats, 3, "s", 1, dst)
 	if dst[0] != 0b001 || dst[1] != 0b001 {
 		t.Fatalf("pos 1: dst=%b,%b", dst[0], dst[1])
 	}
-	LaneWords(pats, 3, "missing", 0, dst)
+	laneWords(pats, 3, "missing", 0, dst)
 	if dst[0] != 0 || dst[1] != 0 {
 		t.Fatal("missing signal should zero the words")
 	}

@@ -1,0 +1,318 @@
+package formal
+
+import (
+	"slices"
+
+	"fveval/internal/logic"
+	"fveval/internal/obs"
+	"fveval/internal/sat"
+)
+
+// Search is the part of a checker's options the bounded-search core
+// reads. equiv.Options and mc.Options embed it, so one run fills it
+// once for both checkers. None of its fields affects a verdict.
+type Search struct {
+	// Budget caps SAT conflicts per solver call (0 = unlimited): every
+	// bound and depth of a check gets the full allowance.
+	Budget int64
+	// SimPatterns enables the bit-parallel simulation prefilter
+	// (DESIGN.md §10): before each solve, this many random patterns
+	// (in 64-lane rounds, plus recycled Bank patterns) are simulated,
+	// and a lane satisfying the query decides it without the solver.
+	// 0 disables. Refute-only, so verdicts are identical either way.
+	SimPatterns int
+	// Bank, when non-nil, supplies recycled counterexample patterns to
+	// the prefilter and receives every SAT model a check decodes.
+	Bank *Bank
+	// Stats, when non-nil, receives the per-check solver counters.
+	Stats *Stats
+	// Span, when non-nil, is the traced parent span of the check:
+	// every prefilter round and solver call records a child under it.
+	Span *obs.Span
+}
+
+// Session is one incrementally grown circuit and everything that
+// searches it: the structurally hashed builder, its CNF encoding and
+// SAT solver, the prefilter's simulator (built by the first check that
+// asks for it) and its deterministic random stream. A session outlives
+// the checks opened on it, so later checks inherit the encoding and
+// the learnt clauses of earlier ones. Not safe for concurrent use.
+type Session struct {
+	B   *logic.Builder
+	CNF *logic.CNF
+
+	sim     *logic.Sim
+	rng     uint64
+	scratch []uint64 // per-column lane-word buffer, reused across rounds
+
+	// Builder hash hits and CNF nodes already reported by a closed
+	// check: two checks open at once share one delta.
+	hashSent int64
+	encSent  int
+}
+
+// NewSession returns an empty session.
+func NewSession() *Session {
+	b := logic.NewBuilder()
+	return &Session{
+		B: b, CNF: logic.NewCNF(b, sat.New()),
+		// Fixed seed: every session draws the same deterministic stream,
+		// keeping stats and witness traces reproducible.
+		rng: 0x5eed5eed5eed5eed,
+	}
+}
+
+// Column is one signal's bits at one trace position: a free input the
+// prefilter assigns, or a value a witness reports.
+type Column struct {
+	Name string
+	Pos  int
+	Bits []logic.Node
+	// Init marks a free initial register. A query whose columns carry
+	// one opens with a structured round: lane j holds the value j,
+	// sweeping all 64 low state encodings at once — for the
+	// benchmark's FSM and shallow-pipeline designs this covers the
+	// entire state space, where uniform random states almost never
+	// land on a valid encoding.
+	Init bool
+}
+
+// Obligation is one check's claim on a session: its path constraints
+// gated behind an activation literal, and its share of the session's
+// work. Nothing a check asserts outlives its Close ungated.
+type Obligation struct {
+	ss  *Session
+	opt Search
+
+	// act gates every path constraint; gated reports that one reached
+	// the CNF, so act must be assumed and, at Close, retired.
+	act   logic.Node
+	gated bool
+	// Path constraints are flushed into the CNF only right before a
+	// solver call, so a check the prefilter fully discharges never pays
+	// for their encoding. conj is the running conjunction the simulator
+	// sees; pending holds the suffix the solver has not seen yet.
+	conj    logic.Node
+	pending []logic.Node
+
+	solves, conflicts, learntKept, hashMark int64
+	encMark                                 int
+}
+
+// Open starts a check on the session.
+func (ss *Session) Open(opt Search) *Obligation {
+	ss.CNF.Solver().SetBudget(opt.Budget)
+	if opt.SimPatterns > 0 && ss.sim == nil {
+		ss.sim = logic.NewSim(ss.B)
+	}
+	return &Obligation{
+		ss: ss, opt: opt,
+		act:      ss.B.Input(),
+		conj:     logic.True,
+		hashMark: ss.B.HashHits(),
+		encMark:  ss.CNF.Encoded(),
+	}
+}
+
+// Constrain adds a path constraint: visible to the prefilter at once,
+// asserted under the check's literal at the next solve.
+func (ob *Obligation) Constrain(n logic.Node) {
+	ob.conj = ob.ss.B.And(ob.conj, n)
+	ob.pending = append(ob.pending, n)
+}
+
+// Solve asks whether v is satisfiable under the check's path
+// constraints, recording a span named name at bound. v is passed as an
+// assumption, so nothing of one query outlives its call.
+func (ob *Obligation) Solve(name string, bound int, v logic.Node) (bool, []bool, error) {
+	ss := ob.ss
+	sp := ob.opt.Span.Child(name).SetPhase(obs.PhaseSAT).SetInt("bound", int64(bound))
+	for _, n := range ob.pending {
+		ss.CNF.AssertIf(ob.act, n)
+		ob.gated = true
+	}
+	ob.pending = ob.pending[:0]
+	var assume []sat.Lit
+	if ob.gated {
+		assume = append(assume, ss.CNF.Lit(ob.act))
+	}
+	assume = append(assume, ss.CNF.Lit(v))
+	s := ss.CNF.Solver()
+	pre := s.Stats()
+	if pre.Solves > 0 {
+		ob.learntKept += int64(pre.Learnt)
+	}
+	ok, model, err := s.SolveModel(assume...)
+	ob.solves++
+	ob.conflicts += s.Stats().Conflicts - pre.Conflicts
+	switch {
+	case err != nil:
+		sp.SetStr("verdict", "error")
+	case ok:
+		sp.SetStr("verdict", "sat")
+	default:
+		sp.SetStr("verdict", "unsat")
+	}
+	sp.End()
+	return ok, model, err
+}
+
+// Refute simulates banked and random patterns over cols, looking for a
+// lane that satisfies v and the check's path constraints. Such a lane
+// is a complete concrete witness of the query at bound, readable with
+// Decode until the next Refute; a miss is not a verdict.
+func (ob *Obligation) Refute(v logic.Node, bound int, cols []Column) (int, bool) {
+	if ob.opt.SimPatterns == 0 {
+		return 0, false
+	}
+	sp := ob.opt.Span.Child("sim").SetPhase(obs.PhaseSim).SetInt("bound", int64(bound))
+	lane, hit, fromBank := ob.refute(v, cols)
+	sp.SetBool("refuted", hit).SetBool("bank_hit", fromBank).End()
+	if hit {
+		ob.opt.Stats.SimRefuted(fromBank, 1)
+	}
+	return lane, hit
+}
+
+func (ob *Obligation) refute(v logic.Node, cols []Column) (lane int, hit, fromBank bool) {
+	ss := ob.ss
+	target := ss.B.And(v, ob.conj)
+	if target == logic.False {
+		return 0, false, false
+	}
+	// Refresh the bank snapshot per query: models found earlier in this
+	// very check (or by its sibling) best predict the next refutation.
+	banked := ob.opt.Bank.Patterns(64)
+	round := func(bankLanes int, sweep bool) (int, bool) {
+		ss.load(cols, banked, bankLanes, sweep)
+		ss.sim.Run()
+		ob.opt.Stats.SimPatterns(64)
+		return ss.sim.FirstLane(target)
+	}
+	if slices.ContainsFunc(cols, func(c Column) bool { return c.Init }) {
+		if lane, ok := round(0, true); ok {
+			return lane, true, false
+		}
+	}
+	remaining := ob.opt.SimPatterns
+	for r := 0; remaining > 0 || (r == 0 && len(banked) > 0); r++ {
+		bankLanes := 0
+		if r == 0 {
+			bankLanes = len(banked)
+		}
+		remaining -= 64 - bankLanes
+		if lane, ok := round(bankLanes, false); ok {
+			return lane, true, lane < bankLanes
+		}
+	}
+	return 0, false, false
+}
+
+// laneIndexMasks[i] holds bit i of the lane number in every lane:
+// loading them into a register's low bits makes lane j's value j.
+var laneIndexMasks = [6]uint64{
+	0xaaaaaaaaaaaaaaaa, 0xcccccccccccccccc, 0xf0f0f0f0f0f0f0f0,
+	0xff00ff00ff00ff00, 0xffff0000ffff0000, 0xffffffff00000000,
+}
+
+// load assigns one round of patterns to the columns, in order: lanes
+// below bankLanes replay the banked patterns, the rest draw from the
+// random stream; in a sweep round Init columns take the lane index.
+func (ss *Session) load(cols []Column, banked []Pattern, bankLanes int, sweep bool) {
+	bankMask := ^uint64(0)
+	if bankLanes < 64 {
+		bankMask = 1<<uint(bankLanes) - 1
+	}
+	for _, c := range cols {
+		if sweep && c.Init {
+			for i, bit := range c.Bits {
+				if bit.IsConst() {
+					continue
+				}
+				w := uint64(0)
+				if i < len(laneIndexMasks) {
+					w = laneIndexMasks[i]
+				}
+				ss.sim.SetInput(bit, w)
+			}
+			continue
+		}
+		if cap(ss.scratch) < len(c.Bits) {
+			ss.scratch = make([]uint64, len(c.Bits))
+		}
+		words := ss.scratch[:len(c.Bits)]
+		laneWords(banked, bankLanes, c.Name, c.Pos, words)
+		for i, bit := range c.Bits {
+			if bit.IsConst() {
+				continue
+			}
+			ss.sim.SetInput(bit, words[i]|splitMix64(&ss.rng)&^bankMask)
+		}
+	}
+}
+
+// Witness is one decoded concrete trace: its signal-level Pattern
+// plus the simulation lane it came from, for reading further nodes.
+type Witness struct {
+	Pattern
+	sim  *logic.Sim
+	lane int
+}
+
+// Holds reports whether node n is true in the witness. A witness read
+// from a prefilter lane is valid only until the session's next Refute.
+func (w Witness) Holds(n logic.Node) bool { return w.sim.Bit(n, w.lane) }
+
+// Decode reads a witness over cols, n positions long. With a nil
+// model it reads lane of the simulator as Refute left it; otherwise the
+// SAT model's input values are broadcast into a one-lane simulation,
+// which recomputes every derived node from them, and the pattern is
+// folded into the bank for later queries to replay.
+func (ob *Obligation) Decode(lane int, model []bool, n int, cols []Column) Witness {
+	ss := ob.ss
+	sim := ss.sim
+	if model != nil {
+		sim, lane = logic.NewSim(ss.B), 0
+		for _, c := range cols {
+			for _, bit := range c.Bits {
+				if !bit.IsConst() && ss.B.IsInput(bit) && ss.CNF.InputValue(model, bit) != bit.Compl() {
+					sim.SetInput(bit, ^uint64(0))
+				}
+			}
+		}
+		sim.Run()
+	}
+	p := Pattern{Len: n, Vals: map[string][]uint64{}}
+	for _, c := range cols {
+		vals := p.Vals[c.Name]
+		if vals == nil {
+			vals = make([]uint64, n)
+			p.Vals[c.Name] = vals
+		}
+		var v uint64
+		for i, bit := range c.Bits {
+			if i < 64 && sim.Bit(bit, lane) {
+				v |= 1 << uint(i)
+			}
+		}
+		vals[c.Pos] = v
+	}
+	if model != nil {
+		ob.opt.Bank.Add(p)
+	}
+	return Witness{Pattern: p, sim: sim, lane: lane}
+}
+
+// Close ends the check: it retires the activation literal and reports
+// the check's solver counters, plus the session's new shared gates and
+// encoded nodes since the last check that closed on it.
+func (ob *Obligation) Close(early bool) {
+	ss := ob.ss
+	if ob.gated {
+		ss.CNF.Retire(ob.act)
+	}
+	hits, enc := ss.B.HashHits(), ss.CNF.Encoded()
+	ob.opt.Stats.query(ob.solves, ob.conflicts, ob.learntKept,
+		hits-max(ob.hashMark, ss.hashSent), int64(enc-max(ob.encMark, ss.encSent)), early)
+	ss.hashSent, ss.encSent = hits, enc
+}

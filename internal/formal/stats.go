@@ -1,8 +1,17 @@
-// Package formal holds cross-cutting instrumentation for the formal
-// backend: the equivalence checker and the model checker both run
-// incremental, assumption-based SAT sessions with bound ramping, and
-// both report into one Stats sink so the engine can surface
-// solver-reuse numbers next to its cache statistics.
+// Package formal is the bounded-search core shared by the equivalence
+// checker and the model checker (DESIGN.md §7, §10). A Session owns
+// one incrementally grown circuit: the builder, its CNF encoding, the
+// SAT solver, the prefilter's simulator and its random stream. Each
+// check claims it through an Obligation: path constraints gated behind
+// an activation literal, Refute (simulate banked and random patterns
+// before solving), Solve (assume the act literal plus the query's),
+// Decode (a simulator lane or SAT model into a signal-level Pattern
+// that also feeds the Bank), and Close (retire the literal, report the
+// check's counters). equiv runs both implication directions as two
+// obligations on one stateless trace session; mc runs BMC, induction,
+// liveness and cover as obligations on a design's session pair. Every
+// check reports into one Stats sink, which the engine surfaces next to
+// its cache statistics.
 package formal
 
 import (
@@ -14,10 +23,10 @@ import (
 // atomic so one Stats value can be shared across the engine's worker
 // pool; a nil *Stats is valid and drops every report.
 type Stats struct {
-	queries     atomic.Int64 // incremental solver sessions opened
+	queries     atomic.Int64 // checks closed (one per obligation)
 	solves      atomic.Int64 // individual Solve calls issued
-	earlyStops  atomic.Int64 // sessions decided below their final bound
-	conflicts   atomic.Int64 // SAT conflicts spent across all sessions
+	earlyStops  atomic.Int64 // checks decided below their final bound
+	conflicts   atomic.Int64 // SAT conflicts spent across all checks
 	learntKept  atomic.Int64 // learnt clauses alive entering a reused call
 	gatesShared atomic.Int64 // circuit nodes reused instead of re-encoded
 	encoded     atomic.Int64 // circuit nodes Tseitin-encoded into solvers
@@ -67,11 +76,13 @@ func (s *Stats) SolveWall(ns int64) {
 	s.solveHist[i].Add(1)
 }
 
-// Query records one incremental session: the number of Solve calls it
-// issued, the conflicts it spent, how many learnt clauses later calls
-// inherited from earlier ones, and whether the verdict arrived before
-// the final ramp bound.
-func (s *Stats) Query(solves, conflicts, learntKept int64, early bool) {
+// query records one closed obligation: the Solve calls it issued, the
+// conflicts they spent, how many learnt clauses its calls inherited
+// from earlier ones, the circuit nodes its session obtained from the
+// structural hash instead of building afresh (shared) and emitted as
+// CNF (encoded — the denominator shared saves against), and whether
+// the verdict arrived before the final bound.
+func (s *Stats) query(solves, conflicts, learntKept, shared, encoded int64, early bool) {
 	if s == nil {
 		return
 	}
@@ -79,28 +90,11 @@ func (s *Stats) Query(solves, conflicts, learntKept int64, early bool) {
 	s.solves.Add(solves)
 	s.conflicts.Add(conflicts)
 	s.learntKept.Add(learntKept)
+	s.gatesShared.Add(shared)
+	s.encoded.Add(encoded)
 	if early {
 		s.earlyStops.Add(1)
 	}
-}
-
-// GatesShared records circuit nodes a ramp step obtained from the
-// structural hash instead of building and encoding afresh.
-func (s *Stats) GatesShared(n int64) {
-	if s == nil || n <= 0 {
-		return
-	}
-	s.gatesShared.Add(n)
-}
-
-// NodesEncoded records circuit nodes a session actually emitted as
-// CNF (its emitter's high-water count at close) — the denominator
-// GatesShared saves against.
-func (s *Stats) NodesEncoded(n int64) {
-	if s == nil || n <= 0 {
-		return
-	}
-	s.encoded.Add(n)
 }
 
 // SimPatterns records pattern lanes evaluated by the bit-parallel

@@ -101,11 +101,18 @@ func TestAssumePropertyKinds(t *testing.T) {
 	}
 }
 
+const (
+	// S3 is reachable.
+	coverS3 = `cover property (@(posedge clk) state == 2'b11);`
+	// S2 never steps to itself.
+	coverS2SelfLoop = `cover property (@(posedge clk) state == 2'b10 && next_state == 2'b10);`
+)
+
 // TestCoverReachability: cover properties find witnesses for reachable
 // conditions and report bounded-unreachable otherwise.
 func TestCoverReachability(t *testing.T) {
 	sys := fsmSystem(t)
-	cov, err := sva.ParseAssertion(`cover property (@(posedge clk) state == 2'b11);`)
+	cov, err := sva.ParseAssertion(coverS3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,8 +126,7 @@ func TestCoverReachability(t *testing.T) {
 	if res.Cex == nil || len(res.Cex.Frames) == 0 {
 		t.Fatalf("cover witness missing")
 	}
-	// fsm_out mirrors a 2-bit state; value 4 does not exist
-	unreach, err := sva.ParseAssertion(`cover property (@(posedge clk) state == 2'b10 && next_state == 2'b10);`)
+	unreach, err := sva.ParseAssertion(coverS2SelfLoop)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"fveval/internal/gen/rtlgen"
 	"fveval/internal/logic"
 	"fveval/internal/rtl"
-	"fveval/internal/sat"
 	"fveval/internal/sva"
 )
 
@@ -90,34 +89,33 @@ endmodule`, "sh"},
 					t.Fatal(err)
 				}
 			}
-			// symbolic run pinned to the same inputs
-			b := logic.NewBuilder()
-			fe := newFrameEnv(b, sys)
-			fe.initFrame0(false)
+			// symbolic run pinned to the same inputs, decoded through the
+			// core's model decode
+			ss := newSafetySession(sys, false)
+			fe := ss.fe
 			if err := fe.unroll(frames); err != nil {
 				t.Fatal(err)
 			}
-			s := sat.New()
-			cnf := logic.NewCNF(b, s)
-			ops := bitvec.Ops{B: b}
+			ob := ss.Open(formal.Search{})
+			ops := bitvec.Ops{B: ss.B}
+			pin := logic.True
 			for p := 0; p < frames; p++ {
 				for _, in := range sys.Inputs {
 					bv, err := fe.Signal(in.Name, p)
 					if err != nil {
 						t.Fatal(err)
 					}
-					cnf.Assert(ops.Eq(bv, bitvec.Const(trace[p][in.Name], in.Width)))
+					pin = ss.B.And(pin, ops.Eq(bv, bitvec.Const(trace[p][in.Name], in.Width)))
 				}
 			}
-			ok, model, err := s.SolveModel()
+			ok, model, err := ob.Solve("bmc", frames, pin)
 			if err != nil || !ok {
 				t.Fatalf("pinned trace must be satisfiable: %v %v", ok, err)
 			}
-			sim := modelSim(fe, cnf, model)
+			w := ob.Decode(0, model, frames, ss.frameColumns(frames))
 			for p := 0; p < frames; p++ {
 				for _, r := range sys.Regs {
-					bv := fe.states[sigPos{r.Name, p}]
-					got := decodeBVLane(bv, sim, 0)
+					got := w.Vals[r.Name][p]
 					want := concrete[p][r.Name]
 					if got != want {
 						t.Fatalf("frame %d reg %s: symbolic %d concrete %d",
@@ -145,7 +143,7 @@ func TestPrefilterVsSolverCrossCheck(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: parse: %v", tag, err)
 		}
-		got, err1 := CheckAssertion(sys, a, Options{SimPatterns: 128, Bank: bank, Stats: &st})
+		got, err1 := CheckAssertion(sys, a, Options{Search: formal.Search{SimPatterns: 128, Bank: bank, Stats: &st}})
 		want, err2 := CheckAssertion(sys, a, Options{})
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("%s: error disagreement: prefilter=%v solver=%v\n%s", tag, err1, err2, src)

@@ -9,24 +9,23 @@ import (
 	"fveval/internal/formal"
 	"fveval/internal/logic"
 	"fveval/internal/ltl"
-	"fveval/internal/obs"
 	"fveval/internal/rtl"
-	"fveval/internal/sat"
 	"fveval/internal/sva"
 )
 
 // Design is a per-design checking context (DESIGN.md §7, "Row
-// sessions"). It keeps one BMC base session and one induction step
-// session alive across safety checks whose systems share a transition
+// sessions"). It keeps one base session and one induction step
+// session alive across checks whose systems share a transition
 // relation, so the candidate properties of one design share the
 // register unroll, the Tseitin encoding, the solvers' learnt clauses
-// and the prefilter's simulator. Each check owns an activation literal:
-// its stimulus-assumption instances, assumed-lemma instances and
-// induction good-attempt constraints are asserted under it and retired
-// when the check ends, so every query sees exactly the constraints a
-// fresh session would assert. A check whose transition fingerprint
-// differs from the live pair's, or cannot be computed, opens a fresh
-// pair.
+// and the prefilter's simulator. Safety checks use both sessions;
+// liveness and cover checks use the base session. Each check owns an
+// activation literal: its stimulus-assumption instances, assumed-lemma
+// instances and induction good-attempt constraints are asserted under
+// it and retired when the check ends, so every query sees exactly the
+// constraints a fresh session would assert. A check whose transition
+// fingerprint differs from the live pair's, or cannot be computed,
+// opens a fresh pair.
 //
 // A nil *Design checks in a fresh pair that dies with the check. A
 // Design is not safe for concurrent use: give each goroutine its own,
@@ -62,8 +61,9 @@ func (c *Design) sessions(sys *rtl.System) (base, step *safetySession) {
 	return c.base, c.step
 }
 
-// CheckAssertion is the package-level CheckAssertion with safety
-// properties checked in c's session pair.
+// CheckAssertion is the package-level CheckAssertion checked in c's
+// sessions: safety properties on the pair, liveness on the base
+// session.
 func (c *Design) CheckAssertion(sys *rtl.System, a *sva.Assertion, opt Options) (Result, error) {
 	if c == nil {
 		c = NewDesign()
@@ -82,53 +82,97 @@ func (c *Design) CheckAssertion(sys *rtl.System, a *sva.Assertion, opt Options) 
 		return Result{}, err
 	}
 	if ltl.HasUnbounded(f) {
-		return checkLiveness(sys, f, abort, assumes, opt)
+		return c.checkLiveness(sys, f, abort, assumes, opt)
 	}
 	return c.checkSafety(sys, f, abort, assumes, nil, opt)
 }
 
-// checkSafety interleaves BMC base cases with induction steps, each
-// side an obligation on its session of the pair.
-func (c *Design) checkSafety(sys *rtl.System, f ltl.Formula, abort sva.Expr, assumes []ltl.Formula, lemmas []assumedLemma, opt Options) (Result, error) {
-	d := ltl.Depth(f)
-	started := time.Now()
-	baseSS, stepSS := c.sessions(sys)
-	base := baseSS.open(sys, f, abort, assumes, lemmas, d, opt)
-	step := stepSS.open(sys, f, abort, assumes, lemmas, d, opt)
-	finish := func(res Result, early bool) Result {
-		base.close(early)
-		step.close(early)
-		if baseSS.broken || stepSS.broken {
-			// The transition relation failed to unroll: drop the pair
-			// rather than serve later checks a session in that state.
-			c.base, c.step = nil, nil
-		}
-		opt.Stats.SolveWall(time.Since(started).Nanoseconds())
-		return res
+// CheckCover is the package-level CheckCover run as one query on c's
+// base session.
+func (c *Design) CheckCover(sys *rtl.System, a *sva.Assertion, opt Options) (Result, error) {
+	if c == nil {
+		c = NewDesign()
 	}
-	// Error exits (budget exhaustion, elaboration failures) must still
-	// account the obligations' solver work and retire their literals.
-	fail := func(err error) (Result, error) {
-		finish(Result{}, false)
+	opt = opt.withDefaults()
+	f, err := ltl.LowerAssertion(a)
+	if err != nil {
 		return Result{}, err
 	}
+	if ltl.HasUnbounded(f) {
+		return Result{}, &ltl.LowerError{Reason: "unbounded cover properties are not supported"}
+	}
+	assumes, err := lowerAssumes(sys)
+	if err != nil {
+		return Result{}, err
+	}
+	started := time.Now()
+	base, _ := c.sessions(sys)
+	ob := base.open(sys, f, nil, assumes, nil, ltl.Depth(f), opt)
+	res, err := ob.cover()
+	c.finish(opt, started, false, ob)
+	return res, err
+}
+
+// checkLiveness runs the lasso query as one obligation on c's base
+// session.
+func (c *Design) checkLiveness(sys *rtl.System, f ltl.Formula, abort sva.Expr, assumes []ltl.Formula, opt Options) (Result, error) {
+	started := time.Now()
+	base, _ := c.sessions(sys)
+	d := ltl.Depth(f)
+	ob := base.open(sys, f, abort, assumes, nil, d, opt)
+	res, err := ob.lasso(max(lassoBound, d+3))
+	c.finish(opt, started, false, ob)
+	return res, err
+}
+
+// checkSafety runs a safety property as one obligation on each session
+// of the pair.
+func (c *Design) checkSafety(sys *rtl.System, f ltl.Formula, abort sva.Expr, assumes []ltl.Formula, lemmas []assumedLemma, opt Options) (Result, error) {
+	started := time.Now()
+	baseSS, stepSS := c.sessions(sys)
+	d := ltl.Depth(f)
+	base := baseSS.open(sys, f, abort, assumes, lemmas, d, opt)
+	step := stepSS.open(sys, f, abort, assumes, lemmas, d, opt)
+	res, early, err := safety(base, step, opt)
+	c.finish(opt, started, early, base, step)
+	return res, err
+}
+
+// finish closes a check's obligations — on error exits too, so budget
+// exhaustion and elaboration failures still account their solver work
+// and retire their literals — and records the check's wall time. A
+// pair whose transition relation failed to unroll is dropped rather
+// than serve later checks in that state.
+func (c *Design) finish(opt Options, started time.Time, early bool, obls ...*obligation) {
+	for _, ob := range obls {
+		ob.Close(early)
+	}
+	if c.base.broken || c.step.broken {
+		c.base, c.step = nil, nil
+	}
+	opt.Stats.SolveWall(time.Since(started).Nanoseconds())
+}
+
+// safety interleaves BMC base cases with induction steps; early marks
+// a verdict reached before the last depth.
+func safety(base, step *obligation, opt Options) (res Result, early bool, err error) {
 	for k := 1; k <= opt.MaxInduction; k++ {
 		// Base: frames 0..k+d from reset; frontier attempt k-1.
 		cex, err := base.checkDepth(k)
 		if err != nil {
-			return fail(err)
+			return Result{}, false, err
 		}
 		if cex != nil {
-			return finish(Result{Status: Falsified, Depth: k, Cex: cex}, true), nil
+			return Result{Status: Falsified, Depth: k, Cex: cex}, true, nil
 		}
 		// Step: free initial state; no violation in 0..k-1, violation
 		// at k.
 		ind, err := step.induct(k)
 		if err != nil {
-			return fail(err)
+			return Result{}, false, err
 		}
 		if ind {
-			return finish(Result{Status: Proven, Depth: k}, true), nil
+			return Result{Status: Proven, Depth: k}, true, nil
 		}
 	}
 	// Deep falsification ramp before giving up, continuing the base
@@ -139,58 +183,42 @@ func (c *Design) checkSafety(sys *rtl.System, f ltl.Formula, abort sva.Expr, ass
 	// assume properties beyond a frontier's own window must keep
 	// rejecting traces exactly as before.
 	if opt.MaxInduction < opt.BMCDepth {
-		if _, err := base.grow(opt.BMCDepth + d + 1); err != nil {
-			return fail(err)
+		if _, err := base.grow(opt.BMCDepth + base.d + 1); err != nil {
+			return Result{}, false, err
 		}
 	}
 	for k := opt.MaxInduction + 1; k <= opt.BMCDepth; k++ {
 		cex, err := base.checkDepth(k)
 		if err != nil {
-			return fail(err)
+			return Result{}, false, err
 		}
 		if cex != nil {
-			return finish(Result{Status: Falsified, Depth: opt.BMCDepth, Cex: cex}, k < opt.BMCDepth), nil
+			return Result{Status: Falsified, Depth: opt.BMCDepth, Cex: cex}, k < opt.BMCDepth, nil
 		}
 	}
-	return finish(Result{Status: Unknown, Depth: opt.BMCDepth}, false), nil
+	return Result{Status: Unknown, Depth: opt.BMCDepth}, false, nil
 }
 
-// safetySession is one side of a Design's safety checking — the BMC
-// base case from reset, or the induction step from a free state: one
-// builder, frame environment, CNF and SAT solver serving every depth of
-// every check opened on it (DESIGN.md §7). The unroll grows frame by
-// frame as checks ask for deeper bounds. Learnt clauses, variable
-// activity, the Tseitin encoding and the prefilter's simulator carry
-// across depths and checks; nothing a check asserts outlives it
-// ungated.
+// safetySession is one side of a Design — the base session from reset,
+// or the induction step session from a free state: a formal.Session
+// plus the frame environment unrolled over its builder (DESIGN.md §7).
+// The unroll grows frame by frame as checks ask for deeper bounds;
+// everything the core carries (encoding, learnt clauses, simulator)
+// serves every depth of every check opened on it.
 type safetySession struct {
-	b        *logic.Builder
+	*formal.Session
 	fe       *frameEnv
 	family   *ltl.LassoFamily
-	s        *sat.Solver
-	cnf      *logic.CNF
 	freeInit bool
-	broken   bool // an unroll failed: serve no further check
-
-	// Bit-parallel prefilter state: sim is built by the first check
-	// that asks for the prefilter; the pattern stream runs on across
-	// checks from a fixed seed.
-	sim     *logic.Sim
-	rng     uint64
-	scratch []uint64 // per-signal lane-word buffer, reused across rounds
+	broken   bool            // an unroll failed: serve no further check
+	cols     []formal.Column // column buffer, reused by every query
 }
 
 func newSafetySession(sys *rtl.System, freeInit bool) *safetySession {
-	b := logic.NewBuilder()
-	fe := newFrameEnv(b, sys)
+	core := formal.NewSession()
+	fe := newFrameEnv(core.B, sys)
 	fe.initFrame0(freeInit)
-	s := sat.New()
-	return &safetySession{
-		b: b, fe: fe, family: ltl.NewLassoFamily(fe.ev),
-		s: s, cnf: logic.NewCNF(b, s),
-		freeInit: freeInit,
-		rng:      0x5eed5eed5eed5eed,
-	}
+	return &safetySession{Session: core, fe: fe, family: ltl.NewLassoFamily(fe.ev), freeInit: freeInit}
 }
 
 // rebind points the session at sys (see frameEnv.rebind); the lasso
@@ -202,9 +230,11 @@ func (ss *safetySession) rebind(sys *rtl.System, cone map[string]bool) {
 	}
 }
 
-// obligation is one check's claim on a session: its property, its
-// path constraints, and the activation literal that gates them.
+// obligation is one check's claim on a session: the core obligation
+// plus the property, its path constraints, and how far the check has
+// asserted them.
 type obligation struct {
+	*formal.Obligation
 	ss      *safetySession
 	sys     *rtl.System
 	f       ltl.Formula
@@ -214,11 +244,6 @@ type obligation struct {
 	d       int
 	opt     Options
 
-	// act gates every path constraint of this check (assumption and
-	// lemma instances, good attempts); gated reports that it reached
-	// the CNF and must be retired at close.
-	act   logic.Node
-	gated bool
 	// bound is the largest unroll this check asked for. Assumption
 	// and lemma instances are asserted only inside it, whatever depth
 	// earlier checks took the session to.
@@ -226,57 +251,16 @@ type obligation struct {
 	asmNext  []int // per assumption: next position to assert
 	lemNext  []int // per assumed lemma: next position to assert
 	goodNext int   // induction: good-attempt constraints asserted below this
-
-	// Path constraints are collected here and only flushed into the
-	// CNF right before a real solver call, so a check the prefilter
-	// fully discharges never pays for Tseitin encoding at all. conj is
-	// the running conjunction of every constraint for the simulation
-	// side; pending holds the suffix the solver has not seen yet.
-	conj    logic.Node
-	pending []logic.Node
-	banked  []formal.Pattern
-
-	solves, conflicts, learntKept, hashMark int64
-	encMark                                 int
 }
 
 // open starts a check on the session.
 func (ss *safetySession) open(sys *rtl.System, f ltl.Formula, abort sva.Expr, assumes []ltl.Formula, lemmas []assumedLemma, d int, opt Options) *obligation {
-	// Per-call budget: every depth's Solve gets the full allowance.
-	ss.s.SetBudget(opt.Budget)
-	if opt.SimPatterns > 0 && ss.sim == nil {
-		ss.sim = logic.NewSim(ss.b)
-	}
 	return &obligation{
-		ss: ss, sys: sys, f: f, abort: abort, assumes: assumes, lemmas: lemmas, d: d, opt: opt,
-		act:      ss.b.Input(),
-		asmNext:  make([]int, len(assumes)),
-		lemNext:  make([]int, len(lemmas)),
-		conj:     logic.True,
-		hashMark: ss.b.HashHits(),
-		encMark:  ss.cnf.Encoded(),
+		Obligation: ss.Open(opt.Search),
+		ss:         ss, sys: sys, f: f, abort: abort, assumes: assumes, lemmas: lemmas, d: d, opt: opt,
+		asmNext: make([]int, len(assumes)),
+		lemNext: make([]int, len(lemmas)),
 	}
-}
-
-// close retires the check's activation literal and streams its share
-// of the session's work into the stats sink.
-func (ob *obligation) close(early bool) {
-	ss := ob.ss
-	if ob.gated {
-		ss.cnf.Retire(ob.act)
-	}
-	st := ob.opt.Stats
-	st.Query(ob.solves, ob.conflicts, ob.learntKept, early)
-	st.GatesShared(ss.b.HashHits() - ob.hashMark)
-	st.NodesEncoded(int64(ss.cnf.Encoded() - ob.encMark))
-}
-
-// addConstraint records a path constraint of this check: visible to
-// the prefilter immediately (folded into the running conjunction),
-// asserted into the CNF under the check's literal lazily.
-func (ob *obligation) addConstraint(n logic.Node) {
-	ob.conj = ob.ss.b.And(ob.conj, n)
-	ob.pending = append(ob.pending, n)
 }
 
 // grow extends the session's unroll to at least n frames, raises the
@@ -301,7 +285,7 @@ func (ob *obligation) grow(n int) (*ltl.LassoEval, error) {
 			if err != nil {
 				return nil, err
 			}
-			ob.addConstraint(node)
+			ob.Constrain(node)
 			ob.asmNext[i] = p + 1
 		}
 	}
@@ -318,37 +302,29 @@ func (ob *obligation) grow(n int) (*ltl.LassoEval, error) {
 			if err != nil {
 				return nil, err
 			}
-			ob.addConstraint(v.Not())
+			ob.Constrain(v.Not())
 			ob.lemNext[i] = p + 1
 		}
 	}
 	return le, nil
 }
 
-// solve asks whether violation v is reachable under the check's path
-// constraints. Pending constraints are flushed into the CNF under the
-// check's literal first (in the order they accumulated); v itself is
-// passed as an assumption, so nothing of one depth outlives its call.
-func (ob *obligation) solve(v logic.Node) (bool, []bool, error) {
-	ss := ob.ss
-	for _, n := range ob.pending {
-		ss.cnf.AssertIf(ob.act, n)
-		ob.gated = true
+// find looks for a trace from the session's initial frame satisfying v
+// under the check's path constraints — first among simulated patterns,
+// then with the solver (a span named span at bound) — and decodes it
+// over the check's frames. nil means none exists.
+func (ob *obligation) find(span string, bound int, v logic.Node) (*formal.Witness, error) {
+	lane, hit := ob.Refute(v, bound, ob.inputColumns())
+	var model []bool
+	if !hit {
+		ok, m, err := ob.Solve(span, bound, v)
+		if err != nil || !ok {
+			return nil, err
+		}
+		model = m
 	}
-	ob.pending = ob.pending[:0]
-	var assume []sat.Lit
-	if ob.gated {
-		assume = append(assume, ss.cnf.Lit(ob.act))
-	}
-	assume = append(assume, ss.cnf.Lit(v))
-	pre := ss.s.Stats()
-	if pre.Solves > 0 {
-		ob.learntKept += int64(pre.Learnt)
-	}
-	ok, model, err := ss.s.SolveModel(assume...)
-	ob.solves++
-	ob.conflicts += ss.s.Stats().Conflicts - pre.Conflicts
-	return ok, model, err
+	w := ob.Decode(lane, model, ob.bound, ob.ss.frameColumns(ob.bound))
+	return &w, nil
 }
 
 // checkDepth asks whether the attempt at position k-1 can be violated
@@ -357,41 +333,19 @@ func (ob *obligation) solve(v logic.Node) (bool, []bool, error) {
 // the current stimulus constraints, so they stay refuted and only the
 // frontier needs solving).
 func (ob *obligation) checkDepth(k int) (*Cex, error) {
-	ss := ob.ss
 	le, err := ob.grow(k + ob.d + 1)
 	if err != nil {
 		return nil, err
 	}
-	v, err := violation(ss.fe, le, ob.f, ob.abort, k-1, ob.d, false)
+	v, err := violation(ob.ss.fe, le, ob.f, ob.abort, k-1, ob.d, false)
 	if err != nil {
 		return nil, err
 	}
-	// Refute before solving: a simulated lane violating the frontier
-	// attempt under all path constraints is already the
-	// counterexample — the solver (and, if nothing was solved yet, the
-	// whole Tseitin encoding) is skipped.
-	ssp := ob.opt.Span.Child("sim").SetPhase(obs.PhaseSim).SetInt("bound", int64(k))
-	lane, hit, fromBank := ob.simRefute(v)
-	ssp.SetBool("refuted", hit).SetBool("bank_hit", fromBank)
-	ssp.End()
-	if hit {
-		ob.opt.Stats.SimRefuted(fromBank, 1)
-		return decodeCexLane(ob.sys, ss.fe, ss.sim, lane, ob.bound, -1), nil
-	}
-	rsp := ob.opt.Span.Child("bmc").SetPhase(obs.PhaseSAT).SetInt("bound", int64(k))
-	ok, model, err := ob.solve(v)
-	if err != nil {
-		rsp.SetStr("verdict", "error").End()
+	w, err := ob.find("bmc", k, v)
+	if w == nil {
 		return nil, err
 	}
-	if !ok {
-		rsp.SetStr("verdict", "unsat").End()
-		return nil, nil
-	}
-	rsp.SetStr("verdict", "sat").End()
-	cex := decodeCex(ob.sys, ss.fe, ss.cnf, model, ob.bound, -1)
-	bankCex(ob.opt.Bank, cex)
-	return cex, nil
+	return cexOf(w.Pattern, -1), nil
 }
 
 // induct checks whether k consecutive good attempts from an arbitrary
@@ -409,7 +363,7 @@ func (ob *obligation) induct(k int) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		ob.addConstraint(v.Not())
+		ob.Constrain(v.Not())
 	}
 	ob.goodNext = k
 	v, err := violation(ss.fe, le, ob.f, ob.abort, k, ob.d, false)
@@ -417,167 +371,165 @@ func (ob *obligation) induct(k int) (bool, error) {
 		return false, err
 	}
 	// A simulated lane with k good attempts followed by a bad one is a
-	// concrete refutation of the induction step: report "not
-	// inductive" without opening the solver.
-	ssp := ob.opt.Span.Child("sim").SetPhase(obs.PhaseSim).SetInt("bound", int64(k))
-	_, hit, fromBank := ob.simRefute(v)
-	ssp.SetBool("refuted", hit).SetBool("bank_hit", fromBank)
-	ssp.End()
-	if hit {
-		ob.opt.Stats.SimRefuted(fromBank, 1)
+	// concrete refutation of the induction step.
+	if _, hit := ob.Refute(v, k, ob.inputColumns()); hit {
 		return false, nil
 	}
-	rsp := ob.opt.Span.Child("induct").SetPhase(obs.PhaseSAT).SetInt("bound", int64(k))
-	ok, model, err := ob.solve(v)
+	ok, model, err := ob.Solve("induct", k, v)
 	if err != nil {
-		rsp.SetStr("verdict", "error").End()
 		return false, err
 	}
-	if ok {
-		rsp.SetStr("verdict", "sat")
-	} else {
-		rsp.SetStr("verdict", "unsat")
-	}
-	rsp.End()
 	if ok && ob.opt.Bank != nil {
-		// Fold the refuting model (free initial state + stimulus) into
-		// the bank: it seeds the prefilter for later depths and runs.
-		bankCex(ob.opt.Bank, decodeCex(ob.sys, ss.fe, ss.cnf, model, ob.bound, -1))
+		// Decoding folds the refuting model (free initial state +
+		// stimulus) into the bank: it seeds the prefilter for later
+		// depths and runs.
+		ob.Decode(0, model, ob.bound, ss.frameColumns(ob.bound))
 	}
 	return !ok, nil
 }
 
-// simRefute simulates banked + random patterns over the check's path
-// constraints conjoined with the violation v. A satisfying lane is a
-// complete concrete witness for the depth's SAT query — the caller
-// reads it off the still-warm Sim. Missing is not a verdict.
-func (ob *obligation) simRefute(v logic.Node) (int, bool, bool) {
-	ss := ob.ss
-	if ob.opt.SimPatterns == 0 {
-		return 0, false, false
+// cover asks whether the property holds at some position below the BMC
+// depth on a trace from reset, under the system's assumptions.
+func (ob *obligation) cover() (Result, error) {
+	depth := ob.opt.BMCDepth
+	le, err := ob.grow(depth + ob.d + 1)
+	if err != nil {
+		return Result{}, err
 	}
-	target := ss.b.And(v, ob.conj)
-	if target == logic.False {
-		return 0, false, false
+	hit := logic.False
+	for p := 0; p < depth; p++ {
+		t, err := le.Truth(ob.f, p)
+		if err != nil {
+			return Result{}, err
+		}
+		hit = ob.ss.B.Or(hit, t)
 	}
-	// Refresh the bank snapshot per query: models found earlier in this
-	// very check (or by its sibling) are the best predictors of the
-	// next depth's refutation.
-	ob.banked = ob.opt.Bank.Patterns(64)
-	// Free-initial-state sessions get one structured round first: lane
-	// j seeds every register with the small value j, sweeping all 64
-	// low state encodings at once — for the benchmark's FSM and
-	// shallow-pipeline designs this covers the entire state space
-	// deterministically, where uniform random 16-bit states almost
-	// never land on a valid encoding.
-	if ss.freeInit {
-		ob.setSimInputs(-1, 0)
-		ss.sim.Run()
-		ob.opt.Stats.SimPatterns(64)
-		if lane, ok := ss.sim.FirstLane(target); ok {
-			return lane, true, false
-		}
+	w, err := ob.find("bmc", depth, hit)
+	if err != nil {
+		return Result{}, err
 	}
-	remaining := ob.opt.SimPatterns
-	for round := 0; remaining > 0 || (round == 0 && len(ob.banked) > 0); round++ {
-		bankLanes := 0
-		if round == 0 {
-			bankLanes = len(ob.banked)
-		}
-		bankMask := ^uint64(0)
-		if bankLanes < 64 {
-			bankMask = 1<<uint(bankLanes) - 1
-		}
-		ob.setSimInputs(bankLanes, bankMask)
-		ss.sim.Run()
-		ob.opt.Stats.SimPatterns(64)
-		remaining -= 64 - bankLanes
-		if lane, ok := ss.sim.FirstLane(target); ok {
-			return lane, true, lane < bankLanes
-		}
+	if w == nil {
+		// not reachable within the bound
+		return Result{Status: Falsified, Bounded: true, Depth: depth}, nil
 	}
-	return 0, false, false
+	return Result{Status: Proven, Depth: depth, Cex: cexOf(w.Pattern, -1)}, nil
 }
 
-// laneIndexMasks[i] holds bit i of the lane number in every lane:
-// loading them into a register's low bits makes lane j's register
-// value equal j.
-var laneIndexMasks = [6]uint64{
-	0xaaaaaaaaaaaaaaaa, 0xcccccccccccccccc, 0xf0f0f0f0f0f0f0f0,
-	0xff00ff00ff00ff00, 0xffff0000ffff0000, 0xffffffff00000000,
-}
-
-// setSimInputs loads one round of patterns: free inputs at every frame
-// inside the check's bound, plus the free initial registers of an
-// induction session. Iteration follows the system's declaration order,
-// keeping the random stream deterministic. bankLanes < 0 selects the
-// structured state round: random inputs, lane-index register values.
-func (ob *obligation) setSimInputs(bankLanes int, bankMask uint64) {
+// lasso searches for a lasso-shaped counterexample of k frames from
+// reset: for some loop entry l, the next state of frame k-1 equals the
+// state at l (the inputs repeat by construction), the property is
+// violated without abort at some position, and every assumption holds
+// at every position. Absence is a bounded proof.
+func (ob *obligation) lasso(k int) (Result, error) {
 	ss := ob.ss
-	structured := bankLanes < 0
-	if structured {
-		bankLanes = 0
+	fe, b := ss.fe, ss.B
+	if err := fe.unroll(k); err != nil {
+		ss.broken = true
+		return Result{}, err
 	}
-	load := func(bv bitvec.BV, fill func(words []uint64)) {
-		if cap(ss.scratch) < len(bv.Bits) {
-			ss.scratch = make([]uint64, len(bv.Bits))
-		}
-		words := ss.scratch[:len(bv.Bits)]
-		fill(words)
-		for i, bit := range bv.Bits {
-			if bit.IsConst() {
-				continue
+	ob.bound = k
+	ops := bitvec.Ops{B: b}
+	loops := make([]logic.Node, k)
+	total := logic.False
+	for l := range loops {
+		le := ss.family.At(k, l)
+		closure := logic.True
+		for _, r := range ob.sys.Regs {
+			next, err := fe.ev.Eval(r.Next, k-1)
+			if err != nil {
+				return Result{}, err
 			}
-			ss.sim.SetInput(bit, words[i]|formal.SplitMix64(&ss.rng)&^bankMask)
+			at, err := fe.Signal(r.Name, l)
+			if err != nil {
+				return Result{}, err
+			}
+			closure = b.And(closure, ops.Eq(next.Extend(r.Width), at))
+		}
+		viol := logic.False
+		for p := 0; p < k; p++ {
+			v, err := violation(fe, le, ob.f, ob.abort, p, 0, true)
+			if err != nil {
+				return Result{}, err
+			}
+			viol = b.Or(viol, v)
+		}
+		for _, af := range ob.assumes {
+			for p := 0; p < k; p++ {
+				an, err := le.Truth(af, p)
+				if err != nil {
+					return Result{}, err
+				}
+				closure = b.And(closure, an)
+			}
+		}
+		loops[l] = b.And(closure, viol)
+		total = b.Or(total, loops[l])
+	}
+	w, err := ob.find("lasso", k, total)
+	if err != nil {
+		return Result{}, err
+	}
+	if w == nil {
+		return Result{Status: Proven, Bounded: true, Depth: k}, nil
+	}
+	loop := -1
+	for l, n := range loops {
+		if w.Holds(n) {
+			loop = l
+			break
 		}
 	}
-	zero := func(words []uint64) {
-		for i := range words {
-			words[i] = 0
-		}
-	}
+	return Result{Status: Falsified, Depth: k, Cex: cexOf(w.Pattern, loop)}, nil
+}
+
+// inputColumns lists what a prefilter round assigns: every free input
+// at every frame inside the check's bound, in declaration order (which
+// keeps the random stream deterministic), then an induction session's
+// free initial registers. Those seed from the banked traces' first
+// frame: recycled valid-looking states refute induction steps where
+// uniform random state bits rarely do. The slice is the session's
+// column buffer, valid until the next inputColumns or frameColumns.
+func (ob *obligation) inputColumns() []formal.Column {
+	fe := ob.ss.fe
+	cols := ob.ss.cols[:0]
 	for _, in := range ob.sys.Inputs {
 		for p := 0; p < ob.bound; p++ {
-			bv, ok := ss.fe.inputs[sigPos{in.Name, p}]
-			if !ok {
-				continue
-			}
-			if bankLanes > 0 {
-				load(bv, func(w []uint64) { formal.LaneWords(ob.banked, bankLanes, in.Name, p, w) })
-			} else {
-				load(bv, zero)
+			if bv, ok := fe.inputs[sigPos{in.Name, p}]; ok {
+				cols = append(cols, formal.Column{Name: in.Name, Pos: p, Bits: bv.Bits})
 			}
 		}
 	}
-	if ss.freeInit {
-		// Free initial registers seed from the banked traces' first
-		// frame: recycled valid-looking states refute induction steps
-		// where uniform random state bits rarely do (empirically they
-		// beat deep-frame states, which tend to sit mid-violation).
+	if ob.ss.freeInit {
 		for _, r := range ob.sys.Regs {
-			bv, ok := ss.fe.states[sigPos{r.Name, 0}]
-			if !ok {
-				continue
-			}
-			switch {
-			case structured:
-				for i, bit := range bv.Bits {
-					if bit.IsConst() {
-						continue
-					}
-					w := uint64(0)
-					if i < len(laneIndexMasks) {
-						w = laneIndexMasks[i]
-					}
-					ss.sim.SetInput(bit, w)
-				}
-			case bankLanes > 0:
-				load(bv, func(w []uint64) { formal.LaneWords(ob.banked, bankLanes, r.Name, 0, w) })
-			default:
-				load(bv, zero)
+			if bv, ok := fe.states[sigPos{r.Name, 0}]; ok {
+				cols = append(cols, formal.Column{Name: r.Name, Bits: bv.Bits, Init: true})
 			}
 		}
 	}
+	ob.ss.cols = cols
+	return cols
+}
+
+// frameColumns lists what a counterexample reports: the free inputs
+// and the register states at every frame below n. The slice is the
+// session's column buffer, valid until the next inputColumns or
+// frameColumns.
+func (ss *safetySession) frameColumns(n int) []formal.Column {
+	cols := ss.cols[:0]
+	for p := 0; p < n; p++ {
+		for _, in := range ss.fe.sys.Inputs {
+			if bv, ok := ss.fe.inputs[sigPos{in.Name, p}]; ok {
+				cols = append(cols, formal.Column{Name: in.Name, Pos: p, Bits: bv.Bits})
+			}
+		}
+		for _, r := range ss.fe.sys.Regs {
+			if bv, ok := ss.fe.states[sigPos{r.Name, p}]; ok {
+				cols = append(cols, formal.Column{Name: r.Name, Pos: p, Bits: bv.Bits})
+			}
+		}
+	}
+	ss.cols = cols
+	return cols
 }
 
 // fingerprint serializes everything unrolling sys's registers reads:

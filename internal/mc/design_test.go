@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"fveval/internal/formal"
+	"fveval/internal/ltl"
 	"fveval/internal/rtl"
 	"fveval/internal/sva"
 )
@@ -61,7 +63,7 @@ func TestDesignAssumptionWindow(t *testing.T) {
 	sys := elabTop(t, deadEndSrc, "dead_end")
 	deep := parseA(t, `assert property (@(posedge clk) cnt != 4'd9);`)
 	shallow := parseA(t, `assert property (@(posedge clk) cnt != 4'd0);`)
-	for _, opt := range []Options{{}, {SimPatterns: 128}} {
+	for _, opt := range []Options{{}, {Search: formal.Search{SimPatterns: 128}}} {
 		d := NewDesign()
 		for _, a := range []*sva.Assertion{deep, shallow} {
 			got, err := d.CheckAssertion(sys, a, opt)
@@ -145,5 +147,63 @@ func TestDesignLemmaGating(t *testing.T) {
 	sameVerdict(t, "target after lemma check", got, want)
 	if got.Status == Proven {
 		t.Error("the lemma of an earlier check strengthened a later one")
+	}
+}
+
+// TestDesignLivenessAndCoverMatchFreshChecks runs TestLiveness's
+// properties and TestCoverReachability's covers through one Design,
+// interleaved with safety checks of the same systems, so every lasso
+// and cover query lands on a base session that earlier checks have
+// already unrolled, encoded and constrained. Each result must match a
+// fresh one-shot check in status, depth and boundedness, and every
+// falsified liveness result must carry its lasso's loop entry.
+func TestDesignLivenessAndCoverMatchFreshChecks(t *testing.T) {
+	rot, fsm := rotSystem(t), fsmSystem(t)
+	steps := []struct {
+		sys   *rtl.System
+		src   string
+		cover bool
+	}{
+		{rot, `assert property (@(posedge clk) tok != 3'b000);`, false},
+		{rot, tokenReturns, false},
+		{rot, `assert property (@(posedge clk) disable iff (!reset_) ##2 tok != 3'b100);`, false},
+		{rot, tokenVanishes, false},
+		{rot, tokenReturns, false},
+		{fsm, `assert property (@(posedge clk) disable iff (!reset_) state != 2'b11);`, false},
+		{fsm, coverS3, true},
+		{fsm, `assert property (@(posedge clk) fsm_out == state);`, false},
+		{fsm, coverS2SelfLoop, true},
+		// From S1 the machine cycles S1, S3 forever: S0 never returns.
+		{fsm, `assert property (@(posedge clk) disable iff (!reset_) s_eventually state == 2'b00);`, false},
+		{fsm, coverS3, true},
+	}
+	for _, opt := range []Options{{}, {Search: formal.Search{SimPatterns: 128, Bank: formal.NewBank(0)}}} {
+		d := NewDesign()
+		for i, st := range steps {
+			a := parseA(t, st.src)
+			var got, want Result
+			var err1, err2 error
+			if st.cover {
+				got, err1 = d.CheckCover(st.sys, a, opt)
+				want, err2 = oneShotCover(st.sys, a, Options{})
+			} else {
+				got, err1 = d.CheckAssertion(st.sys, a, opt)
+				want, err2 = oracleCheckAssertion(st.sys, a, Options{})
+			}
+			if err1 != nil || err2 != nil {
+				t.Fatalf("step %d %s: errors %v / %v", i, st.src, err1, err2)
+			}
+			if got.Status != want.Status || got.Depth != want.Depth || got.Bounded != want.Bounded {
+				t.Fatalf("step %d %s (sim %d): design (%v, depth %d, bounded %v) vs fresh (%v, depth %d, bounded %v)",
+					i, st.src, opt.SimPatterns, got.Status, got.Depth, got.Bounded, want.Status, want.Depth, want.Bounded)
+			}
+			f, err := ltl.LowerAssertion(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ltl.HasUnbounded(f) && got.Status == Falsified && (got.Cex == nil || got.Cex.Loop < 0) {
+				t.Fatalf("step %d %s: falsified liveness result without a loop: %+v", i, st.src, got.Cex)
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package mc
 import (
 	"testing"
 
+	"fveval/internal/bitvec"
 	"fveval/internal/logic"
 	"fveval/internal/ltl"
 	"fveval/internal/rtl"
@@ -15,41 +16,58 @@ import (
 // that re-encodes and re-solves every query from scratch — the
 // pre-incremental solve path.
 
-func oracleSafetyQuery(sys *rtl.System, f ltl.Formula, abort sva.Expr, assumes []ltl.Formula, attempts, d int, freeInit bool, opt Options) (*Cex, error) {
+// assumeConstraint conjoins every assumption at every position whose
+// bounded window fits inside the unrolling.
+func assumeConstraint(le *ltl.LassoEval, assumes []ltl.Formula, frames int) (logic.Node, error) {
+	acc := logic.True
+	for _, f := range assumes {
+		d := ltl.Depth(f)
+		for p := 0; p+d < frames; p++ {
+			n, err := le.Truth(f, p)
+			if err != nil {
+				return logic.False, err
+			}
+			acc = le.Ev.Ops.B.And(acc, n)
+		}
+	}
+	return acc, nil
+}
+
+// oneShotSolve asserts n in a fresh solver over b and solves once.
+func oneShotSolve(b *logic.Builder, n logic.Node, opt Options) (bool, *logic.CNF, []bool, error) {
+	s := sat.New()
+	if opt.Budget > 0 {
+		s.SetBudget(opt.Budget)
+	}
+	cnf := logic.NewCNF(b, s)
+	cnf.Assert(n)
+	ok, model, err := s.SolveModel()
+	return ok, cnf, model, err
+}
+
+func oracleSafetyQuery(sys *rtl.System, f ltl.Formula, abort sva.Expr, assumes []ltl.Formula, attempts, d int, opt Options) (bool, error) {
 	n := attempts + d + 1
 	b := logic.NewBuilder()
 	fe := newFrameEnv(b, sys)
-	fe.initFrame0(freeInit)
+	fe.initFrame0(false)
 	if err := fe.unroll(n); err != nil {
-		return nil, err
+		return false, err
 	}
 	le := ltl.NewLassoEval(fe.ev, n, n-1)
 	total := logic.False
 	for p := 0; p < attempts; p++ {
 		v, err := violation(fe, le, f, abort, p, d, false)
 		if err != nil {
-			return nil, err
+			return false, err
 		}
 		total = b.Or(total, v)
 	}
 	asm, err := assumeConstraint(le, assumes, n)
 	if err != nil {
-		return nil, err
+		return false, err
 	}
-	s := sat.New()
-	if opt.Budget > 0 {
-		s.SetBudget(opt.Budget)
-	}
-	cnf := logic.NewCNF(b, s)
-	cnf.Assert(b.And(total, asm))
-	ok, model, err := s.SolveModel()
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, nil
-	}
-	return decodeCex(sys, fe, cnf, model, n, -1), nil
+	ok, _, _, err := oneShotSolve(b, b.And(total, asm), opt)
+	return ok, err
 }
 
 func oracleInductionStep(sys *rtl.System, f ltl.Formula, abort sva.Expr, assumes []ltl.Formula, k, d int, opt Options) (bool, error) {
@@ -61,29 +79,22 @@ func oracleInductionStep(sys *rtl.System, f ltl.Formula, abort sva.Expr, assumes
 		return false, err
 	}
 	le := ltl.NewLassoEval(fe.ev, n, n-1)
-	s := sat.New()
-	if opt.Budget > 0 {
-		s.SetBudget(opt.Budget)
-	}
-	cnf := logic.NewCNF(b, s)
-	asm, err := assumeConstraint(le, assumes, n)
+	query, err := assumeConstraint(le, assumes, n)
 	if err != nil {
 		return false, err
 	}
-	cnf.Assert(asm)
 	for p := 0; p < k; p++ {
 		v, err := violation(fe, le, f, abort, p, d, false)
 		if err != nil {
 			return false, err
 		}
-		cnf.Assert(v.Not())
+		query = b.And(query, v.Not())
 	}
 	v, err := violation(fe, le, f, abort, k, d, false)
 	if err != nil {
 		return false, err
 	}
-	cnf.Assert(v)
-	okSat, err := s.Solve()
+	okSat, _, _, err := oneShotSolve(b, b.And(query, v), opt)
 	if err != nil {
 		return false, err
 	}
@@ -93,12 +104,12 @@ func oracleInductionStep(sys *rtl.System, f ltl.Formula, abort sva.Expr, assumes
 func oracleCheckSafety(sys *rtl.System, f ltl.Formula, abort sva.Expr, assumes []ltl.Formula, opt Options) (Result, error) {
 	d := ltl.Depth(f)
 	for k := 1; k <= opt.MaxInduction; k++ {
-		cex, err := oracleSafetyQuery(sys, f, abort, assumes, k, d, false, opt)
+		cex, err := oracleSafetyQuery(sys, f, abort, assumes, k, d, opt)
 		if err != nil {
 			return Result{}, err
 		}
-		if cex != nil {
-			return Result{Status: Falsified, Depth: k, Cex: cex}, nil
+		if cex {
+			return Result{Status: Falsified, Depth: k}, nil
 		}
 		ind, err := oracleInductionStep(sys, f, abort, assumes, k, d, opt)
 		if err != nil {
@@ -108,18 +119,137 @@ func oracleCheckSafety(sys *rtl.System, f ltl.Formula, abort sva.Expr, assumes [
 			return Result{Status: Proven, Depth: k}, nil
 		}
 	}
-	cex, err := oracleSafetyQuery(sys, f, abort, assumes, opt.BMCDepth, d, false, opt)
+	cex, err := oracleSafetyQuery(sys, f, abort, assumes, opt.BMCDepth, d, opt)
 	if err != nil {
 		return Result{}, err
 	}
-	if cex != nil {
-		return Result{Status: Falsified, Depth: opt.BMCDepth, Cex: cex}, nil
+	if cex {
+		return Result{Status: Falsified, Depth: opt.BMCDepth}, nil
 	}
 	return Result{Status: Unknown, Depth: opt.BMCDepth}, nil
 }
 
-// oracleCheckAssertion mirrors CheckAssertion through the oracle for
-// safety properties (liveness is unchanged by the refactor).
+// oracleLiveness is the one-shot lasso query: a fresh unroll of k
+// frames from reset, every loop entry's closure, violation and
+// assumptions in one disjunction, one solve. A falsified result
+// carries only the loop entry of its counterexample.
+func oracleLiveness(sys *rtl.System, f ltl.Formula, abort sva.Expr, assumes []ltl.Formula, opt Options) (Result, error) {
+	k := lassoBound
+	if d := ltl.Depth(f) + 3; d > k {
+		k = d
+	}
+	b := logic.NewBuilder()
+	fe := newFrameEnv(b, sys)
+	fe.initFrame0(false)
+	if err := fe.unroll(k); err != nil {
+		return Result{}, err
+	}
+	ops := bitvec.Ops{B: b}
+	perLoop := make([]logic.Node, k)
+	total := logic.False
+	for l := 0; l < k; l++ {
+		le := ltl.NewLassoEval(fe.ev, k, l)
+		closure := logic.True
+		for _, r := range sys.Regs {
+			next, err := fe.ev.Eval(r.Next, k-1)
+			if err != nil {
+				return Result{}, err
+			}
+			at, err := fe.Signal(r.Name, l)
+			if err != nil {
+				return Result{}, err
+			}
+			closure = b.And(closure, ops.Eq(next.Extend(r.Width), at))
+		}
+		viol := logic.False
+		for p := 0; p < k; p++ {
+			v, err := violation(fe, le, f, abort, p, 0, true)
+			if err != nil {
+				return Result{}, err
+			}
+			viol = b.Or(viol, v)
+		}
+		for _, af := range assumes {
+			for p := 0; p < k; p++ {
+				an, err := le.Truth(af, p)
+				if err != nil {
+					return Result{}, err
+				}
+				closure = b.And(closure, an)
+			}
+		}
+		perLoop[l] = b.And(closure, viol)
+		total = b.Or(total, perLoop[l])
+	}
+	ok, cnf, model, err := oneShotSolve(b, total, opt)
+	if err != nil {
+		return Result{}, err
+	}
+	if !ok {
+		return Result{Status: Proven, Bounded: true, Depth: k}, nil
+	}
+	sim := logic.NewSim(b)
+	for _, in := range b.Inputs() {
+		if cnf.InputValue(model, in) {
+			sim.SetInput(in, ^uint64(0))
+		}
+	}
+	sim.Run()
+	loop := -1
+	for l, n := range perLoop {
+		if sim.Bit(n, 0) {
+			loop = l
+			break
+		}
+	}
+	return Result{Status: Falsified, Depth: k, Cex: &Cex{Loop: loop}}, nil
+}
+
+// oneShotCover is the one-shot cover query: a fresh unroll from reset,
+// the property at any position below the BMC depth under every
+// assumption instance, one solve.
+func oneShotCover(sys *rtl.System, a *sva.Assertion, opt Options) (Result, error) {
+	opt = opt.withDefaults()
+	f, err := ltl.LowerAssertion(a)
+	if err != nil {
+		return Result{}, err
+	}
+	assumes, err := lowerAssumes(sys)
+	if err != nil {
+		return Result{}, err
+	}
+	n := opt.BMCDepth + ltl.Depth(f) + 1
+	b := logic.NewBuilder()
+	fe := newFrameEnv(b, sys)
+	fe.initFrame0(false)
+	if err := fe.unroll(n); err != nil {
+		return Result{}, err
+	}
+	le := ltl.NewLassoEval(fe.ev, n, n-1)
+	hit := logic.False
+	for p := 0; p < opt.BMCDepth; p++ {
+		t, err := le.Truth(f, p)
+		if err != nil {
+			return Result{}, err
+		}
+		hit = b.Or(hit, t)
+	}
+	asm, err := assumeConstraint(le, assumes, n)
+	if err != nil {
+		return Result{}, err
+	}
+	ok, _, _, err := oneShotSolve(b, b.And(hit, asm), opt)
+	if err != nil {
+		return Result{}, err
+	}
+	if !ok {
+		return Result{Status: Falsified, Bounded: true, Depth: opt.BMCDepth}, nil
+	}
+	return Result{Status: Proven, Depth: opt.BMCDepth}, nil
+}
+
+// oracleCheckAssertion mirrors CheckAssertion through the one-shot
+// oracles.
 func oracleCheckAssertion(sys *rtl.System, a *sva.Assertion, opt Options) (Result, error) {
 	opt = opt.withDefaults()
 	f, err := ltl.LowerAssertion(a)
@@ -135,7 +265,7 @@ func oracleCheckAssertion(sys *rtl.System, a *sva.Assertion, opt Options) (Resul
 		return Result{}, err
 	}
 	if ltl.HasUnbounded(f) {
-		return checkLiveness(sys, f, abort, assumes, opt)
+		return oracleLiveness(sys, f, abort, assumes, opt)
 	}
 	return oracleCheckSafety(sys, f, abort, assumes, opt)
 }

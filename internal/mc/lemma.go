@@ -133,7 +133,7 @@ func (c *Design) CheckWithLemmas(sys *rtl.System, target *sva.Assertion, helpers
 			// Liveness targets get no lemma strengthening (the lasso
 			// encoding has no induction hypothesis to strengthen), but
 			// helper validity is still reported.
-			tres, err = checkLiveness(sys, tf, tabort, assumes, opt)
+			tres, err = c.checkLiveness(sys, tf, tabort, assumes, opt)
 		} else {
 			tres, err = c.checkSafety(sys, tf, tabort, assumes, lemmas, opt)
 		}

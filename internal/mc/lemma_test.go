@@ -184,7 +184,7 @@ func TestLemmaStats(t *testing.T) {
 	decoy := parseA(t, `h2: assert property (@(posedge clk) (cnt == 'd0));`)
 
 	st := &formal.Stats{}
-	_, _, err := CheckWithLemmas(sys, target, []*sva.Assertion{align, decoy}, Options{Stats: st})
+	_, _, err := CheckWithLemmas(sys, target, []*sva.Assertion{align, decoy}, Options{Search: formal.Search{Stats: st}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,15 +5,14 @@
 // falsified with lasso-shaped bounded search (absence of a lasso
 // counterexample within the bound is reported as a bounded proof).
 //
-// Safety checking is incremental (DESIGN.md §7): one persistent
-// solver serves the BMC base cases (frame-by-frame unroll, the
-// frontier violation passed as an assumption, early exit on the first
-// counterexample) and a second persistent solver serves the
-// k-induction steps. A Design keeps that solver pair alive across
-// every check of one design's transition relation, each check's own
-// constraints gated behind its activation literal, so the unroll,
-// learnt clauses and the Tseitin encoding are paid for once per design
-// rather than once per assertion.
+// Every check runs on the bounded-search core of package formal
+// (DESIGN.md §7): a Design keeps two formal sessions per transition
+// relation — the base session unrolled from reset, serving BMC depths,
+// liveness lassos and covers, and the step session from a free state,
+// serving k-induction — and each check is one obligation per session
+// it touches, its constraints gated behind its activation literal. The
+// unroll, learnt clauses and Tseitin encoding are paid for once per
+// design rather than once per assertion.
 //
 // Reset handling follows the formal-testbench convention of the
 // benchmark: registers start from their post-reset values, reset
@@ -25,15 +24,12 @@ package mc
 
 import (
 	"fmt"
-	"time"
 
 	"fveval/internal/bitvec"
 	"fveval/internal/formal"
 	"fveval/internal/logic"
 	"fveval/internal/ltl"
-	"fveval/internal/obs"
 	"fveval/internal/rtl"
-	"fveval/internal/sat"
 	"fveval/internal/sva"
 )
 
@@ -74,33 +70,20 @@ type Result struct {
 	Cex   *Cex
 }
 
-// Options tunes the checker.
+// Options tunes the checker. The embedded formal.Search carries the
+// conflict budget, the simulation prefilter and the run-wide sinks;
+// the prefilter runs before each BMC depth, induction step, lasso and
+// cover solve, and a satisfying lane discharges the query without the
+// solver (as a counterexample, a step refutation or a cover witness).
 type Options struct {
-	MaxInduction int   // max k for k-induction (default 10)
-	BMCDepth     int   // plain BMC falsification depth (default 16)
-	LassoBound   int   // lasso length for liveness (default 10)
-	Budget       int64 // SAT conflict budget per query (0 = unlimited)
-	// SimPatterns enables the bit-parallel simulation prefilter for
-	// safety checks (DESIGN.md §10): this many random patterns (in
-	// 64-lane rounds, plus recycled Bank patterns) are simulated over
-	// the concrete unrolled frames before each BMC or induction solve,
-	// and a lane satisfying the violation discharges the depth — as a
-	// falsification witness for BMC, as a step refutation for
-	// induction — without touching the solver. 0 disables. Refute-only,
-	// so verdicts are identical either way.
-	SimPatterns int
-	// Bank, when non-nil, supplies recycled counterexample patterns to
-	// the prefilter and receives every SAT model found here.
-	Bank *formal.Bank
-	// Stats, when non-nil, receives solver-reuse counters from the
-	// incremental sessions. Never affects verdicts.
-	Stats *formal.Stats
-	// Span, when non-nil, is the traced parent span of this check:
-	// every BMC depth, induction step, and prefilter decision records a
-	// child span under it. Like Stats it never affects verdicts; a nil
-	// Span makes every span call a no-op.
-	Span *obs.Span
+	MaxInduction int // max k for k-induction (default 10)
+	BMCDepth     int // plain BMC falsification depth (default 16)
+	formal.Search
 }
+
+// lassoBound is the lasso length liveness checks search up to (raised
+// to the property's depth + 3).
+const lassoBound = 10
 
 func (o Options) withDefaults() Options {
 	if o.MaxInduction == 0 {
@@ -109,16 +92,12 @@ func (o Options) withDefaults() Options {
 	if o.BMCDepth == 0 {
 		o.BMCDepth = 16
 	}
-	if o.LassoBound == 0 {
-		o.LassoBound = 10
-	}
 	return o
 }
 
 // CheckAssertion proves or falsifies an assertion against the system.
 // Assumptions declared in the system (assume property) constrain the
-// explored traces. It is the one-check form of Design.CheckAssertion:
-// safety properties are checked in a fresh session pair.
+// explored traces. It is the one-check form of Design.CheckAssertion.
 func CheckAssertion(sys *rtl.System, a *sva.Assertion, opt Options) (Result, error) {
 	return NewDesign().CheckAssertion(sys, a, opt)
 }
@@ -126,60 +105,9 @@ func CheckAssertion(sys *rtl.System, a *sva.Assertion, opt Options) (Result, err
 // CheckCover decides reachability for a cover property: whether some
 // trace from reset (satisfying the system's assumptions) reaches a
 // position where the property holds. Covered results carry the witness
-// trace.
+// trace. It is the one-check form of Design.CheckCover.
 func CheckCover(sys *rtl.System, a *sva.Assertion, opt Options) (Result, error) {
-	opt = opt.withDefaults()
-	f, err := ltl.LowerAssertion(a)
-	if err != nil {
-		return Result{}, err
-	}
-	if ltl.HasUnbounded(f) {
-		return Result{}, &ltl.LowerError{Reason: "unbounded cover properties are not supported"}
-	}
-	assumes, err := lowerAssumes(sys)
-	if err != nil {
-		return Result{}, err
-	}
-	d := ltl.Depth(f)
-	n := opt.BMCDepth + d + 1
-	started := time.Now()
-	b := logic.NewBuilder()
-	fe := newFrameEnv(b, sys)
-	fe.initFrame0(false)
-	if err := fe.unroll(n); err != nil {
-		return Result{}, err
-	}
-	le := ltl.NewLassoEval(fe.ev, n, n-1)
-	hit := logic.False
-	for p := 0; p < opt.BMCDepth; p++ {
-		t, err := le.Truth(f, p)
-		if err != nil {
-			return Result{}, err
-		}
-		hit = b.Or(hit, t)
-	}
-	asm, err := assumeConstraint(le, assumes, n)
-	if err != nil {
-		return Result{}, err
-	}
-	s := sat.New()
-	if opt.Budget > 0 {
-		s.SetBudget(opt.Budget)
-	}
-	cnf := logic.NewCNF(b, s)
-	cnf.Assert(b.And(hit, asm))
-	ok, model, err := s.SolveModel()
-	opt.Stats.Query(1, s.Stats().Conflicts, 0, false)
-	opt.Stats.SolveWall(time.Since(started).Nanoseconds())
-	if err != nil {
-		return Result{}, err
-	}
-	if !ok {
-		// not reachable within the bound
-		return Result{Status: Falsified, Bounded: true, Depth: opt.BMCDepth}, nil
-	}
-	return Result{Status: Proven, Depth: opt.BMCDepth,
-		Cex: decodeCex(sys, fe, cnf, model, n, -1)}, nil
+	return NewDesign().CheckCover(sys, a, opt)
 }
 
 // lowerAssumes lowers the system's assumptions; only bounded
@@ -198,23 +126,6 @@ func lowerAssumes(sys *rtl.System) ([]ltl.Formula, error) {
 		out = append(out, f)
 	}
 	return out, nil
-}
-
-// assumeConstraint conjoins every assumption at every position whose
-// bounded window fits inside the unrolling.
-func assumeConstraint(le *ltl.LassoEval, assumes []ltl.Formula, frames int) (logic.Node, error) {
-	acc := logic.True
-	for _, f := range assumes {
-		d := ltl.Depth(f)
-		for p := 0; p+d < frames; p++ {
-			n, err := le.Truth(f, p)
-			if err != nil {
-				return logic.False, err
-			}
-			acc = le.Ev.Ops.B.And(acc, n)
-		}
-	}
-	return acc, nil
 }
 
 // frameEnv implements ltl.Env over an unrolled transition system.
@@ -406,173 +317,16 @@ func lassoReach(le *ltl.LassoEval, p int) []int {
 	return out
 }
 
-func checkLiveness(sys *rtl.System, f ltl.Formula, abort sva.Expr, assumes []ltl.Formula, opt Options) (Result, error) {
-	k := opt.LassoBound
-	if d := ltl.Depth(f) + 3; d > k {
-		k = d
+// cexOf lays a decoded witness out frame by frame.
+func cexOf(p formal.Pattern, loop int) *Cex {
+	cex := &Cex{Loop: loop, Frames: make([]map[string]uint64, p.Len)}
+	for i := range cex.Frames {
+		cex.Frames[i] = map[string]uint64{}
 	}
-	started := time.Now()
-	b := logic.NewBuilder()
-	fe := newFrameEnv(b, sys)
-	fe.initFrame0(false)
-	if err := fe.unroll(k); err != nil {
-		return Result{}, err
-	}
-	ops := bitvec.Ops{B: b}
-	perLoop := map[int]logic.Node{}
-	total := logic.False
-	for l := 0; l < k; l++ {
-		le := ltl.NewLassoEval(fe.ev, k, l)
-		// loop closure: next-state of frame k-1 equals state at l —
-		// and the loop's input columns repeat by construction.
-		closure := logic.True
-		for _, r := range sys.Regs {
-			next, err := fe.ev.Eval(r.Next, k-1)
-			if err != nil {
-				return Result{}, err
-			}
-			at, err := fe.Signal(r.Name, l)
-			if err != nil {
-				return Result{}, err
-			}
-			closure = b.And(closure, ops.Eq(next.Extend(r.Width), at))
+	for name, vals := range p.Vals {
+		for i, v := range vals {
+			cex.Frames[i][name] = v
 		}
-		// inputs must repeat across the loop seam for the lasso to be
-		// a genuine infinite trace.
-		viol := logic.False
-		for p := 0; p < k; p++ {
-			v, err := violation(fe, le, f, abort, p, 0, true)
-			if err != nil {
-				return Result{}, err
-			}
-			viol = b.Or(viol, v)
-		}
-		// assumptions hold at every lasso position
-		for _, af := range assumes {
-			for p := 0; p < k; p++ {
-				an, err := le.Truth(af, p)
-				if err != nil {
-					return Result{}, err
-				}
-				closure = b.And(closure, an)
-			}
-		}
-		node := b.And(closure, viol)
-		perLoop[l] = node
-		total = b.Or(total, node)
-	}
-	s := sat.New()
-	if opt.Budget > 0 {
-		s.SetBudget(opt.Budget)
-	}
-	cnf := logic.NewCNF(b, s)
-	cnf.Assert(total)
-	rsp := opt.Span.Child("lasso").SetPhase(obs.PhaseSAT).SetInt("bound", int64(k))
-	ok, model, err := s.SolveModel()
-	if err != nil {
-		rsp.SetStr("verdict", "error")
-	} else if ok {
-		rsp.SetStr("verdict", "sat")
-	} else {
-		rsp.SetStr("verdict", "unsat")
-	}
-	rsp.End()
-	opt.Stats.Query(1, s.Stats().Conflicts, 0, false)
-	opt.Stats.SolveWall(time.Since(started).Nanoseconds())
-	if err != nil {
-		return Result{}, err
-	}
-	if !ok {
-		return Result{Status: Proven, Bounded: true, Depth: k}, nil
-	}
-	loop := -1
-	sim := modelSim(fe, cnf, model)
-	for l, node := range perLoop {
-		if sim.Bit(node, 0) {
-			loop = l
-			break
-		}
-	}
-	return Result{Status: Falsified, Depth: k, Cex: decodeCexLane(sys, fe, sim, 0, k, loop)}, nil
-}
-
-// modelSim broadcasts a SAT model's free-variable values into a
-// one-lane run of the dense bit-parallel evaluator; derived nets and
-// register states are recomputed from the inputs, exactly as the
-// map-based evaluator did.
-func modelSim(fe *frameEnv, cnf *logic.CNF, model []bool) *logic.Sim {
-	sim := logic.NewSim(fe.b)
-	set := func(bv bitvec.BV) {
-		for _, bit := range bv.Bits {
-			if !bit.IsConst() && fe.b.IsInput(bit) && cnf.InputValue(model, bit) != bit.Compl() {
-				sim.SetInput(bit, ^uint64(0))
-			}
-		}
-	}
-	for _, bv := range fe.inputs {
-		set(bv)
-	}
-	for _, bv := range fe.states {
-		set(bv)
-	}
-	sim.Run()
-	return sim
-}
-
-func decodeCex(sys *rtl.System, fe *frameEnv, cnf *logic.CNF, model []bool, n, loop int) *Cex {
-	return decodeCexLane(sys, fe, modelSim(fe, cnf, model), 0, n, loop)
-}
-
-// decodeCexLane reads one simulation lane off as a counterexample —
-// the shared decode path of SAT models (broadcast to lane 0) and
-// prefilter hits (whose lane is already a complete assignment).
-func decodeCexLane(sys *rtl.System, fe *frameEnv, sim *logic.Sim, lane, n, loop int) *Cex {
-	cex := &Cex{Loop: loop}
-	for p := 0; p < n; p++ {
-		frame := map[string]uint64{}
-		for _, in := range sys.Inputs {
-			if bv, ok := fe.inputs[sigPos{in.Name, p}]; ok {
-				frame[in.Name] = decodeBVLane(bv, sim, lane)
-			}
-		}
-		for _, r := range sys.Regs {
-			if bv, ok := fe.states[sigPos{r.Name, p}]; ok {
-				frame[r.Name] = decodeBVLane(bv, sim, lane)
-			}
-		}
-		cex.Frames = append(cex.Frames, frame)
 	}
 	return cex
-}
-
-func decodeBVLane(bv bitvec.BV, sim *logic.Sim, lane int) uint64 {
-	var v uint64
-	for i, bit := range bv.Bits {
-		if i >= 64 {
-			break
-		}
-		if sim.Bit(bit, lane) {
-			v |= 1 << uint(i)
-		}
-	}
-	return v
-}
-
-// bankCex folds a decoded counterexample into the shared pattern bank
-// as a signal-level trace (inputs and register states both: register
-// names seed the free initial state of later induction sessions).
-func bankCex(bank *formal.Bank, cex *Cex) {
-	if bank == nil || cex == nil || len(cex.Frames) == 0 {
-		return
-	}
-	vals := map[string][]uint64{}
-	for p, frame := range cex.Frames {
-		for name, v := range frame {
-			if _, ok := vals[name]; !ok {
-				vals[name] = make([]uint64, len(cex.Frames))
-			}
-			vals[name][p] = v
-		}
-	}
-	bank.Add(formal.Pattern{Len: len(cex.Frames), Vals: vals})
 }

@@ -220,9 +220,8 @@ endmodule`
 	}
 }
 
-func TestLiveness(t *testing.T) {
-	// A one-hot rotating token: the token eventually returns.
-	src := `
+// rotSrc is a one-hot rotating token.
+const rotSrc = `
 module rot(clk, reset_, tok);
 input clk;
 input reset_;
@@ -232,7 +231,19 @@ always @(posedge clk) begin
   else tok <= {tok[1:0], tok[2]};
 end
 endmodule`
-	f, err := rtl.Parse(src)
+
+const (
+	// The token eventually returns (bounded-proven).
+	tokenReturns = `assert property (@(posedge clk) disable iff (!reset_)
+		s_eventually tok[0]);`
+	// The token eventually disappears (false, with a lasso witness).
+	tokenVanishes = `assert property (@(posedge clk) disable iff (!reset_)
+		s_eventually (tok == 3'b000));`
+)
+
+func rotSystem(t *testing.T) *rtl.System {
+	t.Helper()
+	f, err := rtl.Parse(rotSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,18 +251,20 @@ endmodule`
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := check(t, sys, `assert property (@(posedge clk) disable iff (!reset_)
-		s_eventually tok[0]);`)
+	return sys
+}
+
+func TestLiveness(t *testing.T) {
+	sys := rotSystem(t)
+	res := check(t, sys, tokenReturns)
 	if res.Status != Proven {
 		t.Errorf("token liveness: %v", res.Status)
 	}
 	if !res.Bounded {
 		t.Errorf("liveness proof must be flagged bounded")
 	}
-	// tok[0] and tok[1] are never simultaneously... liveness failure:
-	// claiming the token eventually disappears is false.
-	res = check(t, sys, `assert property (@(posedge clk) disable iff (!reset_)
-		s_eventually (tok == 3'b000));`)
+	// Claiming the token eventually disappears is false.
+	res = check(t, sys, tokenVanishes)
 	if res.Status != Falsified {
 		t.Errorf("false liveness must be falsified: %v", res.Status)
 	}
