@@ -68,9 +68,10 @@ bench:
 	./scripts/bench_gate.sh
 
 # regenerate renders every table and figure at full size through the
-# task registry, the path fvevald serves.
+# task registry, the path fvevald serves, and diffs the output against
+# the checked-in tables.
 regenerate:
-	$(GO) run ./cmd/fveval -all > /dev/null
+	$(GO) run ./cmd/fveval -all | diff -u cmd/fveval/testdata/all.txt -
 
 lint:
 	@unformatted="$$(gofmt -l .)"; \

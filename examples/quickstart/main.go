@@ -1,6 +1,7 @@
 // Quickstart: list the task registry, run NL2SVA-Human on a slice of
 // the fleet through the single Run entry point, stream per-job
-// progress, and print the Table-1-style report.
+// progress, and print the dataset composition (Table 6) and the
+// Table-1-style report.
 package main
 
 import (
@@ -31,7 +32,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(fveval.FormatTable6())
+	stats, err := fveval.Run(context.Background(), fveval.Request{Task: "dataset-stats"})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(stats.Report.Render())
 	fmt.Println(run.Report.Render())
 
 	// Inspect one judged response end to end: the unified report keeps

@@ -18,10 +18,11 @@
 //	})
 //	fmt.Print(run.Report.Render())
 //
-// A Run returns one unified Report (JSON round-trippable; the legacy
-// per-table report types project out of it), streams per-job progress
-// through Request.Progress, honors context cancellation, and carries
-// run metadata (cache and formal-backend statistics, wall-clock).
+// A Run returns one unified Report (JSON round-trippable: one row per
+// model and sub-setting, and Render for the paper layout), streams
+// per-job progress through Request.Progress, honors context
+// cancellation, and carries run metadata (cache and formal-backend
+// statistics, wall-clock).
 // Reuse one Engine across runs — or serve it over HTTP with
 // cmd/fvevald — to share the equivalence-check cache between them.
 //
@@ -34,7 +35,6 @@ package fveval
 import (
 	"context"
 
-	"fveval/internal/core"
 	"fveval/internal/engine"
 	"fveval/internal/equiv"
 	"fveval/internal/formal"
@@ -63,9 +63,9 @@ type Request = task.Request
 // Event is one streamed per-job progress notification.
 type Event = task.Event
 
-// Report is the unified result type every task produces; the legacy
-// ModelReport/PassKReport/DesignReport shapes project out of its rows
-// and Render reproduces the paper table or figure.
+// Report is the unified result type every task produces: per-model
+// rows grouped by sub-setting, and Render reproduces the paper table
+// or figure.
 type Report = task.Report
 
 // Result is a completed run: the unified Report, the resolved
@@ -88,7 +88,7 @@ type CacheStats = equiv.CacheStats
 type FormalStats = formal.Snapshot
 
 // SimStats reports the bit-parallel simulation prefilter's counters
-// (patterns simulated, refutations, SAT calls avoided, bank hits);
+// (patterns simulated, refutations, bank hits);
 // it is the Sim field of FormalStats, see DESIGN.md §10.
 type SimStats = formal.SimStats
 
@@ -111,15 +111,6 @@ func Run(ctx context.Context, req Request) (*Result, error) {
 	}
 	return task.NewEngine(Options{}).Run(ctx, req)
 }
-
-// ModelReport aggregates one model's metrics on one task.
-type ModelReport = core.ModelReport
-
-// PassKReport aggregates pass@k metrics.
-type PassKReport = core.PassKReport
-
-// DesignReport aggregates Design2SVA metrics.
-type DesignReport = core.DesignReport
 
 // Model is the language-model interface; the built-in fleet consists
 // of calibrated offline proxies (see internal/llm).
@@ -144,20 +135,6 @@ func DesignModels() []Model { return llm.DesignModels() }
 
 // ModelByName finds a proxy model.
 func ModelByName(name string) Model { return llm.ModelByName(name) }
-
-// Table and figure renderers.
-var (
-	FormatTable1 = core.FormatTable1
-	FormatTable2 = core.FormatTable2
-	FormatTable3 = core.FormatTable3
-	FormatTable4 = core.FormatTable4
-	FormatTable5 = core.FormatTable5
-	FormatTable6 = core.FormatTable6
-	Figure2      = core.Figure2
-	Figure3      = core.Figure3
-	Figure4      = core.Figure4
-	Figure6      = core.Figure6
-)
 
 // CheckSyntax reports whether assertion source passes the tool-style
 // syntax check (parse + validate).

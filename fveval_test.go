@@ -57,9 +57,12 @@ func TestFacadeEndToEndSlice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := FormatTable1(run.Report.Group("").ModelReports())
-	if !strings.Contains(out, "gpt-4o") {
-		t.Fatalf("report malformed:\n%s", out)
+	rows := run.Report.Group("").Rows
+	if len(rows) != 1 || rows[0].Model != "gpt-4o" || rows[0].Count != 8 || len(rows[0].Outcomes) != 8 {
+		t.Fatalf("report malformed: %+v", run.Report)
+	}
+	if out := run.Report.Render(); !strings.HasPrefix(out, "Table 1") || !strings.Contains(out, "gpt-4o") {
+		t.Fatalf("report renders malformed:\n%s", out)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package core holds the benchmark substance shared by every run: the
 // three sub-benchmark datasets (NL2SVA-Human, NL2SVA-Machine,
 // Design2SVA), the per-response judgment flow — response extraction,
-// syntax check, formal equivalence or proof — and the report types and
-// table/figure renderers for the paper's metrics.
+// syntax check, formal equivalence or proof — and the fold of judged
+// outcomes into the one result row every table is rendered from.
 //
 // Execution (worker pools, job scheduling, sharding, memoized
 // equivalence checking) lives in internal/engine; core stays free of
@@ -37,22 +37,35 @@ type Outcome struct {
 	BLEU       float64 `json:"bleu,omitempty"`
 }
 
-// ModelReport aggregates outcomes for one model on one task setting.
-type ModelReport struct {
-	Model    string
-	Count    int
-	Syntax   float64
-	Func     float64
-	Partial  float64
-	BLEU     float64
-	Outcomes []Outcome
+// Row is one model's result on one task setting. Greedy settings fill
+// the mean metrics (Count, Syntax, Func, Partial, BLEU, Outcomes);
+// sampled settings fill Samples and the pass@k maps.
+type Row struct {
+	Model string `json:"model"`
+	// Count is the number of judged outcomes (greedy settings).
+	Count int `json:"count,omitempty"`
+	// Samples is n, the samples drawn per instance (sampled settings).
+	Samples int `json:"samples,omitempty"`
+
+	Syntax  float64 `json:"syntax,omitempty"`
+	Func    float64 `json:"func,omitempty"`
+	Partial float64 `json:"partial,omitempty"`
+	BLEU    float64 `json:"bleu,omitempty"`
+
+	SyntaxK  map[int]float64 `json:"syntax_at_k,omitempty"`
+	FuncK    map[int]float64 `json:"func_at_k,omitempty"`
+	PartialK map[int]float64 `json:"partial_at_k,omitempty"`
+
+	// Outcomes are the per-instance judgments (greedy settings keep
+	// them for downstream analyses such as Figure 6).
+	Outcomes []Outcome `json:"outcomes,omitempty"`
 }
 
-// Aggregate folds outcomes into one model's report. The fold visits
-// outcomes in slice order, so identical slices produce bit-identical
-// reports no matter how the outcomes were computed.
-func Aggregate(model string, outs []Outcome) ModelReport {
-	r := ModelReport{Model: model, Count: len(outs), Outcomes: outs}
+// Aggregate folds outcomes into one model's greedy row. The fold
+// visits outcomes in slice order, so identical slices produce
+// bit-identical rows no matter how the outcomes were computed.
+func Aggregate(model string, outs []Outcome) Row {
+	r := Row{Model: model, Count: len(outs), Outcomes: outs}
 	if len(outs) == 0 {
 		return r
 	}
@@ -74,21 +87,12 @@ func Aggregate(model string, outs []Outcome) ModelReport {
 	return r
 }
 
-// PassKReport aggregates pass@k across samples.
-type PassKReport struct {
-	Model    string
-	N        int // samples per instance
-	SyntaxK  map[int]float64
-	FuncK    map[int]float64
-	PartialK map[int]float64
-}
-
 // AggregatePassK computes unbiased pass@k per metric from a flattened
 // outcome grid laid out instance-major: outs[i*n+s] is instance i,
 // sample s.
-func AggregatePassK(model string, nInst, n int, ks []int, outs []Outcome) PassKReport {
-	rep := PassKReport{
-		Model: model, N: n,
+func AggregatePassK(model string, nInst, n int, ks []int, outs []Outcome) Row {
+	r := Row{
+		Model: model, Samples: n,
 		SyntaxK:  map[int]float64{},
 		FuncK:    map[int]float64{},
 		PartialK: map[int]float64{},
@@ -113,33 +117,11 @@ func AggregatePassK(model string, nInst, n int, ks []int, outs []Outcome) PassKR
 			fSum += metrics.PassAtK(n, fC, k)
 			pSum += metrics.PassAtK(n, pC, k)
 		}
-		rep.SyntaxK[k] = sSum / float64(nInst)
-		rep.FuncK[k] = fSum / float64(nInst)
-		rep.PartialK[k] = pSum / float64(nInst)
+		r.SyntaxK[k] = sSum / float64(nInst)
+		r.FuncK[k] = fSum / float64(nInst)
+		r.PartialK[k] = pSum / float64(nInst)
 	}
-	return rep
-}
-
-// DesignReport aggregates Design2SVA pass@k for one model and design
-// category.
-type DesignReport struct {
-	Model   string
-	Kind    string
-	N       int
-	SyntaxK map[int]float64
-	FuncK   map[int]float64
-}
-
-// AggregateDesign computes Design2SVA pass@k from a flattened outcome
-// grid (instance-major, like AggregatePassK); Full carries "proven".
-// Design2SVA has no partial-equivalence notion, so the fold is
-// AggregatePassK minus the Partial metric.
-func AggregateDesign(model, kind string, nInst, n int, ks []int, outs []Outcome) DesignReport {
-	pk := AggregatePassK(model, nInst, n, ks, outs)
-	return DesignReport{
-		Model: model, Kind: kind, N: n,
-		SyntaxK: pk.SyntaxK, FuncK: pk.FuncK,
-	}
+	return r
 }
 
 // HumanInstance is one NL2SVA-Human test case with its environment.

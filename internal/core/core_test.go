@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"fveval/internal/equiv"
@@ -147,40 +146,4 @@ func intNotIn(xs []int, v int) bool {
 		}
 	}
 	return true
-}
-
-func TestFiguresRender(t *testing.T) {
-	f2, err := Figure2()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(f2, "Figure 2") {
-		t.Fatalf("figure 2 malformed")
-	}
-	if !strings.Contains(Figure3(30), "Figure 3") {
-		t.Fatalf("figure 3 malformed")
-	}
-	if !strings.Contains(Figure4(), "pipeline") {
-		t.Fatalf("figure 4 malformed")
-	}
-	// Figure6 is a pure formatter over reports (the engine runs the
-	// evaluation); feed it a synthetic report.
-	rep := Aggregate("toy-model", []Outcome{
-		{Full: true, BLEU: 0.9},
-		{Full: false, BLEU: 0.8},
-		{Full: true, BLEU: 0.2},
-	})
-	f6 := Figure6([]ModelReport{rep})
-	if !strings.Contains(f6, "corr(BLEU, Func)") || !strings.Contains(f6, "toy-model") {
-		t.Fatalf("figure 6 malformed:\n%s", f6)
-	}
-}
-
-func TestTable6(t *testing.T) {
-	out := FormatTable6()
-	for _, want := range []string{"1R1W FIFO", "Arbiter", "79"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("table 6 missing %q:\n%s", want, out)
-		}
-	}
 }

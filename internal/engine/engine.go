@@ -24,7 +24,7 @@
 //
 // Every evaluation method (HumanGrid, MachineGrid, DesignGrid,
 // HelperGrid, RefinementGrid) returns a *Grid, which the caller folds
-// into reports with Grid.ModelReports, PassKReports or DesignReports.
+// into per-model rows with Grid.Rows.
 // Each takes a context.Context and an optional Observer: cancelling the
 // context stops feeding the worker pool and the method returns
 // ctx.Err(); the observer receives one Progress per completed job,

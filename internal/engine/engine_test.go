@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -26,11 +27,11 @@ func must(t *testing.T) func(*Grid, error) *Grid {
 
 func TestRunHumanSmall(t *testing.T) {
 	models := []llm.Model{llm.ModelByName("gpt-4o"), llm.ModelByName("llama-3-8b")}
-	reports := must(t)(New(Config{Limit: 12}).HumanGrid(context.Background(), models, false, nil)).ModelReports()
-	if len(reports) != 2 {
-		t.Fatalf("reports: %d", len(reports))
+	rows := must(t)(New(Config{Limit: 12}).HumanGrid(context.Background(), models, false, nil)).Rows(nil)
+	if len(rows) != 2 {
+		t.Fatalf("rows: %d", len(rows))
 	}
-	for _, r := range reports {
+	for _, r := range rows {
 		if r.Count != 12 {
 			t.Fatalf("%s: count %d", r.Model, r.Count)
 		}
@@ -43,20 +44,19 @@ func TestRunHumanSmall(t *testing.T) {
 	}
 	// the stronger model should not lose to the weakest by a wide
 	// margin on this slice
-	if reports[0].Func+0.3 < reports[1].Func {
-		t.Fatalf("gpt-4o proxy unexpectedly weak: %f vs %f", reports[0].Func, reports[1].Func)
+	if rows[0].Func+0.3 < rows[1].Func {
+		t.Fatalf("gpt-4o proxy unexpectedly weak: %f vs %f", rows[0].Func, rows[1].Func)
 	}
-	out := core.FormatTable1(reports)
-	if !strings.Contains(out, "gpt-4o") {
-		t.Fatalf("table must mention models:\n%s", out)
+	if rows[0].Model != "gpt-4o" || rows[1].Model != "llama-3-8b" {
+		t.Fatalf("rows must follow the model axis: %s, %s", rows[0].Model, rows[1].Model)
 	}
 }
 
 func TestRunMachineSmallBothShots(t *testing.T) {
 	models := []llm.Model{llm.ModelByName("gemini-1.5-pro")}
 	ctx := context.Background()
-	zero := must(t)(New(Config{}).MachineGrid(ctx, models, 0, 20, false, nil)).ModelReports()
-	three := must(t)(New(Config{}).MachineGrid(ctx, models, 3, 20, false, nil)).ModelReports()
+	zero := must(t)(New(Config{}).MachineGrid(ctx, models, 0, 20, false, nil)).Rows(nil)
+	three := must(t)(New(Config{}).MachineGrid(ctx, models, 3, 20, false, nil)).Rows(nil)
 	// gemini-1.5-pro has the paper's dramatic 0-shot -> 3-shot syntax
 	// jump (0.467 -> 0.880); with only 20 instances allow wide noise
 	// but demand an improvement.
@@ -64,63 +64,66 @@ func TestRunMachineSmallBothShots(t *testing.T) {
 		t.Errorf("3-shot syntax (%f) must beat 0-shot (%f) for gemini-1.5-pro",
 			three[0].Syntax, zero[0].Syntax)
 	}
-	tbl := core.FormatTable3(zero, three)
-	if !strings.Contains(tbl, "gemini-1.5-pro") {
-		t.Fatalf("table 3 malformed:\n%s", tbl)
+	if zero[0].Model != "gemini-1.5-pro" || three[0].Model != "gemini-1.5-pro" || zero[0].Count != 20 || three[0].Count != 20 {
+		t.Fatalf("rows malformed: %+v / %+v", zero[0], three[0])
 	}
 }
 
 func TestPassKImprovesOverPass1(t *testing.T) {
 	models := []llm.Model{llm.ModelByName("gpt-4o")}
-	reports := must(t)(New(Config{Limit: 15, Samples: 5}).HumanGrid(context.Background(), models, true, nil)).PassKReports([]int{1, 3, 5})
-	r := reports[0]
+	r := must(t)(New(Config{Limit: 15, Samples: 5}).HumanGrid(context.Background(), models, true, nil)).Rows([]int{1, 3, 5})[0]
 	if r.FuncK[5] < r.FuncK[1] {
 		t.Errorf("func@5 (%f) must be >= func@1 (%f)", r.FuncK[5], r.FuncK[1])
 	}
 	if r.SyntaxK[5] < r.SyntaxK[1] {
 		t.Errorf("syntax@5 must be >= syntax@1")
 	}
-	if core.FormatTable2(reports) == "" {
-		t.Fatalf("table 2 must render")
+	if r.Samples != 5 || len(r.SyntaxK) != 3 || len(r.FuncK) != 3 || len(r.PartialK) != 3 {
+		t.Fatalf("row must carry every cut-off: %+v", r)
 	}
 }
 
 func TestRunDesignSmall(t *testing.T) {
 	models := []llm.Model{llm.ModelByName("gpt-4o")}
-	reports := must(t)(New(Config{Limit: 4, Samples: 3}).DesignGrid(context.Background(), models, "fsm", nil)).DesignReports("fsm", []int{1, 5})
-	r := reports[0]
+	r := must(t)(New(Config{Limit: 4, Samples: 3}).DesignGrid(context.Background(), models, "fsm", nil)).Rows([]int{1, 5})[0]
 	if r.SyntaxK[5] < r.SyntaxK[1] || r.FuncK[5] < r.FuncK[1] {
 		t.Fatalf("pass@5 must dominate pass@1: %+v", r)
 	}
-	if core.FormatTable5(reports, reports) == "" {
-		t.Fatalf("table 5 must render")
+	if r.Samples != 3 || len(r.SyntaxK) != 2 || len(r.FuncK) != 2 {
+		t.Fatalf("row must carry every cut-off: %+v", r)
 	}
 }
 
-// TestDeterministicAcrossWorkerCounts demands byte-identical rendered
-// tables for 1 vs 8 workers on every sub-benchmark flow.
+// sameGrids fails t unless two evaluations of one flow agree exactly:
+// every judged outcome and every row folded at the cut-offs ks (nil
+// for greedy means, whose rows also carry the outcomes).
+func sameGrids(t *testing.T, what string, a, b *Grid, ks []int) {
+	t.Helper()
+	if !reflect.DeepEqual(a.Outcomes, b.Outcomes) {
+		t.Fatalf("%s: outcomes differ:\n%+v\n%+v", what, a.Outcomes, b.Outcomes)
+	}
+	if ra, rb := a.Rows(ks), b.Rows(ks); !reflect.DeepEqual(ra, rb) {
+		t.Fatalf("%s: rows differ:\n%+v\n%+v", what, ra, rb)
+	}
+}
+
+// TestDeterministicAcrossWorkerCounts demands identical outcomes and
+// rows for 1 vs 8 workers on every sub-benchmark flow.
 func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	models := []llm.Model{llm.ModelByName("gpt-4o"), llm.ModelByName("llama-3.1-70b")}
-	render := func(workers int) string {
-		cfg := Config{Limit: 10, Samples: 3, Workers: workers}
-		ctx := context.Background()
-		var b strings.Builder
-		t1 := must(t)(New(cfg).HumanGrid(ctx, models, false, nil)).ModelReports()
-		b.WriteString(core.FormatTable1(t1))
-		t2 := must(t)(New(cfg).HumanGrid(ctx, models, true, nil)).PassKReports([]int{1, 3, 5})
-		b.WriteString(core.FormatTable2(t2))
-		t4 := must(t)(New(cfg).MachineGrid(ctx, models, 3, 20, true, nil)).PassKReports([]int{1, 3, 5})
-		b.WriteString(core.FormatTable4(t4))
-		t5 := must(t)(New(cfg).DesignGrid(ctx, models, "fsm", nil)).DesignReports("fsm", []int{1, 5})
-		b.WriteString(core.FormatTable5(t5, t5))
-		b.WriteString(core.Figure6(t1))
-		return b.String()
-	}
-	serial := render(1)
-	parallel := render(8)
-	if serial != parallel {
-		t.Fatalf("tables differ between 1 and 8 workers:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s",
-			serial, parallel)
+	ctx := context.Background()
+	newEngine := func(workers int) *Engine { return New(Config{Limit: 10, Samples: 3, Workers: workers}) }
+	for _, flow := range []struct {
+		name string
+		ks   []int
+		grid func(e *Engine) (*Grid, error)
+	}{
+		{"human greedy", nil, func(e *Engine) (*Grid, error) { return e.HumanGrid(ctx, models, false, nil) }},
+		{"human pass@k", []int{1, 3, 5}, func(e *Engine) (*Grid, error) { return e.HumanGrid(ctx, models, true, nil) }},
+		{"machine pass@k", []int{1, 3, 5}, func(e *Engine) (*Grid, error) { return e.MachineGrid(ctx, models, 3, 20, true, nil) }},
+		{"design fsm", []int{1, 5}, func(e *Engine) (*Grid, error) { return e.DesignGrid(ctx, models, "fsm", nil) }},
+	} {
+		sameGrids(t, flow.name, must(t)(flow.grid(newEngine(1))), must(t)(flow.grid(newEngine(8))), flow.ks)
 	}
 }
 
@@ -129,24 +132,15 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 func TestCacheDoesNotChangeVerdicts(t *testing.T) {
 	models := []llm.Model{llm.ModelByName("gpt-4o"), llm.ModelByName("gemini-1.5-flash")}
 	ctx := context.Background()
-	cached := must(t)(New(Config{Samples: 4}).MachineGrid(ctx, models, 3, 15, true, nil)).PassKReports([]int{1, 5})
-	uncached := must(t)(New(Config{Samples: 4, NoCache: true}).MachineGrid(ctx, models, 3, 15, true, nil)).PassKReports([]int{1, 5})
-	if got, want := core.FormatTable4(cached), core.FormatTable4(uncached); got != want {
-		t.Fatalf("cache changed the table:\n--- cached ---\n%s\n--- uncached ---\n%s", got, want)
-	}
-	// outcome-level equality on the greedy flow too
+	cached := must(t)(New(Config{Samples: 4}).MachineGrid(ctx, models, 3, 15, true, nil))
+	uncached := must(t)(New(Config{Samples: 4, NoCache: true}).MachineGrid(ctx, models, 3, 15, true, nil))
+	sameGrids(t, "machine pass@k", cached, uncached, []int{1, 5})
+	// and on the greedy flow too
 	ec := New(Config{Limit: 20})
 	eu := New(Config{Limit: 20, NoCache: true})
-	rc := must(t)(ec.MachineGrid(ctx, models, 3, 20, false, nil)).ModelReports()
-	ru := must(t)(eu.MachineGrid(ctx, models, 3, 20, false, nil)).ModelReports()
-	for m := range rc {
-		for i := range rc[m].Outcomes {
-			c, u := rc[m].Outcomes[i], ru[m].Outcomes[i]
-			if c != u {
-				t.Fatalf("outcome %d diverged: cached %+v uncached %+v", i, c, u)
-			}
-		}
-	}
+	sameGrids(t, "machine greedy",
+		must(t)(ec.MachineGrid(ctx, models, 3, 20, false, nil)),
+		must(t)(eu.MachineGrid(ctx, models, 3, 20, false, nil)), nil)
 	if st := ec.CacheStats(); st.Hits+st.Misses == 0 {
 		t.Fatalf("cached engine saw no cache traffic")
 	}
@@ -178,16 +172,16 @@ func TestCacheHitsOnPassK(t *testing.T) {
 func TestShardsPartitionInstances(t *testing.T) {
 	models := []llm.Model{llm.ModelByName("gpt-4o")}
 	ctx := context.Background()
-	full := must(t)(New(Config{Limit: 12}).HumanGrid(ctx, models, false, nil)).ModelReports()
+	full := must(t)(New(Config{Limit: 12}).HumanGrid(ctx, models, false, nil))
 	byID := map[string]core.Outcome{}
-	for _, o := range full[0].Outcomes {
+	for _, o := range full.Outcomes[0] {
 		byID[o.InstanceID] = o
 	}
 	seen := map[string]bool{}
 	const n = 3
 	for i := 0; i < n; i++ {
-		part := must(t)(New(Config{Limit: 12, Shard: Shard{Index: i, Count: n}}).HumanGrid(ctx, models, false, nil)).ModelReports()
-		for _, o := range part[0].Outcomes {
+		part := must(t)(New(Config{Limit: 12, Shard: Shard{Index: i, Count: n}}).HumanGrid(ctx, models, false, nil))
+		for _, o := range part.Outcomes[0] {
 			if seen[o.InstanceID] {
 				t.Fatalf("instance %s appears in two shards", o.InstanceID)
 			}
@@ -221,11 +215,25 @@ func TestShardValidate(t *testing.T) {
 	}
 }
 
+// TestEngineFigure6 checks the input Figure 6 correlates: a greedy
+// row keeps every instance's outcome, in instance order, with its
+// BLEU score and functional verdict.
 func TestEngineFigure6(t *testing.T) {
 	e := New(Config{Limit: 10})
-	out := core.Figure6(must(t)(e.HumanGrid(context.Background(), []llm.Model{llm.ModelByName("gpt-4o")}, false, nil)).ModelReports())
-	if !strings.Contains(out, "corr(BLEU, Func)") {
-		t.Fatalf("figure 6 malformed:\n%s", out)
+	g := must(t)(e.HumanGrid(context.Background(), []llm.Model{llm.ModelByName("gpt-4o")}, false, nil))
+	row := g.Rows(nil)[0]
+	if !reflect.DeepEqual(row.Outcomes, g.Outcomes[0]) || len(row.Outcomes) != 10 {
+		t.Fatalf("greedy row dropped outcomes: %d of %d", len(row.Outcomes), len(g.Outcomes[0]))
+	}
+	bleu := 0.0
+	for _, o := range row.Outcomes {
+		if o.BLEU < 0 || o.BLEU > 1 {
+			t.Fatalf("%s: BLEU %f out of range", o.InstanceID, o.BLEU)
+		}
+		bleu += o.BLEU
+	}
+	if bleu == 0 || row.BLEU != bleu/10 {
+		t.Fatalf("row BLEU %f is not the outcomes' mean %f", row.BLEU, bleu/10)
 	}
 }
 

@@ -12,9 +12,9 @@ import (
 // provenance needed to place a shard's slice back onto the full
 // instance axis — the shard spec and the pre-shard instance count.
 // Grids are the unit of distributed evaluation: a worker ships its
-// shard's grid, MergeGrids reassembles the full lattice, and the
-// aggregation helpers fold slots in exactly the order a single-process
-// run would, so merged reports are byte-identical to unsharded ones.
+// shard's grid, MergeGrids reassembles the full lattice, and Rows
+// folds slots in exactly the order a single-process run would, so
+// merged reports are byte-identical to unsharded ones.
 //
 // Grids round-trip through JSON losslessly (encoding/json preserves
 // float64 values exactly), which makes them safe to ship over the
@@ -45,32 +45,19 @@ func (e *Engine) newGrid(models []string, total, local, samples int, outs [][]co
 	}
 }
 
-// ModelReports folds the grid into per-model greedy reports, visiting
-// slots in grid order (the fold Aggregate documents as deterministic).
-func (g *Grid) ModelReports() []core.ModelReport {
-	reports := make([]core.ModelReport, 0, len(g.Models))
+// Rows folds the grid into one row per model, visiting slots in grid
+// order (the fold Aggregate documents as deterministic): pass@k at the
+// cut-offs ks, or greedy means when ks is empty.
+func (g *Grid) Rows(ks []int) []core.Row {
+	rows := make([]core.Row, 0, len(g.Models))
 	for m, name := range g.Models {
-		reports = append(reports, core.Aggregate(name, g.Outcomes[m]))
+		if len(ks) == 0 {
+			rows = append(rows, core.Aggregate(name, g.Outcomes[m]))
+		} else {
+			rows = append(rows, core.AggregatePassK(name, g.Local, g.Samples, ks, g.Outcomes[m]))
+		}
 	}
-	return reports
-}
-
-// PassKReports folds the grid into per-model pass@k reports.
-func (g *Grid) PassKReports(ks []int) []core.PassKReport {
-	reports := make([]core.PassKReport, 0, len(g.Models))
-	for m, name := range g.Models {
-		reports = append(reports, core.AggregatePassK(name, g.Local, g.Samples, ks, g.Outcomes[m]))
-	}
-	return reports
-}
-
-// DesignReports folds the grid into per-model Design2SVA reports.
-func (g *Grid) DesignReports(kind string, ks []int) []core.DesignReport {
-	reports := make([]core.DesignReport, 0, len(g.Models))
-	for m, name := range g.Models {
-		reports = append(reports, core.AggregateDesign(name, kind, g.Local, g.Samples, ks, g.Outcomes[m]))
-	}
-	return reports
+	return rows
 }
 
 // shardLen is the number of global instances a shard holds: the count

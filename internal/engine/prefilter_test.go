@@ -2,17 +2,17 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
-	"fveval/internal/core"
 	"fveval/internal/llm"
 )
 
 // TestPrefilterDoesNotChangeTables pins the refute-only contract at
 // the engine level: with the simulation prefilter at its default, at a
-// high pattern count, and fully disabled, every rendered table and
-// every per-instance outcome is byte-identical — the prefilter may
-// only ever replace a SAT call, never change its answer.
+// high pattern count, and fully disabled, every folded row and every
+// per-instance outcome is identical — the prefilter may only ever
+// replace a SAT call, never change its answer.
 func TestPrefilterDoesNotChangeTables(t *testing.T) {
 	models := []llm.Model{llm.ModelByName("gpt-4o"), llm.ModelByName("gemini-1.5-flash")}
 
@@ -22,32 +22,21 @@ func TestPrefilterDoesNotChangeTables(t *testing.T) {
 		{Samples: 3, NoSim: true},      // pure SAT
 	}
 	ctx := context.Background()
-	var tables []string
+	var grids []*Grid
 	for _, cfg := range variants {
-		reports := must(t)(New(cfg).MachineGrid(ctx, models, 3, 12, true, nil)).PassKReports([]int{1, 3})
-		tables = append(tables, core.FormatTable4(reports))
+		grids = append(grids, must(t)(New(cfg).MachineGrid(ctx, models, 3, 12, true, nil)))
 	}
-	for i := 1; i < len(tables); i++ {
-		if tables[i] != tables[0] {
-			t.Fatalf("prefilter variant %d changed the table:\n--- default ---\n%s\n--- variant ---\n%s",
-				i, tables[0], tables[i])
-		}
+	for i := 1; i < len(grids); i++ {
+		sameGrids(t, fmt.Sprintf("prefilter variant %d", i), grids[0], grids[i], []int{1, 3})
 	}
 
 	// Outcome-level equality on the greedy machine flow and the mc-backed
 	// design flow.
 	eOn := New(Config{Limit: 12})
 	eOff := New(Config{Limit: 12, NoSim: true})
-	on := must(t)(eOn.MachineGrid(ctx, models, 0, 12, false, nil)).ModelReports()
-	off := must(t)(eOff.MachineGrid(ctx, models, 0, 12, false, nil)).ModelReports()
-	for m := range on {
-		for i := range on[m].Outcomes {
-			if on[m].Outcomes[i] != off[m].Outcomes[i] {
-				t.Fatalf("outcome %d diverged: prefilter %+v pure-SAT %+v",
-					i, on[m].Outcomes[i], off[m].Outcomes[i])
-			}
-		}
-	}
+	sameGrids(t, "machine greedy",
+		must(t)(eOn.MachineGrid(ctx, models, 0, 12, false, nil)),
+		must(t)(eOff.MachineGrid(ctx, models, 0, 12, false, nil)), nil)
 	if eOn.FormalStats().Sim.Patterns == 0 {
 		t.Fatal("prefilter engine simulated nothing; the comparison is vacuous")
 	}
@@ -58,11 +47,9 @@ func TestPrefilterDoesNotChangeTables(t *testing.T) {
 	dOn := New(Config{Limit: 2, Samples: 2})
 	dOff := New(Config{Limit: 2, Samples: 2, NoSim: true})
 	designModels := llm.DesignModels()[:2]
-	ron := must(t)(dOn.DesignGrid(ctx, designModels, "fsm", nil)).DesignReports("fsm", []int{1, 5})
-	roff := must(t)(dOff.DesignGrid(ctx, designModels, "fsm", nil)).DesignReports("fsm", []int{1, 5})
-	if got, want := core.FormatTable5(nil, ron), core.FormatTable5(nil, roff); got != want {
-		t.Fatalf("prefilter changed the design table:\n--- on ---\n%s\n--- off ---\n%s", got, want)
-	}
+	sameGrids(t, "design fsm",
+		must(t)(dOn.DesignGrid(ctx, designModels, "fsm", nil)),
+		must(t)(dOff.DesignGrid(ctx, designModels, "fsm", nil)), []int{1, 5})
 }
 
 // TestPrefilterBankSurvivesReconfigure checks the pattern bank lives

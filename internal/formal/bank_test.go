@@ -94,15 +94,15 @@ func TestSimStatsCounters(t *testing.T) {
 	var s Stats
 	s.SimPatterns(64)
 	s.SimPatterns(0) // dropped
-	s.SimRefuted(true, 1)
-	s.SimRefuted(false, 2)
+	s.SimRefuted(true)
+	s.SimRefuted(false)
 	snap := s.Snapshot().Sim
-	want := SimStats{Patterns: 64, Refutations: 2, SATAvoided: 3, BankHits: 1}
+	want := SimStats{Patterns: 64, Refutations: 2, BankHits: 1}
 	if snap != want {
 		t.Fatalf("sim stats = %+v, want %+v", snap, want)
 	}
 	sum := s.Snapshot().Add(s.Snapshot())
-	if sum.Sim.Patterns != 128 || sum.Sim.SATAvoided != 6 {
+	if sum.Sim.Patterns != 128 || sum.Sim.Refutations != 4 || sum.Sim.BankHits != 2 {
 		t.Fatalf("Add broken: %+v", sum.Sim)
 	}
 	if d := sum.Sub(s.Snapshot()); d.Sim != want {
@@ -110,5 +110,5 @@ func TestSimStatsCounters(t *testing.T) {
 	}
 	var nilStats *Stats
 	nilStats.SimPatterns(1)
-	nilStats.SimRefuted(true, 1) // must not panic
+	nilStats.SimRefuted(true) // must not panic
 }

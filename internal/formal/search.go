@@ -169,7 +169,7 @@ func (ob *Obligation) Refute(v logic.Node, bound int, cols []Column) (int, bool)
 	lane, hit, fromBank := ob.refute(v, cols)
 	sp.SetBool("refuted", hit).SetBool("bank_hit", fromBank).End()
 	if hit {
-		ob.opt.Stats.SimRefuted(fromBank, 1)
+		ob.opt.Stats.SimRefuted(fromBank)
 	}
 	return lane, hit
 }

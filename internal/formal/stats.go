@@ -34,7 +34,6 @@ type Stats struct {
 	// Bit-parallel simulation prefilter counters (DESIGN.md §10).
 	simPatterns    atomic.Int64 // pattern lanes simulated
 	simRefutations atomic.Int64 // queries refuted by simulation alone
-	simSATAvoided  atomic.Int64 // SAT calls skipped thanks to a sim witness
 	simBankHits    atomic.Int64 // refutations from a recycled counterexample
 
 	// Assumed-lemma pipeline counters (DESIGN.md §12): candidate
@@ -107,15 +106,14 @@ func (s *Stats) SimPatterns(n int64) {
 }
 
 // SimRefuted records one prefilter refutation: a query decided by a
-// concrete simulation witness. fromBank marks witnesses found among
-// recycled counterexample patterns (vs fresh random ones); satAvoided
-// is the number of solver calls the refutation made unnecessary.
-func (s *Stats) SimRefuted(fromBank bool, satAvoided int64) {
+// concrete simulation witness instead of a solver call. fromBank marks
+// witnesses found among recycled counterexample patterns (vs fresh
+// random ones).
+func (s *Stats) SimRefuted(fromBank bool) {
 	if s == nil {
 		return
 	}
 	s.simRefutations.Add(1)
-	s.simSATAvoided.Add(satAvoided)
 	if fromBank {
 		s.simBankHits.Add(1)
 	}
@@ -161,8 +159,6 @@ type SimStats struct {
 	Patterns int64 `json:"patterns"`
 	// Refutations is the number of queries decided by simulation alone.
 	Refutations int64 `json:"refutations"`
-	// SATAvoided is the number of solver calls skipped.
-	SATAvoided int64 `json:"sat_avoided"`
 	// BankHits is the number of refutations found among recycled
 	// counterexample patterns rather than fresh random ones.
 	BankHits int64 `json:"bank_hits"`
@@ -173,8 +169,8 @@ func (s SimStats) String() string {
 		return "sim prefilter: off"
 	}
 	return fmt.Sprintf(
-		"sim prefilter: %d patterns simulated, %d refutations (%d recycled), %d SAT calls avoided",
-		s.Patterns, s.Refutations, s.BankHits, s.SATAvoided)
+		"sim prefilter: %d patterns simulated, %d refutations (%d recycled)",
+		s.Patterns, s.Refutations, s.BankHits)
 }
 
 // Snapshot is a point-in-time copy of the counters.
@@ -219,7 +215,6 @@ func (s *Stats) Snapshot() Snapshot {
 		Sim: SimStats{
 			Patterns:    s.simPatterns.Load(),
 			Refutations: s.simRefutations.Load(),
-			SATAvoided:  s.simSATAvoided.Load(),
 			BankHits:    s.simBankHits.Load(),
 		},
 		Lemma: LemmaStats{
@@ -250,7 +245,6 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 		Sim: SimStats{
 			Patterns:    s.Sim.Patterns + o.Sim.Patterns,
 			Refutations: s.Sim.Refutations + o.Sim.Refutations,
-			SATAvoided:  s.Sim.SATAvoided + o.Sim.SATAvoided,
 			BankHits:    s.Sim.BankHits + o.Sim.BankHits,
 		},
 		Lemma: LemmaStats{
@@ -281,7 +275,6 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 		Sim: SimStats{
 			Patterns:    s.Sim.Patterns - o.Sim.Patterns,
 			Refutations: s.Sim.Refutations - o.Sim.Refutations,
-			SATAvoided:  s.Sim.SATAvoided - o.Sim.SATAvoided,
 			BankHits:    s.Sim.BankHits - o.Sim.BankHits,
 		},
 		Lemma: LemmaStats{

@@ -66,7 +66,6 @@ type histogram struct {
 	bounds []float64
 	counts []int64 // len(bounds)+1: one overflow bucket
 	sum    float64
-	n      int64
 }
 
 // init sets the bucket scheme; must run before the first observe.
@@ -90,14 +89,13 @@ func (h *histogram) observe(seconds float64) {
 	}
 	h.counts[i]++
 	h.sum += seconds
-	h.n++
 }
 
-// snapshot copies the histogram under its lock.
-func (h *histogram) snapshot() (counts []int64, sum float64, n int64) {
+// family renders the histogram under its lock.
+func (h *histogram) family(name, help string) family {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return append([]int64(nil), h.counts...), h.sum, h.n
+	return histogramFamily(name, help, h.bounds, h.counts, h.sum)
 }
 
 // family is one metric family ready to emit.
@@ -173,12 +171,10 @@ func (s *Server) writeMetrics(w io.Writer) {
 		counter("fveval_result_cache_misses_total",
 			"Submissions that had to touch the engine.",
 			plain(m.cacheMisses.Load())),
-		histogramFamily("fveval_queue_wait_seconds",
-			"Admission-queue wait (submit to dequeue), per executed run.",
-			&m.queueWait),
-		histogramFamily("fveval_run_wall_seconds",
-			"End-to-end run wall-clock, per executed run.",
-			&m.runWall),
+		m.queueWait.family("fveval_queue_wait_seconds",
+			"Admission-queue wait (submit to dequeue), per executed run."),
+		m.runWall.family("fveval_run_wall_seconds",
+			"End-to-end run wall-clock, per executed run."),
 		gauge("fveval_runs_inflight",
 			"Runs currently executing.",
 			plain(int64(inflight))),
@@ -200,9 +196,6 @@ func (s *Server) writeMetrics(w io.Writer) {
 		counter("fveval_sim_refutations_total",
 			"Formal queries refuted by the simulation prefilter alone.",
 			plain(fstats.Sim.Refutations)),
-		counter("fveval_sim_sat_avoided_total",
-			"SAT calls skipped thanks to a simulation witness.",
-			plain(fstats.Sim.SATAvoided)),
 		solverWallFamily(fstats),
 		counter("fveval_workers_evicted_total",
 			"Workers evicted from the registry after missed heartbeats.",
@@ -285,23 +278,24 @@ func sample(label, value string, v int64) string {
 	return fmt.Sprintf("{%s=%q} %d", label, value, v)
 }
 
-// histogramFamily renders a Prometheus histogram: cumulative _bucket
-// samples, _sum, and _count.
-func histogramFamily(name, help string, h *histogram) family {
-	counts, sum, n := h.snapshot()
+// histogramFamily renders a Prometheus histogram from per-bucket
+// counts over bounds (one more count than bounds: the last is the +Inf
+// bucket) and the sum of the observations: cumulative _bucket samples,
+// _sum, and _count.
+func histogramFamily(name, help string, bounds []float64, counts []int64, sum float64) family {
 	lines := make([]string, 0, len(counts)+2)
 	cum := int64(0)
 	for i, c := range counts {
 		cum += c
 		le := "+Inf"
-		if i < len(h.bounds) {
-			le = formatBound(h.bounds[i])
+		if i < len(bounds) {
+			le = fmt.Sprintf("%g", bounds[i])
 		}
 		lines = append(lines, fmt.Sprintf("_bucket{le=%q} %d", le, cum))
 	}
 	lines = append(lines,
 		fmt.Sprintf("_sum %g", sum),
-		fmt.Sprintf("_count %d", n))
+		fmt.Sprintf("_count %d", cum))
 	return family{name: name, help: help, typ: "histogram", lines: lines}
 }
 
@@ -373,24 +367,7 @@ func histQuantile(h *rm.Float64Histogram, q float64) float64 {
 // solverWallFamily renders the formal backend's per-check wall-clock
 // histogram from the engine's cumulative snapshot.
 func solverWallFamily(s formal.Snapshot) family {
-	lines := make([]string, 0, formal.SolveWallBucketCount+2)
-	cum := int64(0)
-	for i, c := range s.SolveWallHist {
-		cum += c
-		le := "+Inf"
-		if i < len(formal.SolveWallBuckets) {
-			le = formatBound(formal.SolveWallBuckets[i])
-		}
-		lines = append(lines, fmt.Sprintf("_bucket{le=%q} %d", le, cum))
-	}
-	lines = append(lines,
-		fmt.Sprintf("_sum %g", float64(s.SolveWallNS)/1e9),
-		fmt.Sprintf("_count %d", cum))
-	return family{
-		name: "fveval_solver_wall_seconds",
-		help: "Formal-check wall-clock, per equivalence pair or model-checking property.",
-		typ:  "histogram", lines: lines,
-	}
+	return histogramFamily("fveval_solver_wall_seconds",
+		"Formal-check wall-clock, per equivalence pair or model-checking property.",
+		formal.SolveWallBuckets[:], s.SolveWallHist[:], float64(s.SolveWallNS)/1e9)
 }
-
-func formatBound(b float64) string { return fmt.Sprintf("%g", b) }

@@ -271,6 +271,28 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
+// admit registers a queued run and pushes it onto the admission
+// queue: it holds a queue slot until it starts and one of its client's
+// load slots until it finishes. Callers hold s.mu (recover runs before
+// the server is shared).
+func (s *Server) admit(rs *runState) {
+	rs.armTrace()
+	s.runs[rs.rec.ID] = rs
+	s.queuedCount++
+	s.clientLoad[rs.rec.Client]++
+	s.qseq++
+	s.queue.push(qitem{id: rs.rec.ID, priority: rs.rec.Sub.Priority, seq: s.qseq})
+}
+
+// release frees the load slot a finished or cancelled run held
+// against its client's quota. Callers hold s.mu.
+func (s *Server) release(client string) {
+	s.clientLoad[client]--
+	if s.clientLoad[client] <= 0 {
+		delete(s.clientLoad, client)
+	}
+}
+
 // recover opens the journal and folds its records back into live
 // server state.
 func (s *Server) recover() error {
@@ -299,12 +321,7 @@ func (s *Server) recover() error {
 			// Never started: resume it through the normal queue. A
 			// traced run re-records from scratch — the pre-crash queue
 			// wait is gone, like its progress events.
-			rs.armTrace()
-			s.runs[id] = rs
-			s.queuedCount++
-			s.clientLoad[rec.Client]++
-			s.qseq++
-			s.queue.push(qitem{id: id, priority: rec.Sub.Priority, seq: s.qseq})
+			s.admit(rs)
 		case api.StateRunning:
 			if rec.Sub.Distributed {
 				// A distributed run checkpoints each completed shard to
@@ -313,12 +330,7 @@ func (s *Server) recover() error {
 				// survivors instead of reporting it interrupted.
 				rs.rec.Status = api.StateQueued
 				rs.rec.StartedMS = 0
-				rs.armTrace()
-				s.runs[id] = rs
-				s.queuedCount++
-				s.clientLoad[rec.Client]++
-				s.qseq++
-				s.queue.push(qitem{id: id, priority: rec.Sub.Priority, seq: s.qseq})
+				s.admit(rs)
 				continue
 			}
 			// In flight at the crash: its engine state is gone.
@@ -632,12 +644,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		},
 		notify: make(chan struct{}),
 	}
-	rs.armTrace()
-	s.runs[id] = rs
-	s.queuedCount++
-	s.clientLoad[client]++
-	s.qseq++
-	s.queue.push(qitem{id: id, priority: sub.Priority, seq: s.qseq})
+	s.admit(rs)
 	position := s.queuedCount
 	s.cond.Signal()
 	s.mu.Unlock()
@@ -885,10 +892,7 @@ func (s *Server) finish(rs *runState, run *task.Run, partial *task.Partial, err 
 
 	s.mu.Lock()
 	s.inflight--
-	s.clientLoad[client]--
-	if s.clientLoad[client] <= 0 {
-		delete(s.clientLoad, client)
-	}
+	s.release(client)
 	s.mu.Unlock()
 
 	s.metrics.finished(status)
@@ -1077,10 +1081,7 @@ func (s *Server) cancelRun(rs *runState) {
 		id, client := rs.rec.ID, rs.rec.Client
 		rs.mu.Unlock()
 		s.queuedCount--
-		s.clientLoad[client]--
-		if s.clientLoad[client] <= 0 {
-			delete(s.clientLoad, client)
-		}
+		s.release(client)
 		s.mu.Unlock()
 		s.metrics.finished(api.StateCancelled)
 		s.journalAppend(&journalRecord{

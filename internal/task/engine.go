@@ -284,15 +284,17 @@ func (e *Engine) Run(ctx context.Context, req Request) (*Run, error) {
 // is what makes merged output byte-identical to unsharded output.
 func buildReport(spec *Spec, p Params, groups []GridGroup) (*Report, error) {
 	var rgs []Group
+	var ks []int // greedy, shots and gridded figures fold to means
+	if spec.Kind == KindPassK || spec.Kind == KindDesign {
+		ks = p.Ks
+	}
 	for _, gg := range groups {
-		var rows []Row
-		switch spec.Kind {
-		case KindPassK:
-			rows = rowsFromPassKReports(gg.Grid.PassKReports(p.Ks))
-		case KindDesign:
-			rows = rowsFromDesignReports(gg.Grid.DesignReports(gg.Name, p.Ks))
-		default: // greedy, shots, and gridded figures fold to means
-			rows = rowsFromModelReports(gg.Grid.ModelReports())
+		rows := gg.Grid.Rows(ks)
+		if spec.Kind == KindDesign {
+			// Design2SVA has no partial-equivalence notion.
+			for i := range rows {
+				rows[i].PartialK = nil
+			}
 		}
 		rgs = append(rgs, Group{Name: gg.Name, Rows: rows})
 	}

@@ -5,13 +5,16 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"fveval/internal/engine"
 )
 
-// goldenCases pins the unified Report wire format with one task per
-// paper table, each on a small deterministic slice. Regenerate with
+// goldenCases pins the unified Report wire format and its rendered
+// text with one task per paper table, each on a small deterministic
+// slice: testdata/<case>.json holds the encoded report and
+// testdata/<case>.txt its Render output. Regenerate both with
 //
 //	UPDATE_GOLDEN=1 go test ./internal/task -run TestGolden
 type goldenCase struct {
@@ -62,10 +65,35 @@ func goldenCases() []goldenCase {
 	}
 }
 
+// textGolden names the rendered-text golden beside a report golden.
+func textGolden(file string) string {
+	return strings.TrimSuffix(file, ".json") + ".txt"
+}
+
+// compareGolden checks got against testdata/file byte-for-byte, or
+// rewrites the file when UPDATE_GOLDEN is set.
+func compareGolden(t *testing.T, file string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", file)
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with UPDATE_GOLDEN=1 to create): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("output drifted from golden %s:\n--- got ---\n%s\n--- want ---\n%s", file, got, want)
+	}
+}
+
 // TestGoldenReports runs each pinned request and compares the encoded
-// unified Report byte-for-byte against its golden file.
+// unified Report and its rendered text byte-for-byte against their
+// golden files.
 func TestGoldenReports(t *testing.T) {
-	update := os.Getenv("UPDATE_GOLDEN") != ""
 	e := NewEngine(engine.Config{})
 	for _, c := range goldenCases() {
 		t.Run(c.file, func(t *testing.T) {
@@ -77,21 +105,8 @@ func TestGoldenReports(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got = append(got, '\n')
-			path := filepath.Join("testdata", c.file)
-			if update {
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (run with UPDATE_GOLDEN=1 to create): %v", err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("report drifted from golden %s:\n--- got ---\n%s\n--- want ---\n%s", c.file, got, want)
-			}
+			compareGolden(t, c.file, append(got, '\n'))
+			compareGolden(t, textGolden(c.file), []byte(run.Report.Render()))
 		})
 	}
 }
@@ -118,9 +133,15 @@ func TestGoldenRoundTrip(t *testing.T) {
 			if !bytes.Equal(data, again) {
 				t.Errorf("round trip not identical for %s:\n--- decoded+encoded ---\n%s", c.file, again)
 			}
-			// A decoded report must still render its table.
-			if rep.Render() == "" {
-				t.Errorf("decoded report renders empty")
+			// A decoded report must render the same text as the run
+			// that produced it.
+			text, err := os.ReadFile(filepath.Join("testdata", textGolden(c.file)))
+			if err != nil {
+				t.Fatalf("missing golden file (run with UPDATE_GOLDEN=1 to create): %v", err)
+			}
+			if got := rep.Render(); got != string(text) {
+				t.Errorf("decoded report renders differently from %s:\n--- got ---\n%s\n--- want ---\n%s",
+					textGolden(c.file), got, text)
 			}
 		})
 	}

@@ -3,16 +3,14 @@ package task
 import (
 	"encoding/json"
 	"fmt"
-	"strings"
 
 	"fveval/internal/core"
 )
 
-// Report is the unified result of any task run: a superset of the
-// three legacy report shapes (core.ModelReport, core.PassKReport,
-// core.DesignReport), all of which project out of it losslessly. It
-// round-trips through JSON, so runs can be served, archived, and
-// re-rendered without re-evaluating.
+// Report is the unified result of any task run: one group of
+// core.Rows per sub-setting, or pre-rendered text. It round-trips
+// through JSON, so runs can be served, archived, and re-rendered
+// without re-evaluating.
 type Report struct {
 	// Task names the registry entry that produced this report.
 	Task  string `json:"task"`
@@ -31,128 +29,15 @@ type Report struct {
 	Text string `json:"text,omitempty"`
 }
 
-// Group is one sub-setting of a task ("0-shot", "pipeline", ...).
+// Group is one sub-setting of a task ("0-shot", "pipeline", ...):
+// one row per model.
 type Group struct {
-	Name string `json:"name,omitempty"`
-	Rows []Row  `json:"rows"`
+	Name string     `json:"name,omitempty"`
+	Rows []core.Row `json:"rows"`
 }
 
-// Row is the unified per-model result record. Greedy tasks fill the
-// mean metrics (Count, Syntax, Func, Partial, BLEU, Outcomes);
-// sampled tasks fill Samples and the pass@k maps. The legacy report
-// types project out via ModelReport, PassKReport, and DesignReport.
-type Row struct {
-	Model string `json:"model"`
-	// Count is the number of judged outcomes (greedy tasks).
-	Count int `json:"count,omitempty"`
-	// Samples is n, the samples drawn per instance (sampled tasks).
-	Samples int `json:"samples,omitempty"`
-
-	Syntax  float64 `json:"syntax,omitempty"`
-	Func    float64 `json:"func,omitempty"`
-	Partial float64 `json:"partial,omitempty"`
-	BLEU    float64 `json:"bleu,omitempty"`
-
-	SyntaxK  map[int]float64 `json:"syntax_at_k,omitempty"`
-	FuncK    map[int]float64 `json:"func_at_k,omitempty"`
-	PartialK map[int]float64 `json:"partial_at_k,omitempty"`
-
-	// Outcomes are the per-instance judgments (greedy tasks keep them
-	// for downstream analyses such as Figure 6).
-	Outcomes []core.Outcome `json:"outcomes,omitempty"`
-}
-
-// ---- projections onto the legacy report types ---------------------------
-
-func rowsFromModelReports(rs []core.ModelReport) []Row {
-	rows := make([]Row, 0, len(rs))
-	for _, r := range rs {
-		rows = append(rows, Row{
-			Model: r.Model, Count: r.Count,
-			Syntax: r.Syntax, Func: r.Func, Partial: r.Partial, BLEU: r.BLEU,
-			Outcomes: r.Outcomes,
-		})
-	}
-	return rows
-}
-
-func rowsFromPassKReports(rs []core.PassKReport) []Row {
-	rows := make([]Row, 0, len(rs))
-	for _, r := range rs {
-		rows = append(rows, Row{
-			Model: r.Model, Samples: r.N,
-			SyntaxK: r.SyntaxK, FuncK: r.FuncK, PartialK: r.PartialK,
-		})
-	}
-	return rows
-}
-
-func rowsFromDesignReports(rs []core.DesignReport) []Row {
-	rows := make([]Row, 0, len(rs))
-	for _, r := range rs {
-		rows = append(rows, Row{
-			Model: r.Model, Samples: r.N,
-			SyntaxK: r.SyntaxK, FuncK: r.FuncK,
-		})
-	}
-	return rows
-}
-
-// ModelReport projects the row onto the legacy greedy report type.
-func (r Row) ModelReport() core.ModelReport {
-	return core.ModelReport{
-		Model: r.Model, Count: r.Count,
-		Syntax: r.Syntax, Func: r.Func, Partial: r.Partial, BLEU: r.BLEU,
-		Outcomes: r.Outcomes,
-	}
-}
-
-// PassKReport projects the row onto the legacy pass@k report type.
-func (r Row) PassKReport() core.PassKReport {
-	return core.PassKReport{
-		Model: r.Model, N: r.Samples,
-		SyntaxK: r.SyntaxK, FuncK: r.FuncK, PartialK: r.PartialK,
-	}
-}
-
-// DesignReport projects the row onto the legacy Design2SVA report
-// type; kind is the group name the row came from.
-func (r Row) DesignReport(kind string) core.DesignReport {
-	return core.DesignReport{
-		Model: r.Model, Kind: kind, N: r.Samples,
-		SyntaxK: r.SyntaxK, FuncK: r.FuncK,
-	}
-}
-
-// ModelReports projects every row of the group.
-func (g Group) ModelReports() []core.ModelReport {
-	out := make([]core.ModelReport, 0, len(g.Rows))
-	for _, r := range g.Rows {
-		out = append(out, r.ModelReport())
-	}
-	return out
-}
-
-// PassKReports projects every row of the group.
-func (g Group) PassKReports() []core.PassKReport {
-	out := make([]core.PassKReport, 0, len(g.Rows))
-	for _, r := range g.Rows {
-		out = append(out, r.PassKReport())
-	}
-	return out
-}
-
-// DesignReports projects every row of the group under its kind.
-func (g Group) DesignReports() []core.DesignReport {
-	out := make([]core.DesignReport, 0, len(g.Rows))
-	for _, r := range g.Rows {
-		out = append(out, r.DesignReport(g.Name))
-	}
-	return out
-}
-
-// Group finds a group by name; a missing group projects to empty
-// report slices, so renderers degrade instead of panicking.
+// Group finds a group by name; a missing group has no rows, so
+// renderers degrade instead of panicking.
 func (r *Report) Group(name string) Group {
 	for _, g := range r.Groups {
 		if g.Name == name {
@@ -179,164 +64,31 @@ func DecodeReport(data []byte) (*Report, error) {
 }
 
 // Render produces the paper-layout artifact for the report: the table
-// renderers for tables 1–6 (byte-identical to the pre-registry entry
-// points on default parameters) and the pre-rendered text for static
-// tasks and figures. Non-default parameter sets that the paper
-// layouts cannot express (e.g. a single shot setting of Table 3)
-// render as one generic block per group.
+// layouts for tables 1–5 and the pre-rendered text for static tasks
+// and figures. Non-default parameter sets that the paper layouts
+// cannot express (e.g. a single shot setting of Table 3) render as one
+// generic block per group.
 func (r *Report) Render() string {
 	if r.Text != "" {
 		return r.Text
 	}
 	switch r.Table {
 	case 1:
-		return core.FormatTable1(r.Group("").ModelReports())
+		return renderTable1(r.Group("").Rows)
 	case 2:
-		return core.FormatTable2(r.Group("").PassKReports())
+		return renderTable2(r.Group("").Rows)
 	case 3:
 		if len(r.Groups) == 2 {
-			return core.FormatTable3(r.Groups[0].ModelReports(), r.Groups[1].ModelReports())
+			return renderTable3(r.Groups[0].Rows, r.Groups[1].Rows)
 		}
 		return r.renderGeneric("NL2SVA-Machine")
 	case 4:
-		return core.FormatTable4(r.Group("").PassKReports())
+		return renderTable4(r.Group("").Rows)
 	case 5:
 		if len(r.Groups) == 2 && r.Groups[0].Name == "pipeline" && r.Groups[1].Name == "fsm" {
-			return core.FormatTable5(r.Groups[0].DesignReports(), r.Groups[1].DesignReports())
+			return renderTable5(r.Groups[0].Rows, r.Groups[1].Rows)
 		}
 		return r.renderGeneric("Design2SVA")
 	}
 	return r.renderGeneric(r.Task)
-}
-
-// renderGeneric lists every group's rows in the greedy column layout
-// (means) or a pass@k layout, for parameterizations outside the
-// paper's fixed tables.
-func (r *Report) renderGeneric(title string) string {
-	var b strings.Builder
-	for _, g := range r.Groups {
-		if g.Name != "" {
-			fmt.Fprintf(&b, "%s (%s)\n", title, g.Name)
-		} else {
-			b.WriteString(title + "\n")
-		}
-		sampled := len(g.Rows) > 0 && g.Rows[0].Samples > 0
-		if sampled {
-			ks := sortedKs(g.Rows)
-			fmt.Fprintf(&b, "%-18s", "Model")
-			for _, k := range ks {
-				fmt.Fprintf(&b, " %9s", fmt.Sprintf("Func.@%d", k))
-			}
-			b.WriteString("\n")
-			for _, row := range g.Rows {
-				fmt.Fprintf(&b, "%-18s", row.Model)
-				for _, k := range ks {
-					fmt.Fprintf(&b, " %9.3f", row.FuncK[k])
-				}
-				b.WriteString("\n")
-			}
-		} else {
-			fmt.Fprintf(&b, "%-18s %8s %8s %8s %8s\n", "Model", "Syntax", "Func.", "Partial", "BLEU")
-			for _, row := range g.Rows {
-				fmt.Fprintf(&b, "%-18s %8.3f %8.3f %8.3f %8.3f\n",
-					row.Model, row.Syntax, row.Func, row.Partial, row.BLEU)
-			}
-		}
-	}
-	return b.String()
-}
-
-// renderTableAGR lays out the AGR helper-generation table: one row
-// per model, pass@k columns for all three judgment tiers. Syntax =
-// the helper set parses and elaborates, Valid = every helper in the
-// set is itself proved, Unlock = the stuck target is proved with the
-// helpers assumed (the task's headline metric).
-func renderTableAGR(p Params, groups []Group) (string, error) {
-	var b strings.Builder
-	b.WriteString("Table AGR: assertion-guided helper generation, pass@k (sampled decoding)\n")
-	b.WriteString("Syntax = helper set compiles; Valid = every helper proved; Unlock = target proved under the helpers\n")
-	var rows []Row
-	if len(groups) > 0 {
-		rows = groups[0].Rows
-	}
-	ks := p.Ks
-	if len(ks) == 0 {
-		ks = sortedKs(rows)
-	}
-	fmt.Fprintf(&b, "%-18s", "Model")
-	for _, label := range []string{"Syn.", "Valid", "Unlock"} {
-		for _, k := range ks {
-			fmt.Fprintf(&b, " %9s", fmt.Sprintf("%s@%d", label, k))
-		}
-	}
-	b.WriteString("\n")
-	for _, row := range rows {
-		fmt.Fprintf(&b, "%-18s", row.Model)
-		for _, m := range []map[int]float64{row.SyntaxK, row.PartialK, row.FuncK} {
-			for _, k := range ks {
-				fmt.Fprintf(&b, " %9.3f", m[k])
-			}
-		}
-		b.WriteString("\n")
-	}
-	return b.String(), nil
-}
-
-// renderFigureR lays out the CEX-guided refinement figure: functional
-// pass@k per model and cut-off, one column per refinement retry
-// budget ("round=N" groups), so the refinement gain reads across each
-// row.
-func renderFigureR(p Params, groups []Group) (string, error) {
-	var b strings.Builder
-	b.WriteString("Figure R: NL2SVA-Machine pass@k vs CEX-guided refinement rounds (3-shot)\n")
-	b.WriteString("Each column is a retry budget; failing candidates retry with the formal counterexample in the prompt\n")
-	var rows []Row
-	if len(groups) > 0 {
-		rows = groups[0].Rows
-	}
-	ks := p.Ks
-	if len(ks) == 0 {
-		ks = sortedKs(rows)
-	}
-	fmt.Fprintf(&b, "%-18s %4s", "Model", "k")
-	for _, g := range groups {
-		fmt.Fprintf(&b, " %9s", g.Name)
-	}
-	b.WriteString("\n")
-	for _, row := range rows {
-		for _, k := range ks {
-			fmt.Fprintf(&b, "%-18s %4d", row.Model, k)
-			for _, g := range groups {
-				v := 0.0
-				for _, gr := range g.Rows {
-					if gr.Model == row.Model {
-						v = gr.FuncK[k]
-						break
-					}
-				}
-				fmt.Fprintf(&b, " %9.3f", v)
-			}
-			b.WriteString("\n")
-		}
-	}
-	return b.String(), nil
-}
-
-func sortedKs(rows []Row) []int {
-	seen := map[int]bool{}
-	var ks []int
-	for _, r := range rows {
-		for k := range r.FuncK {
-			if !seen[k] {
-				seen[k] = true
-				ks = append(ks, k)
-			}
-		}
-	}
-	for i := 1; i < len(ks); i++ {
-		for j := i; j > 0 && ks[j-1] > ks[j]; j-- {
-			ks[j-1], ks[j] = ks[j], ks[j-1]
-		}
-	}
-	return ks
 }

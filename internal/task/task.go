@@ -16,7 +16,6 @@ import (
 	"sort"
 	"strings"
 
-	"fveval/internal/core"
 	"fveval/internal/engine"
 	"fveval/internal/llm"
 )
@@ -423,18 +422,14 @@ func buildRegistry() []*Spec {
 			Title: "NL2SVA-Human dataset composition (Table 6)",
 			Table: 6,
 			Kind:  KindStatic,
-			text: func(p Params, groups []Group) (string, error) {
-				return core.FormatTable6(), nil
-			},
+			text:  renderTable6,
 		},
 		{
 			Name:   "human-token-lengths",
 			Title:  "NL2SVA-Human token-length distributions (Figure 2)",
 			Figure: 2,
 			Kind:   KindFigure,
-			text: func(p Params, groups []Group) (string, error) {
-				return core.Figure2()
-			},
+			text:   renderFigure2,
 		},
 		{
 			Name:     "machine-token-lengths",
@@ -443,18 +438,14 @@ func buildRegistry() []*Spec {
 			Kind:     KindFigure,
 			Accepts:  []string{"count"},
 			Defaults: Params{Count: 300},
-			text: func(p Params, groups []Group) (string, error) {
-				return core.Figure3(p.Count), nil
-			},
+			text:     renderFigure3,
 		},
 		{
 			Name:   "design-token-lengths",
 			Title:  "Synthetic RTL token-length distributions (Figure 4)",
 			Figure: 4,
 			Kind:   KindFigure,
-			text: func(p Params, groups []Group) (string, error) {
-				return core.Figure4(), nil
-			},
+			text:   renderFigure4,
 		},
 		{
 			Name:     "bleu-correlation",
@@ -467,11 +458,7 @@ func buildRegistry() []*Spec {
 				return singleGrid(eng.HumanGrid(ctx, resolveModels(p.Models), false, obs("")))
 			},
 			text: func(p Params, groups []Group) (string, error) {
-				var reports []core.ModelReport
-				if len(groups) > 0 {
-					reports = groups[0].ModelReports()
-				}
-				return core.Figure6(reports), nil
+				return renderFigure6(firstRows(groups)), nil
 			},
 		},
 	}

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"fveval/internal/core"
 	"fveval/internal/engine"
 	"fveval/internal/llm"
 )
@@ -148,90 +147,11 @@ func TestMultiGroupTasks(t *testing.T) {
 	if len(run.Report.Groups) != 1 || run.Report.Groups[0].Name != "fsm" {
 		t.Fatalf("design groups malformed: %+v", run.Report.Groups)
 	}
-	if rep := run.Report.Groups[0].DesignReports(); len(rep) != 1 || rep[0].Kind != "fsm" {
-		t.Fatalf("design projection malformed: %+v", rep)
-	}
-}
-
-// TestRenderMatchesLegacyEntryPoints demands byte-identical table
-// output between registry runs and the engine's grids folded and
-// rendered by hand (grid → Grid.*Reports → core.FormatTableN /
-// core.Figure6), for every table and figure.
-func TestRenderMatchesLegacyEntryPoints(t *testing.T) {
-	ctx := context.Background()
-	cfg := engine.Config{Limit: 4, Samples: 2, Workers: 2}
-	e := NewEngine(cfg)
-	models := []string{"gpt-4o", "llama-3.1-70b"}
-	fleet := resolveModels(models)
-
-	runTask := func(name string, p Params) string {
-		t.Helper()
-		run, err := e.Run(ctx, Request{Task: name, Params: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return run.Report.Render()
-	}
-	grid := func(g *engine.Grid, err error) *engine.Grid {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
-	}
-
-	// Table 1
-	legacy1 := grid(engine.New(cfg).HumanGrid(ctx, fleet, false, nil)).ModelReports()
-	if got, want := runTask("nl2sva-human", Params{Models: models}), core.FormatTable1(legacy1); got != want {
-		t.Errorf("table 1 diverged:\n--- registry ---\n%s--- legacy ---\n%s", got, want)
-	}
-
-	// Table 2
-	legacy2 := grid(engine.New(cfg).HumanGrid(ctx, fleet, true, nil)).PassKReports([]int{1, 3, 5})
-	if got, want := runTask("nl2sva-human-passk", Params{Models: models}), core.FormatTable2(legacy2); got != want {
-		t.Errorf("table 2 diverged:\n--- registry ---\n%s--- legacy ---\n%s", got, want)
-	}
-
-	// Table 3
-	zero := grid(engine.New(cfg).MachineGrid(ctx, fleet, 0, 8, false, nil)).ModelReports()
-	three := grid(engine.New(cfg).MachineGrid(ctx, fleet, 3, 8, false, nil)).ModelReports()
-	if got, want := runTask("nl2sva-machine", Params{Models: models, Count: 8}), core.FormatTable3(zero, three); got != want {
-		t.Errorf("table 3 diverged:\n--- registry ---\n%s--- legacy ---\n%s", got, want)
-	}
-
-	// Table 4
-	legacy4 := grid(engine.New(cfg).MachineGrid(ctx, fleet, 3, 8, true, nil)).PassKReports([]int{1, 3, 5})
-	if got, want := runTask("nl2sva-machine-passk", Params{Models: models, Count: 8}), core.FormatTable4(legacy4); got != want {
-		t.Errorf("table 4 diverged:\n--- registry ---\n%s--- legacy ---\n%s", got, want)
-	}
-
-	// Table 5
-	pipe := grid(engine.New(cfg).DesignGrid(ctx, fleet, "pipeline", nil)).DesignReports("pipeline", []int{1, 5})
-	fsm := grid(engine.New(cfg).DesignGrid(ctx, fleet, "fsm", nil)).DesignReports("fsm", []int{1, 5})
-	if got, want := runTask("design2sva", Params{Models: models}), core.FormatTable5(pipe, fsm); got != want {
-		t.Errorf("table 5 diverged:\n--- registry ---\n%s--- legacy ---\n%s", got, want)
-	}
-
-	// Table 6 and the figures
-	if got, want := runTask("dataset-stats", Params{}), core.FormatTable6(); got != want {
-		t.Errorf("table 6 diverged")
-	}
-	fig2, err := core.Figure2()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := runTask("human-token-lengths", Params{}); got != fig2 {
-		t.Errorf("figure 2 diverged")
-	}
-	if got, want := runTask("machine-token-lengths", Params{Count: 30}), core.Figure3(30); got != want {
-		t.Errorf("figure 3 diverged")
-	}
-	if got, want := runTask("design-token-lengths", Params{}), core.Figure4(); got != want {
-		t.Errorf("figure 4 diverged")
-	}
-	legacyFig6 := core.Figure6(grid(engine.New(cfg).HumanGrid(ctx, resolveModels([]string{"gpt-4o"}), false, nil)).ModelReports())
-	if got := runTask("bleu-correlation", Params{Models: []string{"gpt-4o"}}); got != legacyFig6 {
-		t.Errorf("figure 6 diverged:\n--- registry ---\n%s--- legacy ---\n%s", got, legacyFig6)
+	// Design rows carry pass@k for syntax and proof only: Design2SVA
+	// has no partial-equivalence notion.
+	if rows := run.Report.Groups[0].Rows; len(rows) != 1 || rows[0].Samples != 2 ||
+		len(rows[0].FuncK) != 2 || rows[0].PartialK != nil {
+		t.Fatalf("design rows malformed: %+v", rows)
 	}
 }
 
