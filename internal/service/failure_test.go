@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -17,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"fveval/internal/dist"
 	"fveval/internal/engine"
 	"fveval/internal/fault"
 	"fveval/internal/service/api"
@@ -451,4 +453,119 @@ func TestRunDeadline(t *testing.T) {
 	if !sawTimeout.Load() {
 		t.Fatal("shard submission did not forward the remaining timeout_ms budget")
 	}
+}
+
+// shardFleet starts two fvevald workers and returns their clients and
+// a coordinator over dist.NewHTTPRunner, the client.RunShard transport.
+func shardFleet(t *testing.T, opts dist.Options) ([]*client.Client, *dist.Coordinator) {
+	t.Helper()
+	var workers []*client.Client
+	var runners []dist.Runner
+	for i := 0; i < 2; i++ {
+		srv := httptest.NewServer(newTestServer(t, Config{Engine: task.NewEngine(engine.Config{})}))
+		t.Cleanup(srv.Close)
+		workers = append(workers, client.New(srv.URL))
+		runners = append(runners, dist.NewHTTPRunner(srv.URL))
+	}
+	coord, err := dist.New(runners, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return workers, coord
+}
+
+// workerStates counts the states of every run the workers hold.
+func workerStates(t *testing.T, workers []*client.Client) map[string]int {
+	t.Helper()
+	states := map[string]int{}
+	for _, w := range workers {
+		list, err := w.Runs(context.Background(), api.ListRunsQuery{Limit: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range list.Runs {
+			states[r.Status]++
+		}
+	}
+	return states
+}
+
+// TestRunShardContract pins the client.RunShard transport over real
+// HTTP workers: a shard whose worker-side run ends in state error is
+// retried and the merged report stays byte-identical to a
+// single-engine run, and a shard the coordinator abandons ends
+// cancelled on its worker.
+func TestRunShardContract(t *testing.T) {
+	req := task.Request{
+		Task:    "nl2sva-human",
+		Params:  task.Params{Models: []string{"gpt-4o", "llama-3-8b"}},
+		Options: engine.Config{Limit: 6, Workers: 1},
+	}
+	base, err := task.NewEngine(engine.Config{}).Run(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantEnc, err := base.Report.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("error-retried", func(t *testing.T) {
+		workers, coord := shardFleet(t, dist.Options{BackoffBase: time.Millisecond, BackoffCap: 2 * time.Millisecond})
+		if err := fault.Activate(fault.Plan{Seed: 5, Points: map[string]fault.PointPlan{
+			fault.EngineJob: {Count: 1},
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		res, err := coord.Run(context.Background(), req)
+		fault.Reset()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Retries != 1 {
+			t.Fatalf("retries = %d, want 1", res.Retries)
+		}
+		gotEnc, err := res.Run.Report.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotEnc, wantEnc) {
+			t.Fatalf("retried run diverged\n--- dist ---\n%s\n--- single ---\n%s", gotEnc, wantEnc)
+		}
+		if got := workerStates(t, workers); got[api.StateError] != 1 || got[api.StateDone] != res.Shards {
+			t.Fatalf("worker run states %v, want 1 error and %d done", got, res.Shards)
+		}
+	})
+
+	t.Run("abandoned-cancelled", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		workers, coord := shardFleet(t, dist.Options{Progress: func(ev dist.Event) {
+			if ev.Type == dist.EventJob {
+				cancel()
+			}
+		}})
+		// Stall every job so both shards are still running when the
+		// first job event abandons the run.
+		if err := fault.Activate(fault.Plan{Points: map[string]fault.PointPlan{
+			fault.EngineJob: {Delay: 20 * time.Millisecond},
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		defer fault.Reset()
+		if _, err := coord.Run(ctx, req); !errors.Is(err, context.Canceled) {
+			t.Fatalf("abandoned run returned %v", err)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			got := workerStates(t, workers)
+			if got[api.StateCancelled] == 2 && len(got) == 1 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("worker run states %v, want 2 cancelled", got)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	})
 }
