@@ -12,12 +12,14 @@ test:
 # fuzz explores past the seed corpora that go test runs: the SAT
 # solver's incremental interface (gated clauses, retired activation
 # literals, assumptions) checked by brute force, the equivalence checker
-# against its one-shot oracle with every witness replayed, and the SVA
-# parser on arbitrary text.
+# against its one-shot oracle with every witness replayed, the SVA
+# parser on arbitrary text, and Design2SVA snippet parse and
+# elaboration.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzIncremental -fuzztime=15s ./internal/sat
 	$(GO) test -run='^$$' -fuzz=FuzzCheckDifferential -fuzztime=15s ./internal/equiv
 	$(GO) test -run='^$$' -fuzz=FuzzParseAssertion -fuzztime=15s ./internal/sva
+	$(GO) test -run='^$$' -fuzz=FuzzDesignSnippet -fuzztime=15s ./internal/core
 
 # examples runs every program under examples/, the public facade's
 # only non-test callers.

@@ -60,23 +60,6 @@ func (v BV) Extend(w int) BV {
 	return BV{bits}
 }
 
-// SignExtend sign-extends (or truncates) v to width w.
-func (v BV) SignExtend(w int) BV {
-	if len(v.Bits) == 0 {
-		return Const(0, w)
-	}
-	if len(v.Bits) >= w {
-		return BV{append([]logic.Node(nil), v.Bits[:w]...)}
-	}
-	bits := make([]logic.Node, w)
-	copy(bits, v.Bits)
-	sign := v.Bits[len(v.Bits)-1]
-	for i := len(v.Bits); i < w; i++ {
-		bits[i] = sign
-	}
-	return BV{bits}
-}
-
 func common(a, b BV) (BV, BV, int) {
 	w := max(a.Width(), b.Width())
 	return a.Extend(w), b.Extend(w), w
@@ -366,25 +349,6 @@ func (o Ops) Replicate(v BV, n int) BV {
 		bits = append(bits, v.Bits...)
 	}
 	return BV{bits}
-}
-
-// EvalConst evaluates a vector of constant nodes to a uint64 value; ok
-// is false if any bit is non-constant or the width exceeds 64.
-func EvalConst(v BV) (uint64, bool) {
-	if v.Width() > 64 {
-		return 0, false
-	}
-	var out uint64
-	for i, n := range v.Bits {
-		switch n {
-		case logic.True:
-			out |= 1 << uint(i)
-		case logic.False:
-		default:
-			return 0, false
-		}
-	}
-	return out, true
 }
 
 func max(a, b int) int {

@@ -80,11 +80,10 @@ func TestAshrConst(t *testing.T) {
 	b := logic.NewBuilder()
 	o := Ops{b}
 	v := Const(0b1100, 4)
-	got, ok := EvalConst(o.AshrConst(v, 1))
-	if !ok || got != 0b1110 {
-		t.Fatalf("ashr(1100,1) got %04b ok=%v want 1110", got, ok)
+	if got := evalBV(b, o.AshrConst(v, 1), nil); got != 0b1110 {
+		t.Fatalf("ashr(1100,1) got %04b want 1110", got)
 	}
-	got, _ = EvalConst(o.AshrConst(Const(0b0100, 4), 1))
+	got := evalBV(b, o.AshrConst(Const(0b0100, 4), 1), nil)
 	if got != 0b0010 {
 		t.Fatalf("ashr(0100,1) got %04b want 0010", got)
 	}
@@ -189,12 +188,12 @@ func TestConcatExtractIndex(t *testing.T) {
 	hi := Const(0b101, 3)
 	lo := Const(0b01, 2)
 	cat := o.Concat(hi, lo) // {3'b101, 2'b01} = 5'b10101
-	got, ok := EvalConst(cat)
-	if !ok || got != 0b10101 {
+	got := evalBV(b, cat, nil)
+	if got != 0b10101 {
 		t.Fatalf("concat got %05b", got)
 	}
 	ex := o.Extract(cat, 3, 1) // bits 3..1 of 10101 = 010
-	got, _ = EvalConst(ex)
+	got = evalBV(b, ex, nil)
 	if got != 0b010 {
 		t.Fatalf("extract got %03b", got)
 	}
@@ -203,22 +202,20 @@ func TestConcatExtractIndex(t *testing.T) {
 		t.Fatalf("index bit 4 of 10101 must be 1")
 	}
 	rep := o.Replicate(Const(0b10, 2), 3)
-	got, _ = EvalConst(rep)
+	got = evalBV(b, rep, nil)
 	if got != 0b101010 {
 		t.Fatalf("replicate got %06b", got)
 	}
 }
 
 func TestExtendTruncate(t *testing.T) {
+	b := logic.NewBuilder()
 	v := Const(0b1011, 4)
-	if got, _ := EvalConst(v.Extend(6)); got != 0b001011 {
+	if got := evalBV(b, v.Extend(6), nil); got != 0b001011 {
 		t.Fatalf("zero extend got %06b", got)
 	}
-	if got, _ := EvalConst(v.Extend(2)); got != 0b11 {
+	if got := evalBV(b, v.Extend(2), nil); got != 0b11 {
 		t.Fatalf("truncate got %02b", got)
-	}
-	if got, _ := EvalConst(v.SignExtend(6)); got != 0b111011 {
-		t.Fatalf("sign extend got %06b", got)
 	}
 }
 
@@ -236,13 +233,5 @@ func TestMuxVector(t *testing.T) {
 	env[s] = false
 	if got := evalBV(b, m, env); got != 0 {
 		t.Fatalf("mux false got %02b", got)
-	}
-}
-
-func TestEvalConstNonConst(t *testing.T) {
-	b := logic.NewBuilder()
-	x := b.Input()
-	if _, ok := EvalConst(BV{[]logic.Node{x}}); ok {
-		t.Fatalf("EvalConst must reject symbolic bits")
 	}
 }

@@ -60,15 +60,6 @@ func Stats() map[string][2]int {
 	return s
 }
 
-// TotalPairs counts all assertion pairs.
-func TotalPairs() int {
-	n := 0
-	for _, tb := range Testbenches() {
-		n += len(tb.Pairs)
-	}
-	return n
-}
-
 // ---- 1R1W FIFO (4 variations, 5 pairs each) ---------------------------
 
 func fifoSource(depth, width int, bypass bool) string {

@@ -35,7 +35,6 @@ type Bank struct {
 	pats []Pattern
 	next int // ring write cursor once len(pats) == cap
 	cap  int
-	adds int64
 }
 
 // DefaultBankCap bounds the bank when NewBank is given no capacity.
@@ -57,7 +56,6 @@ func (b *Bank) Add(p Pattern) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.adds++
 	if len(b.pats) < b.cap {
 		b.pats = append(b.pats, p)
 		return
@@ -103,17 +101,6 @@ func (b *Bank) Len() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return len(b.pats)
-}
-
-// Adds reports the lifetime number of patterns folded in (including
-// ones since evicted).
-func (b *Bank) Adds() int64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.adds
 }
 
 // laneWords packs the first n patterns' value of (name, pos) into dst:

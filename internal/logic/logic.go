@@ -188,12 +188,7 @@ func (b *Builder) Mux(sel, t, f Node) Node {
 	return b.Or(b.And(sel, t), b.And(sel.Not(), f))
 }
 
-// AndAll folds And over all nodes (True for empty input). Spreading
-// an existing slice (b.AndAll(v.Bits...)) passes it through without
-// copying, so the fold allocates nothing.
-func (b *Builder) AndAll(ns ...Node) Node { return b.AndSlice(ns) }
-
-// AndSlice folds And over a node slice with no variadic boxing.
+// AndSlice folds And over a node slice (True for an empty one).
 func (b *Builder) AndSlice(ns []Node) Node {
 	acc := True
 	for _, n := range ns {
@@ -202,11 +197,7 @@ func (b *Builder) AndSlice(ns []Node) Node {
 	return acc
 }
 
-// OrAll folds Or over all nodes (False for empty input); see AndAll
-// for the allocation contract.
-func (b *Builder) OrAll(ns ...Node) Node { return b.OrSlice(ns) }
-
-// OrSlice folds Or over a node slice with no variadic boxing.
+// OrSlice folds Or over a node slice (False for an empty one).
 func (b *Builder) OrSlice(ns []Node) Node {
 	acc := False
 	for _, n := range ns {

@@ -27,6 +27,39 @@ type ElabError struct{ Reason string }
 
 func (e *ElabError) Error() string { return "ltl: elaboration: " + e.Reason }
 
+// MaxWidth bounds, in bits, every vector a sized literal, part-select,
+// replication or concatenation builds, and every declared signal; a
+// wider one is an elaboration error. It sits far above the widest
+// vector any in-repo design, testbench, reference or proxy response
+// builds (288 bits, a Design2SVA testbench), and keeps one model
+// response from materialising millions of nodes.
+const MaxWidth = 1 << 16
+
+// tooWide is the elaboration error for a vector wider than MaxWidth.
+func tooWide(what string) error {
+	return &ElabError{fmt.Sprintf("%s wider than %d bits", what, MaxWidth)}
+}
+
+// replWidth returns the width of count copies of a w-bit value; the
+// bound is checked before the multiplication can overflow.
+func replWidth(count uint64, w int) (int, error) {
+	if w == 0 {
+		return 0, nil
+	}
+	if count > uint64(MaxWidth/w) {
+		return 0, tooWide("replication")
+	}
+	return int(count) * w, nil
+}
+
+// concatWidth adds a w-bit part to a concatenation of width total.
+func concatWidth(total, w int) (int, error) {
+	if w > MaxWidth-total {
+		return 0, tooWide("concatenation")
+	}
+	return total + w, nil
+}
+
 // ExprEval bit-blasts boolean-layer SVA expressions. Results are
 // memoized per (expression, position): the boolean layer is
 // loop-structure-independent, so one evaluator shared by a family of
@@ -118,6 +151,9 @@ func (ev *ExprEval) Width(e sva.Expr) (int, error) {
 		if v.Fill {
 			return 0, nil
 		}
+		if v.Width > MaxWidth {
+			return 0, tooWide("literal")
+		}
 		if v.Width > 0 {
 			return v.Width, nil
 		}
@@ -164,7 +200,9 @@ func (ev *ExprEval) Width(e sva.Expr) (int, error) {
 			if w == 0 {
 				return 0, &ElabError{"fill literal not allowed in concatenation"}
 			}
-			total += w
+			if total, err = concatWidth(total, w); err != nil {
+				return 0, err
+			}
 		}
 		return total, nil
 	case *sva.Repl:
@@ -176,7 +214,7 @@ func (ev *ExprEval) Width(e sva.Expr) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		return int(n) * w, nil
+		return replWidth(n, w)
 	case *sva.Index:
 		return 1, nil
 	case *sva.Select:
@@ -187,6 +225,9 @@ func (ev *ExprEval) Width(e sva.Expr) (int, error) {
 		}
 		if hi < lo {
 			return 0, &ElabError{"part-select bounds reversed"}
+		}
+		if hi-lo >= MaxWidth {
+			return 0, tooWide("part-select")
 		}
 		return int(hi-lo) + 1, nil
 	case *sva.WidthCast:
@@ -325,6 +366,9 @@ func (ev *ExprEval) eval(e sva.Expr, pos int, hint int) (bitvec.BV, error) {
 			return bitvec.Const(v.Value, w), nil
 		}
 		w := v.Width
+		if w > MaxWidth {
+			return bitvec.BV{}, tooWide("literal")
+		}
 		if w == 0 {
 			w = 32
 			if hint > 32 {
@@ -386,9 +430,13 @@ func (ev *ExprEval) eval(e sva.Expr, pos int, hint int) (bitvec.BV, error) {
 		return o.Mux(c, t, f), nil
 	case *sva.Concat:
 		var parts []bitvec.BV
+		total := 0
 		for _, p := range v.Parts {
 			b, err := ev.eval(p, pos, 0)
 			if err != nil {
+				return bitvec.BV{}, err
+			}
+			if total, err = concatWidth(total, b.Width()); err != nil {
 				return bitvec.BV{}, err
 			}
 			parts = append(parts, b)
@@ -401,6 +449,10 @@ func (ev *ExprEval) eval(e sva.Expr, pos int, hint int) (bitvec.BV, error) {
 		}
 		b, err := ev.eval(v.Value, pos, 0)
 		if err != nil {
+			return bitvec.BV{}, err
+		}
+		w, err := replWidth(n, b.Width())
+		if err != nil || w == 0 {
 			return bitvec.BV{}, err
 		}
 		return o.Replicate(b, int(n)), nil

@@ -152,24 +152,6 @@ func Next(n int, f Formula) Formula {
 	return &FNext{N: n, F: f}
 }
 
-// AndAll folds And.
-func AndAll(fs ...Formula) Formula {
-	acc := True
-	for _, f := range fs {
-		acc = And(acc, f)
-	}
-	return acc
-}
-
-// OrAll folds Or.
-func OrAll(fs ...Formula) Formula {
-	acc := False
-	for _, f := range fs {
-		acc = Or(acc, f)
-	}
-	return acc
-}
-
 // Depth returns the bounded temporal depth of the formula: the largest
 // finite look-ahead needed before unbounded operators take over. The
 // lasso bound is derived from it.
@@ -253,21 +235,6 @@ func walkAtoms(f Formula, fn func(*FAtom)) {
 		walkAtoms(v.L, fn)
 		walkAtoms(v.R, fn)
 	}
-}
-
-// Atoms returns the distinct atom expressions in the formula (by
-// printed form).
-func Atoms(f Formula) []sva.Expr {
-	seen := map[string]bool{}
-	var out []sva.Expr
-	walkAtoms(f, func(a *FAtom) {
-		s := a.E.String()
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, a.E)
-		}
-	})
-	return out
 }
 
 // SignalNames returns the sorted identifiers referenced by the formula.

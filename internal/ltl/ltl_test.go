@@ -11,11 +11,21 @@ import (
 
 func mustProp(t *testing.T, src string) sva.Property {
 	t.Helper()
-	p, err := sva.ParseProperty(src)
+	a, err := sva.ParseAssertion("assert property (@(posedge clk) " + src + ");")
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
-	return p
+	return a.Body
+}
+
+// mustExpr parses a bare expression as an assertion's disable-iff guard.
+func mustExpr(t *testing.T, src string) sva.Expr {
+	t.Helper()
+	a, err := sva.ParseAssertion("assert property (@(posedge clk) disable iff (" + src + ") 1);")
+	if err != nil {
+		t.Fatalf("parse %q: %v", src, err)
+	}
+	return a.DisableIff
 }
 
 func TestFormulaConstructors(t *testing.T) {
@@ -114,11 +124,11 @@ func TestLowerErrors(t *testing.T) {
 		"(a ##[0:$] b) intersect c", // unbounded in combination
 	}
 	for _, src := range bad {
-		p, err := sva.ParseProperty(src)
+		a, err := sva.ParseAssertion("assert property (@(posedge clk) " + src + ");")
 		if err != nil {
 			continue // parse-level rejection also fine
 		}
-		if _, err := LowerProperty(p); err == nil {
+		if _, err := LowerProperty(a.Body); err == nil {
 			t.Errorf("%s: expected lowering error", src)
 		}
 	}
@@ -249,11 +259,7 @@ func TestExprEvalWidthsAndConsts(t *testing.T) {
 		"P": {Value: 5, Width: 4},
 	})
 	ev := &ExprEval{Ops: bitvec.Ops{B: b}, Env: env}
-	e, err := sva.ParseExpr("x == P")
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := ev.Bool(e, 0)
+	n, err := ev.Bool(mustExpr(t, "x == P"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,8 +272,7 @@ func TestExprEvalWidthsAndConsts(t *testing.T) {
 		t.Errorf("x==P must hold for x=5")
 	}
 	// $bits is a compile-time constant
-	e2, _ := sva.ParseExpr("$bits(x) == 4")
-	n2, err := ev.Bool(e2, 0)
+	n2, err := ev.Bool(mustExpr(t, "$bits(x) == 4"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,8 +285,7 @@ func TestUndeclaredIdentifier(t *testing.T) {
 	b := logic.NewBuilder()
 	env := NewTraceEnv(b, map[string]int{"x": 1}, nil)
 	ev := &ExprEval{Ops: bitvec.Ops{B: b}, Env: env}
-	e, _ := sva.ParseExpr("ghost")
-	if _, err := ev.Bool(e, 0); err == nil {
+	if _, err := ev.Bool(mustExpr(t, "ghost"), 0); err == nil {
 		t.Fatal("expected elaboration error")
 	}
 }

@@ -337,6 +337,9 @@ func (e *elab) decl(sc *scope, d *Decl) error {
 		}
 		width = outer * inner
 		chunk = inner
+		if width > ltl.MaxWidth {
+			return errf("signal %s: wider than %d bits", d.Name, ltl.MaxWidth)
+		}
 	default:
 		return errf("signal %s: more than two packed dimensions unsupported", d.Name)
 	}
@@ -429,6 +432,9 @@ func (e *elab) rangeWidth(sc *scope, r Range) (int, error) {
 	}
 	if int64(hi) < int64(lo) {
 		return 0, fmt.Errorf("reversed range [%d:%d]", hi, lo)
+	}
+	if hi-lo >= ltl.MaxWidth {
+		return 0, fmt.Errorf("range [%d:%d] wider than %d bits", hi, lo, ltl.MaxWidth)
 	}
 	return int(hi-lo) + 1, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"fveval/internal/ltl"
 	"fveval/internal/sva"
 )
 
@@ -182,6 +183,9 @@ func (in *Interp) eval(e sva.Expr, vals map[string]uint64, busy map[string]bool)
 			if pv.w == 0 {
 				return cval{}, fmt.Errorf("fill literal in concatenation")
 			}
+			if pv.w > ltl.MaxWidth-total {
+				return cval{}, errf("concatenation wider than %d bits", ltl.MaxWidth)
+			}
 			out = (out << uint(pv.w)) | pv.v
 			total += pv.w
 		}
@@ -196,13 +200,21 @@ func (in *Interp) eval(e sva.Expr, vals map[string]uint64, busy map[string]bool)
 			return cval{}, err
 		}
 		x = x.mask()
-		var out uint64
-		total := 0
-		for i := uint64(0); i < nv.v; i++ {
-			out = (out << uint(x.w)) | x.v
-			total += x.w
+		// Copies shifted 64 or more bits up leave no trace in a uint64,
+		// so at most ceil(64/w) of them are materialised (one of a
+		// zero-width fill).
+		copies := uint64(1)
+		if x.w > 0 {
+			if nv.v > uint64(ltl.MaxWidth/x.w) {
+				return cval{}, errf("replication wider than %d bits", ltl.MaxWidth)
+			}
+			copies = uint64((63 + x.w) / x.w)
 		}
-		return cval{out, total}, nil
+		var out uint64
+		for i := uint64(0); i < min(nv.v, copies); i++ {
+			out = (out << uint(x.w)) | x.v
+		}
+		return cval{out, int(nv.v) * x.w}, nil
 	case *sva.Index:
 		x, err := in.eval(v.X, vals, busy)
 		if err != nil {

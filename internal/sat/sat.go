@@ -103,8 +103,6 @@ type Solver struct {
 
 	maxConflicts int64 // per-call conflict budget; 0 = unlimited
 
-	core []Lit // failed-assumption core of the last unsat Solve
-
 	ok bool // false once an empty clause is derived
 }
 
@@ -159,9 +157,6 @@ func (s *Solver) NewVar() int {
 	return v
 }
 
-// NumVars returns the number of allocated variables.
-func (s *Solver) NumVars() int { return s.nVars }
-
 // SetBudget limits the number of conflicts each Solve call may spend;
 // 0 means unlimited. The budget is a per-call delta, not a lifetime
 // cap: every Solve starts from a fresh allowance, so an incremental
@@ -180,16 +175,6 @@ func (s *Solver) Stats() Stats {
 		Clauses:      len(s.clauses),
 		Vars:         s.nVars,
 	}
-}
-
-// Core returns the failed-assumption core of the most recent
-// unsatisfiable Solve call: a subset of that call's assumptions which
-// by itself already forces unsatisfiability. An empty core on an
-// unsatisfiable call means the clause database is unsatisfiable
-// regardless of assumptions. The returned slice is a copy; it stays
-// valid across later calls.
-func (s *Solver) Core() []Lit {
-	return append([]Lit(nil), s.core...)
 }
 
 func (s *Solver) valueLit(l Lit) lbool {
@@ -464,42 +449,6 @@ func (s *Solver) litRedundant(l Lit, abstract int, toClear *[]Lit) bool {
 	return true
 }
 
-// analyzeFinal computes the failed-assumption core when assumption p
-// is found falsified during assumption enqueueing: the subset of the
-// current call's assumptions whose implication graph forces ~p. At
-// that point every decision on the trail is itself an assumption, so
-// walking reasons from ~p down and collecting reached decisions yields
-// a core that is by construction a subset of the assumptions.
-func (s *Solver) analyzeFinal(p Lit) []Lit {
-	core := []Lit{p}
-	if s.decisionLevel() == 0 {
-		// ~p is implied at root level: p alone is inconsistent with the
-		// clause database.
-		return core
-	}
-	s.seen[p.Var()] = true
-	for i := len(s.trail) - 1; i >= s.trailLim[0]; i-- {
-		v := s.trail[i].Var()
-		if !s.seen[v] {
-			continue
-		}
-		if c := s.reason[v]; c == nil {
-			if s.level[v] > 0 {
-				core = append(core, s.trail[i])
-			}
-		} else {
-			for _, q := range c.lits[1:] {
-				if s.level[q.Var()] > 0 {
-					s.seen[q.Var()] = true
-				}
-			}
-		}
-		s.seen[v] = false
-	}
-	s.seen[p.Var()] = false
-	return core
-}
-
 func (s *Solver) backtrack(level int) {
 	if s.decisionLevel() <= level {
 		return
@@ -644,9 +593,8 @@ func luby(i int64) int64 {
 // Assumptions are enqueued as pseudo-decisions below all search
 // decisions, so learnt clauses and variable activity carry over to
 // later Solve calls, and clauses may be added between calls. It
-// returns (true, nil) if satisfiable, (false, nil) if unsatisfiable
-// (see Core for the responsible assumption subset), and
-// (false, ErrBudget) if the per-call conflict budget ran out.
+// returns (true, nil) if satisfiable, (false, nil) if unsatisfiable,
+// and (false, ErrBudget) if the per-call conflict budget ran out.
 func (s *Solver) Solve(assumptions ...Lit) (bool, error) {
 	ok, _, err := s.solve(false, assumptions)
 	return ok, err
@@ -697,9 +645,7 @@ func (s *Solver) search(maxConfl int64, assumptions []Lit, learntCap *int) (sat 
 				s.trailLim = append(s.trailLim, len(s.trail))
 				continue
 			case lFalse:
-				// conflict with assumption: final-conflict analysis
-				// yields the failed-assumption core
-				s.core = s.analyzeFinal(p)
+				// an assumption is already falsified: unsat under them
 				return false, true
 			}
 			next = p
@@ -746,7 +692,6 @@ func (s *Solver) SolveModel(assumptions ...Lit) (bool, []bool, error) {
 // the model (when requested) is captured before backtracking to root.
 func (s *Solver) solve(wantModel bool, assumptions []Lit) (bool, []bool, error) {
 	s.solves++
-	s.core = nil
 	if !s.ok {
 		return false, nil, nil
 	}

@@ -15,9 +15,6 @@ import (
 	"fveval/internal/task"
 )
 
-// Version is the API version prefix every v1 route carries.
-const Version = "v1"
-
 // Run lifecycle states. A run enters the admission queue as
 // StateQueued, moves to StateRunning when an executor picks it up,
 // and lands in exactly one terminal state. StateInterrupted is the

@@ -80,19 +80,21 @@ func apiError(resp *http.Response) error {
 	}
 }
 
-// do issues one request and decodes a 2xx JSON response into out.
-func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+// send issues one request and returns its response when the status is
+// 2xx; any other status is decoded into an *api.Error. The caller
+// closes the body.
+func (c *Client) send(ctx context.Context, method, path string, in any) (*http.Response, error) {
 	var body io.Reader
 	if in != nil {
 		data, err := json.Marshal(in)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		body = bytes.NewReader(data)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -102,12 +104,22 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return fmt.Errorf("client: %s %s: %w", method, path, err)
+		return nil, fmt.Errorf("client: %s %s: %w", method, path, err)
+	}
+	if resp.StatusCode < 200 || resp.StatusCode > 299 {
+		defer resp.Body.Close()
+		return nil, apiError(resp)
+	}
+	return resp, nil
+}
+
+// do issues one request and decodes a 2xx JSON response into out.
+func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+	resp, err := c.send(ctx, method, path, in)
+	if err != nil {
+		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return apiError(resp)
-	}
 	if out == nil {
 		io.Copy(io.Discard, resp.Body) //nolint:errcheck
 		return nil
@@ -169,31 +181,16 @@ func (c *Client) Runs(ctx context.Context, q api.ListRunsQuery) (api.RunList, er
 	return out, err
 }
 
-// Cancel aborts a run.
-func (c *Client) Cancel(ctx context.Context, id string) error {
-	return c.do(ctx, http.MethodDelete, "/v1/runs/"+url.PathEscape(id), nil, nil)
-}
-
-// Events follows a run's NDJSON event stream, invoking progress for
+// events follows a run's NDJSON event stream, invoking progress for
 // each event, and returns the terminal status line. A non-"done"
 // terminal status is reported in the status return, not as an error;
 // the error return covers transport and protocol failures only.
-func (c *Client) Events(ctx context.Context, id string, progress func(task.Event)) (status, errMsg string, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/runs/"+url.PathEscape(id)+"/events", nil)
+func (c *Client) events(ctx context.Context, id string, progress func(task.Event)) (status, errMsg string, err error) {
+	resp, err := c.send(ctx, http.MethodGet, "/v1/runs/"+url.PathEscape(id)+"/events", nil)
 	if err != nil {
 		return "", "", err
 	}
-	if c.apiKey != "" {
-		req.Header.Set("X-API-Key", c.apiKey)
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return "", "", fmt.Errorf("client: event stream: %w", err)
-	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", "", apiError(resp)
-	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 64*1024), 1024*1024)
 	for sc.Scan() {
@@ -224,51 +221,57 @@ func (c *Client) Events(ctx context.Context, id string, progress func(task.Event
 	return "", "", fmt.Errorf("client: event stream ended without a terminal status")
 }
 
-// Wait follows a run to its terminal state and returns the final
-// view. A run that lands in error/interrupted is returned along with
-// an *api.Error carrying its message.
-func (c *Client) Wait(ctx context.Context, id string, progress func(task.Event)) (api.RunView, error) {
-	status, errMsg, err := c.Events(ctx, id, progress)
-	if err != nil {
-		return api.RunView{}, err
-	}
-	view, err := c.Get(ctx, id)
-	if err != nil {
-		return api.RunView{}, err
-	}
-	switch status {
-	case api.StateDone:
-		return view, nil
-	case api.StateCancelled:
-		return view, context.Canceled
-	default:
-		if errMsg == "" {
-			errMsg = "run ended " + status
-		}
-		return view, &api.Error{Status: http.StatusInternalServerError, Code: api.CodeInternal, Message: errMsg}
-	}
-}
-
-// Run submits and waits: the one-call path used by fvevalctl. The
-// remote run is cancelled (best-effort) if ctx dies first.
-func (c *Client) Run(ctx context.Context, sub api.Submission, progress func(task.Event)) (api.RunView, error) {
+// follow is the one submit-and-follow path behind Run and RunShard.
+// It submits sub, streams the run's events to progress until the run
+// is terminal (admission may already answer terminal, from the result
+// cache), and hands the run id and terminal status to finish, which
+// fetches and maps the outcome; errMsg is never empty for a status
+// other than done. A run this call abandons — its event stream or
+// finish failed — is cancelled on the server, best-effort, so it stops
+// burning cycles. The returned id is empty when the submission itself
+// failed.
+func (c *Client) follow(ctx context.Context, sub api.Submission, progress func(task.Event), finish func(id, status, errMsg string) error) (string, error) {
 	resp, err := c.Submit(ctx, sub)
 	if err != nil {
-		return api.RunView{}, err
+		return "", err
 	}
-	if api.Terminal(resp.Status) {
-		return c.Get(ctx, resp.ID)
+	status, errMsg := resp.Status, ""
+	if !api.Terminal(status) {
+		status, errMsg, err = c.events(ctx, resp.ID, progress)
 	}
-	finished := false
-	defer func() {
-		if !finished {
-			c.cancelDetached(resp.ID)
-		}
-	}()
-	view, err := c.Wait(ctx, resp.ID, progress)
 	if err == nil {
-		finished = true
+		if status != api.StateDone && errMsg == "" {
+			errMsg = "run ended " + status
+		}
+		err = finish(resp.ID, status, errMsg)
 	}
+	if err != nil {
+		c.cancelDetached(resp.ID)
+	}
+	return resp.ID, err
+}
+
+// Run submits and follows one run to its terminal state: the one-call
+// path used by fvevalctl. A run that lands cancelled is returned with
+// context.Canceled, one that lands in error/interrupted with an
+// *api.Error carrying its message. The remote run is cancelled
+// (best-effort) if ctx dies first.
+func (c *Client) Run(ctx context.Context, sub api.Submission, progress func(task.Event)) (api.RunView, error) {
+	var view api.RunView
+	_, err := c.follow(ctx, sub, progress, func(id, status, errMsg string) error {
+		v, err := c.Get(ctx, id)
+		if err != nil {
+			return err
+		}
+		view = v
+		switch status {
+		case api.StateDone:
+			return nil
+		case api.StateCancelled:
+			return context.Canceled
+		}
+		return &api.Error{Status: http.StatusInternalServerError, Code: api.CodeInternal, Message: errMsg}
+	})
 	return view, err
 }
 
@@ -290,40 +293,28 @@ func (c *Client) RunShard(ctx context.Context, req task.Request) (*task.Partial,
 		}
 		sub.TimeoutMS = rem.Milliseconds() + 1
 	}
-	resp, err := c.Submit(ctx, sub)
-	if err != nil {
-		return nil, fmt.Errorf("client: %s: submit shard: %w", c.base, err)
-	}
-	finished := false
-	defer func() {
-		if !finished {
-			c.cancelDetached(resp.ID)
-		}
-	}()
-	if !api.Terminal(resp.Status) {
-		status, errMsg, err := c.Events(ctx, resp.ID, progress)
-		if err != nil {
-			return nil, err
-		}
+	var part *task.Partial
+	id, err := c.follow(ctx, sub, progress, func(id, status, errMsg string) error {
 		if status != api.StateDone {
 			if ctx.Err() != nil {
-				return nil, ctx.Err()
+				return ctx.Err()
 			}
-			if errMsg == "" {
-				errMsg = "run ended " + status
-			}
-			return nil, fmt.Errorf("client: %s: shard %s: %s", c.base, resp.ID, errMsg)
+			return fmt.Errorf("client: %s: shard %s: %s", c.base, id, errMsg)
 		}
+		view, err := c.Get(ctx, id)
+		if err != nil {
+			return err
+		}
+		if view.Part == nil {
+			return fmt.Errorf("client: %s: run %s carries no partial (status %s %s)", c.base, id, view.Status, view.Error)
+		}
+		part = view.Part
+		return nil
+	})
+	if id == "" {
+		return nil, fmt.Errorf("client: %s: submit shard: %w", c.base, err)
 	}
-	view, err := c.Get(ctx, resp.ID)
-	if err != nil {
-		return nil, err
-	}
-	if view.Part == nil {
-		return nil, fmt.Errorf("client: %s: run %s carries no partial (status %s %s)", c.base, resp.ID, view.Status, view.Error)
-	}
-	finished = true
-	return view.Part, nil
+	return part, err
 }
 
 // cancelDetached issues a best-effort cancel on its own short
@@ -331,7 +322,7 @@ func (c *Client) RunShard(ctx context.Context, req task.Request) (*task.Partial,
 func (c *Client) cancelDetached(id string) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	c.Cancel(ctx, id) //nolint:errcheck
+	c.do(ctx, http.MethodDelete, "/v1/runs/"+url.PathEscape(id), nil, nil) //nolint:errcheck
 }
 
 // RegisterWorker announces a worker's base URL to the coordinator and
@@ -367,22 +358,11 @@ func (c *Client) Workers(ctx context.Context) ([]api.WorkerInfo, error) {
 // X-Trace-Dropped header. A run submitted without tracing yields a
 // not_found *api.Error.
 func (c *Client) Trace(ctx context.Context, id string) ([]obs.SpanData, int64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.base+"/v1/runs/"+url.PathEscape(id)+"/trace", nil)
+	resp, err := c.send(ctx, http.MethodGet, "/v1/runs/"+url.PathEscape(id)+"/trace", nil)
 	if err != nil {
 		return nil, 0, err
 	}
-	if c.apiKey != "" {
-		req.Header.Set("X-API-Key", c.apiKey)
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, 0, fmt.Errorf("client: trace: %w", err)
-	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, 0, apiError(resp)
-	}
 	dropped, _ := strconv.ParseInt(resp.Header.Get("X-Trace-Dropped"), 10, 64)
 	var spans []obs.SpanData
 	sc := bufio.NewScanner(resp.Body)
@@ -406,18 +386,11 @@ func (c *Client) Trace(ctx context.Context, id string) ([]obs.SpanData, int64, e
 
 // Metrics scrapes the Prometheus text exposition.
 func (c *Client) Metrics(ctx context.Context) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/metrics", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.http.Do(req)
+	resp, err := c.send(ctx, http.MethodGet, "/metrics", nil)
 	if err != nil {
 		return "", err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", apiError(resp)
-	}
 	data, err := io.ReadAll(resp.Body)
 	return string(data), err
 }

@@ -161,7 +161,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 			plain(fstats.Solves)),
 		counter("fveval_journal_compactions_total",
 			"Run-journal snapshot compactions.",
-			m.compactionLines()...),
+			plain(m.compactions.Load())),
 		gauge("fveval_queue_depth",
 			"Runs waiting in the admission queue.",
 			plain(int64(queued))),
@@ -234,12 +234,6 @@ func faultFamily() family {
 	return counter("fveval_faults_injected_total",
 		"Faults fired by the deterministic injection subsystem, total and by point.",
 		lines...)
-}
-
-// compactionLines exists so the counter stays emitted (as 0) before
-// the first compaction.
-func (m *metrics) compactionLines() []string {
-	return []string{plain(m.compactions.Load())}
 }
 
 // statusLines renders fveval_runs_total{status=...} samples sorted by

@@ -385,7 +385,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := s.now()
 	lw := &loggedWriter{ResponseWriter: w, status: http.StatusOK}
 	s.mux.ServeHTTP(lw, r)
-	line, err := json.Marshal(map[string]any{
+	s.logLine(map[string]any{
 		"ts":     start.UTC().Format(time.RFC3339Nano),
 		"method": r.Method,
 		"path":   r.URL.Path,
@@ -394,6 +394,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		"bytes":  lw.bytes,
 		"client": clientID(r),
 	})
+}
+
+// logLine writes one JSON line to the request log.
+func (s *Server) logLine(fields map[string]any) {
+	line, err := json.Marshal(fields)
 	if err != nil {
 		return
 	}
@@ -508,17 +513,11 @@ func (s *Server) logInternal(msg string) {
 	if s.cfg.LogWriter == nil {
 		return
 	}
-	line, err := json.Marshal(map[string]any{
+	s.logLine(map[string]any{
 		"ts":    s.now().UTC().Format(time.RFC3339Nano),
 		"level": "error",
 		"msg":   msg,
 	})
-	if err != nil {
-		return
-	}
-	s.logMu.Lock()
-	fmt.Fprintf(s.cfg.LogWriter, "%s\n", line)
-	s.logMu.Unlock()
 }
 
 // handleTasks lists the registry: GET /v1/tasks.

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -667,6 +668,27 @@ func TestListPaginationAndFilters(t *testing.T) {
 	}
 }
 
+// TestRequestLogLines pins the bytes of both structured log lines: a
+// request line and an internal-error line.
+func TestRequestLogLines(t *testing.T) {
+	var buf bytes.Buffer
+	at := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	s := newTestServer(t, Config{LogWriter: &buf, Now: func() time.Time { return at }})
+
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodGet, "/v1/runs/run-000042", nil)
+	req.Header.Set("X-API-Key", "team-a")
+	s.ServeHTTP(rec, req)
+	s.logInternal("journal compaction failed: disk full")
+
+	want := fmt.Sprintf(`{"bytes":%d,"client":"%s","dur_ms":0,"method":"GET","path":"/v1/runs/run-000042","status":404,"ts":"2026-01-02T03:04:05Z"}`+"\n"+
+		`{"level":"error","msg":"journal compaction failed: disk full","ts":"2026-01-02T03:04:05Z"}`+"\n",
+		rec.Body.Len(), clientID(req))
+	if got := buf.String(); got != want {
+		t.Fatalf("log lines:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 // TestMetricsExposition checks the Prometheus text surface: known
 // families present, counters moved by the work performed, and the
 // exposition stable in sorted order.
@@ -713,6 +735,7 @@ func TestMetricsExposition(t *testing.T) {
 		"fveval_equiv_cache_hits_total",
 		"fveval_sim_refutations_total",
 		"fveval_shard_retries_total 0",
+		"fveval_journal_compactions_total 0",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)

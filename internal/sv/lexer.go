@@ -90,9 +90,6 @@ var keywords = map[string]bool{
 	"localparams": false,
 }
 
-// IsKeyword reports whether s lexes as a keyword.
-func IsKeyword(s string) bool { return keywords[s] }
-
 // multi-character punctuation, longest first.
 var puncts = []string{
 	"|->", "|=>", "<<<", ">>>", "===", "!==", "##", "&&", "||",

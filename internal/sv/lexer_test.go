@@ -160,14 +160,21 @@ func TestStrings(t *testing.T) {
 }
 
 func TestKeywordSet(t *testing.T) {
+	kind := func(s string) Kind {
+		ts, err := Tokenize(s)
+		if err != nil {
+			t.Fatalf("%s: %v", s, err)
+		}
+		return ts[0].Kind
+	}
 	for _, kw := range []string{"module", "s_eventually", "strong", "iff", "throughout"} {
-		if !IsKeyword(kw) {
+		if kind(kw) != Keyword {
 			t.Errorf("%s must be a keyword", kw)
 		}
 	}
 	for _, id := range []string{"eventually", "foo", "clk", "tb_reset"} {
-		if IsKeyword(id) {
-			t.Errorf("%s must not be a keyword", id)
+		if kind(id) != Ident {
+			t.Errorf("%s must lex as an identifier", id)
 		}
 	}
 }

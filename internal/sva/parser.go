@@ -25,40 +25,6 @@ func ParseAssertion(src string) (*Assertion, error) {
 	return a, nil
 }
 
-// ParseProperty parses a bare property expression (no assert wrapper).
-func ParseProperty(src string) (Property, error) {
-	toks, err := sv.Tokenize(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
-	prop, err := p.parseProperty()
-	if err != nil {
-		return nil, err
-	}
-	if !p.at(sv.EOF, "") {
-		return nil, p.errf("trailing input after property")
-	}
-	return prop, nil
-}
-
-// ParseExpr parses a bare expression (shared with the RTL parser).
-func ParseExpr(src string) (Expr, error) {
-	toks, err := sv.Tokenize(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
-	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if !p.at(sv.EOF, "") {
-		return nil, p.errf("trailing input after expression")
-	}
-	return e, nil
-}
-
 // ParseExprTokens parses an expression from a token stream starting at
 // index i; it returns the expression and the index of the first
 // unconsumed token. The RTL parser uses this to share the expression

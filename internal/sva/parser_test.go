@@ -5,6 +5,25 @@ import (
 	"testing"
 )
 
+// parseBody parses a bare property as the body of an assertion.
+func parseBody(src string) (Property, error) {
+	a, err := ParseAssertion("assert property (@(posedge clk) " + src + ");")
+	if err != nil {
+		return nil, err
+	}
+	return a.Body, nil
+}
+
+// parseGuard parses a bare expression as an assertion's disable-iff
+// guard.
+func parseGuard(src string) (Expr, error) {
+	a, err := ParseAssertion("assert property (@(posedge clk) disable iff (" + src + ") 1);")
+	if err != nil {
+		return nil, err
+	}
+	return a.DisableIff, nil
+}
+
 // paperAssertions are assertions taken verbatim from the FVEval paper
 // (Figures 2, 7, 8, 11, 13, 16); all must parse and validate.
 var paperAssertions = []string{
@@ -177,7 +196,7 @@ func TestSequenceShapes(t *testing.T) {
 		{`weak(a ##1 b)`, "weak(a ##1 b)"},
 	}
 	for _, c := range cases {
-		p, err := ParseProperty(c.src)
+		p, err := parseBody(c.src)
 		if err != nil {
 			t.Errorf("%s: %v", c.src, err)
 			continue
@@ -204,13 +223,13 @@ func TestPropertyOperators(t *testing.T) {
 		"(a |-> b) implies (c |-> d)",
 	}
 	for _, src := range cases {
-		p, err := ParseProperty(src)
+		p, err := parseBody(src)
 		if err != nil {
 			t.Errorf("%s: %v", src, err)
 			continue
 		}
 		// reparse canonical form
-		if _, err := ParseProperty(p.String()); err != nil {
+		if _, err := parseBody(p.String()); err != nil {
 			t.Errorf("%s: canonical %q fails reparse: %v", src, p.String(), err)
 		}
 	}
@@ -229,12 +248,12 @@ func TestExprPrecedence(t *testing.T) {
 		{"^sig_G === 1'b1", "(^sig_G) === 1'b1"},
 	}
 	for _, c := range cases {
-		e, err := ParseExpr(c.src)
+		e, err := parseGuard(c.src)
 		if err != nil {
 			t.Errorf("%s: %v", c.src, err)
 			continue
 		}
-		got, err := ParseExpr(c.want)
+		got, err := parseGuard(c.want)
 		if err != nil {
 			t.Fatalf("bad want %q: %v", c.want, err)
 		}
@@ -260,12 +279,12 @@ func TestExprForms(t *testing.T) {
 		"in_C <= 'd1",
 	}
 	for _, src := range cases {
-		e, err := ParseExpr(src)
+		e, err := parseGuard(src)
 		if err != nil {
 			t.Errorf("%s: %v", src, err)
 			continue
 		}
-		again, err := ParseExpr(e.String())
+		again, err := parseGuard(e.String())
 		if err != nil {
 			t.Errorf("%s: canonical %q fails reparse: %v", src, e.String(), err)
 			continue
