@@ -162,5 +162,6 @@ func BLEU(candidate, reference string) float64 {
 	return metrics.BLEU(candidate, reference)
 }
 
-// PassAtK is the unbiased pass@k estimator.
+// PassAtK is the unbiased pass@k estimator for c correct out of n
+// samples. It is defined only for 1 <= k <= n and panics otherwise.
 func PassAtK(n, c, k int) float64 { return metrics.PassAtK(n, c, k) }

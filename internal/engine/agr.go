@@ -22,7 +22,7 @@ type helperCell struct{ syntax, valid, unlocked bool }
 // validity), Full = the target is unlocked.
 func (e *Engine) HelperGrid(ctx context.Context, models []llm.Model, obs Observer) (*Grid, error) {
 	kept, total := clip(helpergen.Sweep(), e.cfg)
-	n := e.passKSamples()
+	n := e.cfg.PassKSamples()
 	outs, err := e.runGrid(ctx, names(models), len(kept), n, func(i int) evalFunc {
 		inst := kept[i]
 		prompt := llm.BuildHelperPrompt(inst)
@@ -45,18 +45,10 @@ func (e *Engine) HelperGrid(ctx context.Context, models []llm.Model, obs Observe
 
 // ---- CEX-guided refinement ----------------------------------------------
 
-// RefinementGrid evaluates the NL2SVA-Machine pass@k grid with the
-// CEX-guided refinement loop at a retry budget (Figure R's x-axis):
-// each model is wrapped in an llm.FeedbackModel whose check renders
-// the formal backend's witness traces into the retry prompt
-// (core.RefineFeedback), so a candidate refuted by the equivalence
-// checker retries against the concrete counterexample. rounds <= 0
-// disables refinement — that grid is byte-identical to MachineGrid's.
-// Model names on the returned grid are the BASE names, so pass@k
-// columns line up across rounds in the figure.
-func (e *Engine) RefinementGrid(ctx context.Context, models []llm.Model, rounds, count int, obs Observer) (*Grid, error) {
-	kept, total := clip(core.LoadMachine(count), e.cfg)
-	n := e.passKSamples()
+// feedbackModels wraps models in the refinement loop for the kept
+// machine instances: a response the equivalence checker refutes is
+// retried with its counterexample, at most retries times.
+func (e *Engine) feedbackModels(models []llm.Model, kept []*core.MachineInstance, retries int) []llm.Model {
 	byID := make(map[string]*core.MachineInstance, len(kept))
 	for _, in := range kept {
 		byID[in.ID] = in
@@ -68,31 +60,11 @@ func (e *Engine) RefinementGrid(ctx context.Context, models []llm.Model, rounds,
 		}
 		return core.RefineFeedback(resp, in.Reference, in.Sigs, e.st.cache, e.equivOptions(context.Background()))
 	}
-	maxRetries := rounds
-	if rounds <= 0 {
-		maxRetries = -1 // explicit FeedbackModel contract: disabled
-	}
 	wrapped := make([]llm.Model, len(models))
 	for i, m := range models {
-		wrapped[i] = &llm.FeedbackModel{
-			Base:       m,
-			Check:      check,
-			MaxRetries: maxRetries,
-			Rounds:     &e.st.refineRounds,
-		}
+		wrapped[i] = &llm.FeedbackModel{Base: m, Check: check, MaxRetries: retries, Rounds: &e.st.refineRounds}
 	}
-	outs, err := e.runGrid(ctx, names(models), len(kept), n, func(i int) evalFunc {
-		in := kept[i]
-		prompt := llm.BuildMachinePrompt(in.ID, in.NL, 3, in.Reference)
-		return func(jctx context.Context, j job) core.Outcome {
-			resp := generate(jctx, wrapped[j.model], prompt, j.sample)
-			return e.judgeTranslation(jctx, datasetMachine, in.ID, resp, in.Reference, in.Sigs)
-		}
-	}, obs)
-	if err != nil {
-		return nil, err
-	}
-	return e.newGrid(names(models), total, len(kept), n, outs), nil
+	return wrapped
 }
 
 // RefineRounds reports the cumulative FeedbackModel retry rounds

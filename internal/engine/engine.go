@@ -23,7 +23,7 @@
 // stay complete within a shard).
 //
 // Every evaluation method (HumanGrid, MachineGrid, DesignGrid,
-// HelperGrid, RefinementGrid) returns a *Grid, which the caller folds
+// HelperGrid) returns a *Grid, which the caller folds
 // into per-model rows with Grid.Rows.
 // Each takes a context.Context and an optional Observer: cancelling the
 // context stops feeding the worker pool and the method returns
@@ -138,6 +138,16 @@ func (c Config) Validate() error {
 		return fmt.Errorf("engine: negative SimPatterns %d", c.SimPatterns)
 	}
 	return c.Shard.Validate()
+}
+
+// PassKSamples is n, the samples a pass@k run draws per instance: the
+// paper's 5 when Samples is 0 or 1, otherwise Samples. Every sampled
+// grid draws this many, and pass@k cut-offs are resolved against it.
+func (c Config) PassKSamples() int {
+	if c.Samples < 2 {
+		return 5
+	}
+	return c.Samples
 }
 
 // withDefaults resolves the zero-value knobs; Validate has already
@@ -541,20 +551,11 @@ func clip[T any](xs []T, cfg Config) ([]T, int) {
 	return out, total
 }
 
-// passKSamples resolves the sample count for pass@k runs (the paper
-// draws 5 samples; a config of 0/1 means "use the paper default").
-func (e *Engine) passKSamples() int {
-	if e.cfg.Samples < 2 {
-		return 5
-	}
-	return e.cfg.Samples
-}
-
 // ---- NL2SVA-Human -------------------------------------------------------
 
 // HumanGrid evaluates the NL2SVA-Human grid and returns the raw
-// outcome lattice with shard provenance; sampled draws passKSamples
-// per instance, otherwise one greedy sample.
+// outcome lattice with shard provenance; sampled draws
+// Config.PassKSamples per instance, otherwise one greedy sample.
 func (e *Engine) HumanGrid(ctx context.Context, models []llm.Model, sampled bool, obs Observer) (*Grid, error) {
 	insts, err := core.LoadHuman()
 	if err != nil {
@@ -563,7 +564,7 @@ func (e *Engine) HumanGrid(ctx context.Context, models []llm.Model, sampled bool
 	kept, total := clip(insts, e.cfg)
 	n := 1
 	if sampled {
-		n = e.passKSamples()
+		n = e.cfg.PassKSamples()
 	}
 	outs, err := e.runGrid(ctx, names(models), len(kept), n, func(i int) evalFunc {
 		// A prompt depends only on its instance: one per row, which
@@ -585,18 +586,30 @@ func (e *Engine) HumanGrid(ctx context.Context, models []llm.Model, sampled bool
 
 // MachineGrid evaluates the NL2SVA-Machine grid at a shot count and
 // returns the raw outcome lattice with shard provenance; sampled draws
-// passKSamples per instance, otherwise one greedy sample.
-func (e *Engine) MachineGrid(ctx context.Context, models []llm.Model, shots, count int, sampled bool, obs Observer) (*Grid, error) {
+// Config.PassKSamples per instance, otherwise one greedy sample.
+//
+// A positive retries runs the CEX-guided refinement loop (Figure R's
+// x-axis): each model is wrapped in an llm.FeedbackModel whose check
+// renders the formal backend's witness traces into the retry prompt
+// (core.RefineFeedback), so a candidate refuted by the equivalence
+// checker retries against the concrete counterexample, at most retries
+// times. Model names on the grid stay the base names, so pass@k
+// columns line up across retry budgets.
+func (e *Engine) MachineGrid(ctx context.Context, models []llm.Model, shots, count int, sampled bool, retries int, obs Observer) (*Grid, error) {
 	kept, total := clip(core.LoadMachine(count), e.cfg)
 	n := 1
 	if sampled {
-		n = e.passKSamples()
+		n = e.cfg.PassKSamples()
+	}
+	gen := models
+	if retries > 0 {
+		gen = e.feedbackModels(models, kept, retries)
 	}
 	outs, err := e.runGrid(ctx, names(models), len(kept), n, func(i int) evalFunc {
 		in := kept[i]
 		prompt := llm.BuildMachinePrompt(in.ID, in.NL, shots, in.Reference)
 		return func(jctx context.Context, j job) core.Outcome {
-			resp := generate(jctx, models[j.model], prompt, j.sample)
+			resp := generate(jctx, gen[j.model], prompt, j.sample)
 			return e.judgeTranslation(jctx, datasetMachine, in.ID, resp, in.Reference, in.Sigs)
 		}
 	}, obs)
@@ -609,11 +622,11 @@ func (e *Engine) MachineGrid(ctx context.Context, models []llm.Model, shots, cou
 // ---- Design2SVA ---------------------------------------------------------
 
 // DesignGrid evaluates the Design2SVA grid for one design category
-// (always sampled: the paper draws passKSamples per instance) and
+// (always sampled: Config.PassKSamples per instance) and
 // returns the raw outcome lattice with shard provenance.
 func (e *Engine) DesignGrid(ctx context.Context, models []llm.Model, kind string, obs Observer) (*Grid, error) {
 	kept, total := clip(rtlgen.Sweep96(kind), e.cfg)
-	n := e.passKSamples()
+	n := e.cfg.PassKSamples()
 	outs, err := e.runGrid(ctx, names(models), len(kept), n, func(i int) evalFunc {
 		inst := kept[i]
 		prompt := llm.BuildDesignPrompt(inst)

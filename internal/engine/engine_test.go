@@ -55,8 +55,8 @@ func TestRunHumanSmall(t *testing.T) {
 func TestRunMachineSmallBothShots(t *testing.T) {
 	models := []llm.Model{llm.ModelByName("gemini-1.5-pro")}
 	ctx := context.Background()
-	zero := must(t)(New(Config{}).MachineGrid(ctx, models, 0, 20, false, nil)).Rows(nil)
-	three := must(t)(New(Config{}).MachineGrid(ctx, models, 3, 20, false, nil)).Rows(nil)
+	zero := must(t)(New(Config{}).MachineGrid(ctx, models, 0, 20, false, 0, nil)).Rows(nil)
+	three := must(t)(New(Config{}).MachineGrid(ctx, models, 3, 20, false, 0, nil)).Rows(nil)
 	// gemini-1.5-pro has the paper's dramatic 0-shot -> 3-shot syntax
 	// jump (0.467 -> 0.880); with only 20 instances allow wide noise
 	// but demand an improvement.
@@ -85,9 +85,9 @@ func TestPassKImprovesOverPass1(t *testing.T) {
 
 func TestRunDesignSmall(t *testing.T) {
 	models := []llm.Model{llm.ModelByName("gpt-4o")}
-	r := must(t)(New(Config{Limit: 4, Samples: 3}).DesignGrid(context.Background(), models, "fsm", nil)).Rows([]int{1, 5})[0]
-	if r.SyntaxK[5] < r.SyntaxK[1] || r.FuncK[5] < r.FuncK[1] {
-		t.Fatalf("pass@5 must dominate pass@1: %+v", r)
+	r := must(t)(New(Config{Limit: 4, Samples: 3}).DesignGrid(context.Background(), models, "fsm", nil)).Rows([]int{1, 3})[0]
+	if r.SyntaxK[3] < r.SyntaxK[1] || r.FuncK[3] < r.FuncK[1] {
+		t.Fatalf("pass@3 must dominate pass@1: %+v", r)
 	}
 	if r.Samples != 3 || len(r.SyntaxK) != 2 || len(r.FuncK) != 2 {
 		t.Fatalf("row must carry every cut-off: %+v", r)
@@ -119,9 +119,9 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 		grid func(e *Engine) (*Grid, error)
 	}{
 		{"human greedy", nil, func(e *Engine) (*Grid, error) { return e.HumanGrid(ctx, models, false, nil) }},
-		{"human pass@k", []int{1, 3, 5}, func(e *Engine) (*Grid, error) { return e.HumanGrid(ctx, models, true, nil) }},
-		{"machine pass@k", []int{1, 3, 5}, func(e *Engine) (*Grid, error) { return e.MachineGrid(ctx, models, 3, 20, true, nil) }},
-		{"design fsm", []int{1, 5}, func(e *Engine) (*Grid, error) { return e.DesignGrid(ctx, models, "fsm", nil) }},
+		{"human pass@k", []int{1, 2, 3}, func(e *Engine) (*Grid, error) { return e.HumanGrid(ctx, models, true, nil) }},
+		{"machine pass@k", []int{1, 2, 3}, func(e *Engine) (*Grid, error) { return e.MachineGrid(ctx, models, 3, 20, true, 0, nil) }},
+		{"design fsm", []int{1, 3}, func(e *Engine) (*Grid, error) { return e.DesignGrid(ctx, models, "fsm", nil) }},
 	} {
 		sameGrids(t, flow.name, must(t)(flow.grid(newEngine(1))), must(t)(flow.grid(newEngine(8))), flow.ks)
 	}
@@ -132,15 +132,15 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 func TestCacheDoesNotChangeVerdicts(t *testing.T) {
 	models := []llm.Model{llm.ModelByName("gpt-4o"), llm.ModelByName("gemini-1.5-flash")}
 	ctx := context.Background()
-	cached := must(t)(New(Config{Samples: 4}).MachineGrid(ctx, models, 3, 15, true, nil))
-	uncached := must(t)(New(Config{Samples: 4, NoCache: true}).MachineGrid(ctx, models, 3, 15, true, nil))
-	sameGrids(t, "machine pass@k", cached, uncached, []int{1, 5})
+	cached := must(t)(New(Config{Samples: 4}).MachineGrid(ctx, models, 3, 15, true, 0, nil))
+	uncached := must(t)(New(Config{Samples: 4, NoCache: true}).MachineGrid(ctx, models, 3, 15, true, 0, nil))
+	sameGrids(t, "machine pass@k", cached, uncached, []int{1, 4})
 	// and on the greedy flow too
 	ec := New(Config{Limit: 20})
 	eu := New(Config{Limit: 20, NoCache: true})
 	sameGrids(t, "machine greedy",
-		must(t)(ec.MachineGrid(ctx, models, 3, 20, false, nil)),
-		must(t)(eu.MachineGrid(ctx, models, 3, 20, false, nil)), nil)
+		must(t)(ec.MachineGrid(ctx, models, 3, 20, false, 0, nil)),
+		must(t)(eu.MachineGrid(ctx, models, 3, 20, false, 0, nil)), nil)
 	if st := ec.CacheStats(); st.Hits+st.Misses == 0 {
 		t.Fatalf("cached engine saw no cache traffic")
 	}
@@ -154,7 +154,7 @@ func TestCacheDoesNotChangeVerdicts(t *testing.T) {
 func TestCacheHitsOnPassK(t *testing.T) {
 	e := New(Config{Limit: 10, Samples: 5})
 	models := []llm.Model{llm.ModelByName("gpt-4o"), llm.ModelByName("llama-3.1-70b")}
-	if _, err := e.MachineGrid(context.Background(), models, 3, 10, true, nil); err != nil {
+	if _, err := e.MachineGrid(context.Background(), models, 3, 10, true, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	st := e.CacheStats()

@@ -24,7 +24,7 @@ func TestPrefilterDoesNotChangeTables(t *testing.T) {
 	ctx := context.Background()
 	var grids []*Grid
 	for _, cfg := range variants {
-		grids = append(grids, must(t)(New(cfg).MachineGrid(ctx, models, 3, 12, true, nil)))
+		grids = append(grids, must(t)(New(cfg).MachineGrid(ctx, models, 3, 12, true, 0, nil)))
 	}
 	for i := 1; i < len(grids); i++ {
 		sameGrids(t, fmt.Sprintf("prefilter variant %d", i), grids[0], grids[i], []int{1, 3})
@@ -35,8 +35,8 @@ func TestPrefilterDoesNotChangeTables(t *testing.T) {
 	eOn := New(Config{Limit: 12})
 	eOff := New(Config{Limit: 12, NoSim: true})
 	sameGrids(t, "machine greedy",
-		must(t)(eOn.MachineGrid(ctx, models, 0, 12, false, nil)),
-		must(t)(eOff.MachineGrid(ctx, models, 0, 12, false, nil)), nil)
+		must(t)(eOn.MachineGrid(ctx, models, 0, 12, false, 0, nil)),
+		must(t)(eOff.MachineGrid(ctx, models, 0, 12, false, 0, nil)), nil)
 	if eOn.FormalStats().Sim.Patterns == 0 {
 		t.Fatal("prefilter engine simulated nothing; the comparison is vacuous")
 	}
@@ -49,7 +49,7 @@ func TestPrefilterDoesNotChangeTables(t *testing.T) {
 	designModels := llm.DesignModels()[:2]
 	sameGrids(t, "design fsm",
 		must(t)(dOn.DesignGrid(ctx, designModels, "fsm", nil)),
-		must(t)(dOff.DesignGrid(ctx, designModels, "fsm", nil)), []int{1, 5})
+		must(t)(dOff.DesignGrid(ctx, designModels, "fsm", nil)), []int{1, 2})
 }
 
 // TestPrefilterBankSurvivesReconfigure checks the pattern bank lives

@@ -5,6 +5,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"strings"
 )
@@ -185,10 +186,11 @@ func ngramOverlapWide(cand, ref []int32, n int) (match, total int) {
 }
 
 // PassAtK is the unbiased estimator from Chen et al. (2021):
-// 1 - C(n-c, k)/C(n, k) for n samples with c correct.
+// 1 - C(n-c, k)/C(n, k) for n samples with c correct. The estimator is
+// defined only for 1 <= k <= n; PassAtK panics outside that range.
 func PassAtK(n, c, k int) float64 {
-	if k > n {
-		k = n
+	if k < 1 || k > n {
+		panic(fmt.Sprintf("metrics: pass@%d over %d samples", k, n))
 	}
 	if n-c < k {
 		return 1.0

@@ -70,7 +70,7 @@ func TestPassAtKProperties(t *testing.T) {
 	f := func(nRaw, cRaw, kRaw uint8) bool {
 		n := 1 + int(nRaw%10)
 		c := int(cRaw) % (n + 1)
-		k := 1 + int(kRaw%10)
+		k := 1 + int(kRaw)%n
 		p := PassAtK(n, c, k)
 		if p < 0 || p > 1 {
 			return false
@@ -87,6 +87,21 @@ func TestPassAtKProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPassAtKOutOfRange pins the estimator's precondition: a cut-off
+// outside 1..n is a caller bug, not a request for pass@n.
+func TestPassAtKOutOfRange(t *testing.T) {
+	for _, c := range []struct{ n, k int }{{3, 5}, {1, 2}, {5, 0}, {5, -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("PassAtK(%d, 0, %d) did not panic", c.n, c.k)
+				}
+			}()
+			PassAtK(c.n, 0, c.k)
+		}()
 	}
 }
 

@@ -185,11 +185,12 @@ type fragment struct {
 }
 
 type declInfo struct {
-	kind     string
-	width    int   // flat packed width
-	chunk    int   // inner chunk width for 2-D packed (0 if 1-D)
-	unpacked []int // unpacked dimension sizes
-	isInput  bool
+	kind    string
+	width   int    // flat packed width
+	chunk   int    // inner chunk width for 2-D packed (0 if 1-D)
+	elems   int    // unpacked entries (0: not an array)
+	base    uint64 // the unpacked dimension's low bound
+	isInput bool
 }
 
 type elab struct {
@@ -343,13 +344,12 @@ func (e *elab) decl(sc *scope, d *Decl) error {
 	default:
 		return errf("signal %s: more than two packed dimensions unsupported", d.Name)
 	}
-	var unpacked []int
+	elems, base := 0, uint64(0)
 	for _, r := range d.Unpacked {
-		n, err := e.rangeWidth(sc, r)
-		if err != nil {
+		var err error
+		if elems, base, err = e.span(sc, r, true); err != nil {
 			return errf("signal %s: %v", d.Name, err)
 		}
-		unpacked = append(unpacked, n)
 	}
 	name := sc.prefix + d.Name
 	isInput := d.Kind == "input"
@@ -381,15 +381,15 @@ func (e *elab) decl(sc *scope, d *Decl) error {
 			return nil
 		}
 	}
-	if len(unpacked) > 0 {
-		if len(unpacked) > 1 {
+	if len(d.Unpacked) > 0 {
+		if len(d.Unpacked) > 1 {
 			return errf("signal %s: multi-dimensional unpacked arrays unsupported", d.Name)
 		}
-		for i := 0; i < unpacked[0]; i++ {
+		for i := 0; i < elems; i++ {
 			en := fmt.Sprintf("%s$%d", name, i)
 			e.declare(en, &declInfo{kind: d.Kind, width: width, chunk: chunk})
 		}
-		e.decls[name] = &declInfo{kind: d.Kind, width: width, chunk: chunk, unpacked: unpacked}
+		e.decls[name] = &declInfo{kind: d.Kind, width: width, chunk: chunk, elems: elems, base: base}
 		return nil
 	}
 	if prev, exists := e.decls[name]; exists {
@@ -421,22 +421,43 @@ func (e *elab) removeInput(name string) {
 	}
 }
 
+// rangeWidth resolves a packed range, which must run high to low.
 func (e *elab) rangeWidth(sc *scope, r Range) (int, error) {
+	n, _, err := e.span(sc, r, false)
+	return n, err
+}
+
+// span resolves a range to its element count and low bound. An
+// unpacked dimension may run in either direction (mem [0:15] and
+// mem [15:0] both hold 16 entries); a packed range only high to low.
+func (e *elab) span(sc *scope, r Range, unpacked bool) (int, uint64, error) {
 	hi, _, err := e.constEval(sc, r.Hi)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	lo, _, err := e.constEval(sc, r.Lo)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	if int64(hi) < int64(lo) {
-		return 0, fmt.Errorf("reversed range [%d:%d]", hi, lo)
+		if !unpacked {
+			return 0, 0, fmt.Errorf("reversed range [%d:%d]", hi, lo)
+		}
+		hi, lo = lo, hi
 	}
 	if hi-lo >= ltl.MaxWidth {
-		return 0, fmt.Errorf("range [%d:%d] wider than %d bits", hi, lo, ltl.MaxWidth)
+		return 0, 0, fmt.Errorf("range [%d:%d] wider than %d bits", hi, lo, ltl.MaxWidth)
 	}
-	return int(hi-lo) + 1, nil
+	return int(hi-lo) + 1, lo, nil
+}
+
+// element names the flattened signal holding entry idx of the array
+// name; false when idx lies outside the declared dimension.
+func (di *declInfo) element(name string, idx uint64) (string, bool) {
+	if idx < di.base || idx-di.base >= uint64(di.elems) {
+		return "", false
+	}
+	return fmt.Sprintf("%s$%d", name, idx-di.base), true
 }
 
 func (e *elab) contAssign(sc *scope, a *Assign) error {
@@ -471,7 +492,7 @@ func (e *elab) resolveLHS(sc *scope, lhs sva.Expr) (string, int, int, error) {
 		if !ok {
 			return "", 0, 0, errf("assignment to undeclared signal %q", v.Name)
 		}
-		if len(di.unpacked) > 0 {
+		if di.elems > 0 {
 			return "", 0, 0, errf("whole-array assignment to %q unsupported", v.Name)
 		}
 		return name, di.width - 1, 0, nil
@@ -489,8 +510,12 @@ func (e *elab) resolveLHS(sc *scope, lhs sva.Expr) (string, int, int, error) {
 		if err != nil {
 			return "", 0, 0, errf("dynamic index in assignment target %s", lhs.String())
 		}
-		if len(di.unpacked) > 0 {
-			return fmt.Sprintf("%s$%d", name, idx), di.width - 1, 0, nil
+		if di.elems > 0 {
+			en, ok := di.element(name, idx)
+			if !ok {
+				return "", 0, 0, errf("array index %d out of range for %s", idx, base.Name)
+			}
+			return en, di.width - 1, 0, nil
 		}
 		if di.chunk > 0 {
 			lo := int(idx) * di.chunk
@@ -643,12 +668,13 @@ func (e *elab) rewriteIndex(sc *scope, v *sva.Index) (sva.Expr, error) {
 					return nil, errf("undeclared identifier %q", base.Name)
 				}
 				// unpacked array indexing
-				if len(di.unpacked) > 0 {
+				if di.elems > 0 {
 					if idx, _, err := e.constEval(sc, v.Idx); err == nil {
-						if int(idx) >= di.unpacked[0] {
+						en, ok := di.element(name, idx)
+						if !ok {
 							return nil, errf("array index %d out of range for %s", idx, base.Name)
 						}
-						return &sva.Ident{Name: fmt.Sprintf("%s$%d", name, idx)}, nil
+						return &sva.Ident{Name: en}, nil
 					}
 					// dynamic read: mux chain
 					ridx, err := e.rewrite(sc, v.Idx)
@@ -656,9 +682,9 @@ func (e *elab) rewriteIndex(sc *scope, v *sva.Index) (sva.Expr, error) {
 						return nil, err
 					}
 					var out sva.Expr = &sva.Ident{Name: name + "$0"}
-					for i := 1; i < di.unpacked[0]; i++ {
+					for i := 1; i < di.elems; i++ {
 						out = &sva.Cond{
-							C: &sva.Binary{Op: "==", X: ridx, Y: numLit(uint64(i), 32)},
+							C: &sva.Binary{Op: "==", X: ridx, Y: numLit(di.base+uint64(i), 32)},
 							T: &sva.Ident{Name: fmt.Sprintf("%s$%d", name, i)},
 							E: out,
 						}

@@ -24,6 +24,16 @@ func traceRequest() task.Request {
 	}
 }
 
+// spanAttr finds a span attribute by key (the zero Attr when absent).
+func spanAttr(d obs.SpanData, key string) obs.Attr {
+	for _, a := range d.Attrs {
+		if a.Key == key {
+			return a
+		}
+	}
+	return obs.Attr{}
+}
+
 // spanIndex builds lookup tables over a fetched span dump.
 func spanIndex(t *testing.T, spans []obs.SpanData) (byID map[uint64]obs.SpanData, counts map[string]int) {
 	t.Helper()
@@ -190,15 +200,31 @@ func TestTraceEndpointDistributed(t *testing.T) {
 	if counts["shard"] == 0 || counts["shard-run"] == 0 {
 		t.Fatalf("distributed trace lacks worker spans: %v", counts)
 	}
-	if counts["shard-run"] != counts["shard"] {
-		t.Errorf("%d adopted worker roots vs %d shard spans", counts["shard-run"], counts["shard"])
+	// The coordinator hedges stragglers, and only a shard's winning
+	// attempt (ok) adopts its worker's spans: a hedged run has more
+	// shard spans than worker roots, never a superseded one with a root.
+	won := 0
+	for _, d := range spans {
+		if d.Name == "shard" && spanAttr(d, "ok").Bool {
+			won++
+		}
+	}
+	if counts["shard-run"] != won {
+		t.Errorf("%d adopted worker roots vs %d winning shard spans", counts["shard-run"], won)
 	}
 	if counts["job"] != view.Run.Stats.Jobs {
 		t.Errorf("%d job spans across workers, want %d", counts["job"], view.Run.Stats.Jobs)
 	}
 	for _, d := range spans {
-		if d.Name == "shard-run" && byID[d.Parent].Name != "shard" {
-			t.Errorf("worker root %d under %q, want shard", d.ID, byID[d.Parent].Name)
+		if d.Name != "shard-run" {
+			continue
+		}
+		parent := byID[d.Parent]
+		if parent.Name != "shard" {
+			t.Errorf("worker root %d under %q, want shard", d.ID, parent.Name)
+		}
+		if spanAttr(parent, "err").Str == "superseded" {
+			t.Errorf("superseded shard span %d adopted worker root %d", parent.ID, d.ID)
 		}
 	}
 	// Merged profile = shard phases + the coordinator's queue wait.

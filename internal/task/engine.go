@@ -44,13 +44,16 @@ type Request struct {
 
 // Validate checks the request against the registry without running
 // it: the task must exist, the parameter overrides must be accepted
-// by its spec, and the engine options must be well-formed.
+// by its spec, and the engine options must be well-formed. Pass@k
+// cut-offs are checked against the request's own sample count (zero
+// options draw the paper's 5); Engine.Run checks them again against
+// the configuration the run resolves to.
 func (r Request) Validate() error {
 	spec, err := Lookup(r.Task)
 	if err != nil {
 		return err
 	}
-	if _, err := spec.resolve(r.Params); err != nil {
+	if _, err := spec.resolve(r.Params, r.Options.PassKSamples()); err != nil {
 		return fmt.Errorf("task %s: %w", spec.Name, err)
 	}
 	return r.Options.Validate()
@@ -67,7 +70,7 @@ func (r Request) Canonical() (Request, error) {
 	if err != nil {
 		return Request{}, err
 	}
-	p, err := spec.resolve(r.Params)
+	p, err := spec.resolve(r.Params, r.Options.PassKSamples())
 	if err != nil {
 		return Request{}, fmt.Errorf("task %s: %w", spec.Name, err)
 	}
@@ -174,15 +177,15 @@ func (e *Engine) prepare(req Request) (*Spec, Params, *engine.Engine, error) {
 	if err != nil {
 		return nil, Params{}, nil, err
 	}
-	p, err := spec.resolve(req.Params)
-	if err != nil {
-		return nil, Params{}, nil, fmt.Errorf("task %s: %w", spec.Name, err)
-	}
 	eng := e.base
 	if req.Options != (engine.Config{}) {
 		if eng, err = e.base.Reconfigure(req.Options); err != nil {
 			return nil, Params{}, nil, err
 		}
+	}
+	p, err := spec.resolve(req.Params, eng.Config().PassKSamples())
+	if err != nil {
+		return nil, Params{}, nil, fmt.Errorf("task %s: %w", spec.Name, err)
 	}
 	return spec, p, eng, nil
 }

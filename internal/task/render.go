@@ -10,79 +10,6 @@ import (
 	"fveval/internal/metrics"
 )
 
-// renderTable1 renders NL2SVA-Human greedy results in the paper's
-// Table 1 layout.
-func renderTable1(rows []core.Row) string {
-	var b strings.Builder
-	b.WriteString("Table 1: NL2SVA-Human (greedy decoding)\n")
-	fmt.Fprintf(&b, "%-18s %8s %8s %8s %8s\n", "Model", "Syntax", "Func.", "Partial", "BLEU")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-18s %8.3f %8.3f %8.3f %8.3f\n",
-			r.Model, r.Syntax, r.Func, r.Partial, r.BLEU)
-	}
-	return b.String()
-}
-
-// renderTable2 renders NL2SVA-Human pass@k (Table 2 layout).
-func renderTable2(rows []core.Row) string {
-	return renderPassK("Table 2: NL2SVA-Human pass@k (n=5 samples)", rows)
-}
-
-// renderTable3 renders the 0-shot/3-shot machine comparison (Table 3).
-func renderTable3(zeroShot, threeShot []core.Row) string {
-	var b strings.Builder
-	b.WriteString("Table 3: NL2SVA-Machine (0-shot vs 3-shot)\n")
-	fmt.Fprintf(&b, "%-18s | %7s %7s %7s %7s | %7s %7s %7s %7s\n",
-		"Model", "Syn(0)", "Fun(0)", "Par(0)", "BLEU(0)", "Syn(3)", "Fun(3)", "Par(3)", "BLEU(3)")
-	byName := map[string]core.Row{}
-	for _, r := range threeShot {
-		byName[r.Model] = r
-	}
-	for _, z := range zeroShot {
-		t := byName[z.Model]
-		fmt.Fprintf(&b, "%-18s | %7.3f %7.3f %7.3f %7.3f | %7.3f %7.3f %7.3f %7.3f\n",
-			z.Model, z.Syntax, z.Func, z.Partial, z.BLEU, t.Syntax, t.Func, t.Partial, t.BLEU)
-	}
-	return b.String()
-}
-
-// renderTable4 renders machine pass@k (Table 4 layout).
-func renderTable4(rows []core.Row) string {
-	return renderPassK("Table 4: NL2SVA-Machine pass@k (3-shot, n=5 samples)", rows)
-}
-
-func renderPassK(title string, rows []core.Row) string {
-	var b strings.Builder
-	b.WriteString(title + "\n")
-	fmt.Fprintf(&b, "%-18s %9s %8s %8s %10s %10s\n",
-		"Model", "Syntax@5", "Func.@3", "Func.@5", "Partial.@3", "Partial.@5")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-18s %9.3f %8.3f %8.3f %10.3f %10.3f\n",
-			r.Model, r.SyntaxK[5], r.FuncK[3], r.FuncK[5], r.PartialK[3], r.PartialK[5])
-	}
-	return b.String()
-}
-
-// renderTable5 renders Design2SVA results (Table 5 layout).
-func renderTable5(pipeline, fsm []core.Row) string {
-	var b strings.Builder
-	b.WriteString("Table 5: Design2SVA\n")
-	fmt.Fprintf(&b, "%-18s | %8s %8s %7s %7s | %8s %8s %7s %7s\n",
-		"Model", "P:Syn@1", "P:Syn@5", "P:Fn@1", "P:Fn@5",
-		"F:Syn@1", "F:Syn@5", "F:Fn@1", "F:Fn@5")
-	byName := map[string]core.Row{}
-	for _, r := range fsm {
-		byName[r.Model] = r
-	}
-	for _, p := range pipeline {
-		f := byName[p.Model]
-		fmt.Fprintf(&b, "%-18s | %8.3f %8.3f %7.3f %7.3f | %8.3f %8.3f %7.3f %7.3f\n",
-			p.Model, p.SyntaxK[1], p.SyntaxK[5], p.FuncK[1], p.FuncK[5],
-			f.SyntaxK[1], f.SyntaxK[5], f.FuncK[1], f.FuncK[5])
-	}
-	return b.String()
-}
-
 // renderTable6 renders the NL2SVA-Human dataset statistics.
 func renderTable6(Params, []Group) (string, error) {
 	var b strings.Builder
@@ -178,43 +105,6 @@ func renderFigure6(rows []core.Row) string {
 	return b.String()
 }
 
-// renderGeneric lists every group's rows in the greedy column layout
-// (means) or a pass@k layout, for parameterizations outside the
-// paper's fixed tables.
-func (r *Report) renderGeneric(title string) string {
-	var b strings.Builder
-	for _, g := range r.Groups {
-		if g.Name != "" {
-			fmt.Fprintf(&b, "%s (%s)\n", title, g.Name)
-		} else {
-			b.WriteString(title + "\n")
-		}
-		sampled := len(g.Rows) > 0 && g.Rows[0].Samples > 0
-		if sampled {
-			ks := sortedKs(g.Rows)
-			fmt.Fprintf(&b, "%-18s", "Model")
-			for _, k := range ks {
-				fmt.Fprintf(&b, " %9s", fmt.Sprintf("Func.@%d", k))
-			}
-			b.WriteString("\n")
-			for _, row := range g.Rows {
-				fmt.Fprintf(&b, "%-18s", row.Model)
-				for _, k := range ks {
-					fmt.Fprintf(&b, " %9.3f", row.FuncK[k])
-				}
-				b.WriteString("\n")
-			}
-		} else {
-			fmt.Fprintf(&b, "%-18s %8s %8s %8s %8s\n", "Model", "Syntax", "Func.", "Partial", "BLEU")
-			for _, row := range g.Rows {
-				fmt.Fprintf(&b, "%-18s %8.3f %8.3f %8.3f %8.3f\n",
-					row.Model, row.Syntax, row.Func, row.Partial, row.BLEU)
-			}
-		}
-	}
-	return b.String()
-}
-
 // renderTableAGR lays out the AGR helper-generation table: one row
 // per model, pass@k columns for all three judgment tiers. Syntax =
 // the helper set parses and elaborates, Valid = every helper in the
@@ -224,27 +114,10 @@ func renderTableAGR(p Params, groups []Group) (string, error) {
 	var b strings.Builder
 	b.WriteString("Table AGR: assertion-guided helper generation, pass@k (sampled decoding)\n")
 	b.WriteString("Syntax = helper set compiles; Valid = every helper proved; Unlock = target proved under the helpers\n")
-	rows := firstRows(groups)
-	ks := p.Ks
-	if len(ks) == 0 {
-		ks = sortedKs(rows)
-	}
-	fmt.Fprintf(&b, "%-18s", "Model")
-	for _, label := range []string{"Syn.", "Valid", "Unlock"} {
-		for _, k := range ks {
-			fmt.Fprintf(&b, " %9s", fmt.Sprintf("%s@%d", label, k))
-		}
-	}
-	b.WriteString("\n")
-	for _, row := range rows {
-		fmt.Fprintf(&b, "%-18s", row.Model)
-		for _, m := range []map[int]float64{row.SyntaxK, row.PartialK, row.FuncK} {
-			for _, k := range ks {
-				fmt.Fprintf(&b, " %9.3f", m[k])
-			}
-		}
-		b.WriteString("\n")
-	}
+	cols := atK("Syn.", 9, p.Ks, syntaxK)
+	cols = append(cols, atK("Valid", 9, p.Ks, partialK)...)
+	cols = append(cols, atK("Unlock", 9, p.Ks, funcK)...)
+	writeTable(&b, "", groups, func(Group) []column { return cols })
 	return b.String(), nil
 }
 
@@ -256,28 +129,16 @@ func renderFigureR(p Params, groups []Group) (string, error) {
 	var b strings.Builder
 	b.WriteString("Figure R: NL2SVA-Machine pass@k vs CEX-guided refinement rounds (3-shot)\n")
 	b.WriteString("Each column is a retry budget; failing candidates retry with the formal counterexample in the prompt\n")
-	rows := firstRows(groups)
-	ks := p.Ks
-	if len(ks) == 0 {
-		ks = sortedKs(rows)
-	}
 	fmt.Fprintf(&b, "%-18s %4s", "Model", "k")
 	for _, g := range groups {
 		fmt.Fprintf(&b, " %9s", g.Name)
 	}
 	b.WriteString("\n")
-	for _, row := range rows {
-		for _, k := range ks {
+	for _, row := range firstRows(groups) {
+		for _, k := range p.Ks {
 			fmt.Fprintf(&b, "%-18s %4d", row.Model, k)
 			for _, g := range groups {
-				v := 0.0
-				for _, gr := range g.Rows {
-					if gr.Model == row.Model {
-						v = gr.FuncK[k]
-						break
-					}
-				}
-				fmt.Fprintf(&b, " %9.3f", v)
+				fmt.Fprintf(&b, " %9.3f", g.row(row.Model).FuncK[k])
 			}
 			b.WriteString("\n")
 		}
@@ -294,21 +155,64 @@ func firstRows(groups []Group) []core.Row {
 	return groups[0].Rows
 }
 
-func sortedKs(rows []core.Row) []int {
-	seen := map[int]bool{}
-	var ks []int
-	for _, r := range rows {
-		for k := range r.FuncK {
-			if !seen[k] {
-				seen[k] = true
-				ks = append(ks, k)
+// column is one table column: a header label, a width, and the value
+// the column shows for a model's row.
+type column struct {
+	label string
+	width int
+	value func(core.Row) float64
+}
+
+// atK lays out one column per cut-off in ks for a pass@k metric,
+// labelled label@k and read from the metric's per-cut-off map.
+func atK(label string, width int, ks []int, metric func(core.Row) map[int]float64) []column {
+	cols := make([]column, len(ks))
+	for i, k := range ks {
+		cols[i] = column{fmt.Sprintf("%s@%d", label, k), width, func(r core.Row) float64 { return metric(r)[k] }}
+	}
+	return cols
+}
+
+// The pass@k metrics a column can read.
+func syntaxK(r core.Row) map[int]float64  { return r.SyntaxK }
+func funcK(r core.Row) map[int]float64    { return r.FuncK }
+func partialK(r core.Row) map[int]float64 { return r.PartialK }
+
+// means lays out the greedy layout's four mean columns under the
+// given labels.
+func means(width int, syntax, fn, partial, bleu string) []column {
+	return []column{
+		{syntax, width, func(r core.Row) float64 { return r.Syntax }},
+		{fn, width, func(r core.Row) float64 { return r.Func }},
+		{partial, width, func(r core.Row) float64 { return r.Partial }},
+		{bleu, width, func(r core.Row) float64 { return r.BLEU }},
+	}
+}
+
+// writeTable writes a header and one line per model of the first
+// group, with one block of columns per group (cols gives each group's
+// block). sep opens every block, so a multi-setting table reads one
+// setting per block; a model missing from a later group shows zeros.
+func writeTable(b *strings.Builder, sep string, groups []Group, cols func(Group) []column) {
+	blocks := make([][]column, len(groups))
+	fmt.Fprintf(b, "%-18s", "Model")
+	for i, g := range groups {
+		blocks[i] = cols(g)
+		b.WriteString(sep)
+		for _, c := range blocks[i] {
+			fmt.Fprintf(b, " %*s", c.width, c.label)
+		}
+	}
+	b.WriteString("\n")
+	for _, row := range firstRows(groups) {
+		fmt.Fprintf(b, "%-18s", row.Model)
+		for i, g := range groups {
+			r := g.row(row.Model)
+			b.WriteString(sep)
+			for _, c := range blocks[i] {
+				fmt.Fprintf(b, " %*.3f", c.width, c.value(r))
 			}
 		}
+		b.WriteString("\n")
 	}
-	for i := 1; i < len(ks); i++ {
-		for j := i; j > 0 && ks[j-1] > ks[j]; j-- {
-			ks[j-1], ks[j] = ks[j], ks[j-1]
-		}
-	}
-	return ks
 }

@@ -1,10 +1,12 @@
 package task
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"fveval/internal/core"
+	"fveval/internal/engine"
 )
 
 func TestFiguresRender(t *testing.T) {
@@ -42,6 +44,50 @@ func TestTable6(t *testing.T) {
 	for _, want := range []string{"1R1W FIFO", "Arbiter", "79"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("table 6 missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestRenderNonDefaultRuns renders runs whose cut-offs, sample count
+// or group set differ from the paper's, and demands the layout say
+// what was computed.
+func TestRenderNonDefaultRuns(t *testing.T) {
+	e := NewEngine(engine.Config{Workers: 1})
+	for _, c := range []struct {
+		req  Request
+		want []string
+	}{
+		{Request{
+			Task:    "nl2sva-human-passk",
+			Params:  Params{Models: []string{"gpt-4o"}, Ks: []int{1, 2}},
+			Options: engine.Config{Limit: 4, Samples: 2, Workers: 1},
+		}, []string{
+			"Table 2: NL2SVA-Human pass@k (n=2 samples)\n",
+			"Model               Syntax@2  Func.@2 Partial.@2\n",
+			"gpt-4o                 1.000    0.750      1.000\n",
+		}},
+		{Request{
+			Task:    "design2sva",
+			Params:  Params{Models: []string{"gpt-4o"}, Ks: []int{1, 2}, Kinds: []string{"fsm"}},
+			Options: engine.Config{Limit: 2, Samples: 2, Workers: 1},
+		}, []string{"Model              |  F:Syn@1  F:Syn@2  F:Fn@1  F:Fn@2\n"}},
+		{Request{
+			Task:   "nl2sva-machine",
+			Params: Params{Models: []string{"gpt-4o"}, Shots: []int{0, 1, 3}, Count: 4},
+		}, []string{
+			"Table 3: NL2SVA-Machine (0-shot vs 1-shot vs 3-shot)\n",
+			"BLEU(0) |  Syn(1)  Fun(1)  Par(1) BLEU(1) |  Syn(3)",
+		}},
+	} {
+		run, err := e.Run(context.Background(), c.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := run.Report.Render()
+		for _, want := range c.want {
+			if !strings.Contains(out, want) {
+				t.Errorf("%s render lacks %q:\n%s", c.req.Task, want, out)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package task
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 
 	"fveval/internal/core"
 )
@@ -36,8 +37,7 @@ type Group struct {
 	Rows []core.Row `json:"rows"`
 }
 
-// Group finds a group by name; a missing group has no rows, so
-// renderers degrade instead of panicking.
+// Group finds a group by name; a missing group has no rows.
 func (r *Report) Group(name string) Group {
 	for _, g := range r.Groups {
 		if g.Name == name {
@@ -63,32 +63,83 @@ func DecodeReport(data []byte) (*Report, error) {
 	return &r, nil
 }
 
+// row finds a model's row in the group (the zero row when the model
+// is missing).
+func (g Group) row(model string) core.Row {
+	for _, r := range g.Rows {
+		if r.Model == model {
+			return r
+		}
+	}
+	return core.Row{}
+}
+
 // Render produces the paper-layout artifact for the report: the table
 // layouts for tables 1–5 and the pre-rendered text for static tasks
-// and figures. Non-default parameter sets that the paper layouts
-// cannot express (e.g. a single shot setting of Table 3) render as one
-// generic block per group.
+// and figures. Every layout is read off the report itself: the pass@k
+// columns from Params.Ks, n from the rows, and one block per group
+// for the multi-setting tables 3 and 5, whatever their number.
 func (r *Report) Render() string {
 	if r.Text != "" {
 		return r.Text
 	}
+	var b strings.Builder
 	switch r.Table {
 	case 1:
-		return renderTable1(r.Group("").Rows)
+		b.WriteString("Table 1: NL2SVA-Human (greedy decoding)\n")
+		writeTable(&b, "", r.Groups, func(Group) []column { return means(8, "Syntax", "Func.", "Partial", "BLEU") })
 	case 2:
-		return renderTable2(r.Group("").Rows)
+		fmt.Fprintf(&b, "Table 2: NL2SVA-Human pass@k (n=%d samples)\n", r.samples())
+		writeTable(&b, "", r.Groups, func(Group) []column { return r.passKColumns() })
 	case 3:
-		if len(r.Groups) == 2 {
-			return renderTable3(r.Groups[0].Rows, r.Groups[1].Rows)
+		names := make([]string, len(r.Groups))
+		for i, g := range r.Groups {
+			names[i] = g.Name
 		}
-		return r.renderGeneric("NL2SVA-Machine")
+		fmt.Fprintf(&b, "Table 3: NL2SVA-Machine (%s)\n", strings.Join(names, " vs "))
+		writeTable(&b, " |", r.Groups, func(g Group) []column {
+			s := "(" + strings.TrimSuffix(g.Name, "-shot") + ")"
+			return means(7, "Syn"+s, "Fun"+s, "Par"+s, "BLEU"+s)
+		})
 	case 4:
-		return renderTable4(r.Group("").Rows)
+		fmt.Fprintf(&b, "Table 4: NL2SVA-Machine pass@k (3-shot, n=%d samples)\n", r.samples())
+		writeTable(&b, "", r.Groups, func(Group) []column { return r.passKColumns() })
 	case 5:
-		if len(r.Groups) == 2 && r.Groups[0].Name == "pipeline" && r.Groups[1].Name == "fsm" {
-			return renderTable5(r.Groups[0].Rows, r.Groups[1].Rows)
-		}
-		return r.renderGeneric("Design2SVA")
+		b.WriteString("Table 5: Design2SVA\n")
+		writeTable(&b, " |", r.Groups, func(g Group) []column {
+			prefix := ""
+			if g.Name != "" {
+				prefix = strings.ToUpper(g.Name[:1]) + ":"
+			}
+			return append(atK(prefix+"Syn", 8, r.Params.Ks, syntaxK), atK(prefix+"Fn", 7, r.Params.Ks, funcK)...)
+		})
 	}
-	return r.renderGeneric(r.Task)
+	return b.String()
+}
+
+// samples is n, the samples the report's pass@k rows were drawn from.
+func (r *Report) samples() int {
+	if rows := firstRows(r.Groups); len(rows) > 0 {
+		return rows[0].Samples
+	}
+	return 0
+}
+
+// passKColumns lays out Tables 2 and 4: syntax at the largest
+// cut-off, and functional and partial equivalence at every cut-off
+// above 1 (at 1 when it is the only one).
+func (r *Report) passKColumns() []column {
+	top, above := 0, []int(nil)
+	for _, k := range r.Params.Ks {
+		top = max(top, k)
+		if k > 1 {
+			above = append(above, k)
+		}
+	}
+	if above == nil {
+		above = r.Params.Ks
+	}
+	cols := atK("Syntax", 9, []int{top}, syntaxK)
+	cols = append(cols, atK("Func.", 8, above, funcK)...)
+	return append(cols, atK("Partial.", 10, above, partialK)...)
 }

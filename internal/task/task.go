@@ -158,8 +158,11 @@ const maxRefineRounds = 8
 // resolve merges an override onto the spec defaults and validates the
 // result against the spec: overriding a parameter the task does not
 // take is an error (not silently ignored), as is any out-of-range or
-// unresolvable value.
-func (s *Spec) resolve(over Params) (Params, error) {
+// unresolvable value. n is the samples a pass@k run draws per
+// instance (engine.Config.PassKSamples): pass@k is defined only for
+// k <= n, so an explicit cut-off above n is refused and a default one
+// is dropped, leaving the echo to say what was computed.
+func (s *Spec) resolve(over Params, n int) (Params, error) {
 	for field, set := range map[string]bool{
 		"models": len(over.Models) > 0,
 		"shots":  len(over.Shots) > 0,
@@ -182,11 +185,18 @@ func (s *Spec) resolve(over Params) (Params, error) {
 			return Params{}, fmt.Errorf("unknown model %q (see fveval.Models)", m)
 		}
 	}
+	ks := p.Ks[:0:0]
 	for _, k := range p.Ks {
-		if k < 1 {
+		switch {
+		case k < 1:
 			return Params{}, fmt.Errorf("pass@k cut-off %d out of range", k)
+		case k <= n:
+			ks = append(ks, k)
+		case len(over.Ks) > 0:
+			return Params{}, fmt.Errorf("pass@k cut-off k=%d exceeds the n=%d samples drawn per instance", k, n)
 		}
 	}
+	p.Ks = ks
 	for _, sh := range p.Shots {
 		if sh < 0 {
 			return Params{}, fmt.Errorf("negative shot count %d", sh)
@@ -347,7 +357,7 @@ func buildRegistry() []*Spec {
 				var groups []GridGroup
 				for _, sh := range p.Shots {
 					name := fmt.Sprintf("%d-shot", sh)
-					g, err := eng.MachineGrid(ctx, resolveModels(p.Models), sh, p.Count, false, obs(name))
+					g, err := eng.MachineGrid(ctx, resolveModels(p.Models), sh, p.Count, false, 0, obs(name))
 					if err != nil {
 						return nil, err
 					}
@@ -364,7 +374,7 @@ func buildRegistry() []*Spec {
 			Accepts:  []string{"models", "ks", "count"},
 			Defaults: Params{Models: passKFleet(), Ks: []int{1, 3, 5}, Count: 300},
 			run: func(ctx context.Context, eng *engine.Engine, p Params, obs func(string) engine.Observer) ([]GridGroup, error) {
-				return singleGrid(eng.MachineGrid(ctx, resolveModels(p.Models), 3, p.Count, true, obs("")))
+				return singleGrid(eng.MachineGrid(ctx, resolveModels(p.Models), 3, p.Count, true, 0, obs("")))
 			},
 		},
 		{
@@ -407,7 +417,7 @@ func buildRegistry() []*Spec {
 				var groups []GridGroup
 				for _, r := range p.Rounds {
 					name := fmt.Sprintf("round=%d", r)
-					g, err := eng.RefinementGrid(ctx, resolveModels(p.Models), r, p.Count, obs(name))
+					g, err := eng.MachineGrid(ctx, resolveModels(p.Models), 3, p.Count, true, r, obs(name))
 					if err != nil {
 						return nil, err
 					}

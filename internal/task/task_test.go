@@ -3,6 +3,7 @@ package task
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -139,7 +140,7 @@ func TestMultiGroupTasks(t *testing.T) {
 
 	run, err = e.Run(context.Background(), Request{
 		Task:   "design2sva",
-		Params: Params{Models: []string{"gpt-4o"}, Kinds: []string{"fsm"}},
+		Params: Params{Models: []string{"gpt-4o"}, Ks: []int{1, 2}, Kinds: []string{"fsm"}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -184,5 +185,56 @@ func TestDefaultModelSetsResolve(t *testing.T) {
 				t.Errorf("task %s: default model %q unresolvable", s.Name, m)
 			}
 		}
+	}
+}
+
+// TestCutOffsAgainstSamples pins the pass@k cut-off contract: pass@k
+// is defined only for k <= n, so an explicit cut-off above the samples
+// drawn is refused (by Validate against the request's own options, and
+// by Run against the engine's), while default cut-offs above n are
+// dropped from the resolved parameters the report echoes.
+func TestCutOffsAgainstSamples(t *testing.T) {
+	over := Request{Task: "nl2sva-human-passk", Params: Params{Ks: []int{1, 5}}}
+	named := func(err error) bool {
+		return err != nil && strings.Contains(err.Error(), "k=5") && strings.Contains(err.Error(), "n=3")
+	}
+	withOpts := over
+	withOpts.Options = engine.Config{Samples: 3}
+	if err := withOpts.Validate(); !named(err) {
+		t.Errorf("Validate accepted ks [1 5] over 3 samples, or did not name k and n: %v", err)
+	}
+	if _, err := withOpts.Canonical(); !named(err) {
+		t.Errorf("Canonical accepted ks [1 5] over 3 samples: %v", err)
+	}
+	if err := over.Validate(); err != nil {
+		t.Errorf("zero options draw 5 samples, so ks [1 5] is valid: %v", err)
+	}
+	if _, err := NewEngine(engine.Config{Samples: 3}).Run(context.Background(), over); !named(err) {
+		t.Errorf("a 3-sample engine ran ks [1 5], or did not name k and n: %v", err)
+	}
+
+	// Zero options resolve n = 5 and keep every default cut-off; three
+	// samples drop the default 5.
+	if n := (engine.Config{}).PassKSamples(); n != 5 {
+		t.Errorf("zero config draws %d samples, want the paper's 5", n)
+	}
+	canon, err := Request{Task: "agr"}.Canonical()
+	if err != nil || fmt.Sprint(canon.Params.Ks) != "[1 3 5]" {
+		t.Errorf("zero options resolved ks %v (%v), want [1 3 5]", canon.Params.Ks, err)
+	}
+	canon, err = Request{Task: "agr", Options: engine.Config{Samples: 3}}.Canonical()
+	if err != nil || fmt.Sprint(canon.Params.Ks) != "[1 3]" {
+		t.Errorf("3 samples resolved ks %v (%v), want [1 3]", canon.Params.Ks, err)
+	}
+	run, err := NewEngine(engine.Config{Limit: 2, Samples: 3, Workers: 1}).Run(context.Background(),
+		Request{Task: "nl2sva-human-passk", Params: Params{Models: []string{"gpt-4o"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(run.Request.Params.Ks, run.Report.Params.Ks); got != "[1 3] [1 3]" {
+		t.Errorf("echoed cut-offs %s, want [1 3] in the request and the report", got)
+	}
+	if row := run.Report.Groups[0].Rows[0]; len(row.FuncK) != 2 || row.Samples != 3 {
+		t.Errorf("row folded at the wrong cut-offs: %+v", row)
 	}
 }
