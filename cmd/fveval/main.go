@@ -13,7 +13,7 @@
 //	fveval -table 3 -count 300
 //	fveval -figure 6
 //	fveval -all -limit 20         # everything, truncated for a quick look
-//	fveval -table 2 -cache=false            # disable the equivalence memo
+//	fveval -table 2 -cache=false            # disable every memo
 //	fveval -table 2 -maxbound 12            # cap the formal bound ramp
 //	fveval -table 3 -simpatterns 0          # disable the simulation prefilter
 //	fveval -table 5 -simpatterns 256        # more refute-before-solve patterns
@@ -48,7 +48,7 @@ func main() {
 	count := flag.Int("count", 0, "NL2SVA-Machine dataset size (0 = task default, 300)")
 	samples := flag.Int("samples", 5, "samples per instance for pass@k runs")
 	workers := flag.Int("workers", 0, "evaluation parallelism (0 = GOMAXPROCS)")
-	cache := flag.Bool("cache", true, "memoize formal equivalence checks across the run")
+	cache := flag.Bool("cache", true, "memoize equivalence checks and judgments across the run (false disables every memo)")
 	maxBound := flag.Int("maxbound", 0, "cap for the formal backend's bound ramp: lasso bound for equivalence, BMC depth for model checking (0 = defaults, 16 each)")
 	budget := flag.Int64("budget", 0, "SAT conflict budget per formal query (0 = default 200000)")
 	simPatterns := flag.Int("simpatterns", 128, "bit-parallel simulation patterns the refute-before-solve prefilter evaluates per formal query (rounded up to 64-lane rounds; 0 disables the prefilter)")

@@ -162,7 +162,7 @@ func requestFlags(fs *flag.FlagSet, c *requestConfig) {
 	fs.IntVar(&c.count, "count", 0, "NL2SVA-Machine dataset size (0 = task default)")
 	fs.IntVar(&c.samples, "samples", 0, "samples per instance for pass@k runs (0 = paper default)")
 	fs.IntVar(&c.parallel, "j", 0, "per-worker evaluation parallelism (0 = worker default)")
-	fs.BoolVar(&c.cache, "cache", true, "memoize formal equivalence checks within each worker")
+	fs.BoolVar(&c.cache, "cache", true, "memoize equivalence checks and judgments within each worker (false disables every memo)")
 	fs.IntVar(&c.maxBound, "maxbound", 0, "cap for the formal backend's bound ramp (0 = defaults)")
 	fs.Int64Var(&c.budget, "budget", 0, "SAT conflict budget per formal query (0 = default)")
 }

@@ -12,8 +12,6 @@ package core
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"fveval/internal/dataset/human"
 	"fveval/internal/equiv"
@@ -21,6 +19,7 @@ import (
 	"fveval/internal/gen/svagen"
 	"fveval/internal/llm"
 	"fveval/internal/mc"
+	"fveval/internal/memo"
 	"fveval/internal/metrics"
 	"fveval/internal/obs"
 	"fveval/internal/rtl"
@@ -189,32 +188,20 @@ func LoadMachine(count int) []*MachineInstance {
 // service may call it to shed memory.
 func ResetMemos() {
 	refBLEU.Clear()
-	refBLEUSize.Store(0)
 	candParses.Clear()
-	candParsesSize.Store(0)
 	designParses.Clear()
-	designParsesSize.Store(0)
 }
 
-// refBLEU memoizes each reference assertion's rendered source and
-// BLEU tokens by identity: one reference is scored against every
-// sample of every model, and rendering plus tokenizing it per
-// judgment was a top-five cost of the machine tables. The map is
-// cleared at a generous bound so a long-lived service cannot grow it
-// without limit (references are per-load pointers).
-var refBLEU sync.Map // *sva.Assertion -> metrics.RefTokens
-var refBLEUSize atomic.Int64
+// refBLEU memoizes each reference assertion's BLEU tokens by
+// identity: one reference is scored against every sample of every
+// model, and rendering plus tokenizing it per judgment was a top-five
+// cost of the machine tables. It clears at 1<<16 entries so a
+// long-lived service cannot grow it without limit (references are
+// per-load pointers).
+var refBLEU = memo.New[*sva.Assertion, metrics.RefTokens](1 << 16)
 
 func refTokens(ref *sva.Assertion) metrics.RefTokens {
-	if t, ok := refBLEU.Load(ref); ok {
-		return t.(metrics.RefTokens)
-	}
-	t := metrics.TokenizeRef(ref.String())
-	if refBLEUSize.Add(1) > 1<<16 {
-		refBLEU.Clear()
-		refBLEUSize.Store(1)
-	}
-	refBLEU.Store(ref, t)
+	t, _ := refBLEU.Get(ref, func() metrics.RefTokens { return metrics.TokenizeRef(ref.String()) })
 	return t
 }
 
@@ -223,8 +210,7 @@ func refTokens(ref *sva.Assertion) metrics.RefTokens {
 // treats parsed assertions as read-only, so one shared parse (and its
 // downstream identity-keyed memo entries) serves them all. Bounded
 // like refBLEU.
-var candParses sync.Map // code -> candParse
-var candParsesSize atomic.Int64
+var candParses = memo.New[string, candParse](1 << 16)
 
 type candParse struct {
 	a   *sva.Assertion
@@ -232,17 +218,11 @@ type candParse struct {
 }
 
 func parseCandidate(code string) (*sva.Assertion, error) {
-	if v, ok := candParses.Load(code); ok {
-		p := v.(candParse)
-		return p.a, p.err
-	}
-	a, err := sva.ParseAssertion(code)
-	if candParsesSize.Add(1) > 1<<16 {
-		candParses.Clear()
-		candParsesSize.Store(1)
-	}
-	candParses.Store(code, candParse{a, err})
-	return a, err
+	p, _ := candParses.Get(code, func() candParse {
+		a, err := sva.ParseAssertion(code)
+		return candParse{a, err}
+	})
+	return p.a, p.err
 }
 
 // JudgeTranslation runs the full evaluation flow on one response:
@@ -288,13 +268,12 @@ func JudgeTranslation(id, response string, ref *sva.Assertion, sigs *equiv.Sigs,
 // design is judged against dozens of candidate snippets, and only the
 // testbench half changes between them. A runner judges one design's
 // candidates together, so the memo only needs to span the designs in
-// flight: it is cleared at a small bound, keeping a run's parsed
-// designs from accumulating in the live heap.
-var designParses sync.Map // design source -> designParse
-var designParsesSize atomic.Int64
+// flight: it clears at 16 entries, keeping a run's parsed designs from
+// accumulating in the live heap.
+var designParses = memo.New[string, designParse](16)
 
-const designParsesMax = 16
-
+// designParse is a design's parse on its own; f is nil when the design
+// does not parse without its bench.
 type designParse struct {
 	f       *rtl.File
 	defines map[string]string
@@ -312,17 +291,14 @@ func parseDesignBench(design, bench, snippet string) (*rtl.File, error) {
 	if strings.Contains(snippet, "`") {
 		return rtl.Parse(design + "\n" + bench)
 	}
-	var d designParse
-	if v, ok := designParses.Load(design); ok {
-		d = v.(designParse)
-	} else if f, defines, err := rtl.ParseAfter(design, nil); err == nil {
-		d = designParse{f, defines}
-		if designParsesSize.Add(1) > designParsesMax {
-			designParses.Clear()
-			designParsesSize.Store(1)
+	d, _ := designParses.Get(design, func() designParse {
+		f, defines, err := rtl.ParseAfter(design, nil)
+		if err != nil {
+			return designParse{}
 		}
-		designParses.Store(design, d)
-	} else {
+		return designParse{f, defines}
+	})
+	if d.f == nil {
 		return rtl.Parse(design + "\n" + bench)
 	}
 	bf, own, err := rtl.ParseAfter(bench, d.defines)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -66,6 +67,49 @@ func TestWideVectorsAreElabFailures(t *testing.T) {
 	}
 }
 
+// TestClog2OfHugeConstantsTerminates pins $clog2 of a constant above
+// 2^63, which used to spin forever (1<<64 is 0 in uint64, so the
+// doubling loop never passed the argument): once in an NL2SVA
+// candidate, once in a Design2SVA declaration width. Each probe runs
+// under a deadline so a regression fails instead of hanging the suite.
+func TestClog2OfHugeConstantsTerminates(t *testing.T) {
+	within := func(name string, f func() error) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- f() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s did not return within 5s", name)
+		}
+	}
+
+	in := LoadMachine(2)[1]
+	within("NL2SVA candidate", func() error {
+		code := "assert property (@(posedge clk) $clog2(64'hFFFFFFFFFFFFFFFF) == 64);"
+		if o := JudgeTranslation(in.ID, code, in.Reference, in.Sigs, equiv.Options{}, nil); !o.Syntax {
+			return fmt.Errorf("%+v, want a candidate that elaborates", o)
+		}
+		return nil
+	})
+
+	inst := rtlgen.Sweep96("pipeline")[0]
+	within("Design2SVA snippet", func() error {
+		f, err := parseDesignBench(inst.Design, inst.Bench, clog2Snippet)
+		if err != nil {
+			return err
+		}
+		_, err = rtl.ElaborateBound(f, inst.DUTTop, inst.BenchTop, nil)
+		return err
+	})
+}
+
+// clog2Snippet declares a vector sized by $clog2 of 2^64-1, which is 64.
+const clog2Snippet = "logic [$clog2(64'hFFFFFFFFFFFFFFFF):0] w;"
+
 // FuzzDesignSnippet splices arbitrary snippet text into a Design2SVA
 // testbench and parses and elaborates the bound system, the front half
 // of the Design2SVA judge. Property: no panic and no runaway; an input
@@ -84,6 +128,7 @@ func FuzzDesignSnippet(f *testing.F) {
 	f.Add(uint8(0), "`define W 4\nlogic [`W-1:0] w; assign w = '1;\nassert property (@(posedge clk) w != 0);")
 	f.Add(uint8(1), "logic [7:0] w; assign w = {2000000000{1'b1}};")
 	f.Add(uint8(2), "assert property (@(posedge clk) {4{1'b1}} |-> ##2 1'b1);")
+	f.Add(uint8(3), clog2Snippet)
 	f.Fuzz(func(t *testing.T, idx uint8, snippet string) {
 		inst := designs[int(idx)%len(designs)]
 		fl, err := parseDesignBench(inst.Design, inst.Bench, snippet)

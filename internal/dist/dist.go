@@ -60,17 +60,12 @@ type Options struct {
 	// with the same seed and arrival order draw the same delays (0 = 1).
 	Seed int64
 	// Hedge enables straggler re-dispatch: when exactly one shard
-	// remains in flight and its attempt has outlived the HedgeQuantile
-	// of completed shard durations, the shard is speculatively
-	// re-dispatched to an idle worker; first result wins and the loser
-	// is cancelled. Hedging refutes only on wall-clock, never on bytes.
+	// remains in flight and its attempt has outlived the hedgeQuantile
+	// of completed shard durations (floored at hedgeMinDelay), the
+	// shard is speculatively re-dispatched to an idle worker; first
+	// result wins and the loser is cancelled. Hedging refutes only on
+	// wall-clock, never on bytes.
 	Hedge bool
-	// HedgeQuantile picks the straggler threshold from completed shard
-	// durations (0 = 0.9).
-	HedgeQuantile float64
-	// HedgeMinDelay floors the hedge threshold so millisecond-scale
-	// runs don't hedge spuriously (0 = 25ms).
-	HedgeMinDelay time.Duration
 	// ShardTimeout bounds one shard attempt; an expired attempt counts
 	// as a failure and the shard is reassigned (0 = no timeout).
 	ShardTimeout time.Duration
@@ -140,6 +135,14 @@ type Result struct {
 	Restored int `json:"restored,omitempty"`
 }
 
+// The hedge threshold is the hedgeQuantile of completed shard
+// durations, floored at hedgeMinDelay so millisecond-scale runs don't
+// hedge spuriously.
+const (
+	hedgeQuantile = 0.9
+	hedgeMinDelay = 25 * time.Millisecond
+)
+
 // retryAfterHinter is implemented by failures that carry an explicit
 // server back-pressure hint (api.Error from a 429/503 Retry-After);
 // the hint overrides a shorter jittered backoff draw.
@@ -157,12 +160,8 @@ func New(runners []Runner, opts Options) (*Coordinator, error) {
 		return nil, fmt.Errorf("dist: no runners")
 	}
 	if opts.Shards < 0 || opts.MaxAttempts < 0 || opts.RunnerFailureLimit < 0 || opts.ShardTimeout < 0 ||
-		opts.BreakerCooldown < 0 || opts.BackoffBase < 0 || opts.BackoffCap < 0 ||
-		opts.HedgeQuantile < 0 || opts.HedgeMinDelay < 0 {
+		opts.BreakerCooldown < 0 || opts.BackoffBase < 0 || opts.BackoffCap < 0 {
 		return nil, fmt.Errorf("dist: negative option")
-	}
-	if opts.HedgeQuantile > 1 {
-		return nil, fmt.Errorf("dist: hedge quantile %v out of [0,1]", opts.HedgeQuantile)
 	}
 	if opts.MaxAttempts == 0 {
 		opts.MaxAttempts = 3
@@ -178,12 +177,6 @@ func New(runners []Runner, opts Options) (*Coordinator, error) {
 	}
 	if opts.BackoffCap == 0 {
 		opts.BackoffCap = 2 * time.Second
-	}
-	if opts.HedgeQuantile == 0 {
-		opts.HedgeQuantile = 0.9
-	}
-	if opts.HedgeMinDelay == 0 {
-		opts.HedgeMinDelay = 25 * time.Millisecond
 	}
 	if opts.Seed == 0 {
 		opts.Seed = 1
@@ -606,10 +599,7 @@ func (c *Coordinator) Run(ctx context.Context, req task.Request) (*Result, error
 				}
 				sorted := append([]time.Duration(nil), durations...)
 				sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-				threshold := sorted[int(c.opts.HedgeQuantile*float64(len(sorted)-1)+0.5)]
-				if threshold < c.opts.HedgeMinDelay {
-					threshold = c.opts.HedgeMinDelay
-				}
+				threshold := max(sorted[int(hedgeQuantile*float64(len(sorted)-1)+0.5)], hedgeMinDelay)
 				if time.Since(started[s]) < threshold {
 					mu.Unlock()
 					continue

@@ -474,9 +474,7 @@ func TestHedgeStragglerFirstResultWins(t *testing.T) {
 	fleet[1] = &slowRunner{Runner: fleet[1], delay: 30 * time.Second}
 	var hedgeEvents int
 	c, err := New(fleet, Options{
-		Hedge:         true,
-		HedgeQuantile: 0.5,
-		HedgeMinDelay: 10 * time.Millisecond,
+		Hedge: true,
 		Progress: func(ev Event) {
 			if ev.Type == EventShardHedge {
 				hedgeEvents++

@@ -30,7 +30,7 @@ func (e *Engine) HelperGrid(ctx context.Context, models []llm.Model, obs Observe
 		return func(jctx context.Context, j job) core.Outcome {
 			resp := generate(jctx, models[j.model], prompt, j.sample)
 			code := llm.ExtractCode(resp)
-			c := e.st.helper.get(jctx, inst.ID+"\x00"+code, func() helperCell {
+			c := judged(jctx, e.st.helper, e.memoKey(inst.ID, code), func() helperCell {
 				syn, valid, unlocked := judgeHelper(inst, code, e.mcOptions(jctx), design)
 				return helperCell{syntax: syn, valid: valid, unlocked: unlocked}
 			})

@@ -36,6 +36,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,6 +48,7 @@ import (
 	"fveval/internal/gen/rtlgen"
 	"fveval/internal/llm"
 	"fveval/internal/mc"
+	"fveval/internal/memo"
 	"fveval/internal/obs"
 	"fveval/internal/sva"
 )
@@ -100,9 +102,9 @@ type Config struct {
 	Workers int `json:"workers,omitempty"`
 	// Shard restricts this process to one slice of the instance axis.
 	Shard Shard `json:"shard,omitzero"`
-	// NoCache disables every run-wide memo (equivalence checks,
-	// translation judgments, design judgments). Verdicts are identical
-	// either way; the memos only skip duplicate solves.
+	// NoCache disables every run-wide memo (equivalence checks and
+	// translation, design and helper judgments). Verdicts are
+	// identical either way; the memos only skip duplicate solves.
 	NoCache bool `json:"no_cache,omitempty"`
 	// SimPatterns sets how many bit-parallel simulation patterns the
 	// formal backend's refute-before-solve prefilter evaluates per
@@ -210,11 +212,11 @@ type state struct {
 	// Judgment memos: identical extracted responses recur across
 	// samples and models, so each task family's whole judgment (parse,
 	// BLEU and equivalence; elaborate and prove; the lemma pipeline)
-	// is memoized per (instance, response). nil when caching is
-	// disabled.
-	trans  *memo[core.Outcome]
-	design *memo[designCell]
-	helper *memo[helperCell]
+	// is memoized per (options, instance, response); memoKey builds
+	// every key. nil when caching is disabled.
+	trans  *memo.Memo[string, core.Outcome]
+	design *memo.Memo[string, designCell]
+	helper *memo.Memo[string, helperCell]
 
 	// refineRounds counts FeedbackModel retry rounds performed by
 	// refinement runs on this pool — the per-run delta is surfaced as
@@ -226,41 +228,37 @@ func newState(noCache bool) *state {
 	st := &state{formal: &formal.Stats{}, bank: formal.NewBank(0)}
 	if !noCache {
 		st.cache = equiv.NewCache()
-		st.trans = newMemo[core.Outcome]()
-		st.design = newMemo[designCell]()
-		st.helper = newMemo[helperCell]()
+		st.trans = memo.New[string, core.Outcome](1 << 16)
+		st.design = memo.New[string, designCell](1 << 16)
+		st.helper = memo.New[string, helperCell](1 << 16)
 	}
 	return st
 }
 
-// memo is a run-wide judgment memo keyed by content. A nil memo
-// (NoCache) computes every lookup.
-type memo[V any] struct {
-	mu sync.Mutex
-	m  map[string]V
+// memoKey builds every judgment-memo key: the resolved options that
+// can change a verdict (Budget and MaxBound, the set equiv.Cache.key
+// hashes) and then the parts naming the judged content. Engines
+// derived with Reconfigure share the memos, so without the options
+// one request's verdicts would answer another's differently tuned
+// queries.
+func (e *Engine) memoKey(parts ...string) string {
+	b := strconv.AppendInt(nil, e.cfg.Budget, 10)
+	b = append(b, 0)
+	b = strconv.AppendInt(b, int64(e.cfg.MaxBound), 10)
+	for _, p := range parts {
+		b = append(b, 0)
+		b = append(b, p...)
+	}
+	return string(b)
 }
 
-func newMemo[V any]() *memo[V] { return &memo[V]{m: map[string]V{}} }
-
-// get returns key's memoized value, computing and storing it on a
-// miss; a hit marks ctx's job span. Judgments are deterministic, so a
-// concurrent duplicate computation (possible only between separate
-// runs sharing the pool) stores the same value.
-func (c *memo[V]) get(ctx context.Context, key string, compute func() V) V {
-	if c == nil {
-		return compute()
-	}
-	c.mu.Lock()
-	v, ok := c.m[key]
-	c.mu.Unlock()
-	if ok {
+// judged returns key's memoized judgment, computing it on a miss; a
+// hit marks ctx's job span.
+func judged[V any](ctx context.Context, m *memo.Memo[string, V], key string, compute func() V) V {
+	v, hit := m.Get(key, compute)
+	if hit {
 		obs.SpanFrom(ctx).SetBool("memo_hit", true)
-		return v
 	}
-	v = compute()
-	c.mu.Lock()
-	c.m[key] = v
-	c.mu.Unlock()
 	return v
 }
 
@@ -317,7 +315,7 @@ func (e *Engine) judgeTranslation(ctx context.Context, dataset, id, response str
 	// ExtractCode is idempotent, so the extracted code stands in for
 	// the raw response.
 	code := llm.ExtractCode(response)
-	return e.st.trans.get(ctx, dataset+"\x00"+id+"\x00"+code, func() core.Outcome {
+	return judged(ctx, e.st.trans, e.memoKey(dataset, id, code), func() core.Outcome {
 		return core.JudgeTranslation(id, code, ref, sigs, e.equivOptions(ctx), e.st.cache)
 	})
 }
@@ -636,7 +634,7 @@ func (e *Engine) DesignGrid(ctx context.Context, models []llm.Model, kind string
 		return func(jctx context.Context, j job) core.Outcome {
 			resp := generate(jctx, models[j.model], prompt, j.sample)
 			code := llm.ExtractCode(resp)
-			c := e.st.design.get(jctx, kind+"\x00"+inst.ID+"\x00"+code, func() designCell {
+			c := judged(jctx, e.st.design, e.memoKey(kind, inst.ID, code), func() designCell {
 				syn, prov := judgeDesign(inst, code, e.mcOptions(jctx), design)
 				return designCell{syntax: syn, proven: prov}
 			})

@@ -1,14 +1,14 @@
 package equiv
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"io"
 	"sort"
-	"strings"
-	"sync"
 	"sync/atomic"
 
+	"fveval/internal/memo"
 	"fveval/internal/sva"
 )
 
@@ -48,28 +48,27 @@ type cacheEntry struct {
 // A nil *Cache is valid and degenerates to an uncached Check call, so
 // callers can thread an optional cache without branching.
 type Cache struct {
-	mu     sync.RWMutex
-	m      map[[sha256.Size]byte]cacheEntry
-	hits   atomic.Int64
-	misses atomic.Int64
+	verdicts *memo.Memo[[sha256.Size]byte, cacheEntry]
+	hits     atomic.Int64
+	misses   atomic.Int64
 
 	// Key-derivation memos: canonical renderings by assertion identity
 	// and signal-environment digests by Sigs identity. References and
 	// signal environments repeat across thousands of queries, and
-	// re-rendering them dominated cacheKey. Both grow with the same
-	// traffic the verdict map does.
-	normMu sync.RWMutex
-	norm   map[*sva.Assertion]string
-	sigsMu sync.RWMutex
-	sigsD  map[*Sigs][]byte
+	// re-rendering them dominated key derivation.
+	norm *memo.Memo[*sva.Assertion, string]
+	sigs *memo.Memo[*Sigs, []byte]
 }
 
-// NewCache returns an empty cache ready for concurrent use.
+// NewCache returns an empty cache ready for concurrent use. Each of
+// its memos clears itself at 1<<16 entries, so a long-lived service
+// re-parsing duplicate assertions cannot grow them (and pin the keyed
+// ASTs) forever; a clear only costs re-solving or re-rendering.
 func NewCache() *Cache {
 	return &Cache{
-		m:     map[[sha256.Size]byte]cacheEntry{},
-		norm:  map[*sva.Assertion]string{},
-		sigsD: map[*Sigs][]byte{},
+		verdicts: memo.New[[sha256.Size]byte, cacheEntry](1 << 16),
+		norm:     memo.New[*sva.Assertion, string](1 << 16),
+		sigs:     memo.New[*Sigs, []byte](1 << 16),
 	}
 }
 
@@ -80,22 +79,17 @@ func (c *Cache) Check(a, b *sva.Assertion, sigs *Sigs, opt Options) (Result, err
 	if c == nil {
 		return Check(a, b, sigs, opt)
 	}
-	key := c.key(a, b, sigs, opt)
-	c.mu.RLock()
-	e, ok := c.m[key]
-	c.mu.RUnlock()
-	if ok {
+	e, hit := c.verdicts.Get(c.key(a, b, sigs, opt), func() cacheEntry {
+		res, err := Check(a, b, sigs, opt)
+		return cacheEntry{res, err}
+	})
+	if hit {
 		c.hits.Add(1)
-		opt.Span.SetBool("cache_hit", true)
-		return e.res, e.err
+	} else {
+		c.misses.Add(1)
 	}
-	c.misses.Add(1)
-	opt.Span.SetBool("cache_hit", false)
-	res, err := Check(a, b, sigs, opt)
-	c.mu.Lock()
-	c.m[key] = cacheEntry{res, err}
-	c.mu.Unlock()
-	return res, err
+	opt.Span.SetBool("cache_hit", hit)
+	return e.res, e.err
 }
 
 // Stats snapshots the hit/miss counters.
@@ -111,9 +105,7 @@ func (c *Cache) Len() int {
 	if c == nil {
 		return 0
 	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.m)
+	return c.verdicts.Len()
 }
 
 // key hashes the semantic content of a query: canonical assertion
@@ -126,59 +118,22 @@ func (c *Cache) key(a, b *sva.Assertion, sigs *Sigs, opt Options) [sha256.Size]b
 	h.Write([]byte{0})
 	io.WriteString(h, c.normalized(b))
 	h.Write([]byte{0})
-	h.Write(c.sigsDigest(sigs))
+	d, _ := c.sigs.Get(sigs, func() []byte {
+		var buf bytes.Buffer
+		writeSigs(&buf, sigs)
+		return buf.Bytes()
+	})
+	h.Write(d)
 	fmt.Fprintf(h, "|%d|%d|%d", opt.MaxBound, opt.Bound, opt.Budget)
 	var key [sha256.Size]byte
 	copy(key[:], h.Sum(nil))
 	return key
 }
 
-// memoCap bounds the pointer-keyed derivation memos below: unlike the
-// content-hashed verdict map, their keys are object identities, so a
-// long-lived service re-parsing duplicate assertions would otherwise
-// grow them (and pin the keyed ASTs) forever. Hitting the cap clears
-// the memo — rare, and only costs re-rendering.
-const memoCap = 1 << 16
-
-// normalized memoizes normalizeAssertion by assertion identity:
-// references recur across every sample of every model, and rendering
-// them per query dominated key derivation.
+// normalized is normalizeAssertion memoized by assertion identity.
 func (c *Cache) normalized(a *sva.Assertion) string {
-	c.normMu.RLock()
-	s, ok := c.norm[a]
-	c.normMu.RUnlock()
-	if ok {
-		return s
-	}
-	s = normalizeAssertion(a)
-	c.normMu.Lock()
-	if len(c.norm) >= memoCap {
-		c.norm = map[*sva.Assertion]string{}
-	}
-	c.norm[a] = s
-	c.normMu.Unlock()
+	s, _ := c.norm.Get(a, func() string { return normalizeAssertion(a) })
 	return s
-}
-
-// sigsDigest memoizes the signal-environment serialization by Sigs
-// identity (one Sigs value typically serves a whole dataset).
-func (c *Cache) sigsDigest(sigs *Sigs) []byte {
-	c.sigsMu.RLock()
-	d, ok := c.sigsD[sigs]
-	c.sigsMu.RUnlock()
-	if ok {
-		return d
-	}
-	var buf strings.Builder
-	writeSigs(&buf, sigs)
-	d = []byte(buf.String())
-	c.sigsMu.Lock()
-	if len(c.sigsD) >= memoCap {
-		c.sigsD = map[*Sigs][]byte{}
-	}
-	c.sigsD[sigs] = d
-	c.sigsMu.Unlock()
-	return d
 }
 
 // normalizeAssertion renders an assertion canonically, dropping the

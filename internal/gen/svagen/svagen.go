@@ -7,8 +7,8 @@ package svagen
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
+	"fveval/internal/memo"
 	"fveval/internal/nl"
 	"fveval/internal/sva"
 )
@@ -77,7 +77,7 @@ func Generate(seed int64) *Instance {
 // instances are treated read-only everywhere, so every engine sharing
 // a process (benchmarks, the service, repeated runs) reuses one copy
 // instead of re-running the generator and naturalizer critic loop.
-var genCache sync.Map // int64 -> *Instance
+var genCache = memo.New[int64, *Instance](1 << 16)
 
 // ResetCache drops the memoized instances (benchmark isolation).
 func ResetCache() { genCache.Clear() }
@@ -87,12 +87,7 @@ func Dataset(n int) []*Instance {
 	out := make([]*Instance, 0, n)
 	for i := 0; i < n; i++ {
 		seed := int64(i + 1)
-		if v, ok := genCache.Load(seed); ok {
-			out = append(out, v.(*Instance))
-			continue
-		}
-		inst := Generate(seed)
-		genCache.Store(seed, inst)
+		inst, _ := genCache.Get(seed, func() *Instance { return Generate(seed) })
 		out = append(out, inst)
 	}
 	return out

@@ -2,6 +2,7 @@ package ltl
 
 import (
 	"fmt"
+	"math/bits"
 
 	"fveval/internal/bitvec"
 	"fveval/internal/logic"
@@ -320,7 +321,7 @@ func (ev *ExprEval) constVal(e sva.Expr) (uint64, bool) {
 	case *sva.Call:
 		if v.Name == "$clog2" && len(v.Args) == 1 {
 			if x, ok := ev.constVal(v.Args[0]); ok {
-				return uint64(clog2(x)), true
+				return uint64(Clog2(x)), true
 			}
 		}
 		if v.Name == "$bits" && len(v.Args) == 1 {
@@ -333,12 +334,13 @@ func (ev *ExprEval) constVal(e sva.Expr) (uint64, bool) {
 	return 0, false
 }
 
-func clog2(x uint64) int {
-	n := 0
-	for (uint64(1) << uint(n)) < x {
-		n++
+// Clog2 is SystemVerilog's $clog2: the ceiling of log2(x), 0 for x
+// <= 1 and 64 for x > 2^63.
+func Clog2(x uint64) int {
+	if x == 0 {
+		return 0
 	}
-	return n
+	return bits.Len64(x - 1)
 }
 
 // eval evaluates at a position; hint is the context width for elastic
@@ -610,13 +612,13 @@ func (ev *ExprEval) evalBinary(v *sva.Binary, pos int, hint int) (bitvec.BV, err
 		if v.Op == "%" {
 			if d&(d-1) == 0 {
 				// power of two: mask
-				k := clog2(d)
+				k := Clog2(d)
 				return o.And(x, bitvec.Const(d-1, x.Width())).Extend(maxInt(k, 1)), nil
 			}
 			return ev.modConst(x, d)
 		}
 		if d&(d-1) == 0 {
-			return o.ShrConst(x, clog2(d)), nil
+			return o.ShrConst(x, Clog2(d)), nil
 		}
 		return bitvec.BV{}, &ElabError{"division by non-power-of-two constant unsupported"}
 	}
@@ -699,7 +701,7 @@ func (ev *ExprEval) evalCall(v *sva.Call, pos int) (bitvec.BV, error) {
 		if !ok {
 			return bitvec.BV{}, &ElabError{"$clog2 requires a constant argument"}
 		}
-		return bitvec.Const(uint64(clog2(x)), 32), nil
+		return bitvec.Const(uint64(Clog2(x)), 32), nil
 	case "$past":
 		n := 1
 		if len(v.Args) == 2 {

@@ -8,6 +8,7 @@ package ltl
 
 import (
 	"fmt"
+	"slices"
 
 	"fveval/internal/sva"
 )
@@ -247,7 +248,7 @@ func SignalNames(f Formula) []string {
 	for n := range set {
 		names = append(names, n)
 	}
-	sortStrings(names)
+	slices.Sort(names)
 	return names
 }
 
@@ -284,14 +285,6 @@ func collectIdents(e sva.Expr, set map[string]bool) {
 		collectIdents(v.Lo, set)
 	case *sva.WidthCast:
 		collectIdents(v.X, set)
-	}
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
 	}
 }
 

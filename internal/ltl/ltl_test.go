@@ -289,3 +289,19 @@ func TestUndeclaredIdentifier(t *testing.T) {
 		t.Fatal("expected elaboration error")
 	}
 }
+
+// TestClog2 pins $clog2 at the edges, including arguments above 2^63,
+// where a doubling loop overflows to 0 and never terminates.
+func TestClog2(t *testing.T) {
+	for _, c := range []struct {
+		x    uint64
+		want int
+	}{
+		{0, 0}, {1, 0}, {2, 1}, {3, 2}, {4, 2}, {5, 3},
+		{1 << 63, 63}, {1<<63 + 1, 64}, {1<<64 - 1, 64},
+	} {
+		if got := Clog2(c.x); got != c.want {
+			t.Errorf("Clog2(%d) = %d, want %d", c.x, got, c.want)
+		}
+	}
+}

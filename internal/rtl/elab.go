@@ -599,7 +599,7 @@ func (e *elab) rewrite(sc *scope, expr sva.Expr) (sva.Expr, error) {
 		// functions stay for assertion contexts.
 		if v.Name == "$clog2" && len(v.Args) == 1 {
 			if val, _, err := e.constEval(sc, v.Args[0]); err == nil {
-				return numLit(uint64(clog2u(val)), 32), nil
+				return numLit(uint64(ltl.Clog2(val)), 32), nil
 			}
 		}
 		c := &sva.Call{Name: v.Name}
@@ -835,7 +835,7 @@ func (e *elab) constEval(sc *scope, expr sva.Expr) (uint64, int, error) {
 			if err != nil {
 				return 0, 0, err
 			}
-			return uint64(clog2u(x)), 32, nil
+			return uint64(ltl.Clog2(x)), 32, nil
 		}
 		return 0, 0, fmt.Errorf("call %s is not constant", v.Name)
 	}
@@ -854,14 +854,6 @@ func boolTo(b bool) uint64 {
 		return 1
 	}
 	return 0
-}
-
-func clog2u(x uint64) int {
-	n := 0
-	for (uint64(1) << uint(n)) < x {
-		n++
-	}
-	return n
 }
 
 func (e *elab) genFor(sc *scope, g *GenFor, overrides map[string]uint64) error {

@@ -271,7 +271,7 @@ func (in *Interp) eval(e sva.Expr, vals map[string]uint64, busy map[string]bool)
 			if err != nil {
 				return cval{}, err
 			}
-			return cval{uint64(clog2u(x.v)), 32}, nil
+			return cval{uint64(ltl.Clog2(x.v)), 32}, nil
 		}
 		return cval{}, fmt.Errorf("system function %s not usable in RTL nets", v.Name)
 	}

@@ -2,6 +2,7 @@ package sva
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -342,16 +343,8 @@ func (a *Assertion) Signals() []string {
 	for n := range set {
 		names = append(names, n)
 	}
-	sortStrings(names)
+	slices.Sort(names)
 	return names
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // CloneExpr deep-copies an expression.
