@@ -389,3 +389,32 @@ func TestFSMStateExample(t *testing.T) {
 		t.Errorf("parameter-based FSM states: got %v", res.Verdict)
 	}
 }
+
+// TestTraceStringBytes pins the exact rendering of witness traces:
+// refinement retry prompts print them (core.RefineFeedback), so any
+// byte change here moves Figure R's prompts and verdicts.
+func TestTraceStringBytes(t *testing.T) {
+	for _, tc := range []struct {
+		tr   *Trace
+		want string
+	}{
+		{&Trace{Loop: 1, Len: 3, Signals: map[string][]uint64{
+			"wr_push":                 {1, 0, 1},
+			"a":                       {0, 1, 0},
+			"a_very_long_signal_name": {3, 18446744073709551615, 42},
+			"sixteen_chars_16":        {7, 8, 9},
+			"empty":                   nil,
+		}},
+			"lasso: 3 positions, loop->1\n" +
+				"  a                0 1 0\n" +
+				"  a_very_long_signal_name 3 18446744073709551615 42\n" +
+				"  empty           \n" +
+				"  sixteen_chars_16 7 8 9\n" +
+				"  wr_push          1 0 1\n"},
+		{&Trace{Loop: -1, Len: 0}, "lasso: 0 positions, loop->-1\n"},
+	} {
+		if got := tc.tr.String(); got != tc.want {
+			t.Errorf("trace renders\n%q\nwant\n%q", got, tc.want)
+		}
+	}
+}
