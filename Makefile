@@ -13,13 +13,14 @@ test:
 # solver's incremental interface (gated clauses, retired activation
 # literals, assumptions) checked by brute force, the equivalence checker
 # against its one-shot oracle with every witness replayed, the SVA
-# parser on arbitrary text, and Design2SVA snippet parse and
-# elaboration.
+# parser on arbitrary text, Design2SVA snippet parse and elaboration,
+# and BLEU against the map-based scorer it replaced.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzIncremental -fuzztime=15s ./internal/sat
 	$(GO) test -run='^$$' -fuzz=FuzzCheckDifferential -fuzztime=15s ./internal/equiv
 	$(GO) test -run='^$$' -fuzz=FuzzParseAssertion -fuzztime=15s ./internal/sva
 	$(GO) test -run='^$$' -fuzz=FuzzDesignSnippet -fuzztime=15s ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzBLEU -fuzztime=15s ./internal/metrics
 
 # examples runs every program under examples/, the public facade's
 # only non-test callers.

@@ -2,8 +2,8 @@
 // sub-benchmarks. It flattens an entire run — every (model, instance,
 // sample) tuple — into one grid, drains it with a bounded worker pool
 // one instance row at a time (a worker judges all of an instance's
-// (model, sample) jobs in order), and streams outcomes into per-model
-// aggregators whose final fold walks outcome slots in deterministic
+// (model, sample) jobs in order), and writes each outcome into its
+// per-model slot; the final fold walks those slots in deterministic
 // grid order. Final tables are therefore byte-identical regardless of
 // worker count, scheduling order, sharding off/on differences aside,
 // or whether the equivalence-check cache is enabled.
@@ -26,10 +26,10 @@
 // HelperGrid) returns a *Grid, which the caller folds
 // into per-model rows with Grid.Rows.
 // Each takes a context.Context and an optional Observer: cancelling the
-// context stops feeding the worker pool and the method returns
-// ctx.Err(); the observer receives one Progress per completed job,
-// delivered from the collector goroutine (calls are serialized, never
-// concurrent).
+// context stops the worker pool and the method returns ctx.Err(); the
+// observer receives one Progress per completed job, called from the
+// worker that judged it under one lock, so calls are serialized (never
+// concurrent) and arrive in completion order.
 package engine
 
 import (
@@ -189,10 +189,11 @@ type Progress struct {
 	Wall time.Duration
 }
 
-// Observer receives per-job progress. Calls come from the run's
-// single collector goroutine, so implementations need no locking
-// against each other (but must not block for long — they gate result
-// collection).
+// Observer receives per-job progress. Each call comes from the worker
+// that judged the job, under a lock the grid's workers share, so calls
+// are serialized in completion order and implementations need no
+// locking against each other (but must not block for long — every
+// worker waits on that lock to report its next job).
 type Observer func(Progress)
 
 // state is the memo pool an engine family shares: the equivalence
@@ -374,22 +375,23 @@ func (j job) slot(samples int) int { return j.inst*samples + j.sample }
 type evalFunc func(ctx context.Context, j job) core.Outcome
 
 // runGrid drains the full models × instances × samples grid through a
-// bounded worker pool, one instance row at a time: a worker takes an
-// instance, builds its judge with row(inst), and runs all of the
-// row's (model, sample) jobs through it in order. The duplicate
-// responses of one row thus hit the run-wide memo instead of being
-// judged twice by racing workers, and whatever row(inst) sets up for
-// the instance, such as its prompt or its model-checking context,
-// lives exactly as long as the row.
+// bounded worker pool, one instance row at a time: a worker claims the
+// next instance from a shared counter, builds its judge with row(inst),
+// and runs all of the row's (model, sample) jobs through it in order.
+// The duplicate responses of one row thus hit the run-wide memo instead
+// of being judged twice by racing workers, and whatever row(inst) sets
+// up for the instance, such as its prompt or its model-checking
+// context, lives exactly as long as the row.
 // Each job still gets its own span, fault seam and cancellation check.
-// Workers stream results to a single collector goroutine that places
-// each outcome in its deterministic slot and notifies the observer;
-// aggregation then folds the slots in grid order, so the result is
+// A worker writes each outcome straight into its deterministic slot
+// (a row belongs to one worker, so no slot has two writers) and then
+// notifies the observer under one lock, which also keeps the Done
+// count; aggregation folds the slots in grid order, so the result is
 // independent of worker count and completion order.
 //
-// Cancelling ctx stops handing out rows and stops every worker before
-// its next job; the grid returns ctx.Err() once in-flight jobs have
-// drained, and the partial outcome grid is discarded by every caller.
+// Cancelling ctx stops every worker before its next job and its next
+// row; the grid returns ctx.Err() once in-flight jobs have drained, and
+// the partial outcome grid is discarded by every caller.
 func (e *Engine) runGrid(ctx context.Context, models []string, nInst, nSamples int, row func(inst int) evalFunc, observer Observer) ([][]core.Outcome, error) {
 	nModels := len(models)
 	outcomes := make([][]core.Outcome, nModels)
@@ -407,18 +409,16 @@ func (e *Engine) runGrid(ctx context.Context, models []string, nInst, nSamples i
 	ctx, abort := context.WithCancelCause(ctx)
 	defer abort(nil)
 
-	rows := make(chan int, e.cfg.Workers)
-	type result struct {
-		j    job
-		out  core.Outcome
-		wall time.Duration
-	}
-	results := make(chan result, e.cfg.Workers)
-
-	// evalJob wraps one evaluation in its per-job span (model/sample
-	// known up front, instance and verdict attached after) and times
-	// it; when the run is untraced the span calls are nil no-ops.
-	evalJob := func(eval evalFunc, j job) result {
+	var (
+		next atomic.Int64 // the next unclaimed instance row
+		mu   sync.Mutex   // serializes observer calls and guards done
+		done int
+	)
+	// evalJob judges one job inside its span (model/sample known up
+	// front, instance and verdict attached after), stores the outcome
+	// and reports it; when the run is untraced the span calls are nil
+	// no-ops.
+	evalJob := func(eval evalFunc, j job) {
 		jctx, sp := obs.Start(ctx, "job")
 		sp.SetStr("model", models[j.model]).SetInt("sample", int64(j.sample))
 		start := time.Now()
@@ -428,7 +428,21 @@ func (e *Engine) runGrid(ctx context.Context, models []string, nInst, nSamples i
 			SetBool("syntax", out.Syntax).
 			SetBool("func", out.Full)
 		sp.End()
-		return result{j: j, out: out, wall: wall}
+		outcomes[j.model][j.slot(nSamples)] = out
+		if observer == nil {
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		done++
+		observer(Progress{
+			Done: done, Total: total,
+			Model:      models[j.model],
+			InstanceID: out.InstanceID,
+			Sample:     j.sample,
+			Outcome:    out,
+			Wall:       wall,
+		})
 	}
 	// evalRow judges one instance row; false means the grid is over.
 	evalRow := func(inst int) bool {
@@ -442,68 +456,26 @@ func (e *Engine) runGrid(ctx context.Context, models []string, nInst, nSamples i
 					abort(err)
 					return false
 				}
-				select {
-				case results <- evalJob(eval, job{model: m, inst: inst, sample: s}):
-				case <-ctx.Done():
-					return false
-				}
+				evalJob(eval, job{model: m, inst: inst, sample: s})
 			}
 		}
 		return true
 	}
 
 	var workers sync.WaitGroup
-	w := min(e.cfg.Workers, nInst)
-	for i := 0; i < w; i++ {
+	for range min(e.cfg.Workers, nInst) {
 		workers.Add(1)
 		go func() {
 			defer workers.Done()
-			for {
-				select {
-				case <-ctx.Done():
+			for ctx.Err() == nil {
+				inst := int(next.Add(1) - 1)
+				if inst >= nInst || !evalRow(inst) {
 					return
-				case inst, ok := <-rows:
-					if !ok || !evalRow(inst) {
-						return
-					}
 				}
 			}
 		}()
 	}
-
-	var collector sync.WaitGroup
-	collector.Add(1)
-	go func() {
-		defer collector.Done()
-		done := 0
-		for r := range results {
-			outcomes[r.j.model][r.j.slot(nSamples)] = r.out
-			done++
-			if observer != nil {
-				observer(Progress{
-					Done: done, Total: total,
-					Model:      models[r.j.model],
-					InstanceID: r.out.InstanceID,
-					Sample:     r.j.sample,
-					Outcome:    r.out,
-					Wall:       r.wall,
-				})
-			}
-		}
-	}()
-
-feed:
-	for i := 0; i < nInst; i++ {
-		select {
-		case rows <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(rows)
 	workers.Wait()
-	close(results)
-	collector.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, context.Cause(ctx)
 	}

@@ -3,7 +3,9 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -274,30 +276,44 @@ func TestConfigValidate(t *testing.T) {
 	New(Config{Workers: -1})
 }
 
-// TestObserverStreamsEveryJob checks the per-job progress feed: one
-// event per grid cell, serialized, with a monotonically increasing
-// done counter reaching the grid total.
+// TestObserverStreamsEveryJob checks the per-job progress feed with
+// several workers, also with more workers than instance rows: one event
+// per grid cell, never two observer calls at once, a done counter
+// running 1..Total in call order, and outcomes equal to a one-worker
+// run's.
 func TestObserverStreamsEveryJob(t *testing.T) {
-	e := New(Config{Limit: 6, Samples: 2, Workers: 4})
 	models := []llm.Model{llm.ModelByName("gpt-4o"), llm.ModelByName("llama-3-8b")}
-	var events []Progress
-	_, err := e.HumanGrid(context.Background(), models, true, func(p Progress) {
-		events = append(events, p)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 2 * 6 * 2 // models × instances × samples
-	if len(events) != want {
-		t.Fatalf("got %d events, want %d", len(events), want)
-	}
-	for i, ev := range events {
-		if ev.Done != i+1 || ev.Total != want {
-			t.Fatalf("event %d: done %d/%d, want %d/%d", i, ev.Done, ev.Total, i+1, want)
+	ctx := context.Background()
+	for _, cfg := range []Config{
+		{Limit: 6, Samples: 2, Workers: 4},
+		{Limit: 3, Samples: 2, Workers: 8},
+	} {
+		var inFlight atomic.Int64
+		var events []Progress
+		g := must(t)(New(cfg).HumanGrid(ctx, models, true, func(p Progress) {
+			if inFlight.Add(1) > 1 {
+				t.Errorf("%d workers: observer calls overlap", cfg.Workers)
+			}
+			runtime.Gosched()
+			events = append(events, p)
+			inFlight.Add(-1)
+		}))
+		want := len(models) * cfg.Limit * cfg.Samples
+		if len(events) != want {
+			t.Fatalf("%d workers: got %d events, want %d", cfg.Workers, len(events), want)
 		}
-		if ev.Model == "" || ev.InstanceID == "" {
-			t.Fatalf("event %d missing identity: %+v", i, ev)
+		for i, ev := range events {
+			if ev.Done != i+1 || ev.Total != want {
+				t.Fatalf("%d workers: event %d: done %d/%d, want %d/%d", cfg.Workers, i, ev.Done, ev.Total, i+1, want)
+			}
+			if ev.Model == "" || ev.InstanceID == "" {
+				t.Fatalf("%d workers: event %d missing identity: %+v", cfg.Workers, i, ev)
+			}
 		}
+		one := cfg
+		one.Workers = 1
+		sameGrids(t, fmt.Sprintf("%d workers vs 1", cfg.Workers), g,
+			must(t)(New(one).HumanGrid(ctx, models, true, nil)), []int{1, 2})
 	}
 }
 

@@ -17,7 +17,11 @@ package equiv
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"fveval/internal/bitvec"
@@ -84,22 +88,21 @@ type Trace struct {
 	Signals map[string][]uint64
 }
 
-// String renders the trace as a small table.
+// String renders the trace as a small table: one row per signal, in
+// name order.
 func (t *Trace) String() string {
-	var names []string
-	for n := range t.Signals {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	s := fmt.Sprintf("lasso: %d positions, loop->%d\n", t.Len, t.Loop)
-	for _, n := range names {
-		s += fmt.Sprintf("  %-16s", n)
+	var b strings.Builder
+	var num [20]byte
+	fmt.Fprintf(&b, "lasso: %d positions, loop->%d\n", t.Len, t.Loop)
+	for _, n := range slices.Sorted(maps.Keys(t.Signals)) {
+		fmt.Fprintf(&b, "  %-16s", n)
 		for _, v := range t.Signals[n] {
-			s += fmt.Sprintf(" %d", v)
+			b.WriteByte(' ')
+			b.Write(strconv.AppendUint(num[:0], v, 10))
 		}
-		s += "\n"
+		b.WriteByte('\n')
 	}
-	return s
+	return b.String()
 }
 
 // Result reports the verdict with witnesses for the failed directions.

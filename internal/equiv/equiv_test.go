@@ -412,6 +412,9 @@ func TestTraceStringBytes(t *testing.T) {
 				"  sixteen_chars_16 7 8 9\n" +
 				"  wr_push          1 0 1\n"},
 		{&Trace{Loop: -1, Len: 0}, "lasso: 0 positions, loop->-1\n"},
+		// fmt pads by runes, not bytes.
+		{&Trace{Len: 1, Signals: map[string][]uint64{"ñ": {1}}},
+			"lasso: 1 positions, loop->0\n  ñ                1\n"},
 	} {
 		if got := tc.tr.String(); got != tc.want {
 			t.Errorf("trace renders\n%q\nwant\n%q", got, tc.want)

@@ -7,7 +7,9 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
+	"sync"
 )
 
 // multiOps are the multi-character operator tokens, hoisted so the
@@ -18,8 +20,10 @@ var multiOps = []string{"|->", "|=>", "<<<", ">>>", "===", "!==", "##", "&&", "|
 // identifiers, numbers, and operator glyphs become tokens. Every token
 // is a substring of src — the tokenizer allocates only the result
 // slice.
-func CodeTokens(src string) []string {
-	var out []string
+func CodeTokens(src string) []string { return appendCodeTokens(nil, src) }
+
+// appendCodeTokens appends src's CodeTokens to out.
+func appendCodeTokens(out []string, src string) []string {
 	i := 0
 	isWord := func(c byte) bool {
 		return c == '_' || c == '$' ||
@@ -39,7 +43,7 @@ func CodeTokens(src string) []string {
 			i = j
 		default:
 			for _, op := range multiOps {
-				if strings.HasPrefix(src[i:], op) {
+				if op[0] == c && strings.HasPrefix(src[i:], op) {
 					out = append(out, op)
 					i += len(op)
 					goto next
@@ -71,26 +75,56 @@ func BLEU(candidate, reference string) float64 {
 	return BLEURef(candidate, TokenizeRef(reference))
 }
 
+// bleuScratch is one BLEURef call's working set: the candidate's
+// tokens, the intern table, both id sequences and both n-gram key
+// lists. Pooled, so scoring allocates nothing in the steady state.
+type bleuScratch struct {
+	toks       []string
+	ids        map[string]int32
+	cand, ref  []int32
+	ckey, rkey []uint64
+}
+
+var bleuPool = sync.Pool{New: func() any {
+	return &bleuScratch{ids: make(map[string]int32)}
+}}
+
+// maxPooledTokens caps the inputs whose scratch returns to the pool: a
+// cleared map costs its peak size on every later clear, so one huge
+// input must not make every later call pay for it.
+const maxPooledTokens = 1 << 12
+
 // BLEURef is BLEU against a pre-tokenized reference.
 func BLEURef(candidate string, reference RefTokens) float64 {
-	cand := CodeTokens(candidate)
-	ref := reference.toks
+	sc := bleuPool.Get().(*bleuScratch)
+	sc.toks = appendCodeTokens(sc.toks[:0], candidate)
+	cand, ref := sc.toks, reference.toks
+	if len(cand)+len(ref) <= maxPooledTokens {
+		defer bleuPool.Put(sc)
+	}
 	if len(cand) == 0 || len(ref) == 0 {
 		return 0
 	}
-	// Intern tokens to dense ids once so n-gram counting below hashes
-	// small fixed-size arrays instead of joining strings.
-	ids := make(map[string]int32, len(cand)+len(ref))
-	candIDs := internTokens(cand, ids)
-	refIDs := internTokens(ref, ids)
-	overlap := ngramOverlap
-	if len(ids) >= 0xFFFF {
-		overlap = ngramOverlapWide
+	// Intern tokens to dense ids once so n-gram counting below compares
+	// packed integers instead of strings.
+	clear(sc.ids)
+	sc.cand = internTokens(sc.cand[:0], cand, sc.ids)
+	sc.ref = internTokens(sc.ref[:0], ref, sc.ids)
+	// Past 2^16-1 distinct tokens 16-bit packing would collide.
+	wide := len(sc.ids) >= 0xFFFF
+	if !wide {
+		sc.ckey = gramKeys(sc.ckey[:0], sc.cand)
+		sc.rkey = gramKeys(sc.rkey[:0], sc.ref)
 	}
 	const maxN = 4
 	logSum := 0.0
 	for n := 1; n <= maxN; n++ {
-		match, total := overlap(candIDs, refIDs, n)
+		var match, total int
+		if wide {
+			match, total = ngramOverlapWide(sc.cand, sc.ref, n)
+		} else {
+			match, total = prefixOverlap(sc.ckey, sc.rkey, n), max(len(cand)-n+1, 0)
+		}
 		// +1 smoothing for n>1 per standard practice
 		var p float64
 		if n == 1 {
@@ -114,49 +148,61 @@ func BLEURef(candidate string, reference RefTokens) float64 {
 	return bleu
 }
 
-// internTokens maps tokens to dense ids (extending the shared table)
-// so n-grams compare by integer instead of string content.
-func internTokens(toks []string, ids map[string]int32) []int32 {
-	out := make([]int32, len(toks))
-	for i, t := range toks {
+// internTokens appends toks' dense ids to out, extending the shared
+// table, so n-grams compare by integer instead of string content.
+func internTokens(out []int32, toks []string, ids map[string]int32) []int32 {
+	for _, t := range toks {
 		id, ok := ids[t]
 		if !ok {
 			id = int32(len(ids))
 			ids[t] = id
 		}
-		out[i] = id
+		out = append(out, id)
 	}
 	return out
 }
 
-// ngram packs tokens i..i+n-1 into one uint64 key, 16 bits per token
-// with ids shifted by one so zero-padding cannot collide with id 0.
-// Callers guarantee ids fit 16 bits (ngramOverlap checks).
-func ngram(xs []int32, i, n int) uint64 {
-	var k uint64
-	for j := 0; j < n; j++ {
-		k = k<<16 | uint64(xs[i+j]+1)
+// gramKeys appends one key per position of xs, sorted: the four
+// tokens from that position packed 16 bits each, first token highest,
+// ids shifted by one so that zero marks a token past the end. Sorting
+// the keys sorts every position's n-gram, for each n at once, since an
+// n-gram is the key's top n fields. Callers guarantee ids fit 16 bits.
+func gramKeys(out []uint64, xs []int32) []uint64 {
+	for i := range xs {
+		var k uint64
+		for j := i; j < i+4; j++ {
+			k <<= 16
+			if j < len(xs) {
+				k |= uint64(xs[j] + 1)
+			}
+		}
+		out = append(out, k)
 	}
-	return k
+	slices.Sort(out)
+	return out
 }
 
-func ngramOverlap(cand, ref []int32, n int) (match, total int) {
-	if len(cand) < n {
-		return 0, 0
-	}
-	refCounts := make(map[uint64]int, len(ref))
-	for i := 0; i+n <= len(ref); i++ {
-		refCounts[ngram(ref, i, n)]++
-	}
-	for i := 0; i+n <= len(cand); i++ {
-		total++
-		key := ngram(cand, i, n)
-		if refCounts[key] > 0 {
-			refCounts[key]--
+// prefixOverlap counts the candidate n-grams the reference can match:
+// a merge of the two sorted key lists on their top n fields, skipping
+// positions with fewer than n tokens left, adds min(candidate count,
+// reference count) per n-gram, which is what greedily striking each
+// candidate n-gram off a reference tally gives.
+func prefixOverlap(cand, ref []uint64, n int) (match int) {
+	shift := 16 * (4 - n)
+	for i, j := 0, 0; i < len(cand) && j < len(ref); {
+		c, r := cand[i]>>shift, ref[j]>>shift
+		switch {
+		case c&0xFFFF == 0 || c < r:
+			i++
+		case r&0xFFFF == 0 || c > r:
+			j++
+		default:
 			match++
+			i++
+			j++
 		}
 	}
-	return match, total
+	return match
 }
 
 // ngramOverlapWide is the fallback for inputs with ≥ 2^16-1 distinct
@@ -277,41 +323,8 @@ func (h Histogram) Render() string {
 		lo := h.Lo + float64(i)*step
 		hi := lo + step
 		bar := strings.Repeat("#", c*40/maxC)
-		b.WriteString(strings.TrimRight(
-			padLeft(formatRange(lo, hi), 14)+" |"+bar+" "+itoa(c), " ") + "\n")
+		row := fmt.Sprintf("%14s |%s %d", fmt.Sprintf("%d-%d", int(lo), int(hi)), bar, c)
+		b.WriteString(strings.TrimRight(row, " ") + "\n")
 	}
 	return b.String()
-}
-
-func formatRange(lo, hi float64) string {
-	return itoa(int(lo)) + "-" + itoa(int(hi))
-}
-
-func padLeft(s string, w int) string {
-	for len(s) < w {
-		s = " " + s
-	}
-	return s
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }

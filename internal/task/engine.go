@@ -29,8 +29,9 @@ type Request struct {
 	// NoCache detaches it).
 	Options engine.Config `json:"options,omitzero"`
 	// Progress, when non-nil, receives one Event per completed
-	// evaluation job. Events are delivered from the run's collector
-	// goroutine: calls are serialized and must not block for long.
+	// evaluation job. Events are delivered from the engine's workers
+	// under one lock: calls are serialized, arrive in completion order,
+	// and must not block for long.
 	Progress func(Event) `json:"-"`
 	// Trace, when non-nil, turns tracing on for a partial (shard) run:
 	// RunPartial records spans into a fresh recorder and ships them on
@@ -193,8 +194,9 @@ func (e *Engine) prepare(req Request) (*Spec, Params, *engine.Engine, error) {
 // execute runs a prepared task's grids with progress streaming and
 // stat-delta accounting — the shared body of Run and RunPartial.
 func (e *Engine) execute(ctx context.Context, spec *Spec, p Params, eng *engine.Engine, progress func(Event)) ([]GridGroup, Stats, error) {
-	// jobs is only touched from each grid's collector goroutine, and
-	// grids within one run execute sequentially, so no lock is needed.
+	// jobs is only touched from observer calls, which each grid
+	// serializes under one lock, and grids within one run execute
+	// sequentially, so no lock of its own is needed.
 	jobs := 0
 	observer := func(group string) engine.Observer {
 		return func(pr engine.Progress) {
