@@ -75,12 +75,14 @@ bench:
 # the checked-in tables; a 3-sample Table 2 pins a run whose default
 # cut-offs exceed its sample count. Table 3's stderr counters at one
 # worker (equivalence-cache hits and misses, formal-backend and
-# prefilter work) are deterministic, so the last diff shows any change
-# in memo traffic.
+# prefilter work) are deterministic, so that diff shows any change in
+# memo traffic; Table 5's one-worker counters (formal-backend and
+# prefilter work) pin the model checker's solver work the same way.
 regenerate:
 	$(GO) run ./cmd/fveval -all | diff -u cmd/fveval/testdata/all.txt -
 	$(GO) run ./cmd/fveval -table 2 -samples 3 -limit 4 | diff -u cmd/fveval/testdata/table2_samples3.txt -
 	$(GO) run ./cmd/fveval -table 3 -workers 1 2>&1 >/dev/null | grep -E '^(equiv cache|formal backend|sim prefilter):' | diff -u cmd/fveval/testdata/table3_counters.txt -
+	$(GO) run ./cmd/fveval -table 5 -workers 1 2>&1 >/dev/null | grep -E '^(equiv cache|formal backend|sim prefilter):' | diff -u cmd/fveval/testdata/table5_counters.txt -
 
 lint:
 	@unformatted="$$(gofmt -l .)"; \
