@@ -53,41 +53,43 @@ const (
 	lFalse
 )
 
-func (b lbool) neg() lbool {
-	switch b {
-	case lTrue:
-		return lFalse
-	case lFalse:
-		return lTrue
-	}
-	return lUndef
-}
+// cref addresses a clause in the solver's arena: the offset of its
+// header word. Offset 0 is never a header, so cref 0 means no clause.
+type cref uint32
 
-type clause struct {
-	lits     []Lit
-	learnt   bool
-	activity float64
-}
+// Arena layout (MiniSat's ClauseAllocator, minus the pointers): every
+// clause is a header word, size<<2 | learnt<<1 | deleted, followed by
+// its literals; a learnt clause is preceded by one more word, the index
+// of its activity in Solver.clauseAct. Watchers, reasons and the clause
+// lists hold offsets, so the garbage collector never scans the clause
+// database.
+const (
+	hdrDeleted = 1
+	hdrLearnt  = 2
+)
 
 type watcher struct {
-	c       *clause
+	c       cref
 	blocker Lit // if blocker is true, the clause is satisfied
 }
 
 // Solver is a CDCL SAT solver. The zero value is not usable; construct
 // with New.
 type Solver struct {
-	nVars    int
-	clauses  []*clause
-	learnts  []*clause
-	watches  [][]watcher // indexed by literal
-	assigns  []lbool     // indexed by var (1-based; index 0 unused)
-	phase    []bool      // saved phase per var
-	level    []int       // decision level per var
-	reason   []*clause   // antecedent clause per var
-	trail    []Lit
-	trailLim []int // trail index per decision level
-	qhead    int
+	nVars     int
+	arena     []Lit     // every clause, addressed by cref
+	clauseAct []float64 // learnt-clause activity, indexed from the arena
+	wasted    int       // arena words held by deleted clauses
+	clauses   []cref
+	learnts   []cref
+	watches   [][]watcher // indexed by literal
+	vals      []lbool     // indexed by literal: the literal's value
+	phase     []bool      // saved phase per var
+	level     []int       // decision level per var
+	reason    []cref      // antecedent clause per var
+	trail     []Lit
+	trailLim  []int // trail index per decision level
+	qhead     int
 
 	activity []float64
 	varInc   float64
@@ -96,6 +98,9 @@ type Solver struct {
 	claInc float64
 
 	seen       []bool
+	learnt     []Lit // analyze's scratch: the clause being learnt...
+	toClear    []Lit // ...the variables it marked seen...
+	stack      []Lit // ...and litRedundant's work stack
 	conflicts  int64
 	decisions  int64
 	propsCount int64
@@ -131,11 +136,13 @@ func New() *Solver {
 		ok:     true,
 	}
 	s.order = newVarHeap(&s.activity)
-	// index 0 of per-var slices is unused (vars are 1-based)
-	s.assigns = append(s.assigns, lUndef)
+	// index 0 of per-var slices is unused (vars are 1-based), as are
+	// literal slots 0 and 1 and arena offset 0
+	s.arena = append(s.arena, 0)
+	s.vals = append(s.vals, lUndef, lUndef)
 	s.phase = append(s.phase, false)
 	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
+	s.reason = append(s.reason, 0)
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
 	s.watches = append(s.watches, nil, nil)
@@ -146,10 +153,10 @@ func New() *Solver {
 func (s *Solver) NewVar() int {
 	s.nVars++
 	v := s.nVars
-	s.assigns = append(s.assigns, lUndef)
+	s.vals = append(s.vals, lUndef, lUndef)
 	s.phase = append(s.phase, false)
 	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
+	s.reason = append(s.reason, 0)
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
 	s.watches = append(s.watches, nil, nil)
@@ -177,15 +184,34 @@ func (s *Solver) Stats() Stats {
 	}
 }
 
-func (s *Solver) valueLit(l Lit) lbool {
-	v := s.assigns[l.Var()]
-	if v == lUndef {
-		return lUndef
+func (s *Solver) valueLit(l Lit) lbool { return s.vals[l] }
+
+// lits returns clause c's literals, aliasing the arena: valid until
+// the next clause is allocated.
+func (s *Solver) lits(c cref) []Lit {
+	n := cref(s.arena[c] >> 2)
+	return s.arena[c+1 : c+1+n : c+1+n]
+}
+
+func (s *Solver) isLearnt(c cref) bool { return s.arena[c]&hdrLearnt != 0 }
+
+func (s *Solver) deleted(c cref) bool { return s.arena[c]&hdrDeleted != 0 }
+
+// act points at learnt clause c's activity.
+func (s *Solver) act(c cref) *float64 { return &s.clauseAct[s.arena[c-1]] }
+
+// alloc appends a clause to the arena and returns its offset.
+func (s *Solver) alloc(lits []Lit, learnt bool) cref {
+	hdr := Lit(len(lits) << 2)
+	if learnt {
+		s.arena = append(s.arena, Lit(len(s.clauseAct)))
+		s.clauseAct = append(s.clauseAct, 0)
+		hdr |= hdrLearnt
 	}
-	if l.Neg() {
-		return v.neg()
-	}
-	return v
+	c := cref(len(s.arena))
+	s.arena = append(s.arena, hdr)
+	s.arena = append(s.arena, lits...)
+	return c
 }
 
 // AddClause adds a clause (a disjunction of literals). It returns false
@@ -235,33 +261,31 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		s.ok = false
 		return false
 	case 1:
-		s.uncheckedEnqueue(out[0], nil)
-		if s.propagate() != nil {
+		s.uncheckedEnqueue(out[0], 0)
+		if s.propagate() != 0 {
 			s.ok = false
 			return false
 		}
 		return true
 	}
-	c := &clause{lits: append([]Lit(nil), out...)}
+	c := s.alloc(out, false)
 	s.clauses = append(s.clauses, c)
 	s.attach(c)
 	return true
 }
 
-func (s *Solver) attach(c *clause) {
+func (s *Solver) attach(c cref) {
 	// watch the first two literals
-	w0, w1 := c.lits[0], c.lits[1]
+	lits := s.lits(c)
+	w0, w1 := lits[0], lits[1]
 	s.watches[w0.Not()] = append(s.watches[w0.Not()], watcher{c, w1})
 	s.watches[w1.Not()] = append(s.watches[w1.Not()], watcher{c, w0})
 }
 
-func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
+func (s *Solver) uncheckedEnqueue(l Lit, from cref) {
 	v := l.Var()
-	if l.Neg() {
-		s.assigns[v] = lFalse
-	} else {
-		s.assigns[v] = lTrue
-	}
+	s.vals[l] = lTrue
+	s.vals[l.Not()] = lFalse
 	s.level[v] = s.decisionLevel()
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
@@ -270,42 +294,44 @@ func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
 // propagate performs unit propagation; returns a conflicting clause or
-// nil.
-func (s *Solver) propagate() *clause {
+// 0.
+func (s *Solver) propagate() cref {
+	vals := s.vals
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.propsCount++
 		ws := s.watches[p]
 		kept := ws[:0]
-		var confl *clause
+		var confl cref
+		falseLit := p.Not()
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
-			if confl != nil {
+			if confl != 0 {
 				kept = append(kept, ws[i:]...)
 				break
 			}
-			if s.valueLit(w.blocker) == lTrue {
+			if vals[w.blocker] == lTrue {
 				kept = append(kept, w)
 				continue
 			}
 			c := w.c
-			// ensure c.lits[0] is the other watched literal
-			falseLit := p.Not()
-			if c.lits[0] == falseLit {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			lits := s.lits(c)
+			// ensure lits[0] is the other watched literal
+			if lits[0] == falseLit {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
-			first := c.lits[0]
-			if first != w.blocker && s.valueLit(first) == lTrue {
+			first := lits[0]
+			if first != w.blocker && vals[first] == lTrue {
 				kept = append(kept, watcher{c, first})
 				continue
 			}
 			// search replacement watch
 			found := false
-			for k := 2; k < len(c.lits); k++ {
-				if s.valueLit(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{c, first})
+			for k := 2; k < len(lits); k++ {
+				if vals[lits[k]] != lFalse {
+					lits[1], lits[k] = lits[k], lits[1]
+					s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{c, first})
 					found = true
 					break
 				}
@@ -315,7 +341,7 @@ func (s *Solver) propagate() *clause {
 			}
 			// clause is unit or conflicting
 			kept = append(kept, watcher{c, first})
-			if s.valueLit(first) == lFalse {
+			if vals[first] == lFalse {
 				confl = c
 				s.qhead = len(s.trail)
 				continue
@@ -323,29 +349,30 @@ func (s *Solver) propagate() *clause {
 			s.uncheckedEnqueue(first, c)
 		}
 		s.watches[p] = kept
-		if confl != nil {
+		if confl != 0 {
 			return confl
 		}
 	}
-	return nil
+	return 0
 }
 
 // analyze computes a first-UIP learnt clause and the backtrack level.
-func (s *Solver) analyze(confl *clause) ([]Lit, int) {
-	learnt := []Lit{0} // slot 0 reserved for the asserting literal
+// The clause is the solver's scratch, valid until the next analyze.
+func (s *Solver) analyze(confl cref) ([]Lit, int) {
+	learnt := append(s.learnt[:0], 0) // slot 0 reserved for the asserting literal
 	pathC := 0
 	var p Lit = -1
 	idx := len(s.trail) - 1
 
 	for {
-		if confl.learnt {
+		if s.isLearnt(confl) {
 			s.bumpClause(confl)
 		}
 		start := 0
 		if p != -1 {
 			start = 1
 		}
-		for _, q := range confl.lits[start:] {
+		for _, q := range s.lits(confl)[start:] {
 			v := q.Var()
 			if !s.seen[v] && s.level[v] > 0 {
 				s.seen[v] = true
@@ -378,7 +405,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 	// literals dropped by minimization and variables marked inside
 	// litRedundant — must be cleared before returning, or the next
 	// analysis round sees stale flags and miscounts paths.
-	toClear := append([]Lit(nil), learnt...)
+	toClear := append(s.toClear[:0], learnt...)
 	abstract := 0
 	for _, l := range learnt[1:] {
 		abstract |= 1 << (uint(s.level[l.Var()]) & 31)
@@ -386,7 +413,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 	j := 1
 	for i := 1; i < len(learnt); i++ {
 		l := learnt[i]
-		if s.reason[l.Var()] == nil || !s.litRedundant(l, abstract, &toClear) {
+		if s.reason[l.Var()] == 0 || !s.litRedundant(l, abstract, &toClear) {
 			learnt[j] = l
 			j++
 		}
@@ -408,6 +435,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 	for _, l := range toClear {
 		s.seen[l.Var()] = false
 	}
+	s.learnt, s.toClear = learnt, toClear
 	return out, btLevel
 }
 
@@ -415,13 +443,13 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 // learnt-clause literals (standard clause minimization). Variables it
 // marks seen are recorded in toClear for the caller to reset.
 func (s *Solver) litRedundant(l Lit, abstract int, toClear *[]Lit) bool {
-	stack := []Lit{l}
+	s.stack = append(s.stack[:0], l)
 	top := len(*toClear)
-	for len(stack) > 0 {
-		p := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	for len(s.stack) > 0 {
+		p := s.stack[len(s.stack)-1]
+		s.stack = s.stack[:len(s.stack)-1]
 		c := s.reason[p.Var()]
-		if c == nil {
+		if c == 0 {
 			// Roll back marks made during this call only.
 			for _, q := range (*toClear)[top:] {
 				s.seen[q.Var()] = false
@@ -429,12 +457,12 @@ func (s *Solver) litRedundant(l Lit, abstract int, toClear *[]Lit) bool {
 			*toClear = (*toClear)[:top]
 			return false
 		}
-		for _, q := range c.lits[1:] {
+		for _, q := range s.lits(c)[1:] {
 			v := q.Var()
 			if s.seen[v] || s.level[v] == 0 {
 				continue
 			}
-			if s.reason[v] == nil || (1<<(uint(s.level[v])&31))&abstract == 0 {
+			if s.reason[v] == 0 || (1<<(uint(s.level[v])&31))&abstract == 0 {
 				for _, qq := range (*toClear)[top:] {
 					s.seen[qq.Var()] = false
 				}
@@ -443,7 +471,7 @@ func (s *Solver) litRedundant(l Lit, abstract int, toClear *[]Lit) bool {
 			}
 			s.seen[v] = true
 			*toClear = append(*toClear, q)
-			stack = append(stack, q)
+			s.stack = append(s.stack, q)
 		}
 	}
 	return true
@@ -455,10 +483,11 @@ func (s *Solver) backtrack(level int) {
 	}
 	bound := s.trailLim[level]
 	for i := len(s.trail) - 1; i >= bound; i-- {
-		v := s.trail[i].Var()
-		s.phase[v] = s.assigns[v] == lTrue
-		s.assigns[v] = lUndef
-		s.reason[v] = nil
+		l := s.trail[i]
+		v := l.Var()
+		s.phase[v] = s.vals[2*v] == lTrue
+		s.vals[l], s.vals[l.Not()] = lUndef, lUndef
+		s.reason[v] = 0
 		if !s.order.inHeap(v) {
 			s.order.push(v)
 		}
@@ -481,11 +510,12 @@ func (s *Solver) bumpVar(v int) {
 	}
 }
 
-func (s *Solver) bumpClause(c *clause) {
-	c.activity += s.claInc
-	if c.activity > 1e20 {
-		for _, cl := range s.learnts {
-			cl.activity *= 1e-20
+func (s *Solver) bumpClause(c cref) {
+	a := s.act(c)
+	*a += s.claInc
+	if *a > 1e20 {
+		for i := range s.clauseAct {
+			s.clauseAct[i] *= 1e-20
 		}
 		s.claInc *= 1e-20
 	}
@@ -494,7 +524,7 @@ func (s *Solver) bumpClause(c *clause) {
 func (s *Solver) pickBranchVar() int {
 	for s.order.size() > 0 {
 		v := s.order.pop()
-		if s.assigns[v] == lUndef {
+		if s.vals[2*v] == lUndef {
 			return v
 		}
 	}
@@ -509,19 +539,21 @@ func (s *Solver) reduceDB() {
 	// partial selection: simple threshold at median via nth-element-ish pass
 	acts := make([]float64, len(s.learnts))
 	for i, c := range s.learnts {
-		acts[i] = c.activity
+		acts[i] = *s.act(c)
 	}
 	med := quickMedian(acts)
 	kept := s.learnts[:0]
-	removed := map[*clause]bool{}
+	removed := 0
 	for _, c := range s.learnts {
-		if len(c.lits) <= 2 || c.activity >= med || s.locked(c) {
+		if len(s.lits(c)) <= 2 || *s.act(c) >= med || s.locked(c) {
 			kept = append(kept, c)
 		} else {
-			removed[c] = true
+			s.arena[c] |= hdrDeleted
+			s.wasted += len(s.lits(c)) + 2
+			removed++
 		}
 	}
-	if len(removed) == 0 {
+	if removed == 0 {
 		return
 	}
 	s.learnts = kept
@@ -529,17 +561,60 @@ func (s *Solver) reduceDB() {
 		ws := s.watches[li]
 		out := ws[:0]
 		for _, w := range ws {
-			if !removed[w.c] {
+			if !s.deleted(w.c) {
 				out = append(out, w)
 			}
 		}
 		s.watches[li] = out
 	}
+	if 2*s.wasted > len(s.arena) {
+		s.compact()
+	}
 }
 
-func (s *Solver) locked(c *clause) bool {
-	return len(c.lits) > 0 && s.reason[c.lits[0].Var()] == c &&
-		s.valueLit(c.lits[0]) == lTrue
+// compact moves the live clauses into a fresh arena, in clause-list
+// order, and rewrites every offset that names one. Watch lists keep
+// their order, so propagation visits clauses exactly as before.
+func (s *Solver) compact() {
+	to := make([]Lit, 1, len(s.arena)-s.wasted)
+	act := make([]float64, 0, len(s.learnts))
+	// move copies c and leaves its new offset in its old first literal,
+	// marking the old header deleted.
+	move := func(c cref) cref {
+		if s.isLearnt(c) {
+			to = append(to, Lit(len(act)))
+			act = append(act, *s.act(c))
+		}
+		nc := cref(len(to))
+		to = append(to, s.arena[c])
+		to = append(to, s.lits(c)...)
+		s.arena[c] |= hdrDeleted
+		s.arena[c+1] = Lit(nc)
+		return nc
+	}
+	for i, c := range s.clauses {
+		s.clauses[i] = move(c)
+	}
+	for i, c := range s.learnts {
+		s.learnts[i] = move(c)
+	}
+	moved := func(c cref) cref { return cref(s.arena[c+1]) }
+	for _, ws := range s.watches {
+		for i := range ws {
+			ws[i].c = moved(ws[i].c)
+		}
+	}
+	for v, c := range s.reason {
+		if c != 0 {
+			s.reason[v] = moved(c)
+		}
+	}
+	s.arena, s.clauseAct, s.wasted = to, act, 0
+}
+
+func (s *Solver) locked(c cref) bool {
+	first := s.lits(c)[0]
+	return s.reason[first.Var()] == c && s.vals[first] == lTrue
 }
 
 func quickMedian(a []float64) float64 {
@@ -606,7 +681,7 @@ func (s *Solver) search(maxConfl int64, assumptions []Lit, learntCap *int) (sat 
 	conflC := int64(0)
 	for {
 		confl := s.propagate()
-		if confl != nil {
+		if confl != 0 {
 			s.conflicts++
 			conflC++
 			if s.decisionLevel() == 0 {
@@ -616,9 +691,9 @@ func (s *Solver) search(maxConfl int64, assumptions []Lit, learntCap *int) (sat 
 			learnt, btLevel := s.analyze(confl)
 			s.backtrack(btLevel)
 			if len(learnt) == 1 {
-				s.uncheckedEnqueue(learnt[0], nil)
+				s.uncheckedEnqueue(learnt[0], 0)
 			} else {
-				c := &clause{lits: learnt, learnt: true}
+				c := s.alloc(learnt, true)
 				s.learnts = append(s.learnts, c)
 				s.attach(c)
 				s.bumpClause(c)
@@ -660,7 +735,7 @@ func (s *Solver) search(maxConfl int64, assumptions []Lit, learntCap *int) (sat 
 			next = NewLit(v, !s.phase[v])
 		}
 		s.trailLim = append(s.trailLim, len(s.trail))
-		s.uncheckedEnqueue(next, nil)
+		s.uncheckedEnqueue(next, 0)
 	}
 }
 
@@ -669,14 +744,14 @@ func (s *Solver) search(maxConfl int64, assumptions []Lit, learntCap *int) (sat 
 // root, values persist only for root-level implied variables, so Solve
 // copies the model — see Model.
 func (s *Solver) Value(v int) bool {
-	return s.assigns[v] == lTrue
+	return s.vals[2*v] == lTrue
 }
 
 // Model captures the satisfying assignment (index 0 unused).
 func (s *Solver) Model() []bool {
 	m := make([]bool, s.nVars+1)
 	for v := 1; v <= s.nVars; v++ {
-		m[v] = s.assigns[v] == lTrue
+		m[v] = s.vals[2*v] == lTrue
 	}
 	return m
 }
