@@ -11,7 +11,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"fveval/internal/dataset/human"
 	"fveval/internal/equiv"
@@ -182,14 +181,13 @@ func LoadMachine(count int) []*MachineInstance {
 }
 
 // ResetMemos clears the process-wide judgment memos (reference BLEU
-// tokens, candidate parses, design parses). Benchmarks call it so
+// tokens, candidate parses). Benchmarks call it so
 // each table measures a cold run — and so one benchmark's retained
 // ASTs don't inflate the next one's GC mark phase; a long-lived
 // service may call it to shed memory.
 func ResetMemos() {
 	refBLEU.Clear()
 	candParses.Clear()
-	designParses.Clear()
 }
 
 // refBLEU memoizes each reference assertion's BLEU tokens by
@@ -264,72 +262,20 @@ func JudgeTranslation(id, response string, ref *sva.Assertion, sigs *equiv.Sigs,
 	return out
 }
 
-// designParses memoizes the design half of the Design2SVA parse: one
-// design is judged against dozens of candidate snippets, and only the
-// testbench half changes between them. A runner judges one design's
-// candidates together, so the memo only needs to span the designs in
-// flight: it clears at 16 entries, keeping a run's parsed designs from
-// accumulating in the live heap.
-var designParses = memo.New[string, designParse](16)
-
-// designParse is a design's parse on its own; f is nil when the design
-// does not parse without its bench.
-type designParse struct {
-	f       *rtl.File
-	defines map[string]string
-}
-
-// parseDesignBench parses design followed by bench with snippet
-// spliced in — rtl.Parse(design+"\n"+bench') — from the memoized
-// design half: the bench half is parsed with the design's macros in
-// scope. It parses the whole file instead whenever the split could
-// expand a macro differently: the design does not parse on its own
-// (say, it uses a macro only the bench defines), the bench redefines
-// one of the design's macros, or the snippet carries a directive.
-func parseDesignBench(design, bench, snippet string) (*rtl.File, error) {
-	bench = insertBeforeEndmodule(bench, snippet)
-	if strings.Contains(snippet, "`") {
-		return rtl.Parse(design + "\n" + bench)
-	}
-	d, _ := designParses.Get(design, func() designParse {
-		f, defines, err := rtl.ParseAfter(design, nil)
-		if err != nil {
-			return designParse{}
-		}
-		return designParse{f, defines}
-	})
-	if d.f == nil {
-		return rtl.Parse(design + "\n" + bench)
-	}
-	bf, own, err := rtl.ParseAfter(bench, d.defines)
-	for k, v := range own {
-		if dv, ok := d.defines[k]; ok && dv != v {
-			return rtl.Parse(design + "\n" + bench)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	f := &rtl.File{Modules: make([]*rtl.Module, 0, len(d.f.Modules)+len(bf.Modules))}
-	f.Modules = append(append(f.Modules, d.f.Modules...), bf.Modules...)
-	return f, nil
-}
-
 // JudgeDesign re-formats the testbench with the model's snippet,
 // elaborates the bound DUT+testbench system, and model-checks the
 // assertion — the paper's Design2SVA evaluation flow. The checker
 // options (budget, depths, stats sink) pass through to the model
-// checker; a non-nil design context shares its session pair with the
-// other checks judged through it (one instance row's candidates), nil
-// means a fresh pair per assertion. Verdicts are identical either way.
-func JudgeDesign(inst *rtlgen.Instance, snippet string, opt mc.Options, design *mc.Design) (syntaxOK, proven bool) {
-	psp := opt.Span.Child("parse").SetPhase(obs.PhaseParse)
-	f, err := parseDesignBench(inst.Design, inst.Bench, snippet)
-	if err != nil {
-		psp.SetBool("ok", false).End()
-		return false, false
+// checker. A non-nil row context (NewDesignRow(inst)) shares its
+// elaborated base and its session pair with the other candidates
+// judged through it; nil means a context of this candidate's own.
+// Verdicts are identical either way.
+func JudgeDesign(inst *rtlgen.Instance, snippet string, opt mc.Options, row *DesignRow) (syntaxOK, proven bool) {
+	if row == nil {
+		row = NewDesignRow(inst)
 	}
-	sys, err := rtl.ElaborateBound(f, inst.DUTTop, inst.BenchTop, nil)
+	psp := opt.Span.Child("parse").SetPhase(obs.PhaseParse)
+	sys, err := row.system(snippet)
 	if err != nil {
 		psp.SetBool("ok", false).End()
 		return false, false
@@ -350,7 +296,7 @@ func JudgeDesign(inst *rtlgen.Instance, snippet string, opt mc.Options, design *
 	syntaxOK = true
 	proven = true
 	for _, a := range sys.Asserts {
-		res, err := design.CheckAssertion(sys, a, opt)
+		res, err := row.mc.CheckAssertion(sys, a, opt)
 		if err != nil {
 			return false, false // elaboration error inside the property
 		}
@@ -359,13 +305,4 @@ func JudgeDesign(inst *rtlgen.Instance, snippet string, opt mc.Options, design *
 		}
 	}
 	return syntaxOK, proven
-}
-
-// insertBeforeEndmodule splices a snippet into the testbench body.
-func insertBeforeEndmodule(bench, snippet string) string {
-	idx := strings.LastIndex(bench, "endmodule")
-	if idx < 0 {
-		return bench + "\n" + snippet
-	}
-	return bench[:idx] + "\n" + snippet + "\n" + bench[idx:]
 }

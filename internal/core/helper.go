@@ -8,7 +8,6 @@ import (
 	"fveval/internal/helpergen"
 	"fveval/internal/llm"
 	"fveval/internal/mc"
-	"fveval/internal/rtl"
 	"fveval/internal/sva"
 )
 
@@ -59,23 +58,22 @@ func parseHelperSet(code string) ([]*sva.Assertion, bool) {
 //	unlocked — the target, unprovable alone by construction, is
 //	           proved with the candidate helpers assumed.
 //
-// A non-nil design context shares its session pair with the other
-// helper sets judged through it, as in JudgeDesign; nil means a fresh
-// pair for this set.
-func JudgeHelper(inst *helpergen.Instance, snippet string, opt mc.Options, design *mc.Design) (syntaxOK, valid, unlocked bool) {
+// A non-nil row context (NewHelperRow(inst)) shares its elaborated
+// system and its session pair with the other helper sets judged
+// through it, as in JudgeDesign; nil means a context of this set's own.
+func JudgeHelper(inst *helpergen.Instance, snippet string, opt mc.Options, row *DesignRow) (syntaxOK, valid, unlocked bool) {
 	helpers, ok := parseHelperSet(snippet)
 	if !ok {
 		return false, false, false
 	}
-	f, err := parseDesignBench(inst.Design, inst.Bench, inst.Target)
+	if row == nil {
+		row = NewHelperRow(inst)
+	}
+	sys, err := row.system("")
 	if err != nil {
 		return false, false, false
 	}
-	sys, err := rtl.ElaborateBound(f, inst.DUTTop, inst.BenchTop, nil)
-	if err != nil {
-		return false, false, false
-	}
-	res, lemmas, err := design.CheckWithLemmas(sys, inst.TargetAst, helpers, opt)
+	res, lemmas, err := row.mc.CheckWithLemmas(sys, inst.TargetAst, helpers, opt)
 	if err != nil {
 		// elaboration error inside a property (undeclared signals etc.)
 		// counts against the syntax metric, like the other judges

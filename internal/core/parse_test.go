@@ -16,7 +16,7 @@ import (
 // modules.
 func sameParse(t *testing.T, id, design, bench, snippet string) {
 	t.Helper()
-	got, gerr := parseDesignBench(design, bench, snippet)
+	got, gerr := parseDesignHalf(design).parse(design, bench, snippet)
 	want, werr := rtl.Parse(design + "\n" + insertBeforeEndmodule(bench, snippet))
 	if (gerr != nil) != (werr != nil) {
 		t.Fatalf("%s: split parse error %v, whole-file parse error %v\n%s", id, gerr, werr, snippet)
@@ -27,11 +27,9 @@ func sameParse(t *testing.T, id, design, bench, snippet string) {
 }
 
 // TestSplitParseMatchesWholeFile runs every Design2SVA and AGR
-// instance with every distinct proxy candidate through the memoized
-// split parse.
+// instance with every distinct proxy candidate through the split
+// parse.
 func TestSplitParseMatchesWholeFile(t *testing.T) {
-	ResetMemos()
-	defer ResetMemos()
 	candidates := func(models []llm.Model, p *llm.Prompt) map[string]bool {
 		out := map[string]bool{}
 		for _, m := range models {
@@ -58,8 +56,6 @@ func TestSplitParseMatchesWholeFile(t *testing.T) {
 // TestSplitParseFallsBack covers the cases where parsing the design on
 // its own would expand a macro differently from the whole file.
 func TestSplitParseFallsBack(t *testing.T) {
-	ResetMemos()
-	defer ResetMemos()
 	inst := rtlgen.Sweep96("pipeline")[0]
 	a := "assert property (@(posedge clk) 1'b1);"
 	sameParse(t, "plain", inst.Design, inst.Bench, a)

@@ -9,14 +9,13 @@ import (
 	"fveval/internal/helpergen"
 	"fveval/internal/llm"
 	"fveval/internal/mc"
-	"fveval/internal/rtl"
 	"fveval/internal/sva"
 )
 
 // Row differentials: judging an instance row's candidates in row order
-// through one mc.Design (with the simulation prefilter and a shared
+// through one DesignRow (with the simulation prefilter and a shared
 // pattern bank, as the engine runs them) must give every check the
-// verdict a fresh check gives it.
+// verdict a fresh check of the whole-file system gives it.
 
 const rowSamples = 5
 
@@ -56,22 +55,22 @@ func TestDesignRowsMatchFreshChecks(t *testing.T) {
 		insts := rtlgen.Sweep96(kind)
 		for i := 0; i < len(insts); i += rowStride() {
 			inst := insts[i]
-			design, opt := mc.NewDesign(), sharedOptions()
+			row, opt := NewDesignRow(inst), sharedOptions()
 			for _, code := range rowResponses(models, llm.BuildDesignPrompt(inst)) {
-				f, err := parseDesignBench(inst.Design, inst.Bench, code)
+				sys, err := row.system(code)
 				if err != nil {
 					continue
 				}
-				sys, err := rtl.ElaborateBound(f, inst.DUTTop, inst.BenchTop, nil)
+				whole, err := row.wholeFile(code)
 				if err != nil {
-					continue
+					t.Fatalf("%s: the overlay elaborates, the whole file fails: %v\n%s", inst.ID, err, code)
 				}
-				for _, a := range sys.Asserts {
+				for i, a := range sys.Asserts {
 					if sva.Validate(a) != nil {
 						continue
 					}
-					got, gotErr := design.CheckAssertion(sys, a, opt)
-					want, wantErr := mc.CheckAssertion(sys, a, mc.Options{})
+					got, gotErr := row.mc.CheckAssertion(sys, a, opt)
+					want, wantErr := mc.CheckAssertion(whole, whole.Asserts[i], mc.Options{})
 					checks++
 					if (gotErr == nil) != (wantErr == nil) {
 						t.Fatalf("%s %s: shared error %v, fresh error %v", inst.ID, a, gotErr, wantErr)
@@ -94,22 +93,22 @@ func TestHelperRowsMatchFreshChecks(t *testing.T) {
 	models := llm.Models()
 	checks := 0
 	for _, inst := range helpergen.Sweep() {
-		design, opt := mc.NewDesign(), sharedOptions()
+		row, opt := NewHelperRow(inst), sharedOptions()
 		for _, code := range rowResponses(models, llm.BuildHelperPrompt(inst)) {
 			helpers, ok := parseHelperSet(code)
 			if !ok {
 				continue
 			}
-			f, err := parseDesignBench(inst.Design, inst.Bench, inst.Target)
+			sys, err := row.system("")
 			if err != nil {
 				t.Fatal(err)
 			}
-			sys, err := rtl.ElaborateBound(f, inst.DUTTop, inst.BenchTop, nil)
+			whole, err := row.wholeFile("")
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, gotLemmas, gotErr := design.CheckWithLemmas(sys, inst.TargetAst, helpers, opt)
-			want, wantLemmas, wantErr := mc.CheckWithLemmas(sys, inst.TargetAst, helpers, mc.Options{})
+			got, gotLemmas, gotErr := row.mc.CheckWithLemmas(sys, inst.TargetAst, helpers, opt)
+			want, wantLemmas, wantErr := mc.CheckWithLemmas(whole, inst.TargetAst, helpers, mc.Options{})
 			checks++
 			if (gotErr == nil) != (wantErr == nil) {
 				t.Fatalf("%s: shared error %v, fresh error %v", inst.ID, gotErr, wantErr)

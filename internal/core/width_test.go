@@ -53,13 +53,13 @@ func TestWideVectorsAreElabFailures(t *testing.T) {
 		"logic [999:0][999:0] w; assign w = 0;",
 	} {
 		start := time.Now()
-		f, err := parseDesignBench(inst.Design, inst.Bench, snippet)
-		if err != nil {
-			t.Fatalf("%s: parse: %v", snippet, err)
-		}
+		row := NewDesignRow(inst)
 		var ee *rtl.ElabError
-		if _, err := rtl.ElaborateBound(f, inst.DUTTop, inst.BenchTop, nil); !errors.As(err, &ee) {
-			t.Fatalf("%s: elaboration returned %v, want an elaboration error", snippet, err)
+		if _, err := row.system(snippet); !errors.As(err, &ee) {
+			t.Fatalf("%s: overlay elaboration returned %v, want an elaboration error", snippet, err)
+		}
+		if _, err := row.wholeFile(snippet); !errors.As(err, &ee) {
+			t.Fatalf("%s: whole-file elaboration returned %v, want an elaboration error", snippet, err)
 		}
 		if d := time.Since(start); d > time.Second {
 			t.Fatalf("%s took %v", snippet, d)
@@ -98,11 +98,11 @@ func TestClog2OfHugeConstantsTerminates(t *testing.T) {
 
 	inst := rtlgen.Sweep96("pipeline")[0]
 	within("Design2SVA snippet", func() error {
-		f, err := parseDesignBench(inst.Design, inst.Bench, clog2Snippet)
-		if err != nil {
+		row := NewDesignRow(inst)
+		if _, err := row.system(clog2Snippet); err != nil {
 			return err
 		}
-		_, err = rtl.ElaborateBound(f, inst.DUTTop, inst.BenchTop, nil)
+		_, err := row.wholeFile(clog2Snippet)
 		return err
 	})
 }
@@ -111,10 +111,12 @@ func TestClog2OfHugeConstantsTerminates(t *testing.T) {
 const clog2Snippet = "logic [$clog2(64'hFFFFFFFFFFFFFFFF):0] w;"
 
 // FuzzDesignSnippet splices arbitrary snippet text into a Design2SVA
-// testbench and parses and elaborates the bound system, the front half
-// of the Design2SVA judge. Property: no panic and no runaway; an input
+// testbench and elaborates the bound system both ways a row can, the
+// front half of the Design2SVA judge: on an overlay of the row's base
+// and from the whole file. Properties: no panic, no runaway (an input
 // that stalls elaboration stalls the run, which then stops executing
-// inputs.
+// inputs), and the overlay agrees with the whole file on the verdict
+// and, when both elaborate, on the canonical system dump.
 func FuzzDesignSnippet(f *testing.F) {
 	designs := append(rtlgen.Sweep96("pipeline")[:2], rtlgen.Sweep96("fsm")[:2]...)
 	for i, inst := range designs {
@@ -131,10 +133,6 @@ func FuzzDesignSnippet(f *testing.F) {
 	f.Add(uint8(3), clog2Snippet)
 	f.Fuzz(func(t *testing.T, idx uint8, snippet string) {
 		inst := designs[int(idx)%len(designs)]
-		fl, err := parseDesignBench(inst.Design, inst.Bench, snippet)
-		if err != nil {
-			return
-		}
-		rtl.ElaborateBound(fl, inst.DUTTop, inst.BenchTop, nil) //nolint:errcheck
+		checkOverlay(t, inst.ID, NewDesignRow(inst), snippet)
 	})
 }

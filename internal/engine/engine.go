@@ -600,14 +600,14 @@ func (e *Engine) DesignGrid(ctx context.Context, models []llm.Model, kind string
 	outs, err := e.runGrid(ctx, names(models), len(kept), n, func(i int) evalFunc {
 		inst := kept[i]
 		prompt := llm.BuildDesignPrompt(inst)
-		// One model-checking context per row: the row's candidates share
-		// its session pair, and it dies with the row.
-		design := mc.NewDesign()
+		// One judging context per row: the row's candidates share its
+		// elaborated base and its session pair, and it dies with the row.
+		row := core.NewDesignRow(inst)
 		return func(jctx context.Context, j job) core.Outcome {
 			resp := generate(jctx, models[j.model], prompt, j.sample)
 			code := llm.ExtractCode(resp)
 			c := judged(jctx, e.st.design, e.memoKey(kind, inst.ID, code), func() designCell {
-				syn, prov := judgeDesign(inst, code, e.mcOptions(jctx), design)
+				syn, prov := judgeDesign(inst, code, e.mcOptions(jctx), row)
 				return designCell{syntax: syn, proven: prov}
 			})
 			return core.Outcome{InstanceID: inst.ID, Response: code, Syntax: c.syntax, Full: c.proven}

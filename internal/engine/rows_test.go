@@ -27,13 +27,13 @@ func TestRowsJudgeEachSnippetOnce(t *testing.T) {
 	}
 	design, helper := judgeDesign, judgeHelper
 	t.Cleanup(func() { judgeDesign, judgeHelper = design, helper })
-	judgeDesign = func(inst *rtlgen.Instance, code string, opt mc.Options, d *mc.Design) (bool, bool) {
+	judgeDesign = func(inst *rtlgen.Instance, code string, opt mc.Options, row *core.DesignRow) (bool, bool) {
 		count(inst.ID, code)
-		return design(inst, code, opt, d)
+		return design(inst, code, opt, row)
 	}
-	judgeHelper = func(inst *helpergen.Instance, code string, opt mc.Options, d *mc.Design) (bool, bool, bool) {
+	judgeHelper = func(inst *helpergen.Instance, code string, opt mc.Options, row *core.DesignRow) (bool, bool, bool) {
 		count(inst.ID, code)
-		return helper(inst, code, opt, d)
+		return helper(inst, code, opt, row)
 	}
 
 	models := llm.DesignModels()

@@ -1,8 +1,6 @@
 package mc
 
 import (
-	"strconv"
-	"strings"
 	"time"
 
 	"fveval/internal/bitvec"
@@ -23,17 +21,16 @@ import (
 // activation literal: its stimulus-assumption instances, assumed-lemma
 // instances and induction good-attempt constraints are asserted under
 // it and retired when the check ends, so every query sees exactly the
-// constraints a fresh session would assert. A check whose transition
-// fingerprint differs from the live pair's, or cannot be computed,
-// opens a fresh pair.
+// constraints a fresh session would assert. The pair serves the
+// systems of one base (rtl.System.Base): the base itself and its
+// overlays, which share its inputs, registers and nets. A check on a
+// system of another base opens a fresh pair.
 //
 // A nil *Design checks in a fresh pair that dies with the check. A
 // Design is not safe for concurrent use: give each goroutine its own,
 // and let it die with the design it served.
 type Design struct {
-	sys        *rtl.System     // system of the last check...
-	fp         string          // ...its transition fingerprint ("" = none)...
-	cone       map[string]bool // ...and the names the fingerprint covers
+	sys        *rtl.System // system of the last check
 	base, step *safetySession
 }
 
@@ -41,23 +38,20 @@ type Design struct {
 // first check.
 func NewDesign() *Design { return &Design{} }
 
-// sessions returns the session pair for sys: the live pair when sys is
-// the last check's system or has its transition relation, a fresh pair
-// otherwise. The pair's frame environments are rebound to sys.
+// sessions returns the session pair for sys: the live pair when sys
+// has the last check's base, a fresh pair otherwise. The pair's frame
+// environments are rebound to sys.
 func (c *Design) sessions(sys *rtl.System) (base, step *safetySession) {
-	if sys != c.sys {
-		fp, cone := fingerprint(sys)
-		if fp == "" || fp != c.fp {
-			c.base, c.step = nil, nil
-		}
-		c.sys, c.fp, c.cone = sys, fp, cone
+	if c.sys == nil || sys.Base() != c.sys.Base() {
+		c.base, c.step = nil, nil
 	}
+	c.sys = sys
 	if c.base == nil {
 		c.base = newSafetySession(sys, false)
 		c.step = newSafetySession(sys, true)
 	}
-	c.base.rebind(sys, c.cone)
-	c.step.rebind(sys, c.cone)
+	c.base.rebind(sys)
+	c.step.rebind(sys)
 	return c.base, c.step
 }
 
@@ -224,8 +218,8 @@ func newSafetySession(sys *rtl.System, freeInit bool) *safetySession {
 // rebind points the session at sys (see frameEnv.rebind); the lasso
 // evaluators, whose memos hang off the expression evaluator, restart
 // with it.
-func (ss *safetySession) rebind(sys *rtl.System, cone map[string]bool) {
-	if ss.fe.rebind(sys, cone) {
+func (ss *safetySession) rebind(sys *rtl.System) {
+	if ss.fe.rebind(sys) {
 		ss.family = ltl.NewLassoFamily(ss.fe.ev)
 	}
 }
@@ -530,151 +524,4 @@ func (ss *safetySession) frameColumns(n int) []formal.Column {
 	}
 	ss.cols = cols
 	return cols
-}
-
-// fingerprint serializes everything unrolling sys's registers reads:
-// each register's width, reset value and next-state expression, every
-// identifier those expressions reach — transitively through net
-// definitions — with all the ways frameEnv and the expression evaluator
-// may resolve it (declared width, input, register, constant, net), and
-// every free input's name and width. Two systems with equal
-// fingerprints unroll to the same frames over the same input vectors.
-// cone holds the identifiers covered; a net outside it may differ
-// between such systems. "" means an expression kind the serializer
-// does not know; such systems share no session.
-func fingerprint(sys *rtl.System) (fp string, cone map[string]bool) {
-	w := fpWriter{seen: map[string]bool{}, ok: true}
-	for _, in := range sys.Inputs {
-		w.str("in", in.Name)
-		w.num(int64(sys.Widths[in.Name]))
-	}
-	for _, r := range sys.Regs {
-		w.str("reg", r.Name)
-		w.num(int64(r.Width))
-		w.unum(r.Init)
-		w.expr(r.Next)
-	}
-	// w.names grows as net definitions reference further names.
-	for i := 0; i < len(w.names); i++ {
-		name := w.names[i]
-		w.str("sig", name)
-		width, declared := sys.Widths[name]
-		_, isReg := sys.RegByName(name)
-		c, isConst := sys.Consts[name]
-		w.flag(declared)
-		w.num(int64(width))
-		w.flag(sys.IsInput(name))
-		w.flag(isReg)
-		w.flag(isConst)
-		w.unum(c.Value)
-		w.num(int64(c.Width))
-		if net, ok := sys.NetByName(name); ok {
-			w.str("net", "")
-			w.num(int64(net.Width))
-			w.expr(net.Expr)
-		}
-	}
-	if !w.ok {
-		return "", nil
-	}
-	return w.b.String(), w.seen
-}
-
-type fpWriter struct {
-	b     strings.Builder
-	names []string // identifiers in first-reference order
-	seen  map[string]bool
-	ok    bool
-	buf   []byte
-}
-
-func (w *fpWriter) str(tag, s string) {
-	w.b.WriteString(tag)
-	w.b.WriteByte(':')
-	w.buf = strconv.AppendQuote(w.buf[:0], s)
-	w.b.Write(w.buf)
-	w.b.WriteByte(' ')
-}
-
-func (w *fpWriter) num(n int64) {
-	w.buf = strconv.AppendInt(w.buf[:0], n, 10)
-	w.b.Write(w.buf)
-	w.b.WriteByte(' ')
-}
-
-func (w *fpWriter) unum(n uint64) {
-	w.buf = strconv.AppendUint(w.buf[:0], n, 10)
-	w.b.Write(w.buf)
-	w.b.WriteByte(' ')
-}
-
-func (w *fpWriter) flag(v bool) {
-	if v {
-		w.b.WriteString("1 ")
-	} else {
-		w.b.WriteString("0 ")
-	}
-}
-
-// expr writes e in prefix form: a tag, the node's own fields, then its
-// children, so distinct trees never serialize alike.
-func (w *fpWriter) expr(e sva.Expr) {
-	switch v := e.(type) {
-	case nil:
-		w.b.WriteString("nil ")
-	case *sva.Ident:
-		w.str("id", v.Name)
-		if !w.seen[v.Name] {
-			w.seen[v.Name] = true
-			w.names = append(w.names, v.Name)
-		}
-	case *sva.Num:
-		w.str("num", v.Text)
-		w.unum(v.Value)
-		w.num(int64(v.Width))
-		w.flag(v.Fill)
-	case *sva.Unary:
-		w.str("un", v.Op)
-		w.expr(v.X)
-	case *sva.Binary:
-		w.str("bin", v.Op)
-		w.expr(v.X)
-		w.expr(v.Y)
-	case *sva.Cond:
-		w.b.WriteString("cond ")
-		w.expr(v.C)
-		w.expr(v.T)
-		w.expr(v.E)
-	case *sva.Call:
-		w.str("call", v.Name)
-		w.num(int64(len(v.Args)))
-		for _, a := range v.Args {
-			w.expr(a)
-		}
-	case *sva.Concat:
-		w.b.WriteString("cat ")
-		w.num(int64(len(v.Parts)))
-		for _, p := range v.Parts {
-			w.expr(p)
-		}
-	case *sva.Repl:
-		w.b.WriteString("repl ")
-		w.expr(v.Count)
-		w.expr(v.Value)
-	case *sva.Index:
-		w.b.WriteString("idx ")
-		w.expr(v.X)
-		w.expr(v.Idx)
-	case *sva.Select:
-		w.b.WriteString("sel ")
-		w.expr(v.X)
-		w.expr(v.Hi)
-		w.expr(v.Lo)
-	case *sva.WidthCast:
-		w.b.WriteString("cast ")
-		w.num(int64(v.W))
-		w.expr(v.X)
-	default:
-		w.ok = false
-	}
 }

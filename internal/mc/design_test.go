@@ -1,7 +1,6 @@
 package mc
 
 import (
-	"strings"
 	"testing"
 
 	"fveval/internal/formal"
@@ -85,19 +84,38 @@ func TestDesignAssumptionWindow(t *testing.T) {
 	}
 }
 
-// TestDesignHelperNetCollision checks two systems with one transition
-// relation whose benches define the helper net probe differently. Each
-// check must see its own definition: the first probe reaches 2'b11, the
+// TestDesignHelperNetCollision checks two overlays of one base whose
+// snippets define the helper net probe differently. They share the
+// base's transition relation, and so a session pair, yet each check
+// must see its own definition: the first probe reaches 2'b11, the
 // second never does.
 func TestDesignHelperNetCollision(t *testing.T) {
-	withProbe := func(def string) *rtl.System {
-		return elabTop(t, strings.Replace(fsmSrc, "endmodule", "wire [1:0] probe;\nassign probe = "+def+";\nendmodule", 1), "fsm")
+	f, err := rtl.Parse(fsmSrc + `
+module fsm_tb(clk, reset_, in_A, in_B, fsm_out);
+input clk;
+input reset_;
+input [7:0] in_A;
+input [7:0] in_B;
+input [1:0] fsm_out;
+endmodule
+`)
+	if err != nil {
+		t.Fatal(err)
 	}
-	direct, masked := withProbe("state"), withProbe("{1'b0, state[0]}")
-	if fpD, _ := fingerprint(direct); fpD == "" {
-		t.Fatal("fsm system has no fingerprint")
-	} else if fpM, _ := fingerprint(masked); fpM != fpD {
-		t.Fatal("helper net changed the transition fingerprint; the test would not share a session")
+	base, err := rtl.ElaborateBase(f, "fsm", "fsm_tb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	withProbe := func(def string) *rtl.System {
+		sys, err := base.Overlay("wire [1:0] probe;\nassign probe = " + def + ";")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	direct, masked := withProbe("fsm_out"), withProbe("{1'b0, fsm_out[0]}")
+	if direct.Base() != base.System() || masked.Base() != base.System() {
+		t.Fatal("the probes are not overlays of one base; the test would not share a session")
 	}
 	a := parseA(t, `assert property (@(posedge clk) probe != 2'b11);`)
 	for _, order := range [][]*rtl.System{{direct, masked}, {masked, direct}} {

@@ -137,6 +137,7 @@ type frameEnv struct {
 	inputs map[sigPos]bitvec.BV
 	states map[sigPos]bitvec.BV
 	nets   map[sigPos]bitvec.BV
+	own    []sigPos // cached nets of sys's own, not of its base
 	busy   map[sigPos]bool
 	frames int // register frames built (frame 0 by initFrame0)
 }
@@ -194,25 +195,24 @@ func (fe *frameEnv) unroll(n int) error {
 	return nil
 }
 
-// rebind points the environment at sys, a system with the same
-// transition fingerprint as the one it was unrolling (DESIGN.md §7),
-// and reports whether sys is a different system. Registers, inputs and
-// the nets inside the fingerprint's cone resolve identically under
-// both; cached nets outside it are dropped, so a helper net the new
-// system defines differently is evaluated afresh. The expression memos
-// go too: they are keyed by expression identity, and two systems may
-// share an expression (one parsed assertion checked against both)
-// whose value differs between them.
-func (fe *frameEnv) rebind(sys *rtl.System, cone map[string]bool) bool {
+// rebind points the environment at sys, a system with the same base as
+// the one it was unrolling (DESIGN.md §7), and reports whether sys is
+// a different system. Registers, inputs and the base's nets resolve
+// identically under both; cached nets of the old system's own are
+// dropped, so a helper net the new system defines differently is
+// evaluated afresh. The expression memos go too: they are keyed by
+// expression identity, and two systems may share an expression (one
+// parsed assertion checked against both) whose value differs between
+// them.
+func (fe *frameEnv) rebind(sys *rtl.System) bool {
 	if fe.sys == sys {
 		return false
 	}
 	fe.sys = sys
-	for key := range fe.nets {
-		if !cone[key.name] {
-			delete(fe.nets, key)
-		}
+	for _, key := range fe.own {
+		delete(fe.nets, key)
 	}
+	fe.own = fe.own[:0]
 	fe.ev = &ltl.ExprEval{Ops: fe.ev.Ops, Env: fe}
 	return true
 }
@@ -251,6 +251,9 @@ func (fe *frameEnv) Signal(name string, pos int) (bitvec.BV, error) {
 		}
 		v = v.Extend(net.Width)
 		fe.nets[key] = v
+		if _, shared := fe.sys.Base().NetByName(name); !shared {
+			fe.own = append(fe.own, key)
+		}
 		return v, nil
 	}
 	return bitvec.BV{}, &ltl.ElabError{Reason: fmt.Sprintf("undeclared identifier %q", name)}

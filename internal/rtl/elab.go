@@ -50,6 +50,20 @@ type System struct {
 	netIdx map[string]int
 	regIdx map[string]int
 	inIdx  map[string]int
+	// base is the system this one overlays (Base.Overlay); nil for a
+	// system elaborated from a whole file.
+	base *System
+}
+
+// Base returns the system s overlays, or s itself when s was
+// elaborated from a whole file. An overlay shares its base's inputs,
+// registers (with their reset values), constants and nets, so both
+// unroll to the same transition relation; it may add nets of its own.
+func (s *System) Base() *System {
+	if s.base != nil {
+		return s.base
+	}
+	return s
 }
 
 // NetByName returns the net definition, if any.
@@ -116,7 +130,8 @@ func Elaborate(f *File, top string, overrides map[string]uint64) (*System, error
 	if err := e.module(m, "", overrides, true); err != nil {
 		return nil, err
 	}
-	return e.finish(top)
+	sys, _, err := e.finish(top)
+	return sys, err
 }
 
 // ElaborateBound elaborates a design-under-test and a testbench module
@@ -126,6 +141,17 @@ func Elaborate(f *File, top string, overrides map[string]uint64) (*System, error
 // the Design2SVA evaluation topology: the testbench must not touch DUT
 // internals, and references to undeclared names fail elaboration.
 func ElaborateBound(f *File, dutTop, tbTop string, overrides map[string]uint64) (*System, error) {
+	e, err := bindBench(f, dutTop, tbTop, overrides)
+	if err != nil {
+		return nil, err
+	}
+	sys, _, err := e.finish(tbTop)
+	return sys, err
+}
+
+// bindBench elaborates the DUT and the testbench items of
+// ElaborateBound, leaving the elaboration state ready for finish.
+func bindBench(f *File, dutTop, tbTop string, overrides map[string]uint64) (*elab, error) {
 	dut := f.Module(dutTop)
 	if dut == nil {
 		return nil, errf("design module %q not found", dutTop)
@@ -154,7 +180,7 @@ func ElaborateBound(f *File, dutTop, tbTop string, overrides map[string]uint64) 
 	if err := e.module(tb, "", overrides, true); err != nil {
 		return nil, err
 	}
-	return e.finish(tbTop)
+	return e, nil
 }
 
 func portDirections(m *Module) (map[string]string, error) {
@@ -210,6 +236,10 @@ type elab struct {
 
 	bindPorts map[string]string // port alias map for ElaborateBound
 	bindDirs  map[string]string
+
+	// fragRanges records, per multiply fragmented signal, the net of
+	// each fragment (set by finish).
+	fragRanges map[string][]fragRef
 
 	regCount int
 }
@@ -1155,8 +1185,9 @@ func (e *elab) holdExpr(k fragKey, seq bool) sva.Expr {
 }
 
 // finish assembles fragments into net definitions and builds the
-// System.
-func (e *elab) finish(top string) (*System, error) {
+// System. It also returns the signal values of each reset cycle
+// (computeInits).
+func (e *elab) finish(top string) (*System, []map[string]uint64, error) {
 	sys := &System{
 		Top:    top,
 		Inputs: e.inputs,
@@ -1166,26 +1197,48 @@ func (e *elab) finish(top string) (*System, error) {
 	// registers collected during elaboration
 	sys.Regs = e.regs
 
-	regNames := map[string]bool{}
-	for _, r := range sys.Regs {
-		regNames[r.Name] = true
-	}
-
-	var names []string
-	for n := range e.frags {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	// fragRanges records per-fragment net names so reads of a sub-range
 	// can bypass the whole-word concat (avoiding false word-level
 	// combinational loops, e.g. a pipeline bus whose high chunk feeds
 	// back from an instance driven by the low chunk).
-	fragRanges := map[string][]fragRef{}
+	e.fragRanges = map[string][]fragRef{}
+	if err := e.buildNets(sys, e.fragRanges); err != nil {
+		return nil, nil, err
+	}
+	// Rewrite in-fragment selects in every net and register expression.
+	if len(e.fragRanges) > 0 {
+		for i := range sys.Nets {
+			sys.Nets[i].Expr = rewriteFragReads(sys.Nets[i].Expr, e.fragRanges)
+		}
+		for i := range sys.Regs {
+			sys.Regs[i].Next = rewriteFragReads(sys.Regs[i].Next, e.fragRanges)
+		}
+	}
+	sys.Asserts = e.asserts
+	sys.Assumes = e.assumes
+	sys.Covers = e.covers
+	sys.index()
+	reset, err := computeInits(sys)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sys, reset, nil
+}
+
+// buildNets appends to sys one net per fragmented signal, in name order,
+// plus one per fragment of a multiply fragmented signal, whose ranges
+// it records in fragRanges.
+func (e *elab) buildNets(sys *System, fragRanges map[string][]fragRef) error {
+	names := make([]string, 0, len(e.frags))
+	for n := range e.frags {
+		names = append(names, n)
+	}
+	sort.Strings(names)
 	for _, name := range names {
 		frags := e.frags[name]
 		di := e.decls[name]
 		if di == nil {
-			return nil, errf("internal: fragment for undeclared %q", name)
+			return errf("internal: fragment for undeclared %q", name)
 		}
 		// single full-width register fragment: the register IS the
 		// signal; no net needed.
@@ -1201,7 +1254,7 @@ func (e *elab) finish(top string) (*System, error) {
 		cursor := 0
 		for _, f := range frags {
 			if f.lo < cursor {
-				return nil, errf("signal %s: bits [%d:%d] multiply driven", name, f.hi, f.lo)
+				return errf("signal %s: bits [%d:%d] multiply driven", name, f.hi, f.lo)
 			}
 			if f.lo > cursor {
 				parts = append(parts, numLit(0, f.lo-cursor))
@@ -1234,23 +1287,7 @@ func (e *elab) finish(top string) (*System, error) {
 		}
 		sys.Nets = append(sys.Nets, Net{Name: name, Width: di.width, Expr: expr})
 	}
-	// Rewrite in-fragment selects in every net and register expression.
-	if len(fragRanges) > 0 {
-		for i := range sys.Nets {
-			sys.Nets[i].Expr = rewriteFragReads(sys.Nets[i].Expr, fragRanges)
-		}
-		for i := range sys.Regs {
-			sys.Regs[i].Next = rewriteFragReads(sys.Regs[i].Next, fragRanges)
-		}
-	}
-	sys.Asserts = e.asserts
-	sys.Assumes = e.assumes
-	sys.Covers = e.covers
-	sys.index()
-	if err := computeInits(sys); err != nil {
-		return nil, err
-	}
-	return sys, nil
+	return nil
 }
 
 type fragRef struct {

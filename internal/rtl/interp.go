@@ -377,8 +377,10 @@ func (in *Interp) evalBinary(v *sva.Binary, vals map[string]uint64, busy map[str
 // computeInits determines register reset values by simulating reset:
 // all registers start at zero, reset-style inputs are driven active
 // (reset_ low per the benchmark convention, every other input zero),
-// and the design steps twice so latches settle.
-func computeInits(sys *System) error {
+// and the design steps twice so latches settle. It returns each
+// cycle's signal values; evaluating every net there is also where
+// combinational loops and reads of undriven names surface.
+func computeInits(sys *System) ([]map[string]uint64, error) {
 	in := &Interp{Sys: sys, Regs: map[string]uint64{}}
 	for _, r := range sys.Regs {
 		in.Regs[r.Name] = 0
@@ -387,13 +389,16 @@ func computeInits(sys *System) error {
 	for _, s := range sys.Inputs {
 		resetInputs[s.Name] = 0 // reset_ low = active
 	}
-	for i := 0; i < 2; i++ {
-		if _, err := in.Step(resetInputs); err != nil {
-			return err
+	cycles := make([]map[string]uint64, 2)
+	for i := range cycles {
+		vals, err := in.Step(resetInputs)
+		if err != nil {
+			return nil, err
 		}
+		cycles[i] = vals
 	}
 	for i := range sys.Regs {
 		sys.Regs[i].Init = in.Regs[sys.Regs[i].Name]
 	}
-	return nil
+	return cycles, nil
 }
