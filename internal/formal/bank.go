@@ -10,7 +10,10 @@
 
 package formal
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
 // Pattern is one concrete trace at the signal level: per-signal values
 // indexed by trace position. Signal-level storage is what makes
@@ -103,26 +106,33 @@ func (b *Bank) Len() int {
 	return len(b.pats)
 }
 
-// laneWords packs the first n patterns' value of (name, pos) into dst:
-// dst[i] receives bit i of each pattern's value in that pattern's
-// lane. One map lookup per pattern covers a whole signal, where a
-// per-bit helper would pay the lookup width × n times. Signals or
-// positions a pattern does not cover stay zero.
-func laneWords(pats []Pattern, n int, name string, pos int, dst []uint64) {
-	for i := range dst {
-		dst[i] = 0
+// signalRows sets rows[j] to the first n patterns' values of signal
+// name (nil where a pattern lacks it): one map lookup per pattern
+// serves every position of the signal.
+func signalRows(pats []Pattern, n int, name string, rows [][]uint64) [][]uint64 {
+	rows = rows[:0]
+	for _, p := range pats[:n] {
+		rows = append(rows, p.Vals[name])
 	}
-	for j := 0; j < n; j++ {
-		vals := pats[j].Vals[name]
+	return rows
+}
+
+// laneWords packs the patterns' values at pos (rows from signalRows)
+// into dst: dst[i] receives bit i of row j's value in lane j. Only the
+// set bits are visited. Positions a row does not cover stay zero.
+func laneWords(rows [][]uint64, pos int, dst []uint64) {
+	clear(dst)
+	for j, vals := range rows {
 		if pos >= len(vals) {
 			continue
 		}
-		v := vals[pos]
 		lane := uint64(1) << uint(j)
-		for i := range dst {
-			if i < 64 && v>>uint(i)&1 == 1 {
-				dst[i] |= lane
+		for v := vals[pos]; v != 0; v &= v - 1 {
+			i := bits.TrailingZeros64(v)
+			if i >= len(dst) {
+				break
 			}
+			dst[i] |= lane
 		}
 	}
 }

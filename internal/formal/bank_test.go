@@ -82,19 +82,36 @@ func TestLaneWords(t *testing.T) {
 		pat(2, "s", 0b01, 0b11), // lane 0
 		pat(1, "s", 0b10),       // lane 1 (no position 1)
 		pat(2, "t", 5, 6),       // lane 2 (no signal s)
+		pat(1, "s", 1<<63|0b11), // lane 3: beyond the 3 patterns loaded
+	}
+	rows := signalRows(pats, 3, "s", nil)
+	if len(rows) != 3 || rows[2] != nil {
+		t.Fatalf("rows=%v, want three with the last nil", rows)
 	}
 	dst := make([]uint64, 2)
-	laneWords(pats, 3, "s", 0, dst)
+	laneWords(rows, 0, dst)
 	if dst[0] != 0b001 || dst[1] != 0b010 {
 		t.Fatalf("pos 0: dst=%b,%b", dst[0], dst[1])
 	}
-	laneWords(pats, 3, "s", 1, dst)
+	laneWords(rows, 1, dst)
 	if dst[0] != 0b001 || dst[1] != 0b001 {
 		t.Fatalf("pos 1: dst=%b,%b", dst[0], dst[1])
 	}
-	laneWords(pats, 3, "missing", 0, dst)
+	laneWords(signalRows(pats, 3, "missing", rows), 0, dst)
 	if dst[0] != 0 || dst[1] != 0 {
 		t.Fatal("missing signal should zero the words")
+	}
+	// Bits past the column's width are dropped; a 64-bit column reads
+	// bit 63.
+	rows = signalRows(pats, 4, "s", rows)
+	laneWords(rows, 0, dst)
+	if dst[0] != 0b1001 || dst[1] != 0b1010 {
+		t.Fatalf("narrow column: dst=%b,%b", dst[0], dst[1])
+	}
+	wide := make([]uint64, 70)
+	laneWords(rows, 0, wide)
+	if wide[63] != 0b1000 || wide[64] != 0 {
+		t.Fatalf("wide column: bit 63 lanes %b, bit 64 lanes %b", wide[63], wide[64])
 	}
 }
 

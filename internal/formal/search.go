@@ -42,8 +42,10 @@ type Session struct {
 	CNF *logic.CNF
 
 	sim     *logic.Sim
+	dec     *logic.Sim // one-lane simulator that decodes SAT models
 	rng     uint64
-	scratch []uint64 // per-column lane-word buffer, reused across rounds
+	scratch []uint64   // per-column lane-word buffer, reused across rounds
+	rows    [][]uint64 // banked values of the column signal being loaded
 
 	// Builder hash hits and CNF nodes already reported by a closed
 	// check: two checks open at once share one delta.
@@ -223,6 +225,8 @@ func (ss *Session) load(cols []Column, banked []Pattern, bankLanes int, sweep bo
 	if bankLanes < 64 {
 		bankMask = 1<<uint(bankLanes) - 1
 	}
+	ss.rows = ss.rows[:0]
+	rowsOf := ""
 	for _, c := range cols {
 		if sweep && c.Init {
 			for i, bit := range c.Bits {
@@ -241,7 +245,12 @@ func (ss *Session) load(cols []Column, banked []Pattern, bankLanes int, sweep bo
 			ss.scratch = make([]uint64, len(c.Bits))
 		}
 		words := ss.scratch[:len(c.Bits)]
-		laneWords(banked, bankLanes, c.Name, c.Pos, words)
+		if len(ss.rows) == 0 || c.Name != rowsOf {
+			// Columns come signal by signal, so one lookup per pattern
+			// serves all of a signal's positions.
+			ss.rows, rowsOf = signalRows(banked, bankLanes, c.Name, ss.rows), c.Name
+		}
+		laneWords(ss.rows, c.Pos, words)
 		for i, bit := range c.Bits {
 			if bit.IsConst() {
 				continue
@@ -260,19 +269,24 @@ type Witness struct {
 }
 
 // Holds reports whether node n is true in the witness. A witness read
-// from a prefilter lane is valid only until the session's next Refute.
+// from a prefilter lane is valid only until the session's next Refute;
+// one decoded from a SAT model, until the session's next Decode.
 func (w Witness) Holds(n logic.Node) bool { return w.sim.Bit(n, w.lane) }
 
 // Decode reads a witness over cols, n positions long. With a nil
 // model it reads lane of the simulator as Refute left it; otherwise the
-// SAT model's input values are broadcast into a one-lane simulation,
-// which recomputes every derived node from them, and the pattern is
-// folded into the bank for later queries to replay.
+// SAT model's input values are broadcast into the session's one-lane
+// simulator, which recomputes every derived node from them, and the
+// pattern is folded into the bank for later queries to replay.
 func (ob *Obligation) Decode(lane int, model []bool, n int, cols []Column) Witness {
 	ss := ob.ss
 	sim := ss.sim
 	if model != nil {
-		sim, lane = logic.NewSim(ss.B), 0
+		if ss.dec == nil {
+			ss.dec = logic.NewSim(ss.B)
+		}
+		sim, lane = ss.dec, 0
+		sim.Reset()
 		for _, c := range cols {
 			for _, bit := range c.Bits {
 				if !bit.IsConst() && ss.B.IsInput(bit) && ss.CNF.InputValue(model, bit) != bit.Compl() {

@@ -13,7 +13,10 @@
 // Builder.Eval and the counterexample decoders.
 package logic
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Sim is a 64-lane bit-parallel evaluator over one Builder. The
 // builder may keep growing between runs: Run always evaluates the
@@ -27,12 +30,17 @@ type Sim struct {
 // NewSim creates an evaluator for the builder's circuit.
 func NewSim(b *Builder) *Sim { return &Sim{b: b} }
 
-// grow sizes the value slice to the builder's current node table.
+// grow sizes the value slice to the builder's current node table, in
+// at most one allocation. Words past the old length are zero: the
+// slice never shrinks, so nothing has written them.
 func (s *Sim) grow() {
 	if n := len(s.b.gates); len(s.vals) < n {
-		s.vals = append(s.vals, make([]uint64, n-len(s.vals))...)
+		s.vals = slices.Grow(s.vals, n-len(s.vals))[:n]
 	}
 }
+
+// Reset zeroes every input word, as in a new Sim.
+func (s *Sim) Reset() { clear(s.vals) }
 
 // SetInput assigns the 64-lane word of an input node (non-complemented
 // form). Inputs never assigned hold zero in every lane.

@@ -82,24 +82,35 @@ func expandMacros(toks []sv.Token, defines map[string]string) ([]sv.Token, error
 	if !slices.ContainsFunc(toks, func(t sv.Token) bool { return t.Kind == sv.Macro }) {
 		return toks, nil
 	}
-	var out []sv.Token
+	// Lex each macro's body once, sizing the output exactly.
+	bodies := map[string][]sv.Token{}
+	n := len(toks)
+	for _, t := range toks {
+		if t.Kind != sv.Macro {
+			continue
+		}
+		body, ok := bodies[t.Text]
+		if !ok {
+			def, ok := defines[t.Text]
+			if !ok {
+				return nil, fmt.Errorf("%v: undefined macro `%s", t.Pos, t.Text)
+			}
+			sub, err := sv.Tokenize(def)
+			if err != nil {
+				return nil, fmt.Errorf("%v: in macro `%s: %v", t.Pos, t.Text, err)
+			}
+			body = sub[:len(sub)-1] // drop EOF
+			bodies[t.Text] = body
+		}
+		n += len(body) - 1
+	}
+	out := make([]sv.Token, 0, n)
 	for _, t := range toks {
 		if t.Kind != sv.Macro {
 			out = append(out, t)
 			continue
 		}
-		def, ok := defines[t.Text]
-		if !ok {
-			return nil, fmt.Errorf("%v: undefined macro `%s", t.Pos, t.Text)
-		}
-		sub, err := sv.Tokenize(def)
-		if err != nil {
-			return nil, fmt.Errorf("%v: in macro `%s: %v", t.Pos, t.Text, err)
-		}
-		for _, st := range sub {
-			if st.Kind == sv.EOF {
-				break
-			}
+		for _, st := range bodies[t.Text] {
 			st.Pos = t.Pos
 			out = append(out, st)
 		}
