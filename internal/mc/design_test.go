@@ -114,7 +114,7 @@ endmodule
 		return sys
 	}
 	direct, masked := withProbe("fsm_out"), withProbe("{1'b0, fsm_out[0]}")
-	if direct.Base() != base.System() || masked.Base() != base.System() {
+	if direct.Base() == direct || direct.Base() != masked.Base() {
 		t.Fatal("the probes are not overlays of one base; the test would not share a session")
 	}
 	a := parseA(t, `assert property (@(posedge clk) probe != 2'b11);`)

@@ -238,7 +238,10 @@ type elab struct {
 	bindDirs  map[string]string
 
 	// fragRanges records, per multiply fragmented signal, the net of
-	// each fragment (set by finish).
+	// each fragment (set by finish), so reads of a sub-range can bypass
+	// the whole-word concat (avoiding false word-level combinational
+	// loops, e.g. a pipeline bus whose high chunk feeds back from an
+	// instance driven by the low chunk).
 	fragRanges map[string][]fragRef
 
 	regCount int
@@ -1197,10 +1200,6 @@ func (e *elab) finish(top string) (*System, []map[string]uint64, error) {
 	// registers collected during elaboration
 	sys.Regs = e.regs
 
-	// fragRanges records per-fragment net names so reads of a sub-range
-	// can bypass the whole-word concat (avoiding false word-level
-	// combinational loops, e.g. a pipeline bus whose high chunk feeds
-	// back from an instance driven by the low chunk).
 	e.fragRanges = map[string][]fragRef{}
 	if err := e.buildNets(sys, e.fragRanges); err != nil {
 		return nil, nil, err

@@ -37,9 +37,6 @@ func ElaborateBase(f *File, dutTop, tbTop string) (*Base, error) {
 	return &Base{sys: sys, e: e, reset: reset}, nil
 }
 
-// System returns the base system itself.
-func (b *Base) System() *System { return b.sys }
-
 // Overlay elaborates snippet as if it were spliced in after the
 // testbench's last item (the caller guarantees the splice point is a
 // clean item boundary of the testbench module) and returns the
@@ -150,10 +147,7 @@ func (b *Base) drives(lhs sva.Expr) bool {
 func (b *Base) addNets(sys *System, o *elab) error {
 	sys.Widths = o.widths
 	own := &System{Widths: o.widths}
-	fragRanges := b.e.fragRanges
-	if o.multiplyDriven() {
-		fragRanges = maps.Clone(fragRanges)
-	}
+	fragRanges := maps.Clone(b.e.fragRanges)
 	if err := o.buildNets(own, fragRanges); err != nil {
 		return err
 	}
@@ -181,17 +175,6 @@ func (b *Base) addNets(sys *System, o *elab) error {
 		}
 	}
 	return nil
-}
-
-// multiplyDriven reports whether some signal has several fragments, so
-// buildNets records new fragment ranges.
-func (e *elab) multiplyDriven() bool {
-	for _, frags := range e.frags {
-		if len(frags) > 1 {
-			return true
-		}
-	}
-	return false
 }
 
 // parseItems parses src as a sequence of module items.
