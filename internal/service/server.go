@@ -596,6 +596,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			}
 			close(rs.notify)
 			s.runs[id] = rs
+			evicted := s.evictLocked(nowMS)
 			s.mu.Unlock()
 			s.metrics.runsSubmitted.Add(1)
 			s.metrics.cacheHits.Add(1)
@@ -604,7 +605,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				Op: "finish", MS: nowMS, ID: id,
 				Status: api.StateDone, Cached: true, Run: run, Partial: partial,
 			})
-			s.evictAndPersist()
+			s.journalEvict(nowMS, evicted)
 			writeJSON(w, http.StatusOK, api.SubmitResponse{ID: id, Status: api.StateDone, Cached: true})
 			return
 		}
@@ -877,6 +878,10 @@ func (s *Server) finish(rs *runState, run *task.Run, partial *task.Partial, err 
 	}
 	nowMS := s.now().UnixMilli()
 
+	// Retention runs in the critical section that makes the run
+	// terminal, so a client that has seen this run finish is never
+	// served a run that this finish evicts.
+	s.mu.Lock()
 	rs.mu.Lock()
 	rs.rec.Status = status
 	rs.rec.Error = errMsg
@@ -888,10 +893,9 @@ func (s *Server) finish(rs *runState, run *task.Run, partial *task.Partial, err 
 	id, client, sub := rs.rec.ID, rs.rec.Client, rs.rec.Sub
 	close(rs.notify)
 	rs.mu.Unlock()
-
-	s.mu.Lock()
 	s.inflight--
 	s.release(client)
+	evicted := s.evictLocked(nowMS)
 	s.mu.Unlock()
 
 	s.metrics.finished(status)
@@ -904,14 +908,14 @@ func (s *Server) finish(rs *runState, run *task.Run, partial *task.Partial, err 
 		Op: "finish", MS: nowMS, ID: id,
 		Status: status, Error: errMsg, Run: run, Partial: partial,
 	})
-	s.evictAndPersist()
+	s.journalEvict(nowMS, evicted)
 }
 
-// evictAndPersist applies retention to terminal runs — oldest
+// evictLocked applies retention to terminal runs at nowMS — oldest
 // finish-time first beyond RetainRuns, plus anything older than
-// RetainAge — and journals the eviction.
-func (s *Server) evictAndPersist() {
-	nowMS := s.now().UnixMilli()
+// RetainAge — and returns the evicted IDs, sorted. Callers hold s.mu
+// and journal the eviction with journalEvict once they release it.
+func (s *Server) evictLocked(nowMS int64) []string {
 	var cutoffMS int64
 	if s.cfg.RetainAge > 0 {
 		cutoffMS = nowMS - s.cfg.RetainAge.Milliseconds()
@@ -921,7 +925,6 @@ func (s *Server) evictAndPersist() {
 		id string
 		ms int64
 	}
-	s.mu.Lock()
 	var terminal []finished
 	for id, rs := range s.runs {
 		rs.mu.Lock()
@@ -947,10 +950,13 @@ func (s *Server) evictAndPersist() {
 			evicted = append(evicted, f.id)
 		}
 	}
-	s.mu.Unlock()
+	sort.Strings(evicted)
+	return evicted
+}
 
+// journalEvict journals a batch eviction, if there was one.
+func (s *Server) journalEvict(nowMS int64, evicted []string) {
 	if len(evicted) > 0 {
-		sort.Strings(evicted)
 		s.journalAppend(&journalRecord{Op: "evict", MS: nowMS, IDs: evicted})
 	}
 }

@@ -193,11 +193,7 @@ func TestEvictionHonorsFinishTime(t *testing.T) {
 		close(rs.notify)
 		s.runs[id] = rs
 	}
-	s.mu.Unlock()
-
-	s.evictAndPersist()
-
-	s.mu.Lock()
+	s.evictLocked(0)
 	defer s.mu.Unlock()
 	if len(s.runs) != 2 {
 		t.Fatalf("retained %d runs, want 2", len(s.runs))
@@ -254,6 +250,66 @@ func TestRetainAgeEviction(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("young run evicted: status %d", resp.StatusCode)
+	}
+}
+
+// TestFinishEvictsBeforeTerminal drives finish directly under the
+// fake clock: run A finished two minutes before run B finishes, with a
+// one-minute RetainAge, so B's finish evicts A. A client that sees B
+// terminal must no longer be served A. The clock hook probes the store
+// at every clock read after B's finish begins — the points where the
+// store is unlocked — and records any moment at which B is terminal
+// while A is still stored.
+func TestFinishEvictsBeforeTerminal(t *testing.T) {
+	clock := &fakeClock{t: time.UnixMilli(1_700_000_000_000)}
+	var (
+		s          *Server
+		b          *runState
+		probes     int
+		staleSeen  bool
+		sub        = api.Submission{Request: task.Request{Task: "dataset-stats"}}
+		aID, bID   = "run-000001", "run-000002"
+		finishedMS = clock.t.UnixMilli()
+	)
+	s = newTestServer(t, Config{RetainRuns: 100, RetainAge: time.Minute, Now: func() time.Time {
+		if b != nil && s.mu.TryLock() {
+			if b.mu.TryLock() {
+				probes++
+				_, kept := s.runs[aID]
+				staleSeen = staleSeen || kept && api.Terminal(b.rec.Status)
+				b.mu.Unlock()
+			}
+			s.mu.Unlock()
+		}
+		return clock.now()
+	}})
+
+	a := &runState{rec: runRecord{ID: aID, Status: api.StateDone, FinishedMS: finishedMS, Sub: sub}, notify: make(chan struct{})}
+	close(a.notify)
+	running := &runState{rec: runRecord{ID: bID, Client: "c", Status: api.StateRunning, Sub: sub}, notify: make(chan struct{})}
+	s.mu.Lock()
+	s.runs[aID], s.runs[bID] = a, running
+	s.inflight++
+	s.clientLoad["c"]++
+	s.mu.Unlock()
+
+	clock.advance(2 * time.Minute)
+	b = running
+	s.finish(b, &task.Run{}, nil, nil)
+
+	if probes == 0 {
+		t.Fatal("finish never read the clock; the probe saw nothing")
+	}
+	if staleSeen {
+		t.Fatal("run B was terminal while the run its finish evicts was still served")
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.runs[aID] != nil {
+		t.Fatal("aged-out run A still stored after B's finish")
+	}
+	if s.runs[bID] == nil || s.runs[bID].rec.Status != api.StateDone {
+		t.Fatal("run B is not stored as done")
 	}
 }
 
