@@ -97,8 +97,8 @@ type Obligation struct {
 	conj    logic.Node
 	pending []logic.Node
 
-	solves, conflicts, learntKept, hashMark int64
-	encMark                                 int
+	solves, conflicts, props, learntKept, hashMark int64
+	encMark                                        int
 }
 
 // Open starts a check on the session.
@@ -145,8 +145,10 @@ func (ob *Obligation) Solve(name string, bound int, v logic.Node) (bool, []bool,
 		ob.learntKept += int64(pre.Learnt)
 	}
 	ok, model, err := s.SolveModel(assume...)
+	post := s.Stats()
 	ob.solves++
-	ob.conflicts += s.Stats().Conflicts - pre.Conflicts
+	ob.conflicts += post.Conflicts - pre.Conflicts
+	ob.props += post.Propagations - pre.Propagations
 	switch {
 	case err != nil:
 		sp.SetStr("verdict", "error")
@@ -158,6 +160,11 @@ func (ob *Obligation) Solve(name string, bound int, v logic.Node) (bool, []bool,
 	sp.End()
 	return ok, model, err
 }
+
+// Propagations reports the solver propagations of the check's Solve
+// calls so far: its search work, deterministic for a given session
+// history, unlike wall time.
+func (ob *Obligation) Propagations() int64 { return ob.props }
 
 // Refute simulates banked and random patterns over cols, looking for a
 // lane that satisfies v and the check's path constraints. Such a lane

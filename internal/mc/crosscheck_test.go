@@ -108,13 +108,30 @@ endmodule`, "sh"},
 					pin = ss.B.And(pin, ops.Eq(bv, bitvec.Const(trace[p][in.Name], in.Width)))
 				}
 			}
+			// Registers are built on demand: read every one at every
+			// frame, so the decode below covers each (register, frame).
+			for p := 0; p < frames; p++ {
+				for _, r := range sys.Regs {
+					if _, err := fe.Signal(r.Name, p); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
 			ok, model, err := ob.Solve("bmc", frames, pin)
 			if err != nil || !ok {
 				t.Fatalf("pinned trace must be satisfiable: %v %v", ok, err)
 			}
-			w := ob.Decode(0, model, frames, ss.frameColumns(frames))
+			cols := ss.frameColumns(frames)
+			decoded := map[sigPos]bool{}
+			for _, c := range cols {
+				decoded[sigPos{c.Name, c.Pos}] = true
+			}
+			w := ob.Decode(0, model, frames, cols)
 			for p := 0; p < frames; p++ {
 				for _, r := range sys.Regs {
+					if !decoded[sigPos{r.Name, p}] {
+						t.Fatalf("frame %d reg %s: not decoded", p, r.Name)
+					}
 					got := w.Vals[r.Name][p]
 					want := concrete[p][r.Name]
 					if got != want {
@@ -262,6 +279,58 @@ endmodule`, seed, seed-1, seed)
 		}
 		if res.Status != Proven {
 			t.Errorf("MaxInduction %d: S0 successors %v, want proven", k, res.Status)
+		}
+	}
+}
+
+// TestCexReportsOnlyBuiltPairs checks that a counterexample holds a
+// value only for what the checker built: registers are unrolled on
+// demand, and a (register, frame) pair outside every query's cone has
+// no entry rather than a zero. The 2-bit counter d reaches 3 at frame
+// 3; the chain registers a, b and c are outside its cone, so past
+// frame 1 (built for every register, to surface next-state errors)
+// they must not appear.
+func TestCexReportsOnlyBuiltPairs(t *testing.T) {
+	f, err := rtl.Parse(strings.Replace(chainSrc, "output reg c;", `output reg c;
+output reg [1:0] d;
+always @(posedge clk) begin
+  if (!reset_) d <= 2'd0;
+  else d <= d + 2'd1;
+end`, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := rtl.Elaborate(f, "chain", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	design := NewDesign()
+	res, err := design.CheckAssertion(sys, parseA(t, "assert property (@(posedge clk) d != 2'd3);"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != Falsified || res.Cex == nil || len(res.Cex.Frames) < 4 {
+		t.Fatalf("d != 3: %v at depth %d, want a counterexample of at least 4 frames", res.Status, res.Depth)
+	}
+	for p, frame := range res.Cex.Frames {
+		for name := range frame {
+			if _, isReg := sys.RegByName(name); !isReg {
+				continue
+			}
+			if _, built := design.base.fe.states[sigPos{name, p}]; !built {
+				t.Errorf("frame %d: the counterexample reports register %s, which was never built", p, name)
+			}
+		}
+	}
+	if got := res.Cex.Frames[3]["d"]; got != 3 {
+		t.Errorf("frame 3: d = %d, want 3", got)
+	}
+	for _, name := range []string{"a", "b", "c"} {
+		if _, ok := res.Cex.Frames[1][name]; !ok {
+			t.Errorf("frame 1: register %s missing; frame 1 is built for every register", name)
+		}
+		if v, ok := res.Cex.Frames[3][name]; ok {
+			t.Errorf("frame 3: register %s = %d reported outside the property's cone", name, v)
 		}
 	}
 }

@@ -32,6 +32,9 @@ import (
 type Design struct {
 	sys        *rtl.System // system of the last check
 	base, step *safetySession
+	// schedule runs a safety check's base and step obligations; nil
+	// means safety. Tests swap in a reference schedule.
+	schedule func(base, step *obligation, opt Options) (Result, bool, error)
 }
 
 // NewDesign returns an empty context; it builds nothing until the
@@ -127,7 +130,11 @@ func (c *Design) checkSafety(sys *rtl.System, f ltl.Formula, abort sva.Expr, ass
 	d := ltl.Depth(f)
 	base := baseSS.open(sys, f, abort, assumes, lemmas, d, opt)
 	step := stepSS.open(sys, f, abort, assumes, lemmas, d, opt)
-	res, early, err := safety(base, step, opt)
+	schedule := c.schedule
+	if schedule == nil {
+		schedule = safety
+	}
+	res, early, err := schedule(base, step, opt)
 	c.finish(opt, started, early, base, step)
 	return res, err
 }
@@ -148,16 +155,41 @@ func (c *Design) finish(opt Options, started time.Time, early bool, obls ...*obl
 }
 
 // safety interleaves BMC base cases with induction steps; early marks
-// a verdict reached before the last depth.
+// a verdict reached before the last depth. The verdict is the one a
+// lockstep schedule gives (base depth k, then step k, for k = 1, 2,
+// ...): before step k the base has checked depths 1..k in order, so
+// Proven at k still rests on a clean base up to k. Between steps the
+// base may run ahead, never past MaxInduction, while its solver work
+// in this check is below the step's (DESIGN.md §7, "Safety ramp"):
+// a shallow counterexample behind depths that fold to constant false
+// then ends the check before the step pays for hard, satisfiable
+// induction queries, and the base never spends more than the step
+// already has. A counterexample found ahead is the first one in depth
+// order, since every shallower depth was clean; the step cannot prove
+// below it (k-induction is sound). An error found ahead is held back
+// and returned only when the lockstep schedule would have reached its
+// depth, so a proof at a smaller k still wins.
 func safety(base, step *obligation, opt Options) (res Result, early bool, err error) {
+	next := 1      // next base depth to check; 1..next-1 are clean
+	var held error // base error at depth next, met running ahead
 	for k := 1; k <= opt.MaxInduction; k++ {
-		// Base: frames 0..k+d from reset; frontier attempt k-1.
-		cex, err := base.checkDepth(k)
-		if err != nil {
-			return Result{}, false, err
-		}
-		if cex != nil {
-			return Result{Status: Falsified, Depth: k, Cex: cex}, true, nil
+		for next <= k || held == nil && next <= opt.MaxInduction && base.Propagations() < step.Propagations() {
+			if held != nil {
+				return Result{}, false, held
+			}
+			// Base: frames 0..next+d from reset; frontier attempt next-1.
+			cex, err := base.checkDepth(next)
+			if err != nil && next > k {
+				held = err
+				break
+			}
+			if err != nil {
+				return Result{}, false, err
+			}
+			if cex != nil {
+				return Result{Status: Falsified, Depth: next, Cex: cex}, true, nil
+			}
+			next++
 		}
 		// Step: free initial state; no violation in 0..k-1, violation
 		// at k.
@@ -181,7 +213,7 @@ func safety(base, step *obligation, opt Options) (res Result, early bool, err er
 			return Result{}, false, err
 		}
 	}
-	for k := opt.MaxInduction + 1; k <= opt.BMCDepth; k++ {
+	for k := next; k <= opt.BMCDepth; k++ {
 		cex, err := base.checkDepth(k)
 		if err != nil {
 			return Result{}, false, err
@@ -306,19 +338,21 @@ func (ob *obligation) grow(n int) (*ltl.LassoEval, error) {
 // find looks for a trace from the session's initial frame satisfying v
 // under the check's path constraints — first among simulated patterns,
 // then with the solver (a span named span at bound) — and decodes it
-// over the check's frames. nil means none exists.
-func (ob *obligation) find(span string, bound int, v logic.Node) (*formal.Witness, error) {
+// over the check's frames, as a witness and as a finite Cex. nil means
+// none exists.
+func (ob *obligation) find(span string, bound int, v logic.Node) (*formal.Witness, *Cex, error) {
 	lane, hit := ob.Refute(v, bound, ob.inputColumns())
 	var model []bool
 	if !hit {
 		ok, m, err := ob.Solve(span, bound, v)
 		if err != nil || !ok {
-			return nil, err
+			return nil, nil, err
 		}
 		model = m
 	}
-	w := ob.Decode(lane, model, ob.bound, ob.ss.frameColumns(ob.bound))
-	return &w, nil
+	cols := ob.ss.frameColumns(ob.bound)
+	w := ob.Decode(lane, model, ob.bound, cols)
+	return &w, cexOf(w.Pattern, cols), nil
 }
 
 // checkDepth asks whether the attempt at position k-1 can be violated
@@ -335,11 +369,8 @@ func (ob *obligation) checkDepth(k int) (*Cex, error) {
 	if err != nil {
 		return nil, err
 	}
-	w, err := ob.find("bmc", k, v)
-	if w == nil {
-		return nil, err
-	}
-	return cexOf(w.Pattern, -1), nil
+	_, cex, err := ob.find("bmc", k, v)
+	return cex, err
 }
 
 // induct checks whether k consecutive good attempts from an arbitrary
@@ -398,15 +429,15 @@ func (ob *obligation) cover() (Result, error) {
 		}
 		hit = ob.ss.B.Or(hit, t)
 	}
-	w, err := ob.find("bmc", depth, hit)
+	_, cex, err := ob.find("bmc", depth, hit)
 	if err != nil {
 		return Result{}, err
 	}
-	if w == nil {
+	if cex == nil {
 		// not reachable within the bound
 		return Result{Status: Falsified, Bounded: true, Depth: depth}, nil
 	}
-	return Result{Status: Proven, Depth: depth, Cex: cexOf(w.Pattern, -1)}, nil
+	return Result{Status: Proven, Depth: depth, Cex: cex}, nil
 }
 
 // lasso searches for a lasso-shaped counterexample of k frames from
@@ -459,21 +490,20 @@ func (ob *obligation) lasso(k int) (Result, error) {
 		loops[l] = b.And(closure, viol)
 		total = b.Or(total, loops[l])
 	}
-	w, err := ob.find("lasso", k, total)
+	w, cex, err := ob.find("lasso", k, total)
 	if err != nil {
 		return Result{}, err
 	}
 	if w == nil {
 		return Result{Status: Proven, Bounded: true, Depth: k}, nil
 	}
-	loop := -1
 	for l, n := range loops {
 		if w.Holds(n) {
-			loop = l
+			cex.Loop = l
 			break
 		}
 	}
-	return Result{Status: Falsified, Depth: k, Cex: cexOf(w.Pattern, loop)}, nil
+	return Result{Status: Falsified, Depth: k, Cex: cex}, nil
 }
 
 // inputColumns lists what a prefilter round assigns: every free input
@@ -505,9 +535,9 @@ func (ob *obligation) inputColumns() []formal.Column {
 }
 
 // frameColumns lists what a counterexample reports: the free inputs
-// and the register states at every frame below n. The slice is the
-// session's column buffer, valid until the next inputColumns or
-// frameColumns.
+// and the register states built at each frame below n (frameEnv builds
+// registers on demand). The slice is the session's column buffer,
+// valid until the next inputColumns or frameColumns.
 func (ss *safetySession) frameColumns(n int) []formal.Column {
 	cols := ss.cols[:0]
 	for p := 0; p < n; p++ {

@@ -1,9 +1,15 @@
 package mc
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"fveval/internal/bitvec"
+	"fveval/internal/formal"
+	"fveval/internal/gen/rtlgen"
+	"fveval/internal/helpergen"
+	"fveval/internal/llm"
 	"fveval/internal/logic"
 	"fveval/internal/ltl"
 	"fveval/internal/rtl"
@@ -306,6 +312,247 @@ func TestIncrementalSafetyMatchesOneShotOracle(t *testing.T) {
 		if got.Status != want.Status || got.Depth != want.Depth {
 			t.Fatalf("%s: incremental (%v, depth %d) vs oracle (%v, depth %d)",
 				src, got.Status, got.Depth, want.Status, want.Depth)
+		}
+	}
+}
+
+// Schedule differential: the cost-balanced safety ramp (safety) must
+// give every check the verdict of the lockstep schedule it replaced,
+// kept here as the reference.
+
+// lockstepSafety is the lockstep safety schedule: base depth k, then
+// induction step k, for k = 1..MaxInduction, then the deep ramp.
+func lockstepSafety(base, step *obligation, opt Options) (Result, bool, error) {
+	for k := 1; k <= opt.MaxInduction; k++ {
+		cex, err := base.checkDepth(k)
+		if err != nil {
+			return Result{}, false, err
+		}
+		if cex != nil {
+			return Result{Status: Falsified, Depth: k, Cex: cex}, true, nil
+		}
+		ind, err := step.induct(k)
+		if err != nil {
+			return Result{}, false, err
+		}
+		if ind {
+			return Result{Status: Proven, Depth: k}, true, nil
+		}
+	}
+	if opt.MaxInduction < opt.BMCDepth {
+		if _, err := base.grow(opt.BMCDepth + base.d + 1); err != nil {
+			return Result{}, false, err
+		}
+	}
+	for k := opt.MaxInduction + 1; k <= opt.BMCDepth; k++ {
+		cex, err := base.checkDepth(k)
+		if err != nil {
+			return Result{}, false, err
+		}
+		if cex != nil {
+			return Result{Status: Falsified, Depth: opt.BMCDepth, Cex: cex}, k < opt.BMCDepth, nil
+		}
+	}
+	return Result{Status: Unknown, Depth: opt.BMCDepth}, false, nil
+}
+
+// rowSystems elaborates a row's design and bench with each snippet
+// spliced in before the bench's endmodule: on an overlay of the row's
+// base where the snippet allows one, as the judges run them, else the
+// whole file. Snippets that do not elaborate are skipped.
+type rowSystems struct {
+	design, bench, dutTop, benchTop string
+	base                            *rtl.Base
+}
+
+func newRowSystems(design, bench, dutTop, benchTop string) *rowSystems {
+	r := &rowSystems{design: design, bench: bench, dutTop: dutTop, benchTop: benchTop}
+	if f, err := rtl.Parse(design + "\n" + bench); err == nil {
+		r.base, _ = rtl.ElaborateBase(f, dutTop, benchTop)
+	}
+	return r
+}
+
+func (r *rowSystems) system(snippet string) (*rtl.System, error) {
+	if r.base != nil {
+		if sys, err := r.base.Overlay(snippet); err != rtl.ErrNoOverlay {
+			return sys, err
+		}
+	}
+	i := strings.LastIndex(r.bench, "endmodule")
+	f, err := rtl.Parse(r.design + "\n" + r.bench[:i] + "\n" + snippet + "\n" + r.bench[i:])
+	if err != nil {
+		return nil, err
+	}
+	return rtl.ElaborateBound(f, r.dutTop, r.benchTop, nil)
+}
+
+// distinctResponses returns a row's distinct extracted responses,
+// model by model and sample by sample, as the engine judges them.
+func distinctResponses(models []llm.Model, p *llm.Prompt) []string {
+	var out []string
+	for _, m := range models {
+		for s := 0; s < 5; s++ {
+			if code := llm.ExtractCode(m.Generate(p, s)); !slices.Contains(out, code) {
+				out = append(out, code)
+			}
+		}
+	}
+	return out
+}
+
+// helperSet parses the assertions of an AGR response, one per
+// semicolon-terminated statement that names assert.
+func helperSet(code string) []*sva.Assertion {
+	var out []*sva.Assertion
+	for _, stmt := range strings.SplitAfter(code, ";") {
+		if !strings.Contains(stmt, "assert") {
+			continue
+		}
+		if a, err := sva.ParseAssertion(strings.TrimSpace(stmt)); err == nil && sva.Validate(a) == nil {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+// schedulePair is two design contexts judging the same checks in the
+// same order, one per schedule, each with the engine's prefilter and
+// a bank of its own.
+type schedulePair struct {
+	got, want       *Design
+	gotOpt, wantOpt Options
+}
+
+func newSchedulePair() *schedulePair {
+	opt := func() Options { return Options{Search: formal.Search{SimPatterns: 128, Bank: formal.NewBank(0)}} }
+	return &schedulePair{got: NewDesign(), want: &Design{schedule: lockstepSafety}, gotOpt: opt(), wantOpt: opt()}
+}
+
+func equalVerdicts(got, want Result) bool {
+	return got.Status == want.Status && got.Depth == want.Depth && got.Bounded == want.Bounded
+}
+
+func TestScheduleMatchesLockstep(t *testing.T) {
+	checks, statuses := 0, map[Status]int{}
+	for _, kind := range []string{"pipeline", "fsm"} {
+		for _, inst := range rtlgen.Sweep96(kind) {
+			rows, pair := newRowSystems(inst.Design, inst.Bench, inst.DUTTop, inst.BenchTop), newSchedulePair()
+			for _, code := range distinctResponses(llm.DesignModels(), llm.BuildDesignPrompt(inst)) {
+				sys, err := rows.system(code)
+				if err != nil {
+					continue
+				}
+				for _, a := range sys.Asserts {
+					got, gotErr := pair.got.CheckAssertion(sys, a, pair.gotOpt)
+					want, wantErr := pair.want.CheckAssertion(sys, a, pair.wantOpt)
+					checks++
+					statuses[want.Status]++
+					if (gotErr == nil) != (wantErr == nil) || !equalVerdicts(got, want) {
+						t.Fatalf("%s %s: balanced (%v, depth %d, bounded %v, error %v), lockstep (%v, depth %d, bounded %v, error %v)",
+							inst.ID, a, got.Status, got.Depth, got.Bounded, gotErr, want.Status, want.Depth, want.Bounded, wantErr)
+					}
+				}
+			}
+		}
+	}
+	sets := 0
+	for _, inst := range helpergen.Sweep() {
+		rows, pair := newRowSystems(inst.Design, inst.Bench, inst.DUTTop, inst.BenchTop), newSchedulePair()
+		sys, err := rows.system(inst.Target)
+		if err != nil {
+			t.Fatalf("%s: %v", inst.ID, err)
+		}
+		for _, code := range distinctResponses(llm.Models(), llm.BuildHelperPrompt(inst)) {
+			helpers := helperSet(code)
+			if len(helpers) == 0 {
+				continue
+			}
+			got, gotLemmas, gotErr := pair.got.CheckWithLemmas(sys, inst.TargetAst, helpers, pair.gotOpt)
+			want, wantLemmas, wantErr := pair.want.CheckWithLemmas(sys, inst.TargetAst, helpers, pair.wantOpt)
+			sets++
+			if (gotErr == nil) != (wantErr == nil) || !equalVerdicts(got, want) || !slices.Equal(gotLemmas, wantLemmas) {
+				t.Fatalf("%s %q: balanced (%v, depth %d, lemmas %+v, error %v), lockstep (%v, depth %d, lemmas %+v, error %v)",
+					inst.ID, code, got.Status, got.Depth, gotLemmas, gotErr, want.Status, want.Depth, wantLemmas, wantErr)
+			}
+		}
+	}
+	if statuses[Proven] == 0 || statuses[Falsified] == 0 || sets == 0 {
+		t.Fatalf("differential too narrow: statuses %v, %d helper sets", statuses, sets)
+	}
+	t.Logf("%d assertion checks (%v) and %d helper sets matched", checks, statuses, sets)
+}
+
+// chainSrc shifts a stuck-at-zero register c into b and then a, so
+// "!b" is 2-inductive and "!a" 3-inductive, while from reset each
+// depth's query folds to constant false and costs the solver nothing.
+const chainSrc = `
+module chain(clk, reset_, a, b, c);
+input clk;
+input reset_;
+output reg a;
+output reg b;
+output reg c;
+always @(posedge clk) begin
+  if (!reset_) begin a <= 1'b0; b <= 1'b0; c <= 1'b0; end
+  else begin a <= b; b <= c; c <= c; end
+end
+endmodule`
+
+// TestHeldBaseErrors plants an error in the base session that a base
+// query meets only at depth 3: after frame 1 is built, the next-state
+// logic of the property's register names an undeclared signal. The
+// base runs ahead to depth 3 while the step pays for its first
+// refutation. For "!b" the step proves at k = 2, before the lockstep
+// schedule would reach base depth 3, so the held error must not
+// surface; for "!a" the lockstep schedule reaches base depth 3 before
+// the proof at k = 3, so both schedules must return the error.
+func TestHeldBaseErrors(t *testing.T) {
+	f, err := rtl.Parse(chainSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := rtl.Elaborate(f, "chain", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		reg     string
+		proven  bool
+		wantErr string
+	}{
+		{"b", true, ""},
+		{"a", false, "undeclared identifier"},
+	} {
+		broken := *sys
+		broken.Regs = slices.Clone(sys.Regs)
+		r, _ := broken.RegByName(tc.reg)
+		r.Next = &sva.Ident{Name: "ghost"}
+		a := parseA(t, "assert property (@(posedge clk) !"+tc.reg+");")
+		for _, sched := range []struct {
+			name string
+			run  func(base, step *obligation, opt Options) (Result, bool, error)
+		}{{"balanced", safety}, {"lockstep", lockstepSafety}} {
+			ahead := false
+			d := &Design{schedule: func(base, step *obligation, opt Options) (Result, bool, error) {
+				if err := base.ss.fe.unroll(2); err != nil {
+					return Result{}, false, err
+				}
+				base.ss.fe.sys = &broken
+				res, early, err := sched.run(base, step, opt)
+				ahead = base.bound > 3 // grown for base depth 3
+				return res, early, err
+			}}
+			res, err := d.CheckAssertion(sys, a, Options{})
+			if sched.name == "balanced" && !ahead {
+				t.Fatalf("!%s: the base never ran ahead to depth 3", tc.reg)
+			}
+			if tc.proven && (err != nil || res.Status != Proven || res.Depth != 2) {
+				t.Errorf("!%s, %s: (%v, depth %d, error %v), want proven at 2", tc.reg, sched.name, res.Status, res.Depth, err)
+			}
+			if !tc.proven && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
+				t.Errorf("!%s, %s: (%v, depth %d, error %v), want %q", tc.reg, sched.name, res.Status, res.Depth, err, tc.wantErr)
+			}
 		}
 	}
 }

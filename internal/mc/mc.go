@@ -54,9 +54,13 @@ func (s Status) String() string {
 }
 
 // Cex is a counterexample: per-frame values of inputs and registers.
+// A frame holds only the pairs the checker built: an input the
+// property never read at that frame, or a register outside the cone of
+// every query its session answered up to then, has no entry. Every
+// entry is a value of one concrete trace that violates the property.
 type Cex struct {
 	Frames []map[string]uint64
-	Loop   int // -1 for finite (safety) traces
+	Loop   int // loop entry frame of a lasso; -1 for finite (safety) traces
 }
 
 // Result of checking one assertion.
@@ -65,9 +69,15 @@ type Result struct {
 	// Bounded marks liveness verdicts established only up to the
 	// search bound (no unbounded liveness proof engine).
 	Bounded bool
-	// Depth is the BMC depth or induction length used.
+	// Depth is the induction length of a proof, the BMC depth of a
+	// counterexample found within MaxInduction (the first failing
+	// depth), or BMCDepth for a deep-ramp counterexample or Unknown.
+	// It does not depend on how far the base case ran ahead of the
+	// induction steps.
 	Depth int
-	Cex   *Cex
+	// Cex is the counterexample of a falsified check, or a cover's
+	// witness.
+	Cex *Cex
 }
 
 // Options tunes the checker. The embedded formal.Search carries the
@@ -129,17 +139,20 @@ func lowerAssumes(sys *rtl.System) ([]ltl.Formula, error) {
 }
 
 // frameEnv implements ltl.Env over an unrolled transition system.
+// Registers are unrolled on demand: unroll only raises the frame
+// horizon, and a (register, frame) pair is built the first time a
+// check reads it, so a query pays for the registers in its cone.
 type frameEnv struct {
 	b   *logic.Builder
 	sys *rtl.System
 	ev  *ltl.ExprEval
 
 	inputs map[sigPos]bitvec.BV
-	states map[sigPos]bitvec.BV
+	states map[sigPos]bitvec.BV // built (register, frame) pairs
 	nets   map[sigPos]bitvec.BV
 	own    []sigPos // cached nets of sys's own, not of its base
 	busy   map[sigPos]bool
-	frames int // register frames built (frame 0 by initFrame0)
+	frames int // register frame horizon (frame 0 by initFrame0)
 }
 
 type sigPos struct {
@@ -174,24 +187,31 @@ func (fe *frameEnv) initFrame0(free bool) {
 	fe.frames = 1
 }
 
-// unroll extends register states through frame n (exclusive). A frame
-// is committed only once every register's next state has evaluated,
-// so a failure leaves no half-built frame behind.
+// unroll raises the register horizon to frame n (exclusive). The
+// first call past frame 0 builds every register's next state at frame
+// 1, committing the frame only once all of them evaluate, so an error
+// in next-state logic surfaces whatever a check reads. Later frames are
+// built by Signal, pair by pair, as checks read them: the next-state
+// logic is the same expression at every frame, so they cannot fail
+// where frame 1 did not.
 func (fe *frameEnv) unroll(n int) error {
-	for p := fe.frames; p < n; p++ {
+	if n <= fe.frames {
+		return nil
+	}
+	if fe.frames == 1 {
 		next := make([]bitvec.BV, len(fe.sys.Regs))
 		for i, r := range fe.sys.Regs {
-			v, err := fe.ev.Eval(r.Next, p-1)
+			v, err := fe.ev.Eval(r.Next, 0)
 			if err != nil {
 				return err
 			}
 			next[i] = v.Extend(r.Width)
 		}
 		for i, r := range fe.sys.Regs {
-			fe.states[sigPos{r.Name, p}] = next[i]
+			fe.states[sigPos{r.Name, 1}] = next[i]
 		}
-		fe.frames = p + 1
 	}
+	fe.frames = n
 	return nil
 }
 
@@ -232,9 +252,18 @@ func (fe *frameEnv) Signal(name string, pos int) (bitvec.BV, error) {
 		fe.inputs[key] = v
 		return v, nil
 	}
-	if _, isReg := fe.sys.RegByName(name); isReg {
-		// register value requested beyond the unrolled range
-		return bitvec.BV{}, &ltl.ElabError{Reason: fmt.Sprintf("register %s not unrolled at %d", name, pos)}
+	if r, isReg := fe.sys.RegByName(name); isReg {
+		if pos < 1 || pos >= fe.frames {
+			// register value requested beyond the unrolled range
+			return bitvec.BV{}, &ltl.ElabError{Reason: fmt.Sprintf("register %s not unrolled at %d", name, pos)}
+		}
+		v, err := fe.ev.Eval(r.Next, pos-1)
+		if err != nil {
+			return bitvec.BV{}, err
+		}
+		v = v.Extend(r.Width)
+		fe.states[key] = v
+		return v, nil
 	}
 	if net, ok := fe.sys.NetByName(name); ok {
 		if v, ok := fe.nets[key]; ok {
@@ -320,16 +349,16 @@ func lassoReach(le *ltl.LassoEval, p int) []int {
 	return out
 }
 
-// cexOf lays a decoded witness out frame by frame.
-func cexOf(p formal.Pattern, loop int) *Cex {
-	cex := &Cex{Loop: loop, Frames: make([]map[string]uint64, p.Len)}
+// cexOf lays a decoded witness out frame by frame: one value per
+// column, so a (register, frame) pair the unroll never built is left
+// out rather than reported as zero.
+func cexOf(p formal.Pattern, cols []formal.Column) *Cex {
+	cex := &Cex{Loop: -1, Frames: make([]map[string]uint64, p.Len)}
 	for i := range cex.Frames {
 		cex.Frames[i] = map[string]uint64{}
 	}
-	for name, vals := range p.Vals {
-		for i, v := range vals {
-			cex.Frames[i][name] = v
-		}
+	for _, c := range cols {
+		cex.Frames[c.Pos][c.Name] = p.Vals[c.Name][c.Pos]
 	}
 	return cex
 }
