@@ -159,16 +159,15 @@ func (c *Design) finish(opt Options, started time.Time, early bool, obls ...*obl
 // lockstep schedule gives (base depth k, then step k, for k = 1, 2,
 // ...): before step k the base has checked depths 1..k in order, so
 // Proven at k still rests on a clean base up to k. Between steps the
-// base may run ahead, never past MaxInduction, while its solver work
-// in this check is below the step's (DESIGN.md §7, "Safety ramp"):
-// a shallow counterexample behind depths that fold to constant false
-// then ends the check before the step pays for hard, satisfiable
-// induction queries, and the base never spends more than the step
-// already has. A counterexample found ahead is the first one in depth
-// order, since every shallower depth was clean; the step cannot prove
-// below it (k-induction is sound). An error found ahead is held back
-// and returned only when the lockstep schedule would have reached its
-// depth, so a proof at a smaller k still wins.
+// base may run ahead, never past MaxInduction, starting a query only
+// while its solver work in this check is below the step's (DESIGN.md
+// §7, "Safety ramp"): a counterexample behind depths that fold to
+// constant false then ends the check before the step pays for hard,
+// satisfiable induction queries. A counterexample found ahead is the
+// first in depth order, since every shallower depth was clean, and
+// sound induction cannot prove below it. An error found ahead is held
+// back and returned only when the lockstep schedule would have reached
+// its depth, so a proof at a smaller k still wins.
 func safety(base, step *obligation, opt Options) (res Result, early bool, err error) {
 	next := 1      // next base depth to check; 1..next-1 are clean
 	var held error // base error at depth next, met running ahead

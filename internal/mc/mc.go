@@ -12,7 +12,10 @@
 // serving k-induction — and each check is one obligation per session
 // it touches, its constraints gated behind its activation literal. The
 // unroll, learnt clauses and Tseitin encoding are paid for once per
-// design rather than once per assertion.
+// design rather than once per assertion, and the unroll builds only the
+// (register, frame) pairs some query reads. A safety check lets its
+// BMC base cases run ahead of its induction steps while they have cost
+// less solver work, with the verdicts of the lockstep schedule.
 //
 // Reset handling follows the formal-testbench convention of the
 // benchmark: registers start from their post-reset values, reset
@@ -69,11 +72,12 @@ type Result struct {
 	// Bounded marks liveness verdicts established only up to the
 	// search bound (no unbounded liveness proof engine).
 	Bounded bool
-	// Depth is the induction length of a proof, the BMC depth of a
-	// counterexample found within MaxInduction (the first failing
-	// depth), or BMCDepth for a deep-ramp counterexample or Unknown.
-	// It does not depend on how far the base case ran ahead of the
-	// induction steps.
+	// Depth is, for a safety check, the induction length of a proof,
+	// the first failing BMC depth of a counterexample found within
+	// MaxInduction, or BMCDepth past it and for Unknown; it does not
+	// depend on how far the base case ran ahead of the induction
+	// steps. For a liveness check it is the lasso length, for a cover
+	// the BMC depth searched.
 	Depth int
 	// Cex is the counterexample of a falsified check, or a cover's
 	// witness.
@@ -192,8 +196,8 @@ func (fe *frameEnv) initFrame0(free bool) {
 // 1, committing the frame only once all of them evaluate, so an error
 // in next-state logic surfaces whatever a check reads. Later frames are
 // built by Signal, pair by pair, as checks read them: the next-state
-// logic is the same expression at every frame, so they cannot fail
-// where frame 1 did not.
+// logic is the same expression at every frame, so it does not fail
+// there where it evaluated at frame 1.
 func (fe *frameEnv) unroll(n int) error {
 	if n <= fe.frames {
 		return nil
