@@ -78,13 +78,16 @@ bench:
 # prefilter work) are deterministic, so that diff shows any change in
 # memo traffic; Table 5's one-worker counters (formal-backend and
 # prefilter work) and AGR's pin the model checker's solver work the
-# same way.
+# same way, and refinement's pin the equivalence checker's (its
+# witness traces reach model prompts). Only one worker is
+# deterministic.
 regenerate:
 	$(GO) run ./cmd/fveval -all | diff -u cmd/fveval/testdata/all.txt -
 	$(GO) run ./cmd/fveval -table 2 -samples 3 -limit 4 | diff -u cmd/fveval/testdata/table2_samples3.txt -
 	$(GO) run ./cmd/fveval -table 3 -workers 1 2>&1 >/dev/null | grep -E '^(equiv cache|formal backend|sim prefilter):' | diff -u cmd/fveval/testdata/table3_counters.txt -
 	$(GO) run ./cmd/fveval -table 5 -workers 1 2>&1 >/dev/null | grep -E '^(equiv cache|formal backend|sim prefilter):' | diff -u cmd/fveval/testdata/table5_counters.txt -
 	$(GO) run ./cmd/fveval -task agr -workers 1 2>&1 >/dev/null | grep -E '^(equiv cache|formal backend|sim prefilter):' | diff -u cmd/fveval/testdata/agr_counters.txt -
+	$(GO) run ./cmd/fveval -task refinement -workers 1 2>&1 >/dev/null | grep -E '^(equiv cache|formal backend|sim prefilter):' | diff -u cmd/fveval/testdata/refinement_counters.txt -
 
 lint:
 	@unformatted="$$(gofmt -l .)"; \
