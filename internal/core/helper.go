@@ -48,8 +48,8 @@ func parseHelperSet(code string) ([]*sva.Assertion, bool) {
 // JudgeHelper runs the AGR evaluation flow on one helper-set response:
 // parse the candidate helpers, elaborate the design+bench system with
 // the stuck target spliced in, and run the prove-then-assume lemma
-// pipeline (mc.CheckWithLemmas). The three metrics mirror the other
-// task families' lattice:
+// pipeline (mc.Design.CheckWithLemmas). The three metrics mirror the
+// other task families' lattice:
 //
 //	syntaxOK — every candidate helper parses, validates, and
 //	           elaborates against the design;

@@ -70,7 +70,7 @@ func TestDesignRowsMatchFreshChecks(t *testing.T) {
 						continue
 					}
 					got, gotErr := row.mc.CheckAssertion(sys, a, opt)
-					want, wantErr := mc.CheckAssertion(whole, whole.Asserts[i], mc.Options{})
+					want, wantErr := mc.NewDesign().CheckAssertion(whole, whole.Asserts[i], mc.Options{})
 					checks++
 					if (gotErr == nil) != (wantErr == nil) {
 						t.Fatalf("%s %s: shared error %v, fresh error %v", inst.ID, a, gotErr, wantErr)
@@ -108,7 +108,7 @@ func TestHelperRowsMatchFreshChecks(t *testing.T) {
 				t.Fatal(err)
 			}
 			got, gotLemmas, gotErr := row.mc.CheckWithLemmas(sys, inst.TargetAst, helpers, opt)
-			want, wantLemmas, wantErr := mc.CheckWithLemmas(whole, inst.TargetAst, helpers, mc.Options{})
+			want, wantLemmas, wantErr := mc.NewDesign().CheckWithLemmas(whole, inst.TargetAst, helpers, mc.Options{})
 			checks++
 			if (gotErr == nil) != (wantErr == nil) {
 				t.Fatalf("%s: shared error %v, fresh error %v", inst.ID, gotErr, wantErr)

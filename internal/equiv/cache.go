@@ -124,7 +124,7 @@ func (c *Cache) key(a, b *sva.Assertion, sigs *Sigs, opt Options) [sha256.Size]b
 		return buf.Bytes()
 	})
 	h.Write(d)
-	fmt.Fprintf(h, "|%d|%d|%d", opt.MaxBound, opt.Bound, opt.Budget)
+	fmt.Fprintf(h, "|%d|%d", opt.MaxBound, opt.Budget)
 	var key [sha256.Size]byte
 	copy(key[:], h.Sum(nil))
 	return key

@@ -51,7 +51,8 @@ func oneShotFindWitness(f, g ltl.Formula, sigs *Sigs, k int, usesPast, unbounded
 	}
 	cnf := logic.NewCNF(b, s)
 	cnf.Assert(total)
-	return s.Solve()
+	ok, _, err := s.Solve()
+	return ok, err
 }
 
 // oneShotCheck mirrors Check but runs the oracle solve path for the
@@ -87,9 +88,6 @@ func oneShotCheck(a, b *sva.Assertion, sigs *Sigs, opt Options) (Result, error) 
 	}
 	if k > maxB {
 		k = maxB
-	}
-	if opt.Bound > 0 {
-		k = opt.Bound
 	}
 	if k <= depth {
 		k = depth + 1

@@ -72,10 +72,6 @@ type Options struct {
 	// MaxBound caps the lasso length K the ramp may grow to
 	// (0 = default 16).
 	MaxBound int
-	// Bound, when positive, forces the lasso length K exactly
-	// (clamped to the formula depth + 1) and disables the ramp —
-	// one solve at that bound; used by bound-sweep ablations.
-	Bound int
 	formal.Search
 }
 
@@ -229,7 +225,7 @@ func combineDisable(body Verdict, rel disableRel) Verdict {
 }
 
 // boolExprEquivalent decides functional equality of two boolean-layer
-// expressions over free signals: one obligation, one solve of their
+// expressions over free signals: one obligation, one query for their
 // difference at position 0.
 func (q *query) boolExprEquivalent(x, y sva.Expr) (bool, error) {
 	nx, err := q.ev.Bool(x, 0)
@@ -241,9 +237,10 @@ func (q *query) boolExprEquivalent(x, y sva.Expr) (bool, error) {
 		return false, err
 	}
 	ob := q.ss.Open(q.opt.Search)
-	differ, _, err := ob.Solve("ramp", 1, q.ss.B.Xor(nx, ny))
+	cols := q.columns(unionNames(&ltl.FAtom{E: x}, &ltl.FAtom{E: y}), 1)
+	differ, _, err := ob.Find("ramp", 1, cols, nil, false, q.ss.B.Xor(nx, ny))
 	ob.Close(false)
-	return !differ, err
+	return differ < 0, err
 }
 
 func (q *query) checkFormulas(fa, fb ltl.Formula) (Result, error) {
@@ -263,9 +260,6 @@ func (q *query) checkFormulas(fa, fb ltl.Formula) (Result, error) {
 	if k > maxB {
 		k = maxB
 	}
-	if opt.Bound > 0 {
-		k = opt.Bound
-	}
 	if k <= depth {
 		k = depth + 1 // always give the formula room to evaluate
 	}
@@ -280,15 +274,9 @@ func (q *query) checkFormulas(fa, fb ltl.Formula) (Result, error) {
 	// the one-shot check — small counterexamples just surface after far
 	// less encoding and solving. Pure bounded-future pairs collapse
 	// further: their truth depends only on positions 0..depth, so the
-	// first evaluable bound already decides the query in one solve. A
-	// forced Bound (ablations) skips the ramp entirely.
-	var ks []int
-	switch {
-	case opt.Bound > 0:
-		ks = []int{k}
-	case !usesPast && !unbounded:
-		ks = []int{depth + 1}
-	default:
+	// first evaluable bound already decides the query in one solve.
+	ks := []int{depth + 1}
+	if usesPast || unbounded {
 		ks = rampSchedule(depth+1, k)
 	}
 
@@ -370,12 +358,11 @@ func (q *query) findWitnesses(fa, fb ltl.Formula, ks []int, usesPast, unbounded 
 	for step, k := range ks {
 		solved = k // reaching a step means at least one direction solves here
 		loops := loopsFor(k, usesPast, unbounded)
+		perLoop := make([]logic.Node, len(loops))
 		for _, dir := range dirs {
 			if dir.trace != nil {
 				continue
 			}
-			perLoop := make([]logic.Node, len(loops))
-			total := logic.False
 			for i, l := range loops {
 				le := family.At(k, l)
 				tf, err := le.Truth(dir.f, 0)
@@ -394,36 +381,20 @@ func (q *query) findWitnesses(fa, fb ltl.Formula, ks []int, usesPast, unbounded 
 					viol = b.And(viol, q.seamConstraint(names, l, k))
 				}
 				perLoop[i] = viol
-				total = b.Or(total, viol)
 			}
-
-			// Refute before solving: a simulation lane satisfying the
-			// violation disjunction is a complete concrete witness at
-			// this exact bound, so the SAT call it preempts could only
-			// have returned the same verdict (DESIGN.md §10).
-			cols := q.columns(names, k)
-			lane, hit := dir.ob.Refute(total, k, cols)
-			var model []bool
-			if !hit {
-				ok, m, err := dir.ob.Solve("ramp", k, total)
-				if err != nil {
-					return Result{}, err
-				}
-				if !ok {
-					continue
-				}
-				model = m
+			// A prefilter lane satisfying a violation is a complete
+			// concrete witness at this exact bound, so the SAT call it
+			// preempts could only have returned the same verdict
+			// (DESIGN.md §10). A SAT model also goes into the bank, so
+			// later pairs can be refuted by it.
+			i, w, err := dir.ob.Find("ramp", k, q.columns(names, k), nil, true, perLoop...)
+			if err != nil {
+				return Result{}, err
 			}
-			// A SAT model also goes into the bank, so later pairs can be
-			// refuted by it.
-			w := dir.ob.Decode(lane, model, k, cols)
-			dir.trace = &Trace{Loop: -1, Len: k, Signals: w.Vals}
-			for i, viol := range perLoop {
-				if w.Holds(viol) {
-					dir.trace.Loop = loops[i]
-					break
-				}
+			if i < 0 {
+				continue
 			}
+			dir.trace = &Trace{Loop: loops[i], Len: k, Signals: w.Vals}
 			dir.early = step < len(ks)-1
 		}
 		if dirs[0].trace != nil && dirs[1].trace != nil {

@@ -209,9 +209,19 @@ func TestLivenessDistinctions(t *testing.T) {
 		t.Errorf("expected B=>A, got %v", res.Verdict)
 	}
 	// The verdict holds at every fixed lasso bound, not only where the
-	// ramp settles.
+	// ramp settles: one-bound schedules of the witness search.
+	fa, err := ltl.LowerAssertion(mustParse(t, a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb, err := ltl.LowerAssertion(mustParse(t, b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	usesPast := ltl.UsesPast(fa) || ltl.UsesPast(fb)
+	unbounded := ltl.HasUnbounded(fa) || ltl.HasUnbounded(fb)
 	for _, k := range []int{8, 12, 16, 20} {
-		res, err := Check(mustParse(t, a), mustParse(t, b), sigs, Options{Bound: k})
+		res, err := newQuery(sigs, Options{}).findWitnesses(fa, fb, []int{k}, usesPast, unbounded)
 		if err != nil {
 			t.Fatalf("K=%d: %v", k, err)
 		}

@@ -123,10 +123,10 @@ func (ob *Obligation) Constrain(n logic.Node) {
 	ob.pending = append(ob.pending, n)
 }
 
-// Solve asks whether v is satisfiable under the check's path
-// constraints, recording a span named name at bound. v is passed as an
-// assumption, so nothing of one query outlives its call.
-func (ob *Obligation) Solve(name string, bound int, v logic.Node) (bool, []bool, error) {
+// solve asks the solver whether v is satisfiable under the check's
+// path constraints, recording a span named name at bound. v is passed
+// as an assumption, so nothing of one query outlives its call.
+func (ob *Obligation) solve(name string, bound int, v logic.Node) (bool, []bool, error) {
 	ss := ob.ss
 	sp := ob.opt.Span.Child(name).SetPhase(obs.PhaseSAT).SetInt("bound", int64(bound))
 	for _, n := range ob.pending {
@@ -144,7 +144,7 @@ func (ob *Obligation) Solve(name string, bound int, v logic.Node) (bool, []bool,
 	if pre.Solves > 0 {
 		ob.learntKept += int64(pre.Learnt)
 	}
-	ok, model, err := s.SolveModel(assume...)
+	ok, model, err := s.Solve(assume...)
 	post := s.Stats()
 	ob.solves++
 	ob.conflicts += post.Conflicts - pre.Conflicts
@@ -161,28 +161,78 @@ func (ob *Obligation) Solve(name string, bound int, v logic.Node) (bool, []bool,
 	return ok, model, err
 }
 
-// Propagations reports the solver propagations of the check's Solve
+// Propagations reports the solver propagations of the check's solver
 // calls so far: its search work, deterministic for a given session
 // history, unlike wall time.
 func (ob *Obligation) Propagations() int64 { return ob.props }
 
-// Refute simulates banked and random patterns over cols, looking for a
-// lane that satisfies v and the check's path constraints. Such a lane
-// is a complete concrete witness of the query at bound, readable with
-// Decode until the next Refute; a miss is not a verdict.
-func (ob *Obligation) Refute(v logic.Node, bound int, cols []Column) (int, bool) {
-	if ob.opt.SimPatterns == 0 {
-		return 0, false
+// Find answers one query of the check: does a trace satisfying one of
+// targets exist under the check's path constraints? The prefilter
+// first simulates banked and random patterns over cols (a span named
+// "sim"); a lane satisfying the query is a complete concrete witness,
+// so on a hit the solver is not asked. On a miss the solver decides (a
+// span named name). Both spans carry bound. Targets are assumptions,
+// never asserted, so nothing of one query outlives its call.
+//
+// Find returns -1 when no trace exists. Otherwise it returns the index
+// of the first target the trace satisfies and, with keep, the trace
+// decoded over the columns trace returns, as many positions long as it
+// says (a nil trace means cols, bound positions long). trace is called
+// only to decode. A SAT model is decoded into the bank whether or not
+// it is kept; a prefilter lane is decoded only when kept, so a caller
+// that wants no trace pays nothing for a hit.
+func (ob *Obligation) Find(name string, bound int, cols []Column, trace func() ([]Column, int), keep bool, targets ...logic.Node) (int, Pattern, error) {
+	ss := ob.ss
+	v := logic.False
+	for _, t := range targets {
+		v = ss.B.Or(v, t)
 	}
-	sp := ob.opt.Span.Child("sim").SetPhase(obs.PhaseSim).SetInt("bound", int64(bound))
-	lane, hit, fromBank := ob.refute(v, cols)
-	sp.SetBool("refuted", hit).SetBool("bank_hit", fromBank).End()
-	if hit {
-		ob.opt.Stats.SimRefuted(fromBank)
+	lane, hit := 0, false
+	if ob.opt.SimPatterns > 0 {
+		sp := ob.opt.Span.Child("sim").SetPhase(obs.PhaseSim).SetInt("bound", int64(bound))
+		var fromBank bool
+		lane, hit, fromBank = ob.refute(v, cols)
+		sp.SetBool("refuted", hit).SetBool("bank_hit", fromBank).End()
+		if hit {
+			ob.opt.Stats.SimRefuted(fromBank)
+		}
 	}
-	return lane, hit
+	sim := ss.sim
+	if !hit {
+		ok, model, err := ob.solve(name, bound, v)
+		if err != nil || !ok {
+			return -1, Pattern{}, err
+		}
+		if !keep && ob.opt.Bank == nil && len(targets) == 1 {
+			return 0, Pattern{}, nil
+		}
+		if trace != nil {
+			cols, bound = trace()
+		}
+		sim, lane = ss.replay(model, cols), 0
+	}
+	// The trace satisfies the targets' disjunction: when every other
+	// target fails, the last holds.
+	i := 0
+	for i < len(targets)-1 && !sim.Bit(targets[i], lane) {
+		i++
+	}
+	if hit && !keep {
+		return i, Pattern{}, nil
+	}
+	if hit && trace != nil {
+		cols, bound = trace()
+	}
+	p := read(sim, lane, cols, bound)
+	if !hit {
+		ob.opt.Bank.Add(p)
+	}
+	return i, p, nil
 }
 
+// refute simulates banked and random patterns over cols, looking for a
+// lane that satisfies v and the check's path constraints; a miss is not
+// a verdict.
 func (ob *Obligation) refute(v logic.Node, cols []Column) (lane int, hit, fromBank bool) {
 	ss := ob.ss
 	target := ss.B.And(v, ob.conj)
@@ -266,42 +316,29 @@ func (ss *Session) load(cols []Column, banked []Pattern, bankLanes int, sweep bo
 	}
 }
 
-// Witness is one decoded concrete trace: its signal-level Pattern
-// plus the simulation lane it came from, for reading further nodes.
-type Witness struct {
-	Pattern
-	sim  *logic.Sim
-	lane int
-}
-
-// Holds reports whether node n is true in the witness. A witness read
-// from a prefilter lane is valid only until the session's next Refute;
-// one decoded from a SAT model, until the session's next Decode.
-func (w Witness) Holds(n logic.Node) bool { return w.sim.Bit(n, w.lane) }
-
-// Decode reads a witness over cols, n positions long. With a nil
-// model it reads lane of the simulator as Refute left it; otherwise the
-// SAT model's input values are broadcast into the session's one-lane
-// simulator, which recomputes every derived node from them, and the
-// pattern is folded into the bank for later queries to replay.
-func (ob *Obligation) Decode(lane int, model []bool, n int, cols []Column) Witness {
-	ss := ob.ss
-	sim := ss.sim
-	if model != nil {
-		if ss.dec == nil {
-			ss.dec = logic.NewSim(ss.B)
-		}
-		sim, lane = ss.dec, 0
-		sim.Reset()
-		for _, c := range cols {
-			for _, bit := range c.Bits {
-				if !bit.IsConst() && ss.B.IsInput(bit) && ss.CNF.InputValue(model, bit) != bit.Compl() {
-					sim.SetInput(bit, ^uint64(0))
-				}
+// replay broadcasts a SAT model's values of the input bits among cols
+// into the session's one-lane decoding simulator, which recomputes
+// every derived node from them.
+func (ss *Session) replay(model []bool, cols []Column) *logic.Sim {
+	if ss.dec == nil {
+		ss.dec = logic.NewSim(ss.B)
+	}
+	sim := ss.dec
+	sim.Reset()
+	for _, c := range cols {
+		for _, bit := range c.Bits {
+			if !bit.IsConst() && ss.B.IsInput(bit) && ss.CNF.InputValue(model, bit) != bit.Compl() {
+				sim.SetInput(bit, ^uint64(0))
 			}
 		}
-		sim.Run()
 	}
+	sim.Run()
+	return sim
+}
+
+// read lays one simulator lane out as a signal-level Pattern over cols,
+// n positions long.
+func read(sim *logic.Sim, lane int, cols []Column, n int) Pattern {
 	p := Pattern{Len: n, Vals: map[string][]uint64{}}
 	for _, c := range cols {
 		vals := p.Vals[c.Name]
@@ -317,10 +354,7 @@ func (ob *Obligation) Decode(lane int, model []bool, n int, cols []Column) Witne
 		}
 		vals[c.Pos] = v
 	}
-	if model != nil {
-		ob.opt.Bank.Add(p)
-	}
-	return Witness{Pattern: p, sim: sim, lane: lane}
+	return p
 }
 
 // Close ends the check: it retires the activation literal and reports

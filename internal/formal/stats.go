@@ -3,10 +3,10 @@
 // one incrementally grown circuit: the builder, its CNF encoding, the
 // SAT solver, the prefilter's simulator and its random stream. Each
 // check claims it through an Obligation: path constraints gated behind
-// an activation literal, Refute (simulate banked and random patterns
-// before solving), Solve (assume the act literal plus the query's),
-// Decode (a simulator lane or SAT model into a signal-level Pattern
-// that also feeds the Bank), and Close (retire the literal, report the
+// an activation literal, Find (the one way a check asks a question:
+// simulate banked and random patterns, solve on a miss, decode the
+// trace into a signal-level Pattern that also feeds the Bank, and name
+// the target it satisfies), and Close (retire the literal, report the
 // check's counters). equiv runs both implication directions as two
 // obligations on one stateless trace session; mc runs BMC, induction,
 // liveness and cover as obligations on a design's session pair. Every
@@ -37,9 +37,9 @@ type Stats struct {
 	simBankHits    atomic.Int64 // refutations from a recycled counterexample
 
 	// Assumed-lemma pipeline counters (DESIGN.md §12): candidate
-	// helper assertions submitted to CheckWithLemmas, how many were
-	// themselves proved (and hence assumed), and how many turned out
-	// load-bearing for the target proof.
+	// helper assertions submitted to mc.Design.CheckWithLemmas, how
+	// many were themselves proved (and hence assumed), and how many
+	// turned out load-bearing for the target proof.
 	lemmaCandidates  atomic.Int64
 	lemmaProved      atomic.Int64
 	lemmaLoadBearing atomic.Int64
@@ -227,60 +227,37 @@ func (s *Stats) Snapshot() Snapshot {
 
 // Add returns the field-wise sum of two snapshots — the distributed
 // merge fold (shard deltas are disjoint traffic on separate pools).
-func (s Snapshot) Add(o Snapshot) Snapshot {
-	var hist [SolveWallBucketCount]int64
-	for i := range hist {
-		hist[i] = s.SolveWallHist[i] + o.SolveWallHist[i]
-	}
-	return Snapshot{
-		Queries:       s.Queries + o.Queries,
-		Solves:        s.Solves + o.Solves,
-		EarlyStops:    s.EarlyStops + o.EarlyStops,
-		Conflicts:     s.Conflicts + o.Conflicts,
-		LearntKept:    s.LearntKept + o.LearntKept,
-		GatesShared:   s.GatesShared + o.GatesShared,
-		Encoded:       s.Encoded + o.Encoded,
-		SolveWallNS:   s.SolveWallNS + o.SolveWallNS,
-		SolveWallHist: hist,
-		Sim: SimStats{
-			Patterns:    s.Sim.Patterns + o.Sim.Patterns,
-			Refutations: s.Sim.Refutations + o.Sim.Refutations,
-			BankHits:    s.Sim.BankHits + o.Sim.BankHits,
-		},
-		Lemma: LemmaStats{
-			Candidates:  s.Lemma.Candidates + o.Lemma.Candidates,
-			Proved:      s.Lemma.Proved + o.Lemma.Proved,
-			LoadBearing: s.Lemma.LoadBearing + o.Lemma.LoadBearing,
-		},
-	}
-}
+func (s Snapshot) Add(o Snapshot) Snapshot { return s.combine(o, 1) }
 
 // Sub returns the field-wise difference s - o — the per-run delta of
 // cumulative counters.
-func (s Snapshot) Sub(o Snapshot) Snapshot {
+func (s Snapshot) Sub(o Snapshot) Snapshot { return s.combine(o, -1) }
+
+// combine returns s + sign*o, field by field.
+func (s Snapshot) combine(o Snapshot, sign int64) Snapshot {
 	var hist [SolveWallBucketCount]int64
 	for i := range hist {
-		hist[i] = s.SolveWallHist[i] - o.SolveWallHist[i]
+		hist[i] = s.SolveWallHist[i] + sign*o.SolveWallHist[i]
 	}
 	return Snapshot{
-		Queries:       s.Queries - o.Queries,
-		Solves:        s.Solves - o.Solves,
-		EarlyStops:    s.EarlyStops - o.EarlyStops,
-		Conflicts:     s.Conflicts - o.Conflicts,
-		LearntKept:    s.LearntKept - o.LearntKept,
-		GatesShared:   s.GatesShared - o.GatesShared,
-		Encoded:       s.Encoded - o.Encoded,
-		SolveWallNS:   s.SolveWallNS - o.SolveWallNS,
+		Queries:       s.Queries + sign*o.Queries,
+		Solves:        s.Solves + sign*o.Solves,
+		EarlyStops:    s.EarlyStops + sign*o.EarlyStops,
+		Conflicts:     s.Conflicts + sign*o.Conflicts,
+		LearntKept:    s.LearntKept + sign*o.LearntKept,
+		GatesShared:   s.GatesShared + sign*o.GatesShared,
+		Encoded:       s.Encoded + sign*o.Encoded,
+		SolveWallNS:   s.SolveWallNS + sign*o.SolveWallNS,
 		SolveWallHist: hist,
 		Sim: SimStats{
-			Patterns:    s.Sim.Patterns - o.Sim.Patterns,
-			Refutations: s.Sim.Refutations - o.Sim.Refutations,
-			BankHits:    s.Sim.BankHits - o.Sim.BankHits,
+			Patterns:    s.Sim.Patterns + sign*o.Sim.Patterns,
+			Refutations: s.Sim.Refutations + sign*o.Sim.Refutations,
+			BankHits:    s.Sim.BankHits + sign*o.Sim.BankHits,
 		},
 		Lemma: LemmaStats{
-			Candidates:  s.Lemma.Candidates - o.Lemma.Candidates,
-			Proved:      s.Lemma.Proved - o.Lemma.Proved,
-			LoadBearing: s.Lemma.LoadBearing - o.Lemma.LoadBearing,
+			Candidates:  s.Lemma.Candidates + sign*o.Lemma.Candidates,
+			Proved:      s.Lemma.Proved + sign*o.Lemma.Proved,
+			LoadBearing: s.Lemma.LoadBearing + sign*o.Lemma.LoadBearing,
 		},
 	}
 }

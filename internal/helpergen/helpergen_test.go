@@ -31,7 +31,7 @@ func TestConstructionSoundness(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: elaborate: %v", inst.ID, err)
 		}
-		alone, err := mc.CheckAssertion(sys, inst.TargetAst, mc.Options{})
+		alone, err := mc.NewDesign().CheckAssertion(sys, inst.TargetAst, mc.Options{})
 		if err != nil {
 			t.Fatalf("%s: target alone: %v", inst.ID, err)
 		}

@@ -120,7 +120,7 @@ func TestCNFAgreesWithEval(t *testing.T) {
 		s := sat.New()
 		c := NewCNF(b, s)
 		c.Assert(out)
-		ok, model, err := s.SolveModel()
+		ok, model, err := s.Solve()
 		if err != nil {
 			return false
 		}
@@ -149,7 +149,7 @@ func TestCNFUnsat(t *testing.T) {
 	s := sat.New()
 	c := NewCNF(b, s)
 	c.Assert(b.And(x, x.Not()))
-	ok, _ := s.Solve()
+	ok, _, _ := s.Solve()
 	if ok {
 		t.Fatalf("x AND !x must be UNSAT")
 	}
@@ -160,12 +160,12 @@ func TestConstTrueAssertion(t *testing.T) {
 	s := sat.New()
 	c := NewCNF(b, s)
 	c.Assert(True)
-	ok, _ := s.Solve()
+	ok, _, _ := s.Solve()
 	if !ok {
 		t.Fatalf("asserting true must stay SAT")
 	}
 	c.Assert(False)
-	ok, _ = s.Solve()
+	ok, _, _ = s.Solve()
 	if ok {
 		t.Fatalf("asserting false must be UNSAT")
 	}
@@ -184,7 +184,7 @@ func TestDeepChainEncoding(t *testing.T) {
 	s := sat.New()
 	c := NewCNF(b, s)
 	c.Assert(acc)
-	ok, model, err := s.SolveModel()
+	ok, model, err := s.Solve()
 	if err != nil || !ok {
 		t.Fatalf("chain must be SAT: %v %v", ok, err)
 	}
@@ -263,18 +263,18 @@ func TestCNFActivationGating(t *testing.T) {
 	c.AssertIf(act, x.Not())
 	c.Assert(x) // permanent: x is true
 
-	if ok, err := s.Solve(); err != nil || !ok {
+	if ok, _, err := s.Solve(); err != nil || !ok {
 		t.Fatalf("ungated solve must be sat: ok=%v err=%v", ok, err)
 	}
-	if ok, err := s.Solve(c.Lit(act)); err != nil || ok {
+	if ok, _, err := s.Solve(c.Lit(act)); err != nil || ok {
 		t.Fatalf("activated contradiction must be unsat: ok=%v err=%v", ok, err)
 	}
 	c.Retire(act)
-	if ok, err := s.Solve(); err != nil || !ok {
+	if ok, _, err := s.Solve(); err != nil || !ok {
 		t.Fatalf("retired constraint must drop out: ok=%v err=%v", ok, err)
 	}
 	// Re-activating a retired literal is trivially unsat via the unit.
-	if ok, err := s.Solve(c.Lit(act)); err != nil || ok {
+	if ok, _, err := s.Solve(c.Lit(act)); err != nil || ok {
 		t.Fatalf("assuming a retired activation must be unsat: ok=%v err=%v", ok, err)
 	}
 }

@@ -43,7 +43,7 @@ end
 	}
 
 	// no assumption: enable free, counter climbs past 2
-	res, err := CheckAssertion(mk(""), a, Options{})
+	res, err := NewDesign().CheckAssertion(mk(""), a, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ end
 	if len(sys.Assumes) != 1 {
 		t.Fatalf("assume not collected: %d", len(sys.Assumes))
 	}
-	res, err = CheckAssertion(sys, a, Options{})
+	res, err = NewDesign().CheckAssertion(sys, a, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ cover property (@(posedge clk) cnt == 4'd0);`)
 	if len(sys.Covers) != 1 {
 		t.Fatalf("cover not collected")
 	}
-	res, err = CheckAssertion(sys, a, Options{})
+	res, err = NewDesign().CheckAssertion(sys, a, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestCoverReachability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := CheckCover(sys, cov, Options{})
+	res, err := NewDesign().CheckCover(sys, cov, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestCoverReachability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = CheckCover(sys, unreach, Options{})
+	res, err = NewDesign().CheckCover(sys, unreach, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,16 +117,15 @@ endmodule`, "sh"},
 					}
 				}
 			}
-			ok, model, err := ob.Solve("bmc", frames, pin)
-			if err != nil || !ok {
-				t.Fatalf("pinned trace must be satisfiable: %v %v", ok, err)
-			}
 			cols := ss.frameColumns(frames)
 			decoded := map[sigPos]bool{}
 			for _, c := range cols {
 				decoded[sigPos{c.Name, c.Pos}] = true
 			}
-			w := ob.Decode(0, model, frames, cols)
+			i, w, err := ob.Find("bmc", frames, nil, func() ([]formal.Column, int) { return cols, frames }, true, pin)
+			if err != nil || i != 0 {
+				t.Fatalf("pinned trace must be satisfiable: %d %v", i, err)
+			}
 			for p := 0; p < frames; p++ {
 				for _, r := range sys.Regs {
 					if !decoded[sigPos{r.Name, p}] {
@@ -160,8 +159,8 @@ func TestPrefilterVsSolverCrossCheck(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: parse: %v", tag, err)
 		}
-		got, err1 := CheckAssertion(sys, a, Options{Search: formal.Search{SimPatterns: 128, Bank: bank, Stats: &st}})
-		want, err2 := CheckAssertion(sys, a, Options{})
+		got, err1 := NewDesign().CheckAssertion(sys, a, Options{Search: formal.Search{SimPatterns: 128, Bank: bank, Stats: &st}})
+		want, err2 := NewDesign().CheckAssertion(sys, a, Options{})
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("%s: error disagreement: prefilter=%v solver=%v\n%s", tag, err1, err2, src)
 		}
@@ -273,7 +272,7 @@ endmodule`, seed, seed-1, seed)
 		t.Fatal(err)
 	}
 	for _, k := range []int{2, 5, 10} {
-		res, err := CheckAssertion(sys, a, Options{MaxInduction: k})
+		res, err := NewDesign().CheckAssertion(sys, a, Options{MaxInduction: k})
 		if err != nil {
 			t.Fatalf("MaxInduction %d: %v", k, err)
 		}

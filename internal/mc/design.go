@@ -26,9 +26,8 @@ import (
 // overlays, which share its inputs, registers and nets. A check on a
 // system of another base opens a fresh pair.
 //
-// A nil *Design checks in a fresh pair that dies with the check. A
-// Design is not safe for concurrent use: give each goroutine its own,
-// and let it die with the design it served.
+// A Design is not safe for concurrent use: give each goroutine its
+// own, and let it die with the design it served.
 type Design struct {
 	sys        *rtl.System // system of the last check
 	base, step *safetySession
@@ -58,13 +57,11 @@ func (c *Design) sessions(sys *rtl.System) (base, step *safetySession) {
 	return c.base, c.step
 }
 
-// CheckAssertion is the package-level CheckAssertion checked in c's
-// sessions: safety properties on the pair, liveness on the base
-// session.
+// CheckAssertion proves or falsifies an assertion against the system:
+// safety properties on the session pair, liveness on the base session.
+// Assumptions declared in the system (assume property) constrain the
+// explored traces.
 func (c *Design) CheckAssertion(sys *rtl.System, a *sva.Assertion, opt Options) (Result, error) {
-	if c == nil {
-		c = NewDesign()
-	}
 	opt = opt.withDefaults()
 	f, err := ltl.LowerAssertion(a)
 	if err != nil {
@@ -84,12 +81,11 @@ func (c *Design) CheckAssertion(sys *rtl.System, a *sva.Assertion, opt Options) 
 	return c.checkSafety(sys, f, abort, assumes, nil, opt)
 }
 
-// CheckCover is the package-level CheckCover run as one query on c's
-// base session.
+// CheckCover decides reachability for a cover property, as one query on
+// the base session: whether some trace from reset (satisfying the
+// system's assumptions) reaches a position where the property holds.
+// Covered results carry the witness trace.
 func (c *Design) CheckCover(sys *rtl.System, a *sva.Assertion, opt Options) (Result, error) {
-	if c == nil {
-		c = NewDesign()
-	}
 	opt = opt.withDefaults()
 	f, err := ltl.LowerAssertion(a)
 	if err != nil {
@@ -334,24 +330,25 @@ func (ob *obligation) grow(n int) (*ltl.LassoEval, error) {
 	return le, nil
 }
 
-// find looks for a trace from the session's initial frame satisfying v
-// under the check's path constraints — first among simulated patterns,
-// then with the solver (a span named span at bound) — and decodes it
-// over the check's frames, as a witness and as a finite Cex. nil means
-// none exists.
-func (ob *obligation) find(span string, bound int, v logic.Node) (*formal.Witness, *Cex, error) {
-	lane, hit := ob.Refute(v, bound, ob.inputColumns())
-	var model []bool
-	if !hit {
-		ok, m, err := ob.Solve(span, bound, v)
-		if err != nil || !ok {
-			return nil, nil, err
-		}
-		model = m
+// find looks for a trace from the session's initial frame satisfying
+// one of targets under the check's path constraints (formal.Find, a
+// span named span at bound) and lays it out over the check's frames as
+// a finite Cex. It returns the index of the target the trace satisfies;
+// a nil Cex means none exists.
+func (ob *obligation) find(span string, bound int, targets ...logic.Node) (int, *Cex, error) {
+	i, p, err := ob.Find(span, bound, ob.inputColumns(), ob.frames, true, targets...)
+	if i < 0 || err != nil {
+		return i, nil, err
 	}
-	cols := ob.ss.frameColumns(ob.bound)
-	w := ob.Decode(lane, model, ob.bound, cols)
-	return &w, cexOf(w.Pattern, cols), nil
+	// Find decoded over frames, which left those columns in the
+	// session's buffer.
+	return i, cexOf(p, ob.ss.cols), nil
+}
+
+// frames lists the columns a found trace is decoded over: every pair
+// built below the check's bound.
+func (ob *obligation) frames() ([]formal.Column, int) {
+	return ob.ss.frameColumns(ob.bound), ob.bound
 }
 
 // checkDepth asks whether the attempt at position k-1 can be violated
@@ -375,7 +372,11 @@ func (ob *obligation) checkDepth(k int) (*Cex, error) {
 // induct checks whether k consecutive good attempts from an arbitrary
 // state force the k+1st to be good. true = inductive. Good-attempt
 // path constraints accumulate under the check's literal as k grows;
-// only the bad k-th attempt is assumed per depth.
+// only the bad k-th attempt is assumed per depth. A simulated lane with
+// k good attempts followed by a bad one is a concrete refutation of the
+// step, and needs no decoding; a refuting SAT model (free initial state
+// plus stimulus) still goes into the bank to seed the prefilter for
+// later depths and runs.
 func (ob *obligation) induct(k int) (bool, error) {
 	ss := ob.ss
 	le, err := ob.grow(k + ob.d + 2)
@@ -394,22 +395,8 @@ func (ob *obligation) induct(k int) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	// A simulated lane with k good attempts followed by a bad one is a
-	// concrete refutation of the induction step.
-	if _, hit := ob.Refute(v, k, ob.inputColumns()); hit {
-		return false, nil
-	}
-	ok, model, err := ob.Solve("induct", k, v)
-	if err != nil {
-		return false, err
-	}
-	if ok && ob.opt.Bank != nil {
-		// Decoding folds the refuting model (free initial state +
-		// stimulus) into the bank: it seeds the prefilter for later
-		// depths and runs.
-		ob.Decode(0, model, ob.bound, ss.frameColumns(ob.bound))
-	}
-	return !ok, nil
+	i, _, err := ob.Find("induct", k, ob.inputColumns(), ob.frames, false, v)
+	return i < 0, err
 }
 
 // cover asks whether the property holds at some position below the BMC
@@ -420,15 +407,14 @@ func (ob *obligation) cover() (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	hit := logic.False
-	for p := 0; p < depth; p++ {
-		t, err := le.Truth(ob.f, p)
+	hits := make([]logic.Node, depth)
+	for p := range hits {
+		hits[p], err = le.Truth(ob.f, p)
 		if err != nil {
 			return Result{}, err
 		}
-		hit = ob.ss.B.Or(hit, t)
 	}
-	_, cex, err := ob.find("bmc", depth, hit)
+	_, cex, err := ob.find("bmc", depth, hits...)
 	if err != nil {
 		return Result{}, err
 	}
@@ -454,7 +440,6 @@ func (ob *obligation) lasso(k int) (Result, error) {
 	ob.bound = k
 	ops := bitvec.Ops{B: b}
 	loops := make([]logic.Node, k)
-	total := logic.False
 	for l := range loops {
 		le := ss.family.At(k, l)
 		closure := logic.True
@@ -487,21 +472,15 @@ func (ob *obligation) lasso(k int) (Result, error) {
 			}
 		}
 		loops[l] = b.And(closure, viol)
-		total = b.Or(total, loops[l])
 	}
-	w, cex, err := ob.find("lasso", k, total)
+	l, cex, err := ob.find("lasso", k, loops...)
 	if err != nil {
 		return Result{}, err
 	}
-	if w == nil {
+	if cex == nil {
 		return Result{Status: Proven, Bounded: true, Depth: k}, nil
 	}
-	for l, n := range loops {
-		if w.Holds(n) {
-			cex.Loop = l
-			break
-		}
-	}
+	cex.Loop = l
 	return Result{Status: Falsified, Depth: k, Cex: cex}, nil
 }
 

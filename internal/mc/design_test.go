@@ -69,7 +69,7 @@ func TestDesignAssumptionWindow(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := CheckAssertion(sys, a, opt)
+			want, err := NewDesign().CheckAssertion(sys, a, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,17 +125,17 @@ endmodule
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := CheckAssertion(sys, a, Options{})
+			want, err := NewDesign().CheckAssertion(sys, a, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			sameVerdict(t, "probe check", got, want)
 		}
 	}
-	if res, _ := CheckAssertion(direct, a, Options{}); res.Status != Falsified {
+	if res, _ := NewDesign().CheckAssertion(direct, a, Options{}); res.Status != Falsified {
 		t.Errorf("direct probe: got %v, want falsified", res.Status)
 	}
-	if res, _ := CheckAssertion(masked, a, Options{}); res.Status != Proven {
+	if res, _ := NewDesign().CheckAssertion(masked, a, Options{}); res.Status != Proven {
 		t.Errorf("masked probe: got %v, want proven", res.Status)
 	}
 }
@@ -158,7 +158,7 @@ func TestDesignLemmaGating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := CheckAssertion(sys, target, Options{})
+	want, err := NewDesign().CheckAssertion(sys, target, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func oneShotSolve(b *logic.Builder, n logic.Node, opt Options) (bool, *logic.CNF
 	}
 	cnf := logic.NewCNF(b, s)
 	cnf.Assert(n)
-	ok, model, err := s.SolveModel()
+	ok, model, err := s.Solve()
 	return ok, cnf, model, err
 }
 
@@ -301,7 +301,7 @@ func TestIncrementalSafetyMatchesOneShotOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
-		got, err1 := CheckAssertion(sys, a, Options{})
+		got, err1 := NewDesign().CheckAssertion(sys, a, Options{})
 		want, err2 := oracleCheckAssertion(sys, a, Options{})
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("%s: error disagreement: incremental=%v oracle=%v", src, err1, err2)

@@ -10,8 +10,8 @@ import (
 // against the same system and may therefore be assumed as a path
 // constraint while checking another property. Assuming an unproved
 // formula would be unsound (it prunes real counterexample traces), so
-// values of this type are only ever constructed inside CheckWithLemmas
-// after a Proven verdict — there is no exported constructor on purpose.
+// values of this type are only ever constructed inside
+// Design.CheckWithLemmas after a Proven verdict — there is no exported constructor on purpose.
 type assumedLemma struct {
 	f     ltl.Formula
 	abort sva.Expr
@@ -19,7 +19,7 @@ type assumedLemma struct {
 }
 
 // Lemma reports the fate of one candidate helper assertion submitted
-// to CheckWithLemmas, index-aligned with the helpers argument.
+// to Design.CheckWithLemmas, index-aligned with the helpers argument.
 type Lemma struct {
 	// Proved marks helpers that were themselves proved (possibly using
 	// other proved helpers as lemmas) and hence assumed during the
@@ -55,20 +55,10 @@ type Lemma struct {
 // assumption) means a helper whose only role is enabling another
 // helper's proof is still correctly marked load-bearing.
 //
-// It is the one-check form of Design.CheckWithLemmas: every safety
-// check of the pipeline runs in one fresh session pair.
-func CheckWithLemmas(sys *rtl.System, target *sva.Assertion, helpers []*sva.Assertion, opt Options) (Result, []Lemma, error) {
-	return NewDesign().CheckWithLemmas(sys, target, helpers, opt)
-}
-
-// CheckWithLemmas is the package-level CheckWithLemmas with every
-// safety check of the pipeline run in c's session pair; each check
-// gates its own assumed lemmas, so a lemma never outlives the check
-// that assumed it.
+// Every safety check of the pipeline runs in c's session pair; each
+// check gates its own assumed lemmas, so a lemma never outlives the
+// check that assumed it.
 func (c *Design) CheckWithLemmas(sys *rtl.System, target *sva.Assertion, helpers []*sva.Assertion, opt Options) (Result, []Lemma, error) {
-	if c == nil {
-		c = NewDesign()
-	}
 	opt = opt.withDefaults()
 	assumes, err := lowerAssumes(sys)
 	if err != nil {

@@ -62,7 +62,7 @@ func TestLemmaUnlocksTarget(t *testing.T) {
 	sys := strideSystem(t)
 	target := parseA(t, strideTarget)
 
-	alone, err := CheckAssertion(sys, target, Options{})
+	alone, err := NewDesign().CheckAssertion(sys, target, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestLemmaUnlocksTarget(t *testing.T) {
 		t.Fatalf("target alone: got %v, want unknown", alone.Status)
 	}
 
-	res, lemmas, err := CheckWithLemmas(sys, target, []*sva.Assertion{parseA(t, strideAlign)}, Options{})
+	res, lemmas, err := NewDesign().CheckWithLemmas(sys, target, []*sva.Assertion{parseA(t, strideAlign)}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestUnprovedHelperNeverAssumed(t *testing.T) {
 	target := parseA(t, strideTarget)
 	bogus := parseA(t, `h: assert property (@(posedge clk) (cnt == 'd0));`)
 
-	res, lemmas, err := CheckWithLemmas(sys, target, []*sva.Assertion{bogus}, Options{})
+	res, lemmas, err := NewDesign().CheckWithLemmas(sys, target, []*sva.Assertion{bogus}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestLemmaCannotMaskFalsification(t *testing.T) {
 	sys := strideSystem(t)
 	target := parseA(t, `t: assert property (@(posedge clk) (cnt != 'd4));`)
 
-	res, lemmas, err := CheckWithLemmas(sys, target, []*sva.Assertion{parseA(t, strideAlign)}, Options{})
+	res, lemmas, err := NewDesign().CheckWithLemmas(sys, target, []*sva.Assertion{parseA(t, strideAlign)}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestLemmaFixpointOrderIndependent(t *testing.T) {
 	decoy := parseA(t, `h2: assert property (@(posedge clk) (cnt == 'd0));`)
 
 	for _, helpers := range [][]*sva.Assertion{{align, decoy}, {decoy, align}} {
-		res, lemmas, err := CheckWithLemmas(sys, target, helpers, Options{})
+		res, lemmas, err := NewDesign().CheckWithLemmas(sys, target, helpers, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func TestUnboundedHelperNeverAssumed(t *testing.T) {
 	target := parseA(t, strideTarget)
 	live := parseA(t, `h: assert property (@(posedge clk) s_eventually (cnt == 'd0));`)
 
-	res, lemmas, err := CheckWithLemmas(sys, target, []*sva.Assertion{live}, Options{})
+	res, lemmas, err := NewDesign().CheckWithLemmas(sys, target, []*sva.Assertion{live}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestLemmaStats(t *testing.T) {
 	decoy := parseA(t, `h2: assert property (@(posedge clk) (cnt == 'd0));`)
 
 	st := &formal.Stats{}
-	_, _, err := CheckWithLemmas(sys, target, []*sva.Assertion{align, decoy}, Options{Search: formal.Search{Stats: st}})
+	_, _, err := NewDesign().CheckWithLemmas(sys, target, []*sva.Assertion{align, decoy}, Options{Search: formal.Search{Stats: st}})
 	if err != nil {
 		t.Fatal(err)
 	}

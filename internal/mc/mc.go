@@ -109,21 +109,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// CheckAssertion proves or falsifies an assertion against the system.
-// Assumptions declared in the system (assume property) constrain the
-// explored traces. It is the one-check form of Design.CheckAssertion.
-func CheckAssertion(sys *rtl.System, a *sva.Assertion, opt Options) (Result, error) {
-	return NewDesign().CheckAssertion(sys, a, opt)
-}
-
-// CheckCover decides reachability for a cover property: whether some
-// trace from reset (satisfying the system's assumptions) reaches a
-// position where the property holds. Covered results carry the witness
-// trace. It is the one-check form of Design.CheckCover.
-func CheckCover(sys *rtl.System, a *sva.Assertion, opt Options) (Result, error) {
-	return NewDesign().CheckCover(sys, a, opt)
-}
-
 // lowerAssumes lowers the system's assumptions; only bounded
 // assumption properties are supported (standard for stimulus
 // constraints).

@@ -66,7 +66,7 @@ func check(t *testing.T, sys *rtl.System, src string) Result {
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
-	res, err := CheckAssertion(sys, a, Options{})
+	res, err := NewDesign().CheckAssertion(sys, a, Options{})
 	if err != nil {
 		t.Fatalf("check %q: %v", src, err)
 	}
@@ -298,7 +298,7 @@ endmodule`
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := CheckAssertion(sys, a, Options{MaxInduction: 2, BMCDepth: 6})
+	res, err := NewDesign().CheckAssertion(sys, a, Options{MaxInduction: 2, BMCDepth: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,9 +399,9 @@ func errorSurfaceChecks(t *testing.T, sys *rtl.System, safety, live, cover strin
 	a, l, c := parseA(t, safety), parseA(t, live), parseA(t, cover)
 	design := NewDesign()
 	return []errorSurfaceCheck{
-		{"safety", func() error { _, err := CheckAssertion(sys, a, Options{}); return err }},
+		{"safety", func() error { _, err := NewDesign().CheckAssertion(sys, a, Options{}); return err }},
 		{"shared safety", func() error { _, err := design.CheckAssertion(sys, a, Options{}); return err }},
-		{"liveness", func() error { _, err := CheckAssertion(sys, l, Options{}); return err }},
-		{"cover", func() error { _, err := CheckCover(sys, c, Options{}); return err }},
+		{"liveness", func() error { _, err := NewDesign().CheckAssertion(sys, l, Options{}); return err }},
+		{"cover", func() error { _, err := NewDesign().CheckCover(sys, c, Options{}); return err }},
 	}
 }

@@ -112,7 +112,7 @@ func (r *progReader) next() byte {
 // against brute force over every variable the solver holds.
 func checkIncrementalSolve(t *testing.T, s *Solver, clauses [][]Lit, assume []Lit) {
 	t.Helper()
-	ok, model, err := s.SolveModel(assume...)
+	ok, model, err := s.Solve(assume...)
 	if err != nil {
 		t.Fatalf("solve: %v", err)
 	}

@@ -49,17 +49,17 @@ func TestCoreIsSubsetOfAssumptions(t *testing.T) {
 	s.AddClause(a.Not(), x)
 	s.AddClause(b.Not(), x.Not())
 
-	ok, err := s.Solve(a, b, c)
+	ok, _, err := s.Solve(a, b, c)
 	if err != nil || ok {
 		t.Fatalf("want unsat, got ok=%v err=%v", ok, err)
 	}
 	// {a, b} alone already forces unsatisfiability.
-	ok, err = s.Solve(a, b)
+	ok, _, err = s.Solve(a, b)
 	if err != nil || ok {
 		t.Fatalf("re-solving under {a, b} must stay unsat, got ok=%v err=%v", ok, err)
 	}
 	// Assuming only the irrelevant literal is sat.
-	ok, err = s.Solve(c)
+	ok, _, err = s.Solve(c)
 	if err != nil || !ok {
 		t.Fatalf("assuming only %v must be sat, got ok=%v err=%v", c, ok, err)
 	}
@@ -72,12 +72,12 @@ func TestCoreEmptyWhenUnconditionallyUnsat(t *testing.T) {
 	s.AddClause(x)
 	s.AddClause(x.Not(), y)
 	s.AddClause(y.Not())
-	ok, err := s.Solve(NewLit(s.NewVar(), false))
+	ok, _, err := s.Solve(NewLit(s.NewVar(), false))
 	if err != nil || ok {
 		t.Fatalf("want unsat, got ok=%v err=%v", ok, err)
 	}
 	// The clause database itself is unsat: no assumptions needed.
-	if ok, err := s.Solve(); err != nil || ok {
+	if ok, _, err := s.Solve(); err != nil || ok {
 		t.Fatalf("want unsat without assumptions, got ok=%v err=%v", ok, err)
 	}
 }
@@ -86,12 +86,12 @@ func TestContradictoryAssumptionsCore(t *testing.T) {
 	s := New()
 	x := NewLit(s.NewVar(), false)
 	s.AddClause(x, x.Not()) // tautology; solver otherwise unconstrained
-	ok, err := s.Solve(x, x.Not())
+	ok, _, err := s.Solve(x, x.Not())
 	if err != nil || ok {
 		t.Fatalf("contradictory assumptions must be unsat, got ok=%v err=%v", ok, err)
 	}
 	for _, l := range []Lit{x, x.Not()} {
-		if ok, err := s.Solve(l); err != nil || !ok {
+		if ok, _, err := s.Solve(l); err != nil || !ok {
 			t.Fatalf("assuming only %v must be sat, got ok=%v err=%v", l, ok, err)
 		}
 	}
@@ -102,7 +102,7 @@ func TestLearntClausesSurviveAcrossSolves(t *testing.T) {
 	act := NewLit(s.NewVar(), false)
 	addPigeonhole(s, act, 5, 4)
 
-	ok, err := s.Solve(act)
+	ok, _, err := s.Solve(act)
 	if err != nil || ok {
 		t.Fatalf("gated pigeonhole must be unsat under act, got ok=%v err=%v", ok, err)
 	}
@@ -117,7 +117,7 @@ func TestLearntClausesSurviveAcrossSolves(t *testing.T) {
 	// Second refutation reuses the learnt clauses: act is root-implied
 	// false by now (or nearly so), so the repeat costs far fewer
 	// conflicts than the first call.
-	ok, err = s.Solve(act)
+	ok, _, err = s.Solve(act)
 	if err != nil || ok {
 		t.Fatalf("repeat solve must stay unsat, got ok=%v err=%v", ok, err)
 	}
@@ -135,7 +135,7 @@ func TestLearntClausesSurviveAcrossSolves(t *testing.T) {
 		t.Fatalf("learnt clauses dropped across calls: %d -> %d", st1.Learnt, st2.Learnt)
 	}
 	// The instance stays sat with the activation released.
-	ok, err = s.Solve(act.Not())
+	ok, _, err = s.Solve(act.Not())
 	if err != nil || !ok {
 		t.Fatalf("released instance must be sat, got ok=%v err=%v", ok, err)
 	}
@@ -146,7 +146,7 @@ func TestClauseAdditionBetweenSolves(t *testing.T) {
 	x := NewLit(s.NewVar(), false)
 	y := NewLit(s.NewVar(), false)
 	s.AddClause(x, y)
-	ok, m, err := s.SolveModel()
+	ok, m, err := s.Solve()
 	if err != nil || !ok {
 		t.Fatalf("want sat, got ok=%v err=%v", ok, err)
 	}
@@ -155,7 +155,7 @@ func TestClauseAdditionBetweenSolves(t *testing.T) {
 	}
 	// Block the positive x; the solver must adapt on the next call.
 	s.AddClause(x.Not())
-	ok, m, err = s.SolveModel()
+	ok, m, err = s.Solve()
 	if err != nil || !ok {
 		t.Fatalf("still sat via y, got ok=%v err=%v", ok, err)
 	}
@@ -163,7 +163,7 @@ func TestClauseAdditionBetweenSolves(t *testing.T) {
 		t.Fatalf("model must now set y and clear x, got x=%v y=%v", m[x.Var()], m[y.Var()])
 	}
 	s.AddClause(y.Not())
-	ok, err = s.Solve()
+	ok, _, err = s.Solve()
 	if err != nil || ok {
 		t.Fatalf("fully blocked instance must be unsat, got ok=%v err=%v", ok, err)
 	}
@@ -175,7 +175,7 @@ func TestBudgetIsPerCallDelta(t *testing.T) {
 	addPigeonhole(s, act, 7, 6)
 	s.SetBudget(20)
 
-	_, err := s.Solve(act)
+	_, _, err := s.Solve(act)
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("tiny budget must exhaust on PHP(7,6), got err=%v", err)
 	}
@@ -186,7 +186,7 @@ func TestBudgetIsPerCallDelta(t *testing.T) {
 
 	// A second budgeted call starts from a fresh allowance: it performs
 	// real new search work instead of aborting on the lifetime total.
-	_, err = s.Solve(act)
+	_, _, err = s.Solve(act)
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("second budgeted call must also exhaust, got err=%v", err)
 	}
@@ -196,14 +196,14 @@ func TestBudgetIsPerCallDelta(t *testing.T) {
 	}
 
 	// An easy query on the same solver is unaffected by earlier spend.
-	ok, err := s.Solve(act.Not())
+	ok, _, err := s.Solve(act.Not())
 	if err != nil || !ok {
 		t.Fatalf("easy query must succeed within budget, got ok=%v err=%v", ok, err)
 	}
 
 	// Clearing the budget lets the refutation complete.
 	s.SetBudget(0)
-	ok, err = s.Solve(act)
+	ok, _, err = s.Solve(act)
 	if err != nil || ok {
 		t.Fatalf("unbudgeted solve must refute, got ok=%v err=%v", ok, err)
 	}

@@ -664,17 +664,6 @@ func luby(i int64) int64 {
 	}
 }
 
-// Solve determines satisfiability under the given assumption literals.
-// Assumptions are enqueued as pseudo-decisions below all search
-// decisions, so learnt clauses and variable activity carry over to
-// later Solve calls, and clauses may be added between calls. It
-// returns (true, nil) if satisfiable, (false, nil) if unsatisfiable,
-// and (false, ErrBudget) if the per-call conflict budget ran out.
-func (s *Solver) Solve(assumptions ...Lit) (bool, error) {
-	ok, _, err := s.solve(false, assumptions)
-	return ok, err
-}
-
 // search runs CDCL for up to maxConfl conflicts. done=false means the
 // budget expired (restart).
 func (s *Solver) search(maxConfl int64, assumptions []Lit, learntCap *int) (sat bool, done bool) {
@@ -739,33 +728,16 @@ func (s *Solver) search(maxConfl int64, assumptions []Lit, learntCap *int) (sat 
 	}
 }
 
-// Value returns the model value of variable v after a satisfiable Solve.
-// Must be called before the next Solve/AddClause; after backtrack to
-// root, values persist only for root-level implied variables, so Solve
-// copies the model — see Model.
-func (s *Solver) Value(v int) bool {
-	return s.vals[2*v] == lTrue
-}
-
-// Model captures the satisfying assignment (index 0 unused).
-func (s *Solver) Model() []bool {
-	m := make([]bool, s.nVars+1)
-	for v := 1; v <= s.nVars; v++ {
-		m[v] = s.vals[2*v] == lTrue
-	}
-	return m
-}
-
-// SolveModel is a convenience wrapper: it solves and, when satisfiable,
-// returns the model before backtracking state is disturbed.
-func (s *Solver) SolveModel(assumptions ...Lit) (bool, []bool, error) {
-	return s.solve(true, assumptions)
-}
-
-// solve is the shared CDCL driver behind Solve and SolveModel. search()
-// returns with the full assignment still on the trail only when SAT, so
-// the model (when requested) is captured before backtracking to root.
-func (s *Solver) solve(wantModel bool, assumptions []Lit) (bool, []bool, error) {
+// Solve determines satisfiability under the given assumption literals.
+// Assumptions are enqueued as pseudo-decisions below all search
+// decisions, so learnt clauses and variable activity carry over to
+// later Solve calls, and clauses may be added between calls. It
+// returns (true, model, nil) if satisfiable, where model[v] is variable
+// v's value (index 0 unused); (false, nil, nil) if unsatisfiable; and
+// (false, nil, ErrBudget) if the per-call conflict budget ran out.
+// search returns with the full assignment still on the trail only when
+// SAT, so the model is copied before backtracking to root.
+func (s *Solver) Solve(assumptions ...Lit) (bool, []bool, error) {
 	s.solves++
 	if !s.ok {
 		return false, nil, nil
@@ -780,8 +752,11 @@ func (s *Solver) solve(wantModel bool, assumptions []Lit) (bool, []bool, error) 
 		res, done := s.search(budget, assumptions, &learntCap)
 		if done {
 			var m []bool
-			if res && wantModel {
-				m = s.Model()
+			if res {
+				m = make([]bool, s.nVars+1)
+				for v := 1; v <= s.nVars; v++ {
+					m[v] = s.vals[2*v] == lTrue
+				}
 			}
 			s.backtrack(0)
 			return res, m, nil

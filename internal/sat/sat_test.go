@@ -38,7 +38,7 @@ func TestLitEncoding(t *testing.T) {
 
 func TestEmptyFormulaSat(t *testing.T) {
 	s := New()
-	ok, err := s.Solve()
+	ok, _, err := s.Solve()
 	if err != nil || !ok {
 		t.Fatalf("empty formula must be SAT, got %v %v", ok, err)
 	}
@@ -51,7 +51,7 @@ func TestUnitPropagationConflict(t *testing.T) {
 	if res := s.AddClause(lit(-1)); res {
 		t.Fatalf("x and !x must be unsatisfiable at add time")
 	}
-	ok, _ := s.Solve()
+	ok, _, _ := s.Solve()
 	if ok {
 		t.Fatalf("expected UNSAT")
 	}
@@ -63,7 +63,7 @@ func TestSimpleSat(t *testing.T) {
 	s.AddClause(lit(1), lit(2))
 	s.AddClause(lit(-1), lit(3))
 	s.AddClause(lit(-2), lit(-3))
-	ok, m, err := s.SolveModel()
+	ok, m, err := s.Solve()
 	if err != nil || !ok {
 		t.Fatalf("expected SAT: %v %v", ok, err)
 	}
@@ -90,7 +90,7 @@ func TestPigeonhole3into2(t *testing.T) {
 			}
 		}
 	}
-	ok, _ := s.Solve()
+	ok, _, _ := s.Solve()
 	if ok {
 		t.Fatalf("pigeonhole 3->2 must be UNSAT")
 	}
@@ -115,7 +115,7 @@ func TestPigeonhole6into5(t *testing.T) {
 			}
 		}
 	}
-	ok, _ := s.Solve()
+	ok, _, _ := s.Solve()
 	if ok {
 		t.Fatalf("pigeonhole 6->5 must be UNSAT")
 	}
@@ -128,16 +128,16 @@ func TestAssumptions(t *testing.T) {
 	s := New()
 	addVars(s, 2)
 	s.AddClause(lit(1), lit(2))
-	ok, _ := s.Solve(lit(-1), lit(-2))
+	ok, _, _ := s.Solve(lit(-1), lit(-2))
 	if ok {
 		t.Fatalf("assumptions force both false; expected UNSAT")
 	}
-	ok, _ = s.Solve(lit(-1))
+	ok, _, _ = s.Solve(lit(-1))
 	if !ok {
 		t.Fatalf("expected SAT under single assumption")
 	}
 	// solver must remain reusable
-	ok, _ = s.Solve()
+	ok, _, _ = s.Solve()
 	if !ok {
 		t.Fatalf("expected SAT with no assumptions")
 	}
@@ -152,7 +152,7 @@ func TestTautologyAndDuplicates(t *testing.T) {
 	if !s.AddClause(lit(2), lit(2)) {
 		t.Fatalf("duplicate literals must be deduped")
 	}
-	ok, m, _ := s.SolveModel()
+	ok, m, _ := s.Solve()
 	if !ok || !m[2] {
 		t.Fatalf("x2 must be forced true")
 	}
@@ -222,7 +222,7 @@ func TestRandomAgainstBruteForce(t *testing.T) {
 			got = false
 		} else {
 			var err error
-			got, err = s.Solve()
+			got, _, err = s.Solve()
 			if err != nil {
 				t.Fatalf("unexpected error: %v", err)
 			}
@@ -233,7 +233,7 @@ func TestRandomAgainstBruteForce(t *testing.T) {
 		}
 		if got {
 			// model must actually satisfy every clause
-			ok, m, _ := s.SolveModel()
+			ok, m, _ := s.Solve()
 			if !ok {
 				t.Fatalf("iter %d: SAT became UNSAT on re-solve", iter)
 			}
@@ -286,7 +286,7 @@ func TestQuickModelsSatisfy(t *testing.T) {
 		if !ok {
 			return true // UNSAT at root: nothing to check
 		}
-		sat, m, err := s.SolveModel()
+		sat, m, err := s.Solve()
 		if err != nil {
 			return false
 		}
@@ -346,7 +346,7 @@ func TestBudget(t *testing.T) {
 		}
 	}
 	s.SetBudget(10)
-	_, err := s.Solve()
+	_, _, err := s.Solve()
 	if err != ErrBudget {
 		t.Fatalf("expected ErrBudget, got %v", err)
 	}
@@ -372,7 +372,7 @@ func BenchmarkSolverPigeonhole(b *testing.B) {
 				}
 			}
 		}
-		if ok, _ := s.Solve(); ok {
+		if ok, _, _ := s.Solve(); ok {
 			b.Fatalf("pigeonhole must be UNSAT")
 		}
 	}
