@@ -73,10 +73,10 @@ bench:
 # regenerate renders every table and figure at full size through the
 # task registry, the path fvevald serves, and diffs the output against
 # the checked-in tables; a 3-sample Table 2 pins a run whose default
-# cut-offs exceed its sample count. Table 3's stderr counters at one
-# worker (equivalence-cache hits and misses, formal-backend and
-# prefilter work) are deterministic, so that diff shows any change in
-# memo traffic; Table 5's one-worker counters (formal-backend and
+# cut-offs exceed its sample count. Table 1's and Table 3's stderr
+# counters at one worker (equivalence-cache hits and misses,
+# formal-backend and prefilter work) are deterministic, so that diff
+# shows any change in memo traffic; Table 5's one-worker counters (formal-backend and
 # prefilter work) and AGR's pin the model checker's solver work the
 # same way, and refinement's pin the equivalence checker's (its
 # witness traces reach model prompts). Only one worker is
@@ -84,6 +84,7 @@ bench:
 regenerate:
 	$(GO) run ./cmd/fveval -all | diff -u cmd/fveval/testdata/all.txt -
 	$(GO) run ./cmd/fveval -table 2 -samples 3 -limit 4 | diff -u cmd/fveval/testdata/table2_samples3.txt -
+	$(GO) run ./cmd/fveval -table 1 -workers 1 2>&1 >/dev/null | grep -E '^(equiv cache|formal backend|sim prefilter):' | diff -u cmd/fveval/testdata/table1_counters.txt -
 	$(GO) run ./cmd/fveval -table 3 -workers 1 2>&1 >/dev/null | grep -E '^(equiv cache|formal backend|sim prefilter):' | diff -u cmd/fveval/testdata/table3_counters.txt -
 	$(GO) run ./cmd/fveval -table 5 -workers 1 2>&1 >/dev/null | grep -E '^(equiv cache|formal backend|sim prefilter):' | diff -u cmd/fveval/testdata/table5_counters.txt -
 	$(GO) run ./cmd/fveval -task agr -workers 1 2>&1 >/dev/null | grep -E '^(equiv cache|formal backend|sim prefilter):' | diff -u cmd/fveval/testdata/agr_counters.txt -
