@@ -13,11 +13,13 @@ import (
 // DesignRow is the judging context of one Design2SVA or AGR instance
 // row (DESIGN.md §7, "Row base"): every candidate of a row is the same
 // design and testbench plus a few lines of model text, so the row
-// parses the design once, elaborates the design+bench system once, on
-// its first candidate, and judges each candidate on an overlay of that
-// base. It also holds the row's model-checking context, which shares
-// one session pair across the overlays of the base. A DesignRow is not
-// safe for concurrent use; it dies with its row.
+// parses and elaborates the design+bench system once, on its first
+// candidate, and judges each candidate on an overlay of that base. A
+// candidate the overlay cannot reproduce takes the whole-file path,
+// which parses and elaborates the whole file again. The row also holds
+// its model-checking context, which shares one session pair across the
+// overlays of the base. A DesignRow is not safe for concurrent use; it
+// dies with its row.
 type DesignRow struct {
 	design, bench    string
 	target           string // spliced in ahead of every snippet (AGR)
@@ -25,7 +27,6 @@ type DesignRow struct {
 	mc               *mc.Design
 
 	built bool
-	half  designHalf
 	base  *rtl.Base // nil: every candidate takes the whole-file path
 }
 
@@ -62,14 +63,14 @@ func (r *DesignRow) splice(snippet string) string {
 // as module items on its own then parses the same way in place.
 const overlayProbe = "assert property (@(posedge clk) overlay_probe);"
 
-// build parses the design on its own and elaborates the base, once.
+// build parses the file with the probe spliced in and elaborates the
+// base, once.
 func (r *DesignRow) build() {
 	if r.built {
 		return
 	}
 	r.built = true
-	r.half = parseDesignHalf(r.design)
-	f, err := r.half.parse(r.design, r.bench, r.splice(overlayProbe))
+	f, err := r.parse(overlayProbe)
 	if err != nil {
 		return
 	}
@@ -107,53 +108,17 @@ func (r *DesignRow) system(snippet string) (*rtl.System, error) {
 
 // wholeFile parses and elaborates the whole file for snippet.
 func (r *DesignRow) wholeFile(snippet string) (*rtl.System, error) {
-	r.build()
-	f, err := r.half.parse(r.design, r.bench, r.splice(snippet))
+	f, err := r.parse(snippet)
 	if err != nil {
 		return nil, err
 	}
 	return rtl.ElaborateBound(f, r.dutTop, r.benchTop, nil)
 }
 
-// designHalf is a design's parse on its own; f is nil when the design
-// does not parse without its bench.
-type designHalf struct {
-	f       *rtl.File
-	defines map[string]string
-}
-
-func parseDesignHalf(design string) designHalf {
-	f, defines, err := rtl.ParseAfter(design, nil)
-	if err != nil {
-		return designHalf{}
-	}
-	return designHalf{f, defines}
-}
-
-// parse parses design followed by bench with snippet spliced in —
-// rtl.Parse(design+"\n"+bench') — from the design half: the bench
-// half is parsed with the design's macros in scope. It parses the
-// whole file instead whenever the split could expand a macro
-// differently: the design does not parse on its own (say, it uses a
-// macro only the bench defines), the bench redefines one of the
-// design's macros, or the snippet carries a directive.
-func (d designHalf) parse(design, bench, snippet string) (*rtl.File, error) {
-	bench = insertBeforeEndmodule(bench, snippet)
-	if d.f == nil || strings.Contains(snippet, "`") {
-		return rtl.Parse(design + "\n" + bench)
-	}
-	bf, own, err := rtl.ParseAfter(bench, d.defines)
-	for k, v := range own {
-		if dv, ok := d.defines[k]; ok && dv != v {
-			return rtl.Parse(design + "\n" + bench)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	f := &rtl.File{Modules: make([]*rtl.Module, 0, len(d.f.Modules)+len(bf.Modules))}
-	f.Modules = append(append(f.Modules, d.f.Modules...), bf.Modules...)
-	return f, nil
+// parse parses the design followed by the bench with snippet spliced
+// in before its endmodule.
+func (r *DesignRow) parse(snippet string) (*rtl.File, error) {
+	return rtl.Parse(r.design + "\n" + insertBeforeEndmodule(r.bench, r.splice(snippet)))
 }
 
 // insertBeforeEndmodule splices a snippet into the testbench body.

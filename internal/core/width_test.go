@@ -131,6 +131,7 @@ func FuzzDesignSnippet(f *testing.F) {
 	f.Add(uint8(1), "logic [7:0] w; assign w = {2000000000{1'b1}};")
 	f.Add(uint8(2), "assert property (@(posedge clk) {4{1'b1}} |-> ##2 1'b1);")
 	f.Add(uint8(3), clog2Snippet)
+	f.Add(uint8(0), "assert property (@(posedge clk) 1'b1);\nendmodule\nmodule extra;")
 	f.Fuzz(func(t *testing.T, idx uint8, snippet string) {
 		inst := designs[int(idx)%len(designs)]
 		checkOverlay(t, inst.ID, NewDesignRow(inst), snippet)

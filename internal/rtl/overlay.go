@@ -39,15 +39,20 @@ func ElaborateBase(f *File, dutTop, tbTop string) (*Base, error) {
 
 // Overlay elaborates snippet as if it were spliced in after the
 // testbench's last item (the caller guarantees the splice point is a
-// clean item boundary of the testbench module) and returns the
-// resulting system, sharing the base's inputs, registers, reset values
-// and nets. It reproduces the whole-file system and its errors for
-// snippets made of assertions, new signal declarations (logic, wire,
-// reg) and continuous assigns to those signals. Anything else
+// clean item boundary of the testbench module, and the testbench the
+// file's last module) and returns the resulting system, sharing the
+// base's inputs, registers, reset values and nets. It reproduces the
+// whole-file system and its errors for snippets made of assertions,
+// new signal declarations (logic, wire, reg) and continuous assigns to
+// those signals. For a parse failure it reproduces the verdict, an
+// error wherever the whole file has one, not the error text: a snippet
+// without a backtick or "module" that does not parse as module items
+// on its own cannot parse in place either, since only closing the
+// testbench early or opening a new module could make it. Anything else
 // returns ErrNoOverlay: a backtick (macro use or directive), text that
-// does not parse as module items on its own, an always block, an
-// instance, a parameter, a generate loop, an assume or cover, a
-// declaration of a name the base already has, or a driver of one of
+// mentions "module" and does not parse as items on its own, an always
+// block, an instance, a parameter, a generate loop, an assume or cover,
+// a declaration of a name the base already has, or a driver of one of
 // its signals. An empty snippet returns the base system itself.
 func (b *Base) Overlay(snippet string) (*System, error) {
 	if strings.Contains(snippet, "`") {
@@ -55,7 +60,10 @@ func (b *Base) Overlay(snippet string) (*System, error) {
 	}
 	items, err := parseItems(snippet)
 	if err != nil {
-		return nil, ErrNoOverlay
+		if strings.Contains(snippet, "module") {
+			return nil, ErrNoOverlay
+		}
+		return nil, err
 	}
 	if len(items) == 0 {
 		return b.sys, nil

@@ -2,7 +2,6 @@ package rtl
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"strings"
 
@@ -10,9 +9,9 @@ import (
 	"fveval/internal/sva"
 )
 
-// Preprocess expands `define macros (object-like, single line) and
+// preprocess expands `define macros (object-like, single line) and
 // strips the directives. Unknown macros cause an error at parse time.
-func Preprocess(src string) (string, map[string]string) {
+func preprocess(src string) (string, map[string]string) {
 	defines := map[string]string{}
 	var out []string
 	for _, line := range strings.Split(src, "\n") {
@@ -33,47 +32,31 @@ func Preprocess(src string) (string, map[string]string) {
 	return strings.Join(out, "\n"), defines
 }
 
-// Parse parses a source file (after running the preprocessor).
+// Parse parses a whole source file: it runs the preprocessor, so every
+// macro use sees the file's last definition of that macro, then parses
+// the modules in order. A Design2SVA row parses its design, testbench
+// and spliced text as one such file (core.DesignRow).
 func Parse(src string) (*File, error) {
-	f, _, err := ParseAfter(src, nil)
-	return f, err
-}
-
-// ParseAfter parses src as the tail of a file whose earlier part
-// defined the macros in outer: src's macro uses see outer's
-// definitions overlaid by src's own, as Preprocess merges them over a
-// whole file. It also returns src's own definitions. Whether the
-// earlier part would have expanded differently under src's definitions
-// is the caller's concern.
-func ParseAfter(src string, outer map[string]string) (*File, map[string]string, error) {
-	text, own := Preprocess(src)
-	defines := own
-	switch {
-	case len(own) == 0:
-		defines = outer
-	case len(outer) > 0:
-		defines = maps.Clone(outer)
-		maps.Copy(defines, own)
-	}
+	text, defines := preprocess(src)
 	toks, err := sv.Tokenize(text)
 	if err != nil {
-		return nil, own, err
+		return nil, err
 	}
 	// Splice macro uses.
 	toks, err = expandMacros(toks, defines)
 	if err != nil {
-		return nil, own, err
+		return nil, err
 	}
 	p := &rparser{toks: toks}
 	f := &File{}
 	for !p.at(sv.EOF, "") {
 		m, err := p.parseModule()
 		if err != nil {
-			return nil, own, err
+			return nil, err
 		}
 		f.Modules = append(f.Modules, m)
 	}
-	return f, own, nil
+	return f, nil
 }
 
 // expandMacros splices macro uses; a stream without any comes back
