@@ -226,7 +226,9 @@ func combineDisable(body Verdict, rel disableRel) Verdict {
 
 // boolExprEquivalent decides functional equality of two boolean-layer
 // expressions over free signals: one obligation, one query for their
-// difference at position 0.
+// difference at position 0. A difference that folds to constant false
+// (the same condition on both sides, up to structural hashing) needs
+// no query.
 func (q *query) boolExprEquivalent(x, y sva.Expr) (bool, error) {
 	nx, err := q.ev.Bool(x, 0)
 	if err != nil {
@@ -236,9 +238,13 @@ func (q *query) boolExprEquivalent(x, y sva.Expr) (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	diff := q.ss.B.Xor(nx, ny)
+	if diff == logic.False {
+		return true, nil
+	}
 	ob := q.ss.Open(q.opt.Search)
 	cols := q.columns(unionNames(&ltl.FAtom{E: x}, &ltl.FAtom{E: y}), 1)
-	differ, _, err := ob.Find("ramp", 1, cols, nil, false, q.ss.B.Xor(nx, ny))
+	differ, _, err := ob.Find("ramp", 1, cols, nil, false, diff)
 	ob.Close(false)
 	return differ < 0, err
 }

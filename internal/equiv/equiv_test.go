@@ -3,7 +3,9 @@ package equiv
 import (
 	"testing"
 
+	"fveval/internal/formal"
 	"fveval/internal/ltl"
+	"fveval/internal/obs"
 	"fveval/internal/sva"
 )
 
@@ -296,6 +298,41 @@ func TestDisableIffHandling(t *testing.T) {
 	res = check(t, a, rewr, sigs)
 	if res.Verdict != Equivalent {
 		t.Errorf("equivalent disables: got %v", res.Verdict)
+	}
+}
+
+// TestIdenticalDisablesSkipTheSolver pins the disable-iff comparison's
+// work: identical conditions, whose difference folds to constant false,
+// are equal without a query, a solve or a span; different ones are
+// still asked.
+func TestIdenticalDisablesSkipTheSolver(t *testing.T) {
+	for _, c := range []struct {
+		a, b  string
+		equal bool
+		asked bool
+	}{
+		{"tb_reset", "tb_reset", true, false},
+		{"tb_reset || a", "tb_reset || a", true, false},
+		{"tb_reset", "c", false, true},
+		{"tb_reset", "(a && tb_reset) || (!a && tb_reset)", true, true},
+	} {
+		var st formal.Stats
+		rec := obs.NewRecorder(0)
+		root := rec.Start("check", 0)
+		q := newQuery(humanSigs(), Options{Search: formal.Search{SimPatterns: 64, Stats: &st, Span: root}})
+		da := mustParse(t, "assert property (@(posedge clk) disable iff ("+c.a+") a);").DisableIff
+		db := mustParse(t, "assert property (@(posedge clk) disable iff ("+c.b+") a);").DisableIff
+		eq, err := q.boolExprEquivalent(da, db)
+		root.End()
+		if err != nil || eq != c.equal {
+			t.Fatalf("%s vs %s: equal %v (%v), want %v", c.a, c.b, eq, err, c.equal)
+		}
+		spans, _ := rec.Snapshot()
+		snap := st.Snapshot()
+		if asked := snap.Queries > 0 || snap.Solves > 0 || len(spans) > 1; asked != c.asked {
+			t.Errorf("%s vs %s: %d queries, %d solves, %d spans, want asked %v",
+				c.a, c.b, snap.Queries, snap.Solves, len(spans)-1, c.asked)
+		}
 	}
 }
 
