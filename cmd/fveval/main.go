@@ -29,8 +29,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"fveval/internal/engine"
@@ -38,25 +40,40 @@ import (
 )
 
 func main() {
-	taskName := flag.String("task", "", "registry task to run (see -list)")
-	list := flag.Bool("list", false, "list the task registry and exit")
-	jsonOut := flag.Bool("json", false, "emit the unified run JSON instead of the rendered table")
-	table := flag.Int("table", 0, "table number to regenerate (1-6)")
-	figure := flag.Int("figure", 0, "figure number to regenerate (2, 3, 4, 6)")
-	all := flag.Bool("all", false, "run every table and figure")
-	limit := flag.Int("limit", 0, "truncate instance lists (0 = full size)")
-	count := flag.Int("count", 0, "NL2SVA-Machine dataset size (0 = task default, 300)")
-	samples := flag.Int("samples", 5, "samples per instance for pass@k runs")
-	workers := flag.Int("workers", 0, "evaluation parallelism (0 = GOMAXPROCS)")
-	cache := flag.Bool("cache", true, "memoize equivalence checks and judgments across the run (false disables every memo)")
-	maxBound := flag.Int("maxbound", 0, "cap for the formal backend's bound ramp: lasso bound for equivalence, BMC depth for model checking (0 = defaults, 16 each)")
-	budget := flag.Int64("budget", 0, "SAT conflict budget per formal query (0 = default 200000)")
-	simPatterns := flag.Int("simpatterns", 128, "bit-parallel simulation patterns the refute-before-solve prefilter evaluates per formal query (rounded up to 64-lane rounds; 0 disables the prefilter)")
-	flag.Parse()
+	os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// cli runs one fveval invocation on a fresh engine, as one process
+// does: rendered tables or run JSON go to stdout, the run-wide
+// counters (printCounters) and errors to stderr. It returns the exit
+// status: 2 for bad flags, 1 for a failed run.
+func cli(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fveval", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	taskName := fs.String("task", "", "registry task to run (see -list)")
+	list := fs.Bool("list", false, "list the task registry and exit")
+	jsonOut := fs.Bool("json", false, "emit the unified run JSON instead of the rendered table")
+	table := fs.Int("table", 0, "table number to regenerate (1-6)")
+	figure := fs.Int("figure", 0, "figure number to regenerate (2, 3, 4, 6)")
+	all := fs.Bool("all", false, "run every table and figure")
+	limit := fs.Int("limit", 0, "truncate instance lists (0 = full size)")
+	count := fs.Int("count", 0, "NL2SVA-Machine dataset size (0 = task default, 300)")
+	samples := fs.Int("samples", 5, "samples per instance for pass@k runs")
+	workers := fs.Int("workers", 0, "evaluation parallelism (0 = GOMAXPROCS)")
+	cache := fs.Bool("cache", true, "memoize equivalence checks and judgments across the run (false disables every memo)")
+	maxBound := fs.Int("maxbound", 0, "cap for the formal backend's bound ramp: lasso bound for equivalence, BMC depth for model checking (0 = defaults, 16 each)")
+	budget := fs.Int64("budget", 0, "SAT conflict budget per formal query (0 = default 200000)")
+	simPatterns := fs.Int("simpatterns", 128, "bit-parallel simulation patterns the refute-before-solve prefilter evaluates per formal query (rounded up to 64-lane rounds; 0 disables the prefilter)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
-		printRegistry()
-		return
+		printRegistry(stdout)
+		return 0
 	}
 
 	cfg := engine.Config{
@@ -70,25 +87,81 @@ func main() {
 		NoSim:       *simPatterns == 0,
 	}
 	if err := cfg.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "fveval:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "fveval:", err)
+		return 2
+	}
+	var names []string
+	switch {
+	case *taskName != "":
+		names = []string{*taskName}
+	case *all:
+		names = allTasks()
+	case *table > 0:
+		spec, err := task.ByTable(*table)
+		if err != nil {
+			fmt.Fprintln(stderr, "fveval:", err)
+			return 1
+		}
+		names = []string{spec.Name}
+	case *figure > 0:
+		spec, err := task.ByFigure(*figure)
+		if err != nil {
+			fmt.Fprintln(stderr, "fveval:", err)
+			return 1
+		}
+		names = []string{spec.Name}
+	default:
+		fs.Usage()
+		return 0
 	}
 	eng := task.NewEngine(cfg)
-	if err := run(eng, *taskName, *table, *figure, *all, *count, *jsonOut); err != nil {
-		fmt.Fprintln(os.Stderr, "fveval:", err)
-		os.Exit(1)
+	for _, name := range names {
+		// In -all mode -count applies only to the tasks that take it.
+		if err := runTask(eng, stdout, name, *count, *jsonOut, !*all); err != nil {
+			fmt.Fprintln(stderr, "fveval:", err)
+			return 1
+		}
 	}
+	printCounters(stderr, eng)
+	return 0
+}
+
+// allTasks lists the registry tasks -all runs, in print order: Tables
+// 6 and 1–5, then Figures 2, 3, 4 and 6.
+func allTasks() []string {
+	var names []string
+	for _, t := range []int{6, 1, 2, 3, 4, 5} {
+		names = append(names, mustSpec(task.ByTable(t)).Name)
+	}
+	for _, f := range []int{2, 3, 4, 6} {
+		names = append(names, mustSpec(task.ByFigure(f)).Name)
+	}
+	return names
+}
+
+func mustSpec(s *task.Spec, err error) *task.Spec {
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// printCounters writes the engine's run-wide counters: the
+// equivalence-cache line when the cache was consulted, and the formal
+// backend's and the simulation prefilter's lines when a formal query
+// ran. At one worker every line is deterministic.
+func printCounters(w io.Writer, eng *task.Engine) {
 	if st := eng.CacheStats(); st.Hits+st.Misses > 0 {
-		fmt.Fprintln(os.Stderr, st)
+		fmt.Fprintln(w, st)
 	}
 	if fs := eng.FormalStats(); fs.Queries > 0 {
-		fmt.Fprintln(os.Stderr, fs)
-		fmt.Fprintln(os.Stderr, fs.Sim)
+		fmt.Fprintln(w, fs)
+		fmt.Fprintln(w, fs.Sim)
 	}
 }
 
-func printRegistry() {
-	fmt.Printf("%-24s %-8s %-8s %s\n", "Task", "Paper", "Kind", "Title")
+func printRegistry(w io.Writer) {
+	fmt.Fprintf(w, "%-24s %-8s %-8s %s\n", "Task", "Paper", "Kind", "Title")
 	for _, s := range task.Tasks() {
 		paper := ""
 		switch {
@@ -97,59 +170,15 @@ func printRegistry() {
 		case s.Figure > 0:
 			paper = fmt.Sprintf("fig. %d", s.Figure)
 		}
-		fmt.Printf("%-24s %-8s %-8s %s\n", s.Name, paper, s.Kind, s.Title)
+		fmt.Fprintf(w, "%-24s %-8s %-8s %s\n", s.Name, paper, s.Kind, s.Title)
 	}
-}
-
-func run(eng *task.Engine, taskName string, table, figure int, all bool, count int, jsonOut bool) error {
-	if taskName != "" {
-		return runTask(eng, taskName, count, jsonOut, true)
-	}
-	if all {
-		// In -all mode -count applies only to the tasks that take it.
-		for _, t := range []int{6, 1, 2, 3, 4, 5} {
-			spec, err := task.ByTable(t)
-			if err != nil {
-				return err
-			}
-			if err := runTask(eng, spec.Name, count, jsonOut, false); err != nil {
-				return err
-			}
-		}
-		for _, f := range []int{2, 3, 4, 6} {
-			spec, err := task.ByFigure(f)
-			if err != nil {
-				return err
-			}
-			if err := runTask(eng, spec.Name, count, jsonOut, false); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if table > 0 {
-		spec, err := task.ByTable(table)
-		if err != nil {
-			return err
-		}
-		return runTask(eng, spec.Name, count, jsonOut, true)
-	}
-	if figure > 0 {
-		spec, err := task.ByFigure(figure)
-		if err != nil {
-			return err
-		}
-		return runTask(eng, spec.Name, count, jsonOut, true)
-	}
-	flag.Usage()
-	return nil
 }
 
 // runTask executes one registry task on the shared engine and prints
 // either the paper-layout rendering or the unified run JSON. When the
 // task was named explicitly, an inapplicable -count is an error (the
 // registry contract: unaccepted overrides are rejected, not ignored).
-func runTask(eng *task.Engine, name string, count int, jsonOut, explicit bool) error {
+func runTask(eng *task.Engine, w io.Writer, name string, count int, jsonOut, explicit bool) error {
 	spec, err := task.Lookup(name)
 	if err != nil {
 		return err
@@ -175,10 +204,10 @@ func runTask(eng *task.Engine, name string, count int, jsonOut, explicit bool) e
 		return err
 	}
 	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(run)
 	}
-	fmt.Println(run.Report.Render())
+	fmt.Fprintln(w, run.Report.Render())
 	return nil
 }
