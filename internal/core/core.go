@@ -10,10 +10,12 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"fveval/internal/dataset/human"
 	"fveval/internal/equiv"
+	"fveval/internal/formal"
 	"fveval/internal/gen/rtlgen"
 	"fveval/internal/gen/svagen"
 	"fveval/internal/llm"
@@ -22,6 +24,7 @@ import (
 	"fveval/internal/metrics"
 	"fveval/internal/obs"
 	"fveval/internal/rtl"
+	"fveval/internal/sat"
 	"fveval/internal/sva"
 )
 
@@ -33,6 +36,38 @@ type Outcome struct {
 	Full       bool    `json:"func,omitempty"`    // exact formal equivalence (or proven, for Design2SVA)
 	Partial    bool    `json:"partial,omitempty"` // one-directional equivalence (includes Full)
 	BLEU       float64 `json:"bleu,omitempty"`
+}
+
+// syntactic reports whether a verdict's model text compiled, the
+// paper's Syn metric: neither it nor its property was rejected.
+func syntactic(v formal.Verdict) bool {
+	return v.Class != formal.SyntaxError && v.Class != formal.ElabError
+}
+
+// score is the one scoring of model-checking verdicts into an outcome:
+// Syntax unless the target's text or property was rejected, Full when
+// the target is proven (bounded proofs included), and Partial when
+// there are helpers (AGR) and every one of them is proven.
+func score(id, code string, target formal.Verdict, helpers []formal.Verdict) Outcome {
+	out := Outcome{InstanceID: id, Response: code, Syntax: syntactic(target), Full: target.Class == formal.Proven}
+	out.Partial = out.Syntax && len(helpers) > 0
+	for _, h := range helpers {
+		if h.Class != formal.Proven {
+			out.Partial = false
+		}
+	}
+	return out
+}
+
+// checkerVerdict is the verdict of a check the checker ended with
+// err. A solver call that ran out of its conflict budget leaves the
+// property undecided: a budget cannot make model text less syntactic.
+// Any other error is the checker rejecting the property.
+func checkerVerdict(err error) formal.Verdict {
+	if errors.Is(err, sat.ErrBudget) {
+		return formal.Verdict{Class: formal.Undecided, Reason: formal.Budget}
+	}
+	return formal.Verdict{Class: formal.ElabError}
 }
 
 // Row is one model's result on one task setting. Greedy settings fill
@@ -250,6 +285,7 @@ func JudgeTranslation(id, response string, ref *sva.Assertion, sigs *equiv.Sigs,
 	if err != nil {
 		// elaboration failure (undeclared signals etc.) counts against
 		// the syntax metric, mirroring the tool compile step
+		out.Syntax = syntactic(checkerVerdict(err))
 		return out
 	}
 	out.Syntax = true
@@ -264,45 +300,69 @@ func JudgeTranslation(id, response string, ref *sva.Assertion, sigs *equiv.Sigs,
 
 // JudgeDesign re-formats the testbench with the model's snippet,
 // elaborates the bound DUT+testbench system, and model-checks the
-// assertion — the paper's Design2SVA evaluation flow. The checker
-// options (budget, depths, stats sink) pass through to the model
-// checker. A non-nil row context (NewDesignRow(inst)) shares its
-// elaborated base and its session pair with the other candidates
-// judged through it; nil means a context of this candidate's own.
-// Verdicts are identical either way.
-func JudgeDesign(inst *rtlgen.Instance, snippet string, opt mc.Options, row *DesignRow) (syntaxOK, proven bool) {
+// assertion — the paper's Design2SVA evaluation flow — and scores the
+// verdict (designVerdict). The checker options (budget, depths, stats
+// sink) pass through to the model checker. A non-nil row context
+// (NewDesignRow(inst)) shares its elaborated base and its session pair
+// with the other candidates judged through it; nil means a context of
+// this candidate's own. Verdicts are identical either way.
+func JudgeDesign(inst *rtlgen.Instance, snippet string, opt mc.Options, row *DesignRow) Outcome {
+	return score(inst.ID, snippet, designVerdict(inst, snippet, opt, row), nil)
+}
+
+// designVerdict is a snippet's verdict: SyntaxError when it does not
+// parse, elaborate or validate or has no assertion, ElabError when the
+// checker rejects one of its assertions, and otherwise the verdict of
+// their conjunction, the first of the weakest assertion verdicts
+// (conjunctionRank). Every assertion is checked, in source order,
+// until one is rejected: an undecided one does not hide a later
+// rejection.
+func designVerdict(inst *rtlgen.Instance, snippet string, opt mc.Options, row *DesignRow) formal.Verdict {
 	if row == nil {
 		row = NewDesignRow(inst)
 	}
 	psp := opt.Span.Child("parse").SetPhase(obs.PhaseParse)
 	sys, err := row.system(snippet)
-	if err != nil {
+	if err != nil || len(sys.Asserts) == 0 {
 		psp.SetBool("ok", false).End()
-		return false, false
-	}
-	if len(sys.Asserts) == 0 {
-		psp.SetBool("ok", false).End()
-		return false, false
+		return formal.Verdict{Class: formal.SyntaxError}
 	}
 	// Validate every assertion's signals resolve (elaboration of the
 	// assertion itself happens inside the checker).
 	for _, a := range sys.Asserts {
 		if sva.Validate(a) != nil {
 			psp.SetBool("ok", false).End()
-			return false, false
+			return formal.Verdict{Class: formal.SyntaxError}
 		}
 	}
 	psp.SetBool("ok", true).End()
-	syntaxOK = true
-	proven = true
-	for _, a := range sys.Asserts {
+	var v formal.Verdict
+	for i, a := range sys.Asserts {
 		res, err := row.mc.CheckAssertion(sys, a, opt)
 		if err != nil {
-			return false, false // elaboration error inside the property
+			res.Verdict = checkerVerdict(err)
 		}
-		if res.Status != mc.Proven {
-			proven = false
+		if res.Class == formal.ElabError {
+			return res.Verdict
+		}
+		if i == 0 || conjunctionRank(res.Verdict) > conjunctionRank(v) {
+			v = res.Verdict
 		}
 	}
-	return syntaxOK, proven
+	return v
+}
+
+// conjunctionRank orders a checker's verdicts by how far they decide a
+// conjunction of properties: a counterexample decides it, an undecided
+// check leaves it undecided, and a qualified proof weakens a plain one.
+func conjunctionRank(v formal.Verdict) int {
+	switch {
+	case v.Class == formal.Falsified:
+		return 3
+	case v.Class != formal.Proven:
+		return 2
+	case v.Reason != formal.NoReason:
+		return 1
+	}
+	return 0
 }

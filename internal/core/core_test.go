@@ -116,24 +116,23 @@ func TestJudgeDesign(t *testing.T) {
 	}
 	body += ")"
 	good := "assert property (@(posedge clk) disable iff (tb_reset) " + body + ");"
-	syn, proven := JudgeDesign(inst, good, mc.Options{}, nil)
-	if !syn || !proven {
-		t.Fatalf("ground-truth assertion: syntax=%v proven=%v\n%s", syn, proven, good)
+	out := JudgeDesign(inst, good, mc.Options{}, nil)
+	if !out.Syntax || !out.Full {
+		t.Fatalf("ground-truth assertion: syntax=%v proven=%v\n%s", out.Syntax, out.Full, good)
 	}
 	// DUT-internal signal reference must fail syntax (elaboration)
 	bad := "assert property (@(posedge clk) disable iff (tb_reset) state == 'd0);"
-	syn, _ = JudgeDesign(inst, bad, mc.Options{}, nil)
-	if syn {
+	if JudgeDesign(inst, bad, mc.Options{}, nil).Syntax {
 		t.Fatalf("DUT-internal signal must fail elaboration")
 	}
 	// wrong successor claim parses but is not proven
 	wrong := "assert property (@(posedge clk) disable iff (tb_reset) fsm_out == S0 |=> (fsm_out == S0));"
 	if intNotIn(succ, 0) {
-		syn, proven = JudgeDesign(inst, wrong, mc.Options{}, nil)
-		if !syn {
+		out = JudgeDesign(inst, wrong, mc.Options{}, nil)
+		if !out.Syntax {
 			t.Fatalf("wrong claim must still pass syntax")
 		}
-		if proven {
+		if out.Full {
 			t.Fatalf("wrong claim must not be proven")
 		}
 	}

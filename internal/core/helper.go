@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"fveval/internal/equiv"
+	"fveval/internal/formal"
 	"fveval/internal/helpergen"
 	"fveval/internal/llm"
 	"fveval/internal/mc"
@@ -48,44 +49,51 @@ func parseHelperSet(code string) ([]*sva.Assertion, bool) {
 // JudgeHelper runs the AGR evaluation flow on one helper-set response:
 // parse the candidate helpers, elaborate the design+bench system with
 // the stuck target spliced in, and run the prove-then-assume lemma
-// pipeline (mc.Design.CheckWithLemmas). The three metrics mirror the
-// other task families' lattice:
+// pipeline (mc.Design.CheckWithLemmas). Its verdicts (helperVerdicts)
+// score onto the other task families' lattice:
 //
-//	syntaxOK — every candidate helper parses, validates, and
-//	           elaborates against the design;
-//	valid    — every candidate helper is itself proved (helper
-//	           validity in the paper's AGR scoring);
-//	unlocked — the target, unprovable alone by construction, is
-//	           proved with the candidate helpers assumed.
+//	Syntax  — every candidate helper parses, validates, and
+//	          elaborates against the design;
+//	Partial — every candidate helper is itself proved (helper
+//	          validity in the paper's AGR scoring);
+//	Full    — the target, unprovable alone by construction, is
+//	          proved with the candidate helpers assumed.
 //
 // A non-nil row context (NewHelperRow(inst)) shares its elaborated
 // system and its session pair with the other helper sets judged
 // through it, as in JudgeDesign; nil means a context of this set's own.
-func JudgeHelper(inst *helpergen.Instance, snippet string, opt mc.Options, row *DesignRow) (syntaxOK, valid, unlocked bool) {
+func JudgeHelper(inst *helpergen.Instance, snippet string, opt mc.Options, row *DesignRow) Outcome {
+	target, helpers := helperVerdicts(inst, snippet, opt, row)
+	return score(inst.ID, snippet, target, helpers)
+}
+
+// helperVerdicts is a helper set's verdicts: the target's and, once
+// the lemma pipeline ran to its end, each helper's. A set that does
+// not parse or validate is a SyntaxError; a pipeline the checker ended
+// early gives the target checkerVerdict and no helper verdicts.
+func helperVerdicts(inst *helpergen.Instance, snippet string, opt mc.Options, row *DesignRow) (formal.Verdict, []formal.Verdict) {
 	helpers, ok := parseHelperSet(snippet)
 	if !ok {
-		return false, false, false
+		return formal.Verdict{Class: formal.SyntaxError}, nil
 	}
 	if row == nil {
 		row = NewHelperRow(inst)
 	}
 	sys, err := row.system("")
 	if err != nil {
-		return false, false, false
+		return formal.Verdict{Class: formal.SyntaxError}, nil
 	}
 	res, lemmas, err := row.mc.CheckWithLemmas(sys, inst.TargetAst, helpers, opt)
 	if err != nil {
-		// elaboration error inside a property (undeclared signals etc.)
-		// counts against the syntax metric, like the other judges
-		return false, false, false
+		// an elaboration error inside a property (undeclared signals
+		// etc.) counts against the syntax metric, like the other judges
+		return checkerVerdict(err), nil
 	}
-	valid = true
-	for _, lm := range lemmas {
-		if !lm.Proved {
-			valid = false
-		}
+	vs := make([]formal.Verdict, len(lemmas))
+	for i, lm := range lemmas {
+		vs[i] = lm.Verdict
 	}
-	return true, valid, res.Status == mc.Proven
+	return res.Verdict, vs
 }
 
 // RefineFeedback is the CEX-guided refinement check (DESIGN.md §12):

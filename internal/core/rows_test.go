@@ -75,9 +75,9 @@ func TestDesignRowsMatchFreshChecks(t *testing.T) {
 					if (gotErr == nil) != (wantErr == nil) {
 						t.Fatalf("%s %s: shared error %v, fresh error %v", inst.ID, a, gotErr, wantErr)
 					}
-					if got.Status != want.Status || got.Depth != want.Depth || got.Bounded != want.Bounded {
-						t.Fatalf("%s %s: shared (%v, depth %d, bounded %v), fresh (%v, depth %d, bounded %v)",
-							inst.ID, a, got.Status, got.Depth, got.Bounded, want.Status, want.Depth, want.Bounded)
+					if got.Verdict != want.Verdict {
+						t.Fatalf("%s %s: shared (%v, depth %d, reason %v), fresh (%v, depth %d, reason %v)",
+							inst.ID, a, got.Class, got.Depth, got.Reason, want.Class, want.Depth, want.Reason)
 					}
 				}
 			}
@@ -113,8 +113,8 @@ func TestHelperRowsMatchFreshChecks(t *testing.T) {
 			if (gotErr == nil) != (wantErr == nil) {
 				t.Fatalf("%s: shared error %v, fresh error %v", inst.ID, gotErr, wantErr)
 			}
-			if got.Status != want.Status || got.Depth != want.Depth || got.Bounded != want.Bounded {
-				t.Fatalf("%s %q: shared target (%v, depth %d), fresh (%v, depth %d)", inst.ID, code, got.Status, got.Depth, want.Status, want.Depth)
+			if got.Verdict != want.Verdict {
+				t.Fatalf("%s %q: shared target (%v, depth %d), fresh (%v, depth %d)", inst.ID, code, got.Class, got.Depth, want.Class, want.Depth)
 			}
 			if !slices.Equal(gotLemmas, wantLemmas) {
 				t.Fatalf("%s %q: shared lemmas %+v, fresh %+v", inst.ID, code, gotLemmas, wantLemmas)

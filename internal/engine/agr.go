@@ -10,8 +10,6 @@ import (
 
 // ---- AGR (assertion-guided helper generation) ---------------------------
 
-type helperCell struct{ syntax, valid, unlocked bool }
-
 // HelperGrid evaluates the AGR grid (DESIGN.md §12): for each
 // helpergen instance, models are prompted with the design, the bench,
 // and the stuck target assertion, and their helper-set responses run
@@ -29,11 +27,9 @@ func (e *Engine) HelperGrid(ctx context.Context, models []llm.Model, obs Observe
 		return func(jctx context.Context, j job) core.Outcome {
 			resp := generate(jctx, models[j.model], prompt, j.sample)
 			code := llm.ExtractCode(resp)
-			c := judged(jctx, e.st.helper, e.memoKey(inst.ID, code), func() helperCell {
-				syn, valid, unlocked := judgeHelper(inst, code, e.mcOptions(jctx), row)
-				return helperCell{syntax: syn, valid: valid, unlocked: unlocked}
+			return e.judged(jctx, e.memoKey(familyHelper, inst.ID, code), func() core.Outcome {
+				return judgeHelper(inst, code, e.mcOptions(jctx), row)
 			})
-			return core.Outcome{InstanceID: inst.ID, Response: code, Syntax: c.syntax, Partial: c.valid, Full: c.unlocked}
 		}
 	}, obs)
 	if err != nil {

@@ -210,14 +210,13 @@ type state struct {
 	// request's queries.
 	bank *formal.Bank
 
-	// Judgment memos: identical extracted responses recur across
-	// samples and models, so each task family's whole judgment (parse,
-	// BLEU and equivalence; elaborate and prove; the lemma pipeline)
-	// is memoized per (options, instance, response); memoKey builds
-	// every key. nil when caching is disabled.
-	trans  *memo.Memo[string, core.Outcome]
-	design *memo.Memo[string, designCell]
-	helper *memo.Memo[string, helperCell]
+	// judgments is the judgment memo: identical extracted responses
+	// recur across samples and models, so each task family's whole
+	// judgment (parse, BLEU and equivalence; elaborate and prove; the
+	// lemma pipeline) is memoized per (options, family, instance,
+	// response); memoKey builds every key. nil when caching is
+	// disabled.
+	judgments *memo.Memo[string, core.Outcome]
 
 	// refineRounds counts FeedbackModel retry rounds performed by
 	// refinement runs on this pool — the per-run delta is surfaced as
@@ -229,16 +228,15 @@ func newState(noCache bool) *state {
 	st := &state{formal: &formal.Stats{}, bank: formal.NewBank(0)}
 	if !noCache {
 		st.cache = equiv.NewCache()
-		st.trans = memo.New[string, core.Outcome](1 << 16)
-		st.design = memo.New[string, designCell](1 << 16)
-		st.helper = memo.New[string, helperCell](1 << 16)
+		st.judgments = memo.New[string, core.Outcome](1 << 16)
 	}
 	return st
 }
 
 // memoKey builds every judgment-memo key: the resolved options that
 // can change a verdict (Budget and MaxBound, the set equiv.Cache.key
-// hashes) and then the parts naming the judged content. Engines
+// hashes) and then the parts naming the judged content, the task
+// family (a family tag) first. Engines
 // derived with Reconfigure share the memos, so without the options
 // one request's verdicts would answer another's differently tuned
 // queries.
@@ -255,12 +253,12 @@ func (e *Engine) memoKey(parts ...string) string {
 
 // judged returns key's memoized judgment, computing it on a miss; a
 // hit marks ctx's job span.
-func judged[V any](ctx context.Context, m *memo.Memo[string, V], key string, compute func() V) V {
-	v, hit := m.Get(key, compute)
+func (e *Engine) judged(ctx context.Context, key string, compute func() core.Outcome) core.Outcome {
+	out, hit := e.st.judgments.Get(key, compute)
 	if hit {
 		obs.SpanFrom(ctx).SetBool("memo_hit", true)
 	}
-	return v
+	return out
 }
 
 // Engine executes benchmark runs over one shared equivalence cache.
@@ -269,12 +267,13 @@ type Engine struct {
 	st  *state
 }
 
-type designCell struct{ syntax, proven bool }
-
-// dataset tags namespace memo keys across sub-benchmarks.
+// Family tags open every judgment-memo key, so the task families
+// share one memo without sharing entries.
 const (
-	datasetHuman   = "human"
-	datasetMachine = "machine"
+	familyHuman   = "human"
+	familyMachine = "machine"
+	familyDesign  = "design2sva"
+	familyHelper  = "agr"
 )
 
 // New builds an engine; cfg must be valid (see Config.Validate — New
@@ -307,16 +306,16 @@ func (e *Engine) Reconfigure(cfg Config) (*Engine, error) {
 	return &Engine{cfg: cfg.withDefaults(), st: st}, nil
 }
 
-// judgeTranslation memoizes core.JudgeTranslation per (dataset,
+// judgeTranslation memoizes core.JudgeTranslation per (family,
 // instance, extracted code). The judgment depends only on the code and
 // the instance's reference environment — never on the prompt or shot
 // count — so entries are shared across samples, models, and shot
 // settings.
-func (e *Engine) judgeTranslation(ctx context.Context, dataset, id, response string, ref *sva.Assertion, sigs *equiv.Sigs) core.Outcome {
+func (e *Engine) judgeTranslation(ctx context.Context, family, id, response string, ref *sva.Assertion, sigs *equiv.Sigs) core.Outcome {
 	// ExtractCode is idempotent, so the extracted code stands in for
 	// the raw response.
 	code := llm.ExtractCode(response)
-	return judged(ctx, e.st.trans, e.memoKey(dataset, id, code), func() core.Outcome {
+	return e.judged(ctx, e.memoKey(family, id, code), func() core.Outcome {
 		return core.JudgeTranslation(id, code, ref, sigs, e.equivOptions(ctx), e.st.cache)
 	})
 }
@@ -543,7 +542,7 @@ func (e *Engine) HumanGrid(ctx context.Context, models []llm.Model, sampled bool
 		prompt := llm.BuildHumanPrompt(in.ID, in.Testbench.Source, in.NL, in.Reference)
 		return func(jctx context.Context, j job) core.Outcome {
 			resp := generate(jctx, models[j.model], prompt, j.sample)
-			return e.judgeTranslation(jctx, datasetHuman, in.ID, resp, in.Reference, in.Sigs)
+			return e.judgeTranslation(jctx, familyHuman, in.ID, resp, in.Reference, in.Sigs)
 		}
 	}, obs)
 	if err != nil {
@@ -580,7 +579,7 @@ func (e *Engine) MachineGrid(ctx context.Context, models []llm.Model, shots, cou
 		prompt := llm.BuildMachinePrompt(in.ID, in.NL, shots, in.Reference)
 		return func(jctx context.Context, j job) core.Outcome {
 			resp := generate(jctx, gen[j.model], prompt, j.sample)
-			return e.judgeTranslation(jctx, datasetMachine, in.ID, resp, in.Reference, in.Sigs)
+			return e.judgeTranslation(jctx, familyMachine, in.ID, resp, in.Reference, in.Sigs)
 		}
 	}, obs)
 	if err != nil {
@@ -606,11 +605,9 @@ func (e *Engine) DesignGrid(ctx context.Context, models []llm.Model, kind string
 		return func(jctx context.Context, j job) core.Outcome {
 			resp := generate(jctx, models[j.model], prompt, j.sample)
 			code := llm.ExtractCode(resp)
-			c := judged(jctx, e.st.design, e.memoKey(kind, inst.ID, code), func() designCell {
-				syn, prov := judgeDesign(inst, code, e.mcOptions(jctx), row)
-				return designCell{syntax: syn, proven: prov}
+			return e.judged(jctx, e.memoKey(familyDesign, kind, inst.ID, code), func() core.Outcome {
+				return judgeDesign(inst, code, e.mcOptions(jctx), row)
 			})
-			return core.Outcome{InstanceID: inst.ID, Response: code, Syntax: c.syntax, Full: c.proven}
 		}
 	}, obs)
 	if err != nil {

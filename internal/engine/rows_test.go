@@ -27,11 +27,11 @@ func TestRowsJudgeEachSnippetOnce(t *testing.T) {
 	}
 	design, helper := judgeDesign, judgeHelper
 	t.Cleanup(func() { judgeDesign, judgeHelper = design, helper })
-	judgeDesign = func(inst *rtlgen.Instance, code string, opt mc.Options, row *core.DesignRow) (bool, bool) {
+	judgeDesign = func(inst *rtlgen.Instance, code string, opt mc.Options, row *core.DesignRow) core.Outcome {
 		count(inst.ID, code)
 		return design(inst, code, opt, row)
 	}
-	judgeHelper = func(inst *helpergen.Instance, code string, opt mc.Options, row *core.DesignRow) (bool, bool, bool) {
+	judgeHelper = func(inst *helpergen.Instance, code string, opt mc.Options, row *core.DesignRow) core.Outcome {
 		count(inst.ID, code)
 		return helper(inst, code, opt, row)
 	}
@@ -71,10 +71,10 @@ func TestRowsKeepVerdicts(t *testing.T) {
 			p := llm.BuildDesignPrompt(inst)
 			for s := 0; s < rows.Samples; s++ {
 				code := llm.ExtractCode(model.Generate(p, s))
-				syn, prov := core.JudgeDesign(inst, code, mc.Options{}, nil)
+				want := core.JudgeDesign(inst, code, mc.Options{}, nil)
 				got := rows.Outcomes[m][i*rows.Samples+s]
-				if got.Syntax != syn || got.Full != prov {
-					t.Errorf("%s %s sample %d: row verdict (%v, %v), isolated (%v, %v)", model.Name(), inst.ID, s, got.Syntax, got.Full, syn, prov)
+				if got.Syntax != want.Syntax || got.Full != want.Full {
+					t.Errorf("%s %s sample %d: row verdict (%v, %v), isolated (%v, %v)", model.Name(), inst.ID, s, got.Syntax, got.Full, want.Syntax, want.Full)
 				}
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fveval/internal/core"
+	"fveval/internal/formal"
 	"fveval/internal/helpergen"
 	"fveval/internal/mc"
 	"fveval/internal/rtl"
@@ -35,18 +36,18 @@ func TestConstructionSoundness(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: target alone: %v", inst.ID, err)
 		}
-		if alone.Status != mc.Unknown {
-			t.Errorf("%s: target alone: got %v, want unknown (hard by construction)", inst.ID, alone.Status)
+		if alone.Class != formal.Undecided {
+			t.Errorf("%s: target alone: got %v, want undecided (hard by construction)", inst.ID, alone.Class)
 		}
 
-		if syn, valid, unlocked := core.JudgeHelper(inst, strings.Join(inst.Helpers, "\n"), mc.Options{}, nil); !syn || !valid || !unlocked {
-			t.Errorf("%s: golden helpers: syn=%v valid=%v unlocked=%v, want all true", inst.ID, syn, valid, unlocked)
+		if o := core.JudgeHelper(inst, strings.Join(inst.Helpers, "\n"), mc.Options{}, nil); !o.Syntax || !o.Partial || !o.Full {
+			t.Errorf("%s: golden helpers: syn=%v valid=%v unlocked=%v, want all true", inst.ID, o.Syntax, o.Partial, o.Full)
 		}
-		if syn, valid, unlocked := core.JudgeHelper(inst, inst.Insufficient, mc.Options{}, nil); !syn || !valid || unlocked {
-			t.Errorf("%s: insufficient helper: syn=%v valid=%v unlocked=%v, want valid but not unlocked", inst.ID, syn, valid, unlocked)
+		if o := core.JudgeHelper(inst, inst.Insufficient, mc.Options{}, nil); !o.Syntax || !o.Partial || o.Full {
+			t.Errorf("%s: insufficient helper: syn=%v valid=%v unlocked=%v, want valid but not unlocked", inst.ID, o.Syntax, o.Partial, o.Full)
 		}
-		if syn, valid, unlocked := core.JudgeHelper(inst, inst.Invalid, mc.Options{}, nil); !syn || valid || unlocked {
-			t.Errorf("%s: invalid helper: syn=%v valid=%v unlocked=%v, want syntax-only", inst.ID, syn, valid, unlocked)
+		if o := core.JudgeHelper(inst, inst.Invalid, mc.Options{}, nil); !o.Syntax || o.Partial || o.Full {
+			t.Errorf("%s: invalid helper: syn=%v valid=%v unlocked=%v, want syntax-only", inst.ID, o.Syntax, o.Partial, o.Full)
 		}
 	}
 }
@@ -62,8 +63,8 @@ func TestGoldenOrderIndependent(t *testing.T) {
 		for i, h := range inst.Helpers {
 			rev[len(rev)-1-i] = h
 		}
-		if syn, valid, unlocked := core.JudgeHelper(inst, strings.Join(rev, "\n"), mc.Options{}, nil); !syn || !valid || !unlocked {
-			t.Errorf("%s: reversed golden helpers: syn=%v valid=%v unlocked=%v, want all true", inst.ID, syn, valid, unlocked)
+		if o := core.JudgeHelper(inst, strings.Join(rev, "\n"), mc.Options{}, nil); !o.Syntax || !o.Partial || !o.Full {
+			t.Errorf("%s: reversed golden helpers: syn=%v valid=%v unlocked=%v, want all true", inst.ID, o.Syntax, o.Partial, o.Full)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"fveval/internal/formal"
 	"testing"
 
 	"fveval/internal/rtl"
@@ -47,8 +48,8 @@ end
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Status != Falsified {
-		t.Fatalf("unconstrained: expected falsified, got %v", res.Status)
+	if res.Class != formal.Falsified {
+		t.Fatalf("unconstrained: expected falsified, got %v", res.Class)
 	}
 
 	// assumption pins enable low: counter frozen at 0, property proven
@@ -60,8 +61,8 @@ end
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Status != Proven {
-		t.Fatalf("with assume !en: expected proven, got %v (depth %d)", res.Status, res.Depth)
+	if res.Class != formal.Proven {
+		t.Fatalf("with assume !en: expected proven, got %v (depth %d)", res.Class, res.Depth)
 	}
 
 	// cover statements parse and are retained without affecting proofs
@@ -74,8 +75,8 @@ cover property (@(posedge clk) cnt == 4'd0);`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Status != Proven {
-		t.Fatalf("with cover present: expected proven, got %v", res.Status)
+	if res.Class != formal.Proven {
+		t.Fatalf("with cover present: expected proven, got %v", res.Class)
 	}
 }
 
@@ -120,8 +121,8 @@ func TestCoverReachability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Status != Proven {
-		t.Fatalf("S3 is reachable; got %v", res.Status)
+	if res.Class != formal.Proven {
+		t.Fatalf("S3 is reachable; got %v", res.Class)
 	}
 	if res.Cex == nil || len(res.Cex.Frames) == 0 {
 		t.Fatalf("cover witness missing")
@@ -134,10 +135,10 @@ func TestCoverReachability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Status != Falsified {
-		t.Fatalf("S2 self-loop does not exist; got %v", res.Status)
+	if res.Class != formal.Falsified {
+		t.Fatalf("S2 self-loop does not exist; got %v", res.Class)
 	}
-	if !res.Bounded {
+	if res.Reason != formal.Bound {
 		t.Fatalf("unreachable cover verdicts are bounded")
 	}
 }

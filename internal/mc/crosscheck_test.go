@@ -152,7 +152,7 @@ endmodule`, "sh"},
 func TestPrefilterVsSolverCrossCheck(t *testing.T) {
 	bank := formal.NewBank(0)
 	var st formal.Stats
-	seen := map[Status]int{}
+	seen := map[formal.Class]int{}
 	compare := func(sys *rtl.System, src, tag string) {
 		t.Helper()
 		a, err := sva.ParseAssertion(src)
@@ -167,14 +167,14 @@ func TestPrefilterVsSolverCrossCheck(t *testing.T) {
 		if err1 != nil {
 			return
 		}
-		if got.Status != want.Status || got.Depth != want.Depth {
+		if got.Class != want.Class || got.Depth != want.Depth {
 			t.Fatalf("%s: disagreement: prefilter=%v@%d solver=%v@%d\n%s",
-				tag, got.Status, got.Depth, want.Status, want.Depth, src)
+				tag, got.Class, got.Depth, want.Class, want.Depth, src)
 		}
-		if got.Status == Falsified && got.Cex == nil {
+		if got.Class == formal.Falsified && got.Cex == nil {
 			t.Fatalf("%s: falsified without a counterexample", tag)
 		}
-		seen[got.Status]++
+		seen[got.Class]++
 	}
 
 	for seed := int64(1); seed <= 4; seed++ {
@@ -246,8 +246,8 @@ endmodule`, seed, seed-1, seed)
 		res := check(t, sys, fmt.Sprintf(
 			`assert property (@(posedge clk) disable iff (!reset_) in_vld |-> ##%d out_vld);`,
 			seed+1))
-		if res.Status != Proven {
-			t.Errorf("depth %d latency: %v", seed+1, res.Status)
+		if res.Class != formal.Proven {
+			t.Errorf("depth %d latency: %v", seed+1, res.Class)
 		}
 	}
 
@@ -276,8 +276,8 @@ endmodule`, seed, seed-1, seed)
 		if err != nil {
 			t.Fatalf("MaxInduction %d: %v", k, err)
 		}
-		if res.Status != Proven {
-			t.Errorf("MaxInduction %d: S0 successors %v, want proven", k, res.Status)
+		if res.Class != formal.Proven {
+			t.Errorf("MaxInduction %d: S0 successors %v, want proven", k, res.Class)
 		}
 	}
 }
@@ -308,8 +308,8 @@ end`, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Status != Falsified || res.Cex == nil || len(res.Cex.Frames) < 4 {
-		t.Fatalf("d != 3: %v at depth %d, want a counterexample of at least 4 frames", res.Status, res.Depth)
+	if res.Class != formal.Falsified || res.Cex == nil || len(res.Cex.Frames) < 4 {
+		t.Fatalf("d != 3: %v at depth %d, want a counterexample of at least 4 frames", res.Class, res.Depth)
 	}
 	for p, frame := range res.Cex.Frames {
 		for name := range frame {

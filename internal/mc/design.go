@@ -182,7 +182,7 @@ func safety(base, step *obligation, opt Options) (res Result, early bool, err er
 				return Result{}, false, err
 			}
 			if cex != nil {
-				return Result{Status: Falsified, Depth: next, Cex: cex}, true, nil
+				return Result{Verdict: formal.Verdict{Class: formal.Falsified, Depth: next}, Cex: cex}, true, nil
 			}
 			next++
 		}
@@ -193,7 +193,7 @@ func safety(base, step *obligation, opt Options) (res Result, early bool, err er
 			return Result{}, false, err
 		}
 		if ind {
-			return Result{Status: Proven, Depth: k}, true, nil
+			return Result{Verdict: formal.Verdict{Class: formal.Proven, Depth: k}}, true, nil
 		}
 	}
 	// Deep falsification ramp before giving up, continuing the base
@@ -214,10 +214,10 @@ func safety(base, step *obligation, opt Options) (res Result, early bool, err er
 			return Result{}, false, err
 		}
 		if cex != nil {
-			return Result{Status: Falsified, Depth: opt.BMCDepth, Cex: cex}, k < opt.BMCDepth, nil
+			return Result{Verdict: formal.Verdict{Class: formal.Falsified, Depth: opt.BMCDepth}, Cex: cex}, k < opt.BMCDepth, nil
 		}
 	}
-	return Result{Status: Unknown, Depth: opt.BMCDepth}, false, nil
+	return Result{Verdict: formal.Verdict{Class: formal.Undecided, Reason: formal.Bound, Depth: opt.BMCDepth}}, false, nil
 }
 
 // safetySession is one side of a Design — the base session from reset,
@@ -420,16 +420,16 @@ func (ob *obligation) cover() (Result, error) {
 	}
 	if cex == nil {
 		// not reachable within the bound
-		return Result{Status: Falsified, Bounded: true, Depth: depth}, nil
+		return Result{Verdict: formal.Verdict{Class: formal.Falsified, Reason: formal.Bound, Depth: depth}}, nil
 	}
-	return Result{Status: Proven, Depth: depth, Cex: cex}, nil
+	return Result{Verdict: formal.Verdict{Class: formal.Proven, Depth: depth}, Cex: cex}, nil
 }
 
 // lasso searches for a lasso-shaped counterexample of k frames from
 // reset: for some loop entry l, the next state of frame k-1 equals the
 // state at l (the inputs repeat by construction), the property is
 // violated without abort at some position, and every assumption holds
-// at every position. Absence is a bounded proof.
+// at every position. Absence is a proof up to k (formal.Bound).
 func (ob *obligation) lasso(k int) (Result, error) {
 	ss := ob.ss
 	fe, b := ss.fe, ss.B
@@ -478,10 +478,10 @@ func (ob *obligation) lasso(k int) (Result, error) {
 		return Result{}, err
 	}
 	if cex == nil {
-		return Result{Status: Proven, Bounded: true, Depth: k}, nil
+		return Result{Verdict: formal.Verdict{Class: formal.Proven, Reason: formal.Bound, Depth: k}}, nil
 	}
 	cex.Loop = l
-	return Result{Status: Falsified, Depth: k, Cex: cex}, nil
+	return Result{Verdict: formal.Verdict{Class: formal.Falsified, Depth: k}, Cex: cex}, nil
 }
 
 // inputColumns lists what a prefilter round assigns: every free input

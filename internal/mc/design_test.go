@@ -26,13 +26,12 @@ func elabTop(t *testing.T, src, top string) *rtl.System {
 	return sys
 }
 
-// sameVerdict fails unless got and want agree on status, depth and
-// boundedness.
+// sameVerdict fails unless got and want have the same verdict.
 func sameVerdict(t *testing.T, what string, got, want Result) {
 	t.Helper()
-	if got.Status != want.Status || got.Depth != want.Depth || got.Bounded != want.Bounded {
-		t.Errorf("%s: shared context (%v, depth %d, bounded %v), fresh (%v, depth %d, bounded %v)",
-			what, got.Status, got.Depth, got.Bounded, want.Status, want.Depth, want.Bounded)
+	if got.Verdict != want.Verdict {
+		t.Errorf("%s: shared context (%v, depth %d, reason %v), fresh (%v, depth %d, reason %v)",
+			what, got.Class, got.Depth, got.Reason, want.Class, want.Depth, want.Reason)
 	}
 }
 
@@ -74,8 +73,8 @@ func TestDesignAssumptionWindow(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameVerdict(t, a.String(), got, want)
-			if a == shallow && (got.Status != Falsified || got.Depth != 1) {
-				t.Errorf("sim=%d: shallow check got (%v, depth %d), want falsified at depth 1", opt.SimPatterns, got.Status, got.Depth)
+			if a == shallow && (got.Class != formal.Falsified || got.Depth != 1) {
+				t.Errorf("sim=%d: shallow check got (%v, depth %d), want falsified at depth 1", opt.SimPatterns, got.Class, got.Depth)
 			}
 		}
 		if d.base.fe.frames <= 4 {
@@ -132,11 +131,11 @@ endmodule
 			sameVerdict(t, "probe check", got, want)
 		}
 	}
-	if res, _ := NewDesign().CheckAssertion(direct, a, Options{}); res.Status != Falsified {
-		t.Errorf("direct probe: got %v, want falsified", res.Status)
+	if res, _ := NewDesign().CheckAssertion(direct, a, Options{}); res.Class != formal.Falsified {
+		t.Errorf("direct probe: got %v, want falsified", res.Class)
 	}
-	if res, _ := NewDesign().CheckAssertion(masked, a, Options{}); res.Status != Proven {
-		t.Errorf("masked probe: got %v, want proven", res.Status)
+	if res, _ := NewDesign().CheckAssertion(masked, a, Options{}); res.Class != formal.Proven {
+		t.Errorf("masked probe: got %v, want proven", res.Class)
 	}
 }
 
@@ -151,8 +150,8 @@ func TestDesignLemmaGating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Status != Proven {
-		t.Fatalf("target with lemma: got %v, want proven", res.Status)
+	if res.Class != formal.Proven {
+		t.Fatalf("target with lemma: got %v, want proven", res.Class)
 	}
 	got, err := d.CheckAssertion(sys, target, Options{})
 	if err != nil {
@@ -163,7 +162,7 @@ func TestDesignLemmaGating(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameVerdict(t, "target after lemma check", got, want)
-	if got.Status == Proven {
+	if got.Class == formal.Proven {
 		t.Error("the lemma of an earlier check strengthened a later one")
 	}
 }
@@ -173,7 +172,7 @@ func TestDesignLemmaGating(t *testing.T) {
 // interleaved with safety checks of the same systems, so every lasso
 // and cover query lands on a base session that earlier checks have
 // already unrolled, encoded and constrained. Each result must match a
-// fresh one-shot check in status, depth and boundedness, and every
+// fresh one-shot check in its verdict, and every
 // falsified liveness result must carry its lasso's loop entry.
 func TestDesignLivenessAndCoverMatchFreshChecks(t *testing.T) {
 	rot, fsm := rotSystem(t), fsmSystem(t)
@@ -211,15 +210,15 @@ func TestDesignLivenessAndCoverMatchFreshChecks(t *testing.T) {
 			if err1 != nil || err2 != nil {
 				t.Fatalf("step %d %s: errors %v / %v", i, st.src, err1, err2)
 			}
-			if got.Status != want.Status || got.Depth != want.Depth || got.Bounded != want.Bounded {
-				t.Fatalf("step %d %s (sim %d): design (%v, depth %d, bounded %v) vs fresh (%v, depth %d, bounded %v)",
-					i, st.src, opt.SimPatterns, got.Status, got.Depth, got.Bounded, want.Status, want.Depth, want.Bounded)
+			if got.Verdict != want.Verdict {
+				t.Fatalf("step %d %s (sim %d): design (%v, depth %d, reason %v) vs fresh (%v, depth %d, reason %v)",
+					i, st.src, opt.SimPatterns, got.Class, got.Depth, got.Reason, want.Class, want.Depth, want.Reason)
 			}
 			f, err := ltl.LowerAssertion(a)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ltl.HasUnbounded(f) && got.Status == Falsified && (got.Cex == nil || got.Cex.Loop < 0) {
+			if ltl.HasUnbounded(f) && got.Class == formal.Falsified && (got.Cex == nil || got.Cex.Loop < 0) {
 				t.Fatalf("step %d %s: falsified liveness result without a loop: %+v", i, st.src, got.Cex)
 			}
 		}

@@ -115,14 +115,14 @@ func oracleCheckSafety(sys *rtl.System, f ltl.Formula, abort sva.Expr, assumes [
 			return Result{}, err
 		}
 		if cex {
-			return Result{Status: Falsified, Depth: k}, nil
+			return Result{Verdict: formal.Verdict{Class: formal.Falsified, Depth: k}}, nil
 		}
 		ind, err := oracleInductionStep(sys, f, abort, assumes, k, d, opt)
 		if err != nil {
 			return Result{}, err
 		}
 		if ind {
-			return Result{Status: Proven, Depth: k}, nil
+			return Result{Verdict: formal.Verdict{Class: formal.Proven, Depth: k}}, nil
 		}
 	}
 	cex, err := oracleSafetyQuery(sys, f, abort, assumes, opt.BMCDepth, d, opt)
@@ -130,9 +130,9 @@ func oracleCheckSafety(sys *rtl.System, f ltl.Formula, abort sva.Expr, assumes [
 		return Result{}, err
 	}
 	if cex {
-		return Result{Status: Falsified, Depth: opt.BMCDepth}, nil
+		return Result{Verdict: formal.Verdict{Class: formal.Falsified, Depth: opt.BMCDepth}}, nil
 	}
-	return Result{Status: Unknown, Depth: opt.BMCDepth}, nil
+	return Result{Verdict: formal.Verdict{Class: formal.Undecided, Reason: formal.Bound, Depth: opt.BMCDepth}}, nil
 }
 
 // oracleLiveness is the one-shot lasso query: a fresh unroll of k
@@ -192,7 +192,7 @@ func oracleLiveness(sys *rtl.System, f ltl.Formula, abort sva.Expr, assumes []lt
 		return Result{}, err
 	}
 	if !ok {
-		return Result{Status: Proven, Bounded: true, Depth: k}, nil
+		return Result{Verdict: formal.Verdict{Class: formal.Proven, Reason: formal.Bound, Depth: k}}, nil
 	}
 	sim := logic.NewSim(b)
 	for _, in := range b.Inputs() {
@@ -208,7 +208,7 @@ func oracleLiveness(sys *rtl.System, f ltl.Formula, abort sva.Expr, assumes []lt
 			break
 		}
 	}
-	return Result{Status: Falsified, Depth: k, Cex: &Cex{Loop: loop}}, nil
+	return Result{Verdict: formal.Verdict{Class: formal.Falsified, Depth: k}, Cex: &Cex{Loop: loop}}, nil
 }
 
 // oneShotCover is the one-shot cover query: a fresh unroll from reset,
@@ -249,9 +249,9 @@ func oneShotCover(sys *rtl.System, a *sva.Assertion, opt Options) (Result, error
 		return Result{}, err
 	}
 	if !ok {
-		return Result{Status: Falsified, Bounded: true, Depth: opt.BMCDepth}, nil
+		return Result{Verdict: formal.Verdict{Class: formal.Falsified, Reason: formal.Bound, Depth: opt.BMCDepth}}, nil
 	}
-	return Result{Status: Proven, Depth: opt.BMCDepth}, nil
+	return Result{Verdict: formal.Verdict{Class: formal.Proven, Depth: opt.BMCDepth}}, nil
 }
 
 // oracleCheckAssertion mirrors CheckAssertion through the one-shot
@@ -309,9 +309,9 @@ func TestIncrementalSafetyMatchesOneShotOracle(t *testing.T) {
 		if err1 != nil {
 			continue
 		}
-		if got.Status != want.Status || got.Depth != want.Depth {
+		if got.Class != want.Class || got.Depth != want.Depth {
 			t.Fatalf("%s: incremental (%v, depth %d) vs oracle (%v, depth %d)",
-				src, got.Status, got.Depth, want.Status, want.Depth)
+				src, got.Class, got.Depth, want.Class, want.Depth)
 		}
 	}
 }
@@ -329,14 +329,14 @@ func lockstepSafety(base, step *obligation, opt Options) (Result, bool, error) {
 			return Result{}, false, err
 		}
 		if cex != nil {
-			return Result{Status: Falsified, Depth: k, Cex: cex}, true, nil
+			return Result{Verdict: formal.Verdict{Class: formal.Falsified, Depth: k}, Cex: cex}, true, nil
 		}
 		ind, err := step.induct(k)
 		if err != nil {
 			return Result{}, false, err
 		}
 		if ind {
-			return Result{Status: Proven, Depth: k}, true, nil
+			return Result{Verdict: formal.Verdict{Class: formal.Proven, Depth: k}}, true, nil
 		}
 	}
 	if opt.MaxInduction < opt.BMCDepth {
@@ -350,10 +350,10 @@ func lockstepSafety(base, step *obligation, opt Options) (Result, bool, error) {
 			return Result{}, false, err
 		}
 		if cex != nil {
-			return Result{Status: Falsified, Depth: opt.BMCDepth, Cex: cex}, k < opt.BMCDepth, nil
+			return Result{Verdict: formal.Verdict{Class: formal.Falsified, Depth: opt.BMCDepth}, Cex: cex}, k < opt.BMCDepth, nil
 		}
 	}
-	return Result{Status: Unknown, Depth: opt.BMCDepth}, false, nil
+	return Result{Verdict: formal.Verdict{Class: formal.Undecided, Reason: formal.Bound, Depth: opt.BMCDepth}}, false, nil
 }
 
 // rowSystems elaborates a row's design and bench with each snippet
@@ -429,12 +429,8 @@ func newSchedulePair() *schedulePair {
 	return &schedulePair{got: NewDesign(), want: &Design{schedule: lockstepSafety}, gotOpt: opt(), wantOpt: opt()}
 }
 
-func equalVerdicts(got, want Result) bool {
-	return got.Status == want.Status && got.Depth == want.Depth && got.Bounded == want.Bounded
-}
-
 func TestScheduleMatchesLockstep(t *testing.T) {
-	checks, statuses := 0, map[Status]int{}
+	checks, statuses := 0, map[formal.Class]int{}
 	for _, kind := range []string{"pipeline", "fsm"} {
 		for _, inst := range rtlgen.Sweep96(kind) {
 			rows, pair := newRowSystems(inst.Design, inst.Bench, inst.DUTTop, inst.BenchTop), newSchedulePair()
@@ -447,10 +443,10 @@ func TestScheduleMatchesLockstep(t *testing.T) {
 					got, gotErr := pair.got.CheckAssertion(sys, a, pair.gotOpt)
 					want, wantErr := pair.want.CheckAssertion(sys, a, pair.wantOpt)
 					checks++
-					statuses[want.Status]++
-					if (gotErr == nil) != (wantErr == nil) || !equalVerdicts(got, want) {
-						t.Fatalf("%s %s: balanced (%v, depth %d, bounded %v, error %v), lockstep (%v, depth %d, bounded %v, error %v)",
-							inst.ID, a, got.Status, got.Depth, got.Bounded, gotErr, want.Status, want.Depth, want.Bounded, wantErr)
+					statuses[want.Class]++
+					if (gotErr == nil) != (wantErr == nil) || got.Verdict != want.Verdict {
+						t.Fatalf("%s %s: balanced (%v, depth %d, reason %v, error %v), lockstep (%v, depth %d, reason %v, error %v)",
+							inst.ID, a, got.Class, got.Depth, got.Reason, gotErr, want.Class, want.Depth, want.Reason, wantErr)
 					}
 				}
 			}
@@ -471,13 +467,13 @@ func TestScheduleMatchesLockstep(t *testing.T) {
 			got, gotLemmas, gotErr := pair.got.CheckWithLemmas(sys, inst.TargetAst, helpers, pair.gotOpt)
 			want, wantLemmas, wantErr := pair.want.CheckWithLemmas(sys, inst.TargetAst, helpers, pair.wantOpt)
 			sets++
-			if (gotErr == nil) != (wantErr == nil) || !equalVerdicts(got, want) || !slices.Equal(gotLemmas, wantLemmas) {
+			if (gotErr == nil) != (wantErr == nil) || got.Verdict != want.Verdict || !slices.Equal(gotLemmas, wantLemmas) {
 				t.Fatalf("%s %q: balanced (%v, depth %d, lemmas %+v, error %v), lockstep (%v, depth %d, lemmas %+v, error %v)",
-					inst.ID, code, got.Status, got.Depth, gotLemmas, gotErr, want.Status, want.Depth, wantLemmas, wantErr)
+					inst.ID, code, got.Class, got.Depth, gotLemmas, gotErr, want.Class, want.Depth, wantLemmas, wantErr)
 			}
 		}
 	}
-	if statuses[Proven] == 0 || statuses[Falsified] == 0 || sets == 0 {
+	if statuses[formal.Proven] == 0 || statuses[formal.Falsified] == 0 || sets == 0 {
 		t.Fatalf("differential too narrow: statuses %v, %d helper sets", statuses, sets)
 	}
 	t.Logf("%d assertion checks (%v) and %d helper sets matched", checks, statuses, sets)
@@ -547,11 +543,11 @@ func TestHeldBaseErrors(t *testing.T) {
 			if sched.name == "balanced" && !ahead {
 				t.Fatalf("!%s: the base never ran ahead to depth 3", tc.reg)
 			}
-			if tc.proven && (err != nil || res.Status != Proven || res.Depth != 2) {
-				t.Errorf("!%s, %s: (%v, depth %d, error %v), want proven at 2", tc.reg, sched.name, res.Status, res.Depth, err)
+			if tc.proven && (err != nil || res.Class != formal.Proven || res.Depth != 2) {
+				t.Errorf("!%s, %s: (%v, depth %d, error %v), want proven at 2", tc.reg, sched.name, res.Class, res.Depth, err)
 			}
 			if !tc.proven && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
-				t.Errorf("!%s, %s: (%v, depth %d, error %v), want %q", tc.reg, sched.name, res.Status, res.Depth, err, tc.wantErr)
+				t.Errorf("!%s, %s: (%v, depth %d, error %v), want %q", tc.reg, sched.name, res.Class, res.Depth, err, tc.wantErr)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"fveval/internal/formal"
 	"fveval/internal/ltl"
 	"fveval/internal/rtl"
 	"fveval/internal/sva"
@@ -21,12 +22,14 @@ type assumedLemma struct {
 // Lemma reports the fate of one candidate helper assertion submitted
 // to Design.CheckWithLemmas, index-aligned with the helpers argument.
 type Lemma struct {
-	// Proved marks helpers that were themselves proved (possibly using
-	// other proved helpers as lemmas) and hence assumed during the
-	// target check. Unproved helpers are never assumed.
-	Proved bool
-	// Depth is the induction length of the helper's own proof.
-	Depth int
+	// Verdict is the helper's own verdict. Proven helpers were proved
+	// (possibly using other proved helpers as lemmas) and hence
+	// assumed during the target check, Depth being the induction
+	// length of the proof; other helpers are never assumed. A helper
+	// the checker could not lower is an ElabError, and a liveness
+	// helper, never checked, stays Undecided. Otherwise the verdict is
+	// that of the helper's last check in the fixpoint.
+	formal.Verdict
 	// LoadBearing marks proved helpers without which the target proof
 	// fails: removing the helper from the candidate set and re-running
 	// the whole pipeline (so transitive dependencies collapse too)
@@ -72,8 +75,12 @@ func (c *Design) CheckWithLemmas(sys *rtl.System, target *sva.Assertion, helpers
 		ok    bool // lowered to a bounded (safety) formula
 	}
 	cands := make([]cand, len(helpers))
+	out := make([]Lemma, len(helpers))
 	for i, h := range helpers {
 		f, err := ltl.LowerAssertion(h)
+		if err != nil {
+			out[i].Class = formal.ElabError
+		}
 		if err != nil || ltl.HasUnbounded(f) {
 			continue // never proved, never assumed
 		}
@@ -96,23 +103,21 @@ func (c *Design) CheckWithLemmas(sys *rtl.System, target *sva.Assertion, helpers
 	// run executes one full pipeline pass with candidate exclude (an
 	// index, or -1) removed: fixpoint-prove the helpers, then check
 	// the target under the proved set.
-	run := func(exclude int) (Result, []bool, []int, error) {
-		proved := make([]bool, len(cands))
-		depths := make([]int, len(cands))
+	run := func(exclude int) (Result, []formal.Verdict, error) {
+		verdicts := make([]formal.Verdict, len(cands))
 		var lemmas []assumedLemma
 		for progress := true; progress; {
 			progress = false
 			for i := range cands {
-				if i == exclude || !cands[i].ok || proved[i] {
+				if i == exclude || !cands[i].ok || verdicts[i].Class == formal.Proven {
 					continue
 				}
 				res, err := c.checkSafety(sys, cands[i].f, cands[i].abort, assumes, lemmas, opt)
 				if err != nil {
-					return Result{}, nil, nil, err
+					return Result{}, nil, err
 				}
-				if res.Status == Proven {
-					proved[i] = true
-					depths[i] = res.Depth
+				verdicts[i] = res.Verdict
+				if res.Class == formal.Proven {
 					lemmas = append(lemmas, assumedLemma{f: cands[i].f, abort: cands[i].abort, d: cands[i].d})
 					progress = true
 				}
@@ -128,29 +133,30 @@ func (c *Design) CheckWithLemmas(sys *rtl.System, target *sva.Assertion, helpers
 			tres, err = c.checkSafety(sys, tf, tabort, assumes, lemmas, opt)
 		}
 		if err != nil {
-			return Result{}, nil, nil, err
+			return Result{}, nil, err
 		}
-		return tres, proved, depths, nil
+		return tres, verdicts, nil
 	}
 
-	tres, proved, depths, err := run(-1)
+	tres, verdicts, err := run(-1)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	out := make([]Lemma, len(helpers))
-	for i := range out {
-		out[i] = Lemma{Proved: proved[i], Depth: depths[i]}
+	for i, v := range verdicts {
+		if cands[i].ok {
+			out[i].Verdict = v
+		}
 	}
-	if tres.Status == Proven {
+	if tres.Class == formal.Proven {
 		for i := range cands {
-			if !proved[i] {
+			if out[i].Class != formal.Proven {
 				continue
 			}
-			ares, _, _, err := run(i)
+			ares, _, err := run(i)
 			if err != nil {
 				return Result{}, nil, err
 			}
-			if ares.Status != Proven {
+			if ares.Class != formal.Proven {
 				out[i].LoadBearing = true
 			}
 		}
@@ -158,7 +164,7 @@ func (c *Design) CheckWithLemmas(sys *rtl.System, target *sva.Assertion, helpers
 
 	var nProved, nBearing int64
 	for _, lm := range out {
-		if lm.Proved {
+		if lm.Class == formal.Proven {
 			nProved++
 		}
 		if lm.LoadBearing {

@@ -55,7 +55,7 @@ const strideTarget = `t: assert property (@(posedge clk) (cnt != 'd5));`
 const strideAlign = `h: assert property (@(posedge clk) ((cnt & 'd1) == 'd0));`
 
 // TestLemmaUnlocksTarget is the happy path: the target is not
-// k-inductive alone (Unknown), the alignment helper is 1-inductive,
+// k-inductive alone (Undecided), the alignment helper is 1-inductive,
 // and assuming it unlocks the target. The helper must be marked
 // load-bearing.
 func TestLemmaUnlocksTarget(t *testing.T) {
@@ -66,18 +66,18 @@ func TestLemmaUnlocksTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if alone.Status != Unknown {
-		t.Fatalf("target alone: got %v, want unknown", alone.Status)
+	if alone.Class != formal.Undecided {
+		t.Fatalf("target alone: got %v, want undecided", alone.Class)
 	}
 
 	res, lemmas, err := NewDesign().CheckWithLemmas(sys, target, []*sva.Assertion{parseA(t, strideAlign)}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Status != Proven {
-		t.Fatalf("target with helper: got %v, want proven", res.Status)
+	if res.Class != formal.Proven {
+		t.Fatalf("target with helper: got %v, want proven", res.Class)
 	}
-	if len(lemmas) != 1 || !lemmas[0].Proved || !lemmas[0].LoadBearing {
+	if len(lemmas) != 1 || lemmas[0].Class != formal.Proven || !lemmas[0].LoadBearing {
 		t.Fatalf("lemma report: got %+v, want proved load-bearing", lemmas)
 	}
 }
@@ -95,11 +95,11 @@ func TestUnprovedHelperNeverAssumed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lemmas[0].Proved {
+	if lemmas[0].Class == formal.Proven {
 		t.Fatal("falsifiable helper reported as proved")
 	}
-	if res.Status != Unknown {
-		t.Fatalf("target with unproved helper: got %v, want unknown (helper must not be assumed)", res.Status)
+	if res.Class != formal.Undecided {
+		t.Fatalf("target with unproved helper: got %v, want undecided (helper must not be assumed)", res.Class)
 	}
 }
 
@@ -115,11 +115,11 @@ func TestLemmaCannotMaskFalsification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !lemmas[0].Proved {
+	if lemmas[0].Class != formal.Proven {
 		t.Fatal("alignment helper should prove")
 	}
-	if res.Status != Falsified {
-		t.Fatalf("reachable violation under assumed lemma: got %v, want falsified", res.Status)
+	if res.Class != formal.Falsified {
+		t.Fatalf("reachable violation under assumed lemma: got %v, want falsified", res.Class)
 	}
 	if res.Cex == nil {
 		t.Fatal("falsification must carry a counterexample")
@@ -140,12 +140,12 @@ func TestLemmaFixpointOrderIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Status != Proven {
-			t.Fatalf("got %v, want proven regardless of helper order", res.Status)
+		if res.Class != formal.Proven {
+			t.Fatalf("got %v, want proven regardless of helper order", res.Class)
 		}
 		nProved := 0
 		for _, lm := range lemmas {
-			if lm.Proved {
+			if lm.Class == formal.Proven {
 				nProved++
 			}
 		}
@@ -167,11 +167,11 @@ func TestUnboundedHelperNeverAssumed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lemmas[0].Proved {
+	if lemmas[0].Class == formal.Proven {
 		t.Fatal("unbounded helper must never be proved/assumed")
 	}
-	if res.Status != Unknown {
-		t.Fatalf("got %v, want unknown", res.Status)
+	if res.Class != formal.Undecided {
+		t.Fatalf("got %v, want undecided", res.Class)
 	}
 }
 

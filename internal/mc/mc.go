@@ -2,8 +2,11 @@
 // role of the commercial tool's proof engines in the paper's
 // Design2SVA evaluation. Safety properties are falsified with bounded
 // model checking and proven with k-induction; liveness properties are
-// falsified with lasso-shaped bounded search (absence of a lasso
-// counterexample within the bound is reported as a bounded proof).
+// falsified with lasso-shaped bounded search. Every check returns a
+// formal.Verdict; one that holds only up to a bound says so in its
+// Reason (formal.Bound): a liveness check with no lasso counterexample
+// within the bound is Proven, Bound; a safety check neither proved nor
+// falsified within its depths is Undecided, Bound.
 //
 // Every check runs on the bounded-search core of package formal
 // (DESIGN.md §7): a Design keeps two formal sessions per transition
@@ -36,26 +39,6 @@ import (
 	"fveval/internal/sva"
 )
 
-// Status classifies a check result.
-type Status int
-
-// Status values.
-const (
-	Unknown Status = iota
-	Proven
-	Falsified
-)
-
-func (s Status) String() string {
-	switch s {
-	case Proven:
-		return "proven"
-	case Falsified:
-		return "falsified"
-	}
-	return "unknown"
-}
-
 // Cex is a counterexample: per-frame values of inputs and registers.
 // A frame holds only the pairs the checker built: an input the
 // property never read at that frame, or a register outside the cone of
@@ -66,19 +49,15 @@ type Cex struct {
 	Loop   int // loop entry frame of a lasso; -1 for finite (safety) traces
 }
 
-// Result of checking one assertion.
+// Result of checking one assertion: the verdict and, for a falsified
+// check or a reached cover, its trace. A safety verdict's Depth is the
+// induction length of a proof, the first failing BMC depth of a
+// counterexample found within MaxInduction, or BMCDepth past it and
+// for an undecided check; it does not depend on how far the base case
+// ran ahead of the induction steps. A liveness verdict's Depth is the
+// lasso length, a cover's the BMC depth searched.
 type Result struct {
-	Status Status
-	// Bounded marks liveness verdicts established only up to the
-	// search bound (no unbounded liveness proof engine).
-	Bounded bool
-	// Depth is, for a safety check, the induction length of a proof,
-	// the first failing BMC depth of a counterexample found within
-	// MaxInduction, or BMCDepth past it and for Unknown; it does not
-	// depend on how far the base case ran ahead of the induction
-	// steps. For a liveness check it is the lasso length, for a cover
-	// the BMC depth searched.
-	Depth int
+	formal.Verdict
 	// Cex is the counterexample of a falsified check, or a cover's
 	// witness.
 	Cex *Cex

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"fveval/internal/formal"
 	"strings"
 	"testing"
 
@@ -91,8 +92,8 @@ func TestFSMSafetyProofs(t *testing.T) {
 	}
 	for _, src := range proven {
 		res := check(t, sys, src)
-		if res.Status != Proven {
-			t.Errorf("expected proven, got %v (depth %d)\n%s", res.Status, res.Depth, src)
+		if res.Class != formal.Proven {
+			t.Errorf("expected proven, got %v (depth %d)\n%s", res.Class, res.Depth, src)
 			if res.Cex != nil {
 				t.Logf("cex: %+v", res.Cex.Frames)
 			}
@@ -115,10 +116,10 @@ func TestFSMSafetyFalsifications(t *testing.T) {
 	}
 	for _, src := range falsified {
 		res := check(t, sys, src)
-		if res.Status != Falsified {
-			t.Errorf("expected falsified, got %v\n%s", res.Status, src)
+		if res.Class != formal.Falsified {
+			t.Errorf("expected falsified, got %v\n%s", res.Class, src)
 		}
-		if res.Status == Falsified && res.Cex == nil {
+		if res.Class == formal.Falsified && res.Cex == nil {
 			t.Errorf("falsified without counterexample: %s", src)
 		}
 	}
@@ -135,8 +136,8 @@ func TestVacuousDisable(t *testing.T) {
 	// gpt-4o used disable iff (reset_).
 	res := check(t, sys, `assert property (@(posedge clk) disable iff (reset_)
 		state == 2'b10 |-> (next_state == 2'b00 || next_state == 2'b01 || next_state == 2'b11));`)
-	if res.Status != Proven {
-		t.Errorf("expected proven, got %v", res.Status)
+	if res.Class != formal.Proven {
+		t.Errorf("expected proven, got %v", res.Class)
 	}
 }
 
@@ -167,19 +168,19 @@ endmodule`
 	// range invariant, which plain k-induction finds at k=1 because
 	// the invariant is inductive.
 	res := check(t, sys, `assert property (@(posedge clk) disable iff (!reset_) cnt <= 4'd9);`)
-	if res.Status != Proven {
-		t.Errorf("range invariant: %v (depth %d)", res.Status, res.Depth)
+	if res.Class != formal.Proven {
+		t.Errorf("range invariant: %v (depth %d)", res.Class, res.Depth)
 	}
 	// wrong bound is falsified
 	res = check(t, sys, `assert property (@(posedge clk) disable iff (!reset_) cnt <= 4'd8);`)
-	if res.Status != Falsified {
-		t.Errorf("wrong bound: %v", res.Status)
+	if res.Class != formal.Falsified {
+		t.Errorf("wrong bound: %v", res.Class)
 	}
 	// step relation
 	res = check(t, sys, `assert property (@(posedge clk) disable iff (!reset_)
 		(en && cnt < 4'd9) |-> ##1 cnt == ($past(cnt) + 4'd1));`)
-	if res.Status != Proven {
-		t.Errorf("step relation: %v (depth %d)", res.Status, res.Depth)
+	if res.Class != formal.Proven {
+		t.Errorf("step relation: %v (depth %d)", res.Class, res.Depth)
 	}
 }
 
@@ -207,16 +208,16 @@ endmodule`
 	}
 	res := check(t, sys, `assert property (@(posedge clk) disable iff (!reset_)
 		in_vld |-> ##3 out_vld);`)
-	if res.Status != Proven {
-		t.Errorf("valid propagation: %v (depth %d)", res.Status, res.Depth)
+	if res.Class != formal.Proven {
+		t.Errorf("valid propagation: %v (depth %d)", res.Class, res.Depth)
 		if res.Cex != nil {
 			t.Logf("cex: %+v loop=%d", res.Cex.Frames, res.Cex.Loop)
 		}
 	}
 	res = check(t, sys, `assert property (@(posedge clk) disable iff (!reset_)
 		in_vld |-> ##2 out_vld);`)
-	if res.Status != Falsified {
-		t.Errorf("wrong latency must fail: %v", res.Status)
+	if res.Class != formal.Falsified {
+		t.Errorf("wrong latency must fail: %v", res.Class)
 	}
 }
 
@@ -257,16 +258,16 @@ func rotSystem(t *testing.T) *rtl.System {
 func TestLiveness(t *testing.T) {
 	sys := rotSystem(t)
 	res := check(t, sys, tokenReturns)
-	if res.Status != Proven {
-		t.Errorf("token liveness: %v", res.Status)
+	if res.Class != formal.Proven {
+		t.Errorf("token liveness: %v", res.Class)
 	}
-	if !res.Bounded {
+	if res.Reason != formal.Bound {
 		t.Errorf("liveness proof must be flagged bounded")
 	}
 	// Claiming the token eventually disappears is false.
 	res = check(t, sys, tokenVanishes)
-	if res.Status != Falsified {
-		t.Errorf("false liveness must be falsified: %v", res.Status)
+	if res.Class != formal.Falsified {
+		t.Errorf("false liveness must be falsified: %v", res.Class)
 	}
 	if res.Cex == nil || res.Cex.Loop < 0 {
 		t.Errorf("liveness cex must carry a loop")
@@ -275,7 +276,7 @@ func TestLiveness(t *testing.T) {
 
 func TestUnknownOnHardProperty(t *testing.T) {
 	// A modular-arithmetic relation that k-induction at small k cannot
-	// prove and BMC cannot refute: expect Unknown, not a wrong answer.
+	// prove and BMC cannot refute: expect formal.Undecided, not a wrong answer.
 	src := `
 module lfsr(clk, reset_, s);
 input clk;
@@ -303,9 +304,9 @@ endmodule`
 		t.Fatal(err)
 	}
 	// The nonzero invariant is true but not 2-inductive; the checker
-	// must not claim Falsified.
-	if res.Status == Falsified {
-		t.Errorf("must not falsify a true property: %v", res.Status)
+	// must not claim formal.Falsified.
+	if res.Class == formal.Falsified {
+		t.Errorf("must not falsify a true property: %v", res.Class)
 	}
 }
 

@@ -23,7 +23,7 @@ func TestOptionsNeverPoisonSharedMemos(t *testing.T) {
 		variant engine.Config
 	}{
 		{"nl2sva max_bound", "nl2sva-human", engine.Config{Limit: 40}, engine.Config{Limit: 40, MaxBound: 1}},
-		{"design2sva budget", "design2sva", engine.Config{Limit: 48, Samples: 2}, engine.Config{Limit: 48, Samples: 2, Budget: 1}},
+		{"design2sva budget", "design2sva", engine.Config{Samples: 2}, engine.Config{Samples: 2, Budget: 1}},
 		{"agr budget", "agr", engine.Config{Limit: 16, Samples: 2}, engine.Config{Limit: 16, Samples: 2, Budget: 1}},
 	}
 	ctx := context.Background()
