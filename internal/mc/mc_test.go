@@ -276,7 +276,7 @@ func TestLiveness(t *testing.T) {
 
 func TestUnknownOnHardProperty(t *testing.T) {
 	// A modular-arithmetic relation that k-induction at small k cannot
-	// prove and BMC cannot refute: expect formal.Undecided, not a wrong answer.
+	// prove and BMC cannot refute: expect Undecided, not a wrong answer.
 	src := `
 module lfsr(clk, reset_, s);
 input clk;
@@ -304,7 +304,7 @@ endmodule`
 		t.Fatal(err)
 	}
 	// The nonzero invariant is true but not 2-inductive; the checker
-	// must not claim formal.Falsified.
+	// must not claim Falsified.
 	if res.Class == formal.Falsified {
 		t.Errorf("must not falsify a true property: %v", res.Class)
 	}
