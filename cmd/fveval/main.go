@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"fveval/internal/engine"
 	"fveval/internal/task"
@@ -90,60 +91,42 @@ func cli(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "fveval:", err)
 		return 2
 	}
-	var names []string
+	names := allTasks
+	var spec *task.Spec
+	var err error
 	switch {
 	case *taskName != "":
-		names = []string{*taskName}
+		spec, err = task.Lookup(*taskName)
 	case *all:
-		names = allTasks()
 	case *table > 0:
-		spec, err := task.ByTable(*table)
-		if err != nil {
-			fmt.Fprintln(stderr, "fveval:", err)
-			return 1
-		}
-		names = []string{spec.Name}
+		spec, err = task.ByTable(*table)
 	case *figure > 0:
-		spec, err := task.ByFigure(*figure)
-		if err != nil {
-			fmt.Fprintln(stderr, "fveval:", err)
-			return 1
-		}
-		names = []string{spec.Name}
+		spec, err = task.ByFigure(*figure)
 	default:
 		fs.Usage()
 		return 0
 	}
+	if spec != nil {
+		names = []string{spec.Name}
+	}
 	eng := task.NewEngine(cfg)
-	for _, name := range names {
+	for i := 0; err == nil && i < len(names); i++ {
 		// In -all mode -count applies only to the tasks that take it.
-		if err := runTask(eng, stdout, name, *count, *jsonOut, !*all); err != nil {
-			fmt.Fprintln(stderr, "fveval:", err)
-			return 1
-		}
+		err = runTask(eng, stdout, names[i], *count, *jsonOut, spec != nil)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "fveval:", err)
+		return 1
 	}
 	printCounters(stderr, eng)
 	return 0
 }
 
-// allTasks lists the registry tasks -all runs, in print order: Tables
-// 6 and 1–5, then Figures 2, 3, 4 and 6.
-func allTasks() []string {
-	var names []string
-	for _, t := range []int{6, 1, 2, 3, 4, 5} {
-		names = append(names, mustSpec(task.ByTable(t)).Name)
-	}
-	for _, f := range []int{2, 3, 4, 6} {
-		names = append(names, mustSpec(task.ByFigure(f)).Name)
-	}
-	return names
-}
-
-func mustSpec(s *task.Spec, err error) *task.Spec {
-	if err != nil {
-		panic(err)
-	}
-	return s
+// allTasks is what -all runs, in print order: Tables 6 and 1–5, then
+// Figures 2, 3, 4 and 6.
+var allTasks = []string{
+	"dataset-stats", "nl2sva-human", "nl2sva-human-passk", "nl2sva-machine", "nl2sva-machine-passk", "design2sva",
+	"human-token-lengths", "machine-token-lengths", "design-token-lengths", "bleu-correlation",
 }
 
 // printCounters writes the engine's run-wide counters: the
@@ -183,21 +166,13 @@ func runTask(eng *task.Engine, w io.Writer, name string, count int, jsonOut, exp
 	if err != nil {
 		return err
 	}
-	acceptsCount := false
-	for _, f := range spec.Accepts {
-		if f == "count" {
-			acceptsCount = true
-		}
-	}
 	var p task.Params
-	if count > 0 {
-		if !acceptsCount {
-			if explicit {
-				return fmt.Errorf("task %s does not accept -count", spec.Name)
-			}
-		} else {
-			p.Count = count
-		}
+	switch {
+	case count <= 0:
+	case slices.Contains(spec.Accepts, "count"):
+		p.Count = count
+	case explicit:
+		return fmt.Errorf("task %s does not accept -count", spec.Name)
 	}
 	run, err := eng.Run(context.Background(), task.Request{Task: spec.Name, Params: p})
 	if err != nil {

@@ -12,6 +12,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"fveval/internal/dataset/human"
 	"fveval/internal/equiv"
@@ -49,14 +50,10 @@ func syntactic(v formal.Verdict) bool {
 // the target is proven (bounded proofs included), and Partial when
 // there are helpers (AGR) and every one of them is proven.
 func score(id, code string, target formal.Verdict, helpers []formal.Verdict) Outcome {
-	out := Outcome{InstanceID: id, Response: code, Syntax: syntactic(target), Full: target.Class == formal.Proven}
-	out.Partial = out.Syntax && len(helpers) > 0
-	for _, h := range helpers {
-		if h.Class != formal.Proven {
-			out.Partial = false
-		}
-	}
-	return out
+	unproven := func(h formal.Verdict) bool { return h.Class != formal.Proven }
+	syntax := syntactic(target)
+	return Outcome{InstanceID: id, Response: code, Syntax: syntax, Full: target.Class == formal.Proven,
+		Partial: syntax && len(helpers) > 0 && !slices.ContainsFunc(helpers, unproven)}
 }
 
 // checkerVerdict is the verdict of a check the checker ended with
@@ -102,22 +99,30 @@ func Aggregate(model string, outs []Outcome) Row {
 	if len(outs) == 0 {
 		return r
 	}
-	var s, f, p, b float64
+	var b float64
 	for _, o := range outs {
-		if o.Syntax {
-			s++
-		}
-		if o.Full {
-			f++
-		}
-		if o.Partial {
-			p++
-		}
 		b += o.BLEU
 	}
+	s, f, p := passes(outs)
 	n := float64(len(outs))
-	r.Syntax, r.Func, r.Partial, r.BLEU = s/n, f/n, p/n, b/n
+	r.Syntax, r.Func, r.Partial, r.BLEU = float64(s)/n, float64(f)/n, float64(p)/n, b/n
 	return r
+}
+
+// passes counts the outcomes that pass each metric.
+func passes(outs []Outcome) (syntax, full, partial int) {
+	for _, o := range outs {
+		if o.Syntax {
+			syntax++
+		}
+		if o.Full {
+			full++
+		}
+		if o.Partial {
+			partial++
+		}
+	}
+	return syntax, full, partial
 }
 
 // AggregatePassK computes unbiased pass@k per metric from a flattened
@@ -133,19 +138,7 @@ func AggregatePassK(model string, nInst, n int, ks []int, outs []Outcome) Row {
 	for _, k := range ks {
 		var sSum, fSum, pSum float64
 		for i := 0; i < nInst; i++ {
-			var sC, fC, pC int
-			for s := 0; s < n; s++ {
-				o := outs[i*n+s]
-				if o.Syntax {
-					sC++
-				}
-				if o.Full {
-					fC++
-				}
-				if o.Partial {
-					pC++
-				}
-			}
+			sC, fC, pC := passes(outs[i*n : i*n+n])
 			sSum += metrics.PassAtK(n, sC, k)
 			fSum += metrics.PassAtK(n, fC, k)
 			pSum += metrics.PassAtK(n, pC, k)
@@ -312,11 +305,10 @@ func JudgeDesign(inst *rtlgen.Instance, snippet string, opt mc.Options, row *Des
 
 // designVerdict is a snippet's verdict: SyntaxError when it does not
 // parse, elaborate or validate or has no assertion, ElabError when the
-// checker rejects one of its assertions, and otherwise the verdict of
-// their conjunction, the first of the weakest assertion verdicts
-// (conjunctionRank). Every assertion is checked, in source order,
-// until one is rejected: an undecided one does not hide a later
-// rejection.
+// checker rejects one of its assertions, and otherwise the first
+// assertion verdict that is not a proof, or the first proof. Every
+// assertion is checked, in source order, until one is rejected: an
+// undecided one does not hide a later rejection.
 func designVerdict(inst *rtlgen.Instance, snippet string, opt mc.Options, row *DesignRow) formal.Verdict {
 	if row == nil {
 		row = NewDesignRow(inst)
@@ -345,24 +337,9 @@ func designVerdict(inst *rtlgen.Instance, snippet string, opt mc.Options, row *D
 		if res.Class == formal.ElabError {
 			return res.Verdict
 		}
-		if i == 0 || conjunctionRank(res.Verdict) > conjunctionRank(v) {
+		if i == 0 || v.Class == formal.Proven && res.Class != formal.Proven {
 			v = res.Verdict
 		}
 	}
 	return v
-}
-
-// conjunctionRank orders a checker's verdicts by how far they decide a
-// conjunction of properties: a counterexample decides it, an undecided
-// check leaves it undecided, and a qualified proof weakens a plain one.
-func conjunctionRank(v formal.Verdict) int {
-	switch {
-	case v.Class == formal.Falsified:
-		return 3
-	case v.Class != formal.Proven:
-		return 2
-	case v.Reason != formal.NoReason:
-		return 1
-	}
-	return 0
 }

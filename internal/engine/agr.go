@@ -19,23 +19,17 @@ import (
 // validity), Full = the target is unlocked.
 func (e *Engine) HelperGrid(ctx context.Context, models []llm.Model, obs Observer) (*Grid, error) {
 	kept, total := clip(helpergen.Sweep(), e.cfg)
-	n := e.cfg.PassKSamples()
-	outs, err := e.runGrid(ctx, names(models), len(kept), n, func(i int) evalFunc {
+	return e.runGrid(ctx, models, total, len(kept), e.cfg.PassKSamples(), func(i int) evalFunc {
 		inst := kept[i]
 		prompt := llm.BuildHelperPrompt(inst)
 		row := core.NewHelperRow(inst) // the row's helper sets share one system and session pair
 		return func(jctx context.Context, j job) core.Outcome {
-			resp := generate(jctx, models[j.model], prompt, j.sample)
-			code := llm.ExtractCode(resp)
+			code := llm.ExtractCode(generate(jctx, models[j.model], prompt, j.sample))
 			return e.judged(jctx, e.memoKey(familyHelper, inst.ID, code), func() core.Outcome {
 				return judgeHelper(inst, code, e.mcOptions(jctx), row)
 			})
 		}
 	}, obs)
-	if err != nil {
-		return nil, err
-	}
-	return e.newGrid(names(models), total, len(kept), n, outs), nil
 }
 
 // ---- CEX-guided refinement ----------------------------------------------

@@ -103,7 +103,7 @@ type Config struct {
 	// Shard restricts this process to one slice of the instance axis.
 	Shard Shard `json:"shard,omitzero"`
 	// NoCache disables every run-wide memo (equivalence checks and
-	// translation, design and helper judgments). Verdicts are
+	// judgments). Verdicts are
 	// identical either way; the memos only skip duplicate solves.
 	NoCache bool `json:"no_cache,omitempty"`
 	// SimPatterns sets how many bit-parallel simulation patterns the
@@ -121,23 +121,14 @@ type Config struct {
 // every knob is a size or a budget, so negative values are always a
 // caller bug, not a request for a default.
 func (c Config) Validate() error {
-	if c.Limit < 0 {
-		return fmt.Errorf("engine: negative Limit %d", c.Limit)
-	}
-	if c.Samples < 0 {
-		return fmt.Errorf("engine: negative Samples %d", c.Samples)
-	}
-	if c.Budget < 0 {
-		return fmt.Errorf("engine: negative Budget %d", c.Budget)
-	}
-	if c.MaxBound < 0 {
-		return fmt.Errorf("engine: negative MaxBound %d", c.MaxBound)
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("engine: negative Workers %d", c.Workers)
-	}
-	if c.SimPatterns < 0 {
-		return fmt.Errorf("engine: negative SimPatterns %d", c.SimPatterns)
+	for _, k := range []struct {
+		name string
+		v    int64
+	}{{"Limit", int64(c.Limit)}, {"Samples", int64(c.Samples)}, {"Budget", c.Budget},
+		{"MaxBound", int64(c.MaxBound)}, {"Workers", int64(c.Workers)}, {"SimPatterns", int64(c.SimPatterns)}} {
+		if k.v < 0 {
+			return fmt.Errorf("engine: negative %s %d", k.name, k.v)
+		}
 	}
 	return c.Shard.Validate()
 }
@@ -388,19 +379,20 @@ type evalFunc func(ctx context.Context, j job) core.Outcome
 // count; aggregation folds the slots in grid order, so the result is
 // independent of worker count and completion order.
 //
+// The grid carries this engine's shard provenance: total is the
+// instance count before sharding, nInst this shard's.
+//
 // Cancelling ctx stops every worker before its next job and its next
-// row; the grid returns ctx.Err() once in-flight jobs have drained, and
-// the partial outcome grid is discarded by every caller.
-func (e *Engine) runGrid(ctx context.Context, models []string, nInst, nSamples int, row func(inst int) evalFunc, observer Observer) ([][]core.Outcome, error) {
-	nModels := len(models)
-	outcomes := make([][]core.Outcome, nModels)
-	for m := range outcomes {
-		outcomes[m] = make([]core.Outcome, nInst*nSamples)
+// row; the grid returns ctx.Err() once in-flight jobs have drained,
+// and no grid.
+func (e *Engine) runGrid(ctx context.Context, models []llm.Model, total, nInst, nSamples int, row func(inst int) evalFunc, observer Observer) (*Grid, error) {
+	g := &Grid{Models: make([]string, len(models)), Total: total, Local: nInst, Samples: nSamples,
+		Shard: e.cfg.Shard, Outcomes: make([][]core.Outcome, len(models))}
+	for m, model := range models {
+		g.Models[m] = model.Name()
+		g.Outcomes[m] = make([]core.Outcome, nInst*nSamples)
 	}
-	total := nModels * nInst * nSamples
-	if total == 0 {
-		return outcomes, ctx.Err()
-	}
+	jobs := len(models) * nInst * nSamples
 
 	// An injected engine.job fault fails the whole grid through the
 	// cancel cause, so callers see the injected error rather than a
@@ -419,7 +411,7 @@ func (e *Engine) runGrid(ctx context.Context, models []string, nInst, nSamples i
 	// no-ops.
 	evalJob := func(eval evalFunc, j job) {
 		jctx, sp := obs.Start(ctx, "job")
-		sp.SetStr("model", models[j.model]).SetInt("sample", int64(j.sample))
+		sp.SetStr("model", g.Models[j.model]).SetInt("sample", int64(j.sample))
 		start := time.Now()
 		out := eval(jctx, j)
 		wall := time.Since(start)
@@ -427,7 +419,7 @@ func (e *Engine) runGrid(ctx context.Context, models []string, nInst, nSamples i
 			SetBool("syntax", out.Syntax).
 			SetBool("func", out.Full)
 		sp.End()
-		outcomes[j.model][j.slot(nSamples)] = out
+		g.Outcomes[j.model][j.slot(nSamples)] = out
 		if observer == nil {
 			return
 		}
@@ -435,8 +427,8 @@ func (e *Engine) runGrid(ctx context.Context, models []string, nInst, nSamples i
 		defer mu.Unlock()
 		done++
 		observer(Progress{
-			Done: done, Total: total,
-			Model:      models[j.model],
+			Done: done, Total: jobs,
+			Model:      g.Models[j.model],
 			InstanceID: out.InstanceID,
 			Sample:     j.sample,
 			Outcome:    out,
@@ -446,7 +438,7 @@ func (e *Engine) runGrid(ctx context.Context, models []string, nInst, nSamples i
 	// evalRow judges one instance row; false means the grid is over.
 	evalRow := func(inst int) bool {
 		eval := row(inst)
-		for m := 0; m < nModels; m++ {
+		for m := range models {
 			for s := 0; s < nSamples; s++ {
 				if ctx.Err() != nil {
 					return false
@@ -478,7 +470,7 @@ func (e *Engine) runGrid(ctx context.Context, models []string, nInst, nSamples i
 	if err := ctx.Err(); err != nil {
 		return nil, context.Cause(ctx)
 	}
-	return outcomes, nil
+	return g, nil
 }
 
 // generate runs one model call under a prompt-phase span, so traced
@@ -489,15 +481,6 @@ func generate(ctx context.Context, m llm.Model, p *llm.Prompt, sample int) strin
 	resp := m.Generate(p, sample)
 	sp.End()
 	return resp
-}
-
-// names extracts the model-name axis for progress reporting.
-func names(models []llm.Model) []string {
-	out := make([]string, len(models))
-	for i, m := range models {
-		out[i] = m.Name()
-	}
-	return out
 }
 
 // clip truncates to cfg.Limit, then keeps this shard's instances; it
@@ -535,7 +518,7 @@ func (e *Engine) HumanGrid(ctx context.Context, models []llm.Model, sampled bool
 	if sampled {
 		n = e.cfg.PassKSamples()
 	}
-	outs, err := e.runGrid(ctx, names(models), len(kept), n, func(i int) evalFunc {
+	return e.runGrid(ctx, models, total, len(kept), n, func(i int) evalFunc {
 		// A prompt depends only on its instance: one per row, which
 		// models treat read-only.
 		in := kept[i]
@@ -545,10 +528,6 @@ func (e *Engine) HumanGrid(ctx context.Context, models []llm.Model, sampled bool
 			return e.judgeTranslation(jctx, familyHuman, in.ID, resp, in.Reference, in.Sigs)
 		}
 	}, obs)
-	if err != nil {
-		return nil, err
-	}
-	return e.newGrid(names(models), total, len(kept), n, outs), nil
 }
 
 // ---- NL2SVA-Machine -----------------------------------------------------
@@ -574,7 +553,7 @@ func (e *Engine) MachineGrid(ctx context.Context, models []llm.Model, shots, cou
 	if retries > 0 {
 		gen = e.feedbackModels(models, kept, retries)
 	}
-	outs, err := e.runGrid(ctx, names(models), len(kept), n, func(i int) evalFunc {
+	return e.runGrid(ctx, models, total, len(kept), n, func(i int) evalFunc {
 		in := kept[i]
 		prompt := llm.BuildMachinePrompt(in.ID, in.NL, shots, in.Reference)
 		return func(jctx context.Context, j job) core.Outcome {
@@ -582,10 +561,6 @@ func (e *Engine) MachineGrid(ctx context.Context, models []llm.Model, shots, cou
 			return e.judgeTranslation(jctx, familyMachine, in.ID, resp, in.Reference, in.Sigs)
 		}
 	}, obs)
-	if err != nil {
-		return nil, err
-	}
-	return e.newGrid(names(models), total, len(kept), n, outs), nil
 }
 
 // ---- Design2SVA ---------------------------------------------------------
@@ -595,25 +570,19 @@ func (e *Engine) MachineGrid(ctx context.Context, models []llm.Model, shots, cou
 // returns the raw outcome lattice with shard provenance.
 func (e *Engine) DesignGrid(ctx context.Context, models []llm.Model, kind string, obs Observer) (*Grid, error) {
 	kept, total := clip(rtlgen.Sweep96(kind), e.cfg)
-	n := e.cfg.PassKSamples()
-	outs, err := e.runGrid(ctx, names(models), len(kept), n, func(i int) evalFunc {
+	return e.runGrid(ctx, models, total, len(kept), e.cfg.PassKSamples(), func(i int) evalFunc {
 		inst := kept[i]
 		prompt := llm.BuildDesignPrompt(inst)
 		// One judging context per row: the row's candidates share its
 		// elaborated base and its session pair, and it dies with the row.
 		row := core.NewDesignRow(inst)
 		return func(jctx context.Context, j job) core.Outcome {
-			resp := generate(jctx, models[j.model], prompt, j.sample)
-			code := llm.ExtractCode(resp)
+			code := llm.ExtractCode(generate(jctx, models[j.model], prompt, j.sample))
 			return e.judged(jctx, e.memoKey(familyDesign, kind, inst.ID, code), func() core.Outcome {
 				return judgeDesign(inst, code, e.mcOptions(jctx), row)
 			})
 		}
 	}, obs)
-	if err != nil {
-		return nil, err
-	}
-	return e.newGrid(names(models), total, len(kept), n, outs), nil
 }
 
 // judgeDesign and judgeHelper are the judgments the Design2SVA and

@@ -37,14 +37,6 @@ type Grid struct {
 	Outcomes [][]core.Outcome `json:"outcomes"`
 }
 
-// newGrid wraps a runGrid result with this engine's shard provenance.
-func (e *Engine) newGrid(models []string, total, local, samples int, outs [][]core.Outcome) *Grid {
-	return &Grid{
-		Models: models, Total: total, Local: local, Samples: samples,
-		Shard: e.cfg.Shard, Outcomes: outs,
-	}
-}
-
 // Rows folds the grid into one row per model, visiting slots in grid
 // order (the fold Aggregate documents as deterministic): pass@k at the
 // cut-offs ks, or greedy means when ks is empty.

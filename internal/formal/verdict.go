@@ -1,47 +1,32 @@
 package formal
 
 // Verdict is what a check decided about one property, the one shape a
-// model-checking verdict keeps from the checker to the judged row: a
-// class, the reason a verdict is qualified, and the depth it was
-// reached at.
+// model-checking verdict keeps from the checker to the judged row.
 type Verdict struct {
 	Class  Class
 	Reason Reason
-	// Depth is the bound the class holds at: an induction length, a
-	// counterexample's depth, a lasso length or a searched BMC depth.
+	// Depth is the bound the class was reached at: an induction
+	// length, a counterexample's depth, a lasso length or a searched
+	// BMC depth.
 	Depth int
 }
 
 // Class is the decision of a verdict.
 type Class uint8
 
-// Class values. The zero value is Undecided: a property nothing has
-// decided, such as one never checked.
+// Class values. The zero value is Undecided, as is a property never
+// checked.
 const (
 	Undecided Class = iota
 	Proven
 	Falsified
-	// SyntaxError: the model text does not parse, elaborate or
-	// validate, so no property reached the checker.
-	SyntaxError
-	// ElabError: the checker rejected the property (an undeclared
-	// signal, an unsupported construct).
-	ElabError
+	SyntaxError // the text does not parse, elaborate or validate
+	ElabError   // the checker rejects the property
 )
 
-func (c Class) String() string {
-	switch c {
-	case Proven:
-		return "proven"
-	case Falsified:
-		return "falsified"
-	case SyntaxError:
-		return "syntax error"
-	case ElabError:
-		return "elaboration error"
-	}
-	return "undecided"
-}
+var classNames = [...]string{"undecided", "proven", "falsified", "syntax error", "elaboration error"}
+
+func (c Class) String() string { return classNames[c] }
 
 // Reason qualifies a verdict.
 type Reason uint8
@@ -50,8 +35,8 @@ type Reason uint8
 const (
 	NoReason Reason = iota
 	// Bound: the class holds only up to Depth — an undecided safety
-	// check past its BMC depth, a liveness proof with no lasso up to
-	// its bound, a cover unreachable within its depth.
+	// check, a liveness proof with no lasso up to its bound, a cover
+	// unreachable within its depth.
 	Bound
 	// Budget: a solver call ran out of its conflict budget.
 	Budget

@@ -67,18 +67,14 @@ func (c *Design) CheckAssertion(sys *rtl.System, a *sva.Assertion, opt Options) 
 	if err != nil {
 		return Result{}, err
 	}
-	var abort sva.Expr
-	if a.DisableIff != nil {
-		abort = a.DisableIff
-	}
 	assumes, err := lowerAssumes(sys)
 	if err != nil {
 		return Result{}, err
 	}
 	if ltl.HasUnbounded(f) {
-		return c.checkLiveness(sys, f, abort, assumes, opt)
+		return c.checkLiveness(sys, f, a.DisableIff, assumes, opt)
 	}
-	return c.checkSafety(sys, f, abort, assumes, nil, opt)
+	return c.checkSafety(sys, f, a.DisableIff, assumes, nil, opt)
 }
 
 // CheckCover decides reachability for a cover property, as one query on

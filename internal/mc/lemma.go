@@ -22,13 +22,12 @@ type assumedLemma struct {
 // Lemma reports the fate of one candidate helper assertion submitted
 // to Design.CheckWithLemmas, index-aligned with the helpers argument.
 type Lemma struct {
-	// Verdict is the helper's own verdict. Proven helpers were proved
-	// (possibly using other proved helpers as lemmas) and hence
-	// assumed during the target check, Depth being the induction
-	// length of the proof; other helpers are never assumed. A helper
-	// the checker could not lower is an ElabError, and a liveness
-	// helper, never checked, stays Undecided. Otherwise the verdict is
-	// that of the helper's last check in the fixpoint.
+	// Verdict is the helper's last verdict in the fixpoint. Proven
+	// helpers were proved (possibly using other proved helpers as
+	// lemmas) and hence assumed during the target check, Depth being
+	// the induction length of the proof; no other helper is assumed.
+	// A helper never checked (a liveness helper, or one that does not
+	// lower) stays Undecided.
 	formal.Verdict
 	// LoadBearing marks proved helpers without which the target proof
 	// fails: removing the helper from the candidate set and re-running
@@ -69,54 +68,39 @@ func (c *Design) CheckWithLemmas(sys *rtl.System, target *sva.Assertion, helpers
 	}
 
 	type cand struct {
-		f     ltl.Formula
+		f     ltl.Formula // nil: not a safety formula, never proved or assumed
 		abort sva.Expr
 		d     int
-		ok    bool // lowered to a bounded (safety) formula
 	}
 	cands := make([]cand, len(helpers))
-	out := make([]Lemma, len(helpers))
 	for i, h := range helpers {
-		f, err := ltl.LowerAssertion(h)
-		if err != nil {
-			out[i].Class = formal.ElabError
+		if f, err := ltl.LowerAssertion(h); err == nil && !ltl.HasUnbounded(f) {
+			cands[i] = cand{f: f, abort: h.DisableIff, d: ltl.Depth(f)}
 		}
-		if err != nil || ltl.HasUnbounded(f) {
-			continue // never proved, never assumed
-		}
-		var abort sva.Expr
-		if h.DisableIff != nil {
-			abort = h.DisableIff
-		}
-		cands[i] = cand{f: f, abort: abort, d: ltl.Depth(f), ok: true}
 	}
 
 	tf, err := ltl.LowerAssertion(target)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	var tabort sva.Expr
-	if target.DisableIff != nil {
-		tabort = target.DisableIff
-	}
 
 	// run executes one full pipeline pass with candidate exclude (an
 	// index, or -1) removed: fixpoint-prove the helpers, then check
 	// the target under the proved set.
-	run := func(exclude int) (Result, []formal.Verdict, error) {
-		verdicts := make([]formal.Verdict, len(cands))
+	run := func(exclude int) (Result, []Lemma, error) {
+		out := make([]Lemma, len(cands))
 		var lemmas []assumedLemma
 		for progress := true; progress; {
 			progress = false
 			for i := range cands {
-				if i == exclude || !cands[i].ok || verdicts[i].Class == formal.Proven {
+				if i == exclude || cands[i].f == nil || out[i].Class == formal.Proven {
 					continue
 				}
 				res, err := c.checkSafety(sys, cands[i].f, cands[i].abort, assumes, lemmas, opt)
 				if err != nil {
 					return Result{}, nil, err
 				}
-				verdicts[i] = res.Verdict
+				out[i].Verdict = res.Verdict
 				if res.Class == formal.Proven {
 					lemmas = append(lemmas, assumedLemma{f: cands[i].f, abort: cands[i].abort, d: cands[i].d})
 					progress = true
@@ -128,24 +112,19 @@ func (c *Design) CheckWithLemmas(sys *rtl.System, target *sva.Assertion, helpers
 			// Liveness targets get no lemma strengthening (the lasso
 			// encoding has no induction hypothesis to strengthen), but
 			// helper validity is still reported.
-			tres, err = c.checkLiveness(sys, tf, tabort, assumes, opt)
+			tres, err = c.checkLiveness(sys, tf, target.DisableIff, assumes, opt)
 		} else {
-			tres, err = c.checkSafety(sys, tf, tabort, assumes, lemmas, opt)
+			tres, err = c.checkSafety(sys, tf, target.DisableIff, assumes, lemmas, opt)
 		}
 		if err != nil {
 			return Result{}, nil, err
 		}
-		return tres, verdicts, nil
+		return tres, out, nil
 	}
 
-	tres, verdicts, err := run(-1)
+	tres, out, err := run(-1)
 	if err != nil {
 		return Result{}, nil, err
-	}
-	for i, v := range verdicts {
-		if cands[i].ok {
-			out[i].Verdict = v
-		}
 	}
 	if tres.Class == formal.Proven {
 		for i := range cands {

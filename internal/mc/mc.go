@@ -299,20 +299,15 @@ func violation(fe *frameEnv, le *ltl.LassoEval, f ltl.Formula, abort sva.Expr, p
 	return viol, nil
 }
 
+// lassoReach lists the positions a lasso reaches from p, in order: p
+// to the last frame, then the loop's positions below p.
 func lassoReach(le *ltl.LassoEval, p int) []int {
 	var out []int
-	seen := map[int]bool{}
 	for j := p; j < le.K; j++ {
-		if !seen[j] {
-			seen[j] = true
-			out = append(out, j)
-		}
+		out = append(out, j)
 	}
-	for j := le.L; j < le.K; j++ {
-		if !seen[j] {
-			seen[j] = true
-			out = append(out, j)
-		}
+	for j := le.L; j < min(p, le.K); j++ {
+		out = append(out, j)
 	}
 	return out
 }
