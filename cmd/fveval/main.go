@@ -29,7 +29,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -47,9 +46,9 @@ func main() {
 // cli runs one fveval invocation on a fresh engine, as one process
 // does: rendered tables or run JSON go to stdout, the run-wide
 // counters (printCounters) and errors to stderr. It returns the exit
-// status: 2 for bad flags, 1 for a failed run.
+// status: 2 for an invalid configuration, 1 for a failed run.
 func cli(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("fveval", flag.ContinueOnError)
+	fs := flag.NewFlagSet("fveval", flag.ExitOnError) // bad flags exit 2, -h exits 0
 	fs.SetOutput(stderr)
 	taskName := fs.String("task", "", "registry task to run (see -list)")
 	list := fs.Bool("list", false, "list the task registry and exit")
@@ -65,12 +64,7 @@ func cli(args []string, stdout, stderr io.Writer) int {
 	maxBound := fs.Int("maxbound", 0, "cap for the formal backend's bound ramp: lasso bound for equivalence, BMC depth for model checking (0 = defaults, 16 each)")
 	budget := fs.Int64("budget", 0, "SAT conflict budget per formal query (0 = default 200000)")
 	simPatterns := fs.Int("simpatterns", 128, "bit-parallel simulation patterns the refute-before-solve prefilter evaluates per formal query (rounded up to 64-lane rounds; 0 disables the prefilter)")
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		return 2
-	}
+	fs.Parse(args)
 
 	if *list {
 		printRegistry(stdout)

@@ -265,15 +265,13 @@ func JudgeTranslation(id, response string, ref *sva.Assertion, sigs *equiv.Sigs,
 	bsp.End()
 	psp := opt.Span.Child("parse").SetPhase(obs.PhaseParse)
 	cand, err := parseCandidate(code)
+	if err == nil {
+		err = sva.Validate(cand)
+	}
+	psp.SetBool("ok", err == nil).End()
 	if err != nil {
-		psp.SetBool("ok", false).End()
 		return out
 	}
-	if err := sva.Validate(cand); err != nil {
-		psp.SetBool("ok", false).End()
-		return out
-	}
-	psp.SetBool("ok", true).End()
 	res, err := cache.Check(cand, ref, sigs, opt)
 	if err != nil {
 		// elaboration failure (undeclared signals etc.) counts against
@@ -315,19 +313,16 @@ func designVerdict(inst *rtlgen.Instance, snippet string, opt mc.Options, row *D
 	}
 	psp := opt.Span.Child("parse").SetPhase(obs.PhaseParse)
 	sys, err := row.system(snippet)
-	if err != nil || len(sys.Asserts) == 0 {
-		psp.SetBool("ok", false).End()
-		return formal.Verdict{Class: formal.SyntaxError}
-	}
+	ok := err == nil && len(sys.Asserts) > 0
 	// Validate every assertion's signals resolve (elaboration of the
 	// assertion itself happens inside the checker).
-	for _, a := range sys.Asserts {
-		if sva.Validate(a) != nil {
-			psp.SetBool("ok", false).End()
-			return formal.Verdict{Class: formal.SyntaxError}
-		}
+	for i := 0; ok && i < len(sys.Asserts); i++ {
+		ok = sva.Validate(sys.Asserts[i]) == nil
 	}
-	psp.SetBool("ok", true).End()
+	psp.SetBool("ok", ok).End()
+	if !ok {
+		return formal.Verdict{Class: formal.SyntaxError}
+	}
 	var v formal.Verdict
 	for i, a := range sys.Asserts {
 		res, err := row.mc.CheckAssertion(sys, a, opt)

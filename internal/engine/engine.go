@@ -121,14 +121,23 @@ type Config struct {
 // every knob is a size or a budget, so negative values are always a
 // caller bug, not a request for a default.
 func (c Config) Validate() error {
-	for _, k := range []struct {
-		name string
-		v    int64
-	}{{"Limit", int64(c.Limit)}, {"Samples", int64(c.Samples)}, {"Budget", c.Budget},
-		{"MaxBound", int64(c.MaxBound)}, {"Workers", int64(c.Workers)}, {"SimPatterns", int64(c.SimPatterns)}} {
-		if k.v < 0 {
-			return fmt.Errorf("engine: negative %s %d", k.name, k.v)
-		}
+	if c.Limit < 0 {
+		return fmt.Errorf("engine: negative Limit %d", c.Limit)
+	}
+	if c.Samples < 0 {
+		return fmt.Errorf("engine: negative Samples %d", c.Samples)
+	}
+	if c.Budget < 0 {
+		return fmt.Errorf("engine: negative Budget %d", c.Budget)
+	}
+	if c.MaxBound < 0 {
+		return fmt.Errorf("engine: negative MaxBound %d", c.MaxBound)
+	}
+	if c.Workers < 0 {
+		return fmt.Errorf("engine: negative Workers %d", c.Workers)
+	}
+	if c.SimPatterns < 0 {
+		return fmt.Errorf("engine: negative SimPatterns %d", c.SimPatterns)
 	}
 	return c.Shard.Validate()
 }
