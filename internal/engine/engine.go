@@ -103,8 +103,8 @@ type Config struct {
 	// Shard restricts this process to one slice of the instance axis.
 	Shard Shard `json:"shard,omitzero"`
 	// NoCache disables every run-wide memo (equivalence checks and
-	// judgments). Verdicts are
-	// identical either way; the memos only skip duplicate solves.
+	// judgments). Verdicts are identical either way; the memos only
+	// skip duplicate solves.
 	NoCache bool `json:"no_cache,omitempty"`
 	// SimPatterns sets how many bit-parallel simulation patterns the
 	// formal backend's refute-before-solve prefilter evaluates per
@@ -235,11 +235,10 @@ func newState(noCache bool) *state {
 
 // memoKey builds every judgment-memo key: the resolved options that
 // can change a verdict (Budget and MaxBound, the set equiv.Cache.key
-// hashes) and then the parts naming the judged content, the task
-// family (a family tag) first. Engines
-// derived with Reconfigure share the memos, so without the options
-// one request's verdicts would answer another's differently tuned
-// queries.
+// hashes) and then the parts naming the judged content, a family tag
+// first. Engines derived with Reconfigure share the memo, so without
+// the options one request's verdicts would answer another's
+// differently tuned queries.
 func (e *Engine) memoKey(parts ...string) string {
 	b := strconv.AppendInt(nil, e.cfg.Budget, 10)
 	b = append(b, 0)
