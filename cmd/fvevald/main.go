@@ -1,6 +1,6 @@
 // Command fvevald serves the FVEval task registry over HTTP: one
 // long-lived evaluation engine backs every request, so the
-// equivalence cache and judgment memos accumulate across runs and
+// equivalence cache and judgment memo accumulate across runs and
 // duplicate formal queries are solved once per process lifetime. The
 // HTTP tier itself lives in internal/service; this command wires
 // flags to its Config and runs the process lifecycle.

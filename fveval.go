@@ -73,7 +73,7 @@ type Report = task.Report
 type Result = task.Run
 
 // Engine executes registry tasks over one shared memo pool
-// (equivalence cache, judgment memos, formal counters); reuse one
+// (equivalence cache, judgment memo, formal counters); reuse one
 // engine across runs to share the pool.
 type Engine = task.Engine
 

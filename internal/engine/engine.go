@@ -197,7 +197,7 @@ type Progress struct {
 type Observer func(Progress)
 
 // state is the memo pool an engine family shares: the equivalence
-// cache, the judgment memos, and the formal backend counters. It is
+// cache, the judgment memo, and the formal backend counters. It is
 // split from Engine so Reconfigure can derive engines with different
 // run configurations that still collapse duplicate solves together.
 type state struct {
@@ -288,7 +288,7 @@ func New(cfg Config) *Engine {
 }
 
 // Reconfigure derives an engine that runs under cfg but shares this
-// engine's memo pool (equivalence cache, judgment memos, formal
+// engine's memo pool (equivalence cache, judgment memo, formal
 // counters), so a service can serve differently tuned requests from
 // one cache. When cfg flips the caching mode relative to this
 // engine's pool, the derived engine gets a fresh pool instead:

@@ -146,7 +146,7 @@ type Run struct {
 }
 
 // Engine executes registry tasks. One Engine owns one evaluation
-// memo pool (equivalence cache, judgment memos, formal counters);
+// memo pool (equivalence cache, judgment memo, formal counters);
 // every Run through it — including concurrent runs with different
 // Options — shares that pool, so duplicate formal queries across
 // requests are solved once.
