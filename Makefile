@@ -1,4 +1,5 @@
-# Mirrors .github/workflows/ci.yml so local runs and CI stay identical.
+# Every check is defined here once: the jobs in .github/workflows/ci.yml
+# run these targets, so local runs and CI stay identical.
 GO ?= go
 
 .PHONY: build test fuzz examples regenerate bench-module service-smoke cluster-smoke chaos-smoke bench lint ci
@@ -6,6 +7,10 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# test runs every package under the race detector. Its TestPinnedOutputs
+# (cmd/fveval) is the one gate on regenerated outputs: it runs every
+# table and figure at full size, a 3-sample Table 2 and the one-worker
+# counter runs, and compares them byte for byte with cmd/fveval/testdata.
 test:
 	$(GO) test -race ./...
 
@@ -70,25 +75,15 @@ chaos-smoke:
 bench:
 	./scripts/bench_gate.sh
 
-# regenerate renders every table and figure at full size through the
-# task registry, the path fvevald serves, and diffs the output against
-# the checked-in tables; a 3-sample Table 2 pins a run whose default
-# cut-offs exceed its sample count. Table 1's and Table 3's stderr
-# counters at one worker (equivalence-cache hits and misses,
-# formal-backend and prefilter work) are deterministic, so that diff
-# shows any change in memo traffic; Table 5's one-worker counters (formal-backend and
-# prefilter work) and AGR's pin the model checker's solver work the
-# same way, and refinement's pin the equivalence checker's (its
-# witness traces reach model prompts). Only one worker is
-# deterministic.
+# regenerate rewrites every pinned output from the code, through the
+# golden tests that compare it: cmd/fveval's tables, figures and
+# counter files, internal/task's report goldens and internal/obs's
+# Chrome trace fixture. It then shows which files moved, so after an
+# intended output change it is the one refresh; on an unmodified tree
+# it moves nothing.
 regenerate:
-	$(GO) run ./cmd/fveval -all | diff -u cmd/fveval/testdata/all.txt -
-	$(GO) run ./cmd/fveval -table 2 -samples 3 -limit 4 | diff -u cmd/fveval/testdata/table2_samples3.txt -
-	$(GO) run ./cmd/fveval -table 1 -workers 1 2>&1 >/dev/null | grep -E '^(equiv cache|formal backend|sim prefilter):' | diff -u cmd/fveval/testdata/table1_counters.txt -
-	$(GO) run ./cmd/fveval -table 3 -workers 1 2>&1 >/dev/null | grep -E '^(equiv cache|formal backend|sim prefilter):' | diff -u cmd/fveval/testdata/table3_counters.txt -
-	$(GO) run ./cmd/fveval -table 5 -workers 1 2>&1 >/dev/null | grep -E '^(equiv cache|formal backend|sim prefilter):' | diff -u cmd/fveval/testdata/table5_counters.txt -
-	$(GO) run ./cmd/fveval -task agr -workers 1 2>&1 >/dev/null | grep -E '^(equiv cache|formal backend|sim prefilter):' | diff -u cmd/fveval/testdata/agr_counters.txt -
-	$(GO) run ./cmd/fveval -task refinement -workers 1 2>&1 >/dev/null | grep -E '^(equiv cache|formal backend|sim prefilter):' | diff -u cmd/fveval/testdata/refinement_counters.txt -
+	UPDATE_GOLDEN=1 $(GO) test -count=1 -run '^(TestPinnedOutputs|TestGolden.*|TestChromeTraceGolden)$$' ./cmd/fveval ./internal/task ./internal/obs
+	git diff --stat -- cmd/fveval/testdata internal/task/testdata internal/obs/testdata
 
 lint:
 	@unformatted="$$(gofmt -l .)"; \
@@ -97,4 +92,4 @@ lint:
 	fi
 	$(GO) vet ./...
 
-ci: build lint test fuzz examples regenerate bench-module service-smoke cluster-smoke chaos-smoke bench
+ci: build lint test fuzz examples bench-module service-smoke cluster-smoke chaos-smoke bench

@@ -85,6 +85,10 @@ func cli(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "fveval:", err)
 		return 2
 	}
+	if *count < 0 {
+		fmt.Fprintf(stderr, "fveval: negative -count %d\n", *count)
+		return 2
+	}
 	names := allTasks
 	var spec *task.Spec
 	var err error
@@ -162,7 +166,7 @@ func runTask(eng *task.Engine, w io.Writer, name string, count int, jsonOut, exp
 	}
 	var p task.Params
 	switch {
-	case count <= 0:
+	case count == 0:
 	case slices.Contains(spec.Accepts, "count"):
 		p.Count = count
 	case explicit:

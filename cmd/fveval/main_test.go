@@ -17,7 +17,8 @@ var counterLine = regexp.MustCompile(`^(equiv cache|formal backend|sim prefilter
 // on a fresh engine as its own process would, and compares the bytes:
 // stdout against all.txt and table2_samples3.txt, and the counter
 // lines of the one-worker runs (deterministic only there) against the
-// *_counters.txt files.
+// *_counters.txt files. With UPDATE_GOLDEN=1 it rewrites each file
+// with the bytes it would compare (make regenerate).
 func TestPinnedOutputs(t *testing.T) {
 	cases := []struct {
 		file     string
@@ -34,10 +35,6 @@ func TestPinnedOutputs(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(strings.TrimSuffix(c.file, ".txt"), func(t *testing.T) {
-			want, err := os.ReadFile(filepath.Join("testdata", c.file))
-			if err != nil {
-				t.Fatal(err)
-			}
 			var stdout, stderr bytes.Buffer
 			if code := cli(c.args, &stdout, &stderr); code != 0 {
 				t.Fatalf("fveval %s: exit %d: %s", strings.Join(c.args, " "), code, stderr.String())
@@ -52,10 +49,35 @@ func TestPinnedOutputs(t *testing.T) {
 				}
 				got = strings.Join(lines, "")
 			}
+			path := filepath.Join("testdata", c.file)
+			if os.Getenv("UPDATE_GOLDEN") != "" {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (run with UPDATE_GOLDEN=1 to create it)", err)
+			}
 			if got != string(want) {
 				t.Errorf("fveval %s differs from testdata/%s:\n%s", strings.Join(c.args, " "), c.file, lineDiff(string(want), got))
 			}
 		})
+	}
+}
+
+// TestNegativeSizesExit2 checks that a negative -count is refused
+// with exit status 2 before any task runs, as a negative -samples is.
+func TestNegativeSizesExit2(t *testing.T) {
+	for _, args := range [][]string{
+		{"-table", "3", "-count", "-5", "-limit", "2"},
+		{"-table", "2", "-samples", "-2", "-limit", "2"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := cli(args, &stdout, &stderr); code != 2 || stdout.Len() > 0 {
+			t.Errorf("fveval %s: exit %d with %d bytes of output, want exit 2 and none", strings.Join(args, " "), code, stdout.Len())
+		}
 	}
 }
 

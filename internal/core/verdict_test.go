@@ -3,10 +3,12 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"fveval/internal/formal"
 	"fveval/internal/gen/rtlgen"
+	"fveval/internal/helpergen"
 	"fveval/internal/mc"
 	"fveval/internal/sat"
 )
@@ -95,5 +97,33 @@ func TestDesignVerdictClasses(t *testing.T) {
 	}
 	if out := JudgeDesign(inst, both, budget1, nil); out.Syntax {
 		t.Errorf("undecided then undeclared, budget 1: scored %+v, want a syntax failure", out)
+	}
+}
+
+// TestHelperSetRejections checks that every helper the checker rejects
+// fails the whole AGR set's syntax metric: one that does not lower
+// (nested unbounded delays) as well as one naming an undeclared
+// signal, each beside the golden helpers.
+func TestHelperSetRejections(t *testing.T) {
+	var inst *helpergen.Instance
+	for _, in := range helpergen.Sweep() {
+		if in.ID == "agr_stride_wd_4_st_2_tg_5" {
+			inst = in
+		}
+	}
+	if inst == nil {
+		t.Fatal("instance agr_stride_wd_4_st_2_tg_5 is not in the sweep")
+	}
+	golden := strings.Join(inst.Helpers, "\n")
+	if o := JudgeHelper(inst, golden, mc.Options{}, nil); !o.Syntax || !o.Partial || !o.Full {
+		t.Fatalf("golden helpers: %+v, want every metric", o)
+	}
+	for _, extra := range []string{
+		"h_nested: assert property (@(posedge clk) clk |-> ##[1:$] clk ##[1:$] clk);",
+		"h_undeclared: assert property (@(posedge clk) nosuch_sig);",
+	} {
+		if o := JudgeHelper(inst, golden+"\n"+extra, mc.Options{}, nil); o.Syntax || o.Partial || o.Full {
+			t.Errorf("golden helpers plus %q: %+v, want a syntax failure", extra, o)
+		}
 	}
 }

@@ -43,21 +43,15 @@ func (le *LassoEval) advance(i, n int) int {
 	return i
 }
 
-// reach returns the positions reachable from i (i..K-1 plus the loop).
-func (le *LassoEval) reach(i int) []int {
+// Reach lists the positions the lasso reaches from i, in order: i to
+// K-1, then the loop's positions below i.
+func (le *LassoEval) Reach(i int) []int {
 	var out []int
-	seen := make([]bool, le.K)
 	for j := i; j < le.K; j++ {
-		if !seen[j] {
-			seen[j] = true
-			out = append(out, j)
-		}
+		out = append(out, j)
 	}
-	for j := le.L; j < le.K; j++ {
-		if !seen[j] {
-			seen[j] = true
-			out = append(out, j)
-		}
+	for j := le.L; j < min(i, le.K); j++ {
+		out = append(out, j)
 	}
 	return out
 }
@@ -139,7 +133,7 @@ func (le *LassoEval) truth(f Formula, pos int) (logic.Node, error) {
 		return le.Truth(v.F, le.advance(pos, v.N))
 	case *FGlobally:
 		acc := logic.True
-		for _, j := range le.reach(pos) {
+		for _, j := range le.Reach(pos) {
 			n, err := le.Truth(v.F, j)
 			if err != nil {
 				return logic.False, err
@@ -149,7 +143,7 @@ func (le *LassoEval) truth(f Formula, pos int) (logic.Node, error) {
 		return acc, nil
 	case *FEventually:
 		acc := logic.False
-		for _, j := range le.reach(pos) {
+		for _, j := range le.Reach(pos) {
 			n, err := le.Truth(v.F, j)
 			if err != nil {
 				return logic.False, err

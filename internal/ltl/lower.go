@@ -157,7 +157,7 @@ func atom(e sva.Expr) Formula { return &FAtom{E: e} }
 // strongSeq lowers a sequence used as a strong property: some match
 // must complete.
 func strongSeq(s sva.Sequence) (Formula, error) {
-	if !hasUnbounded(s) {
+	if !sva.HasUnboundedTail(s) {
 		ms, err := seqMatches(s)
 		if err != nil {
 			return nil, err
@@ -181,7 +181,7 @@ func strongSeq(s sva.Sequence) (Formula, error) {
 			if v.L == nil {
 				return Next(v.D.Lo, target), nil
 			}
-			if hasUnbounded(v.L) {
+			if sva.HasUnboundedTail(v.L) {
 				return nil, &LowerError{"nested unbounded delays are not supported"}
 			}
 			ms, err := seqMatches(v.L)
@@ -195,7 +195,7 @@ func strongSeq(s sva.Sequence) (Formula, error) {
 			return acc, nil
 		}
 		// Bounded delay whose operand is unbounded.
-		if v.L != nil && hasUnbounded(v.L) {
+		if v.L != nil && sva.HasUnboundedTail(v.L) {
 			return nil, &LowerError{"unbounded sequence on the left of a bounded delay"}
 		}
 		rest, err := strongSeq(v.R)
@@ -243,7 +243,7 @@ func strongSeq(s sva.Sequence) (Formula, error) {
 // tail can always still arrive, so the weak obligation reduces to the
 // bounded prefix of the sequence.
 func weakSeq(s sva.Sequence) (Formula, error) {
-	if !hasUnbounded(s) {
+	if !sva.HasUnboundedTail(s) {
 		return strongSeq(s) // bounded: weak and strong coincide
 	}
 	switch v := s.(type) {
@@ -256,7 +256,7 @@ func weakSeq(s sva.Sequence) (Formula, error) {
 			if v.L == nil {
 				return True, nil
 			}
-			if hasUnbounded(v.L) {
+			if sva.HasUnboundedTail(v.L) {
 				return nil, &LowerError{"nested unbounded delays are not supported"}
 			}
 			ms, err := seqMatches(v.L)
@@ -269,7 +269,7 @@ func weakSeq(s sva.Sequence) (Formula, error) {
 			}
 			return acc, nil
 		}
-		if v.L != nil && hasUnbounded(v.L) {
+		if v.L != nil && sva.HasUnboundedTail(v.L) {
 			return nil, &LowerError{"unbounded sequence on the left of a bounded delay"}
 		}
 		rest, err := weakSeq(v.R)
@@ -302,30 +302,6 @@ func weakSeq(s sva.Sequence) (Formula, error) {
 		return nil, &LowerError{"unsupported bounded repetition of unbounded sequence"}
 	}
 	return nil, &LowerError{fmt.Sprintf("unsupported unbounded sequence %s as weak property", s.String())}
-}
-
-func hasUnbounded(s sva.Sequence) bool {
-	switch v := s.(type) {
-	case *sva.SeqExpr:
-		return false
-	case *sva.SeqDelay:
-		if v.D.Inf {
-			return true
-		}
-		if v.L != nil && hasUnbounded(v.L) {
-			return true
-		}
-		return hasUnbounded(v.R)
-	case *sva.SeqRepeat:
-		return v.Inf || hasUnbounded(v.S)
-	case *sva.SeqBinary:
-		return hasUnbounded(v.L) || hasUnbounded(v.R)
-	case *sva.SeqThroughout:
-		return hasUnbounded(v.S)
-	case *sva.SeqFirstMatch:
-		return hasUnbounded(v.S)
-	}
-	return false
 }
 
 // seqMatches expands a bounded sequence into its finite set of match

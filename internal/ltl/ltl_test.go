@@ -1,6 +1,7 @@
 package ltl
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -302,6 +303,29 @@ func TestClog2(t *testing.T) {
 	} {
 		if got := Clog2(c.x); got != c.want {
 			t.Errorf("Clog2(%d) = %d, want %d", c.x, got, c.want)
+		}
+	}
+}
+
+// TestReachFollowsTheLasso: Reach lists the positions a walk along the
+// lasso visits from i, each once, in the order it first visits them.
+func TestReachFollowsTheLasso(t *testing.T) {
+	for k := 1; k <= 8; k++ {
+		for l := 0; l < k; l++ {
+			le := &LassoEval{K: k, L: l}
+			for i := 0; i < k; i++ {
+				var want []int
+				seen := make([]bool, k)
+				for j, n := i, 0; n < 2*k; j, n = le.succ(j), n+1 {
+					if !seen[j] {
+						seen[j] = true
+						want = append(want, j)
+					}
+				}
+				if got := le.Reach(i); !slices.Equal(got, want) {
+					t.Errorf("K=%d L=%d: Reach(%d) = %v, want %v", k, l, i, got, want)
+				}
+			}
 		}
 	}
 }

@@ -26,8 +26,7 @@ type Lemma struct {
 	// helpers were proved (possibly using other proved helpers as
 	// lemmas) and hence assumed during the target check, Depth being
 	// the induction length of the proof; no other helper is assumed.
-	// A helper never checked (a liveness helper, or one that does not
-	// lower) stays Undecided.
+	// A liveness helper is never checked and stays Undecided.
 	formal.Verdict
 	// LoadBearing marks proved helpers without which the target proof
 	// fails: removing the helper from the candidate set and re-running
@@ -49,7 +48,9 @@ type Lemma struct {
 // order. The target is then checked with every proved helper assumed,
 // strengthening the induction hypothesis. Unbounded (liveness)
 // helpers are never assumed: the checker's liveness verdicts are only
-// bounded proofs, which are unsound to assume.
+// bounded proofs, which are unsound to assume. A helper that does not
+// lower fails the whole set with the lowering error, as a helper
+// naming an undeclared signal does.
 //
 // When the target proves, each proved helper is ablated — removed
 // from the candidate set entirely and the pipeline re-run — to decide
@@ -68,13 +69,17 @@ func (c *Design) CheckWithLemmas(sys *rtl.System, target *sva.Assertion, helpers
 	}
 
 	type cand struct {
-		f     ltl.Formula // nil: not a safety formula, never proved or assumed
+		f     ltl.Formula // nil: a liveness helper, never proved or assumed
 		abort sva.Expr
 		d     int
 	}
 	cands := make([]cand, len(helpers))
 	for i, h := range helpers {
-		if f, err := ltl.LowerAssertion(h); err == nil && !ltl.HasUnbounded(f) {
+		f, err := ltl.LowerAssertion(h)
+		if err != nil {
+			return Result{}, nil, err
+		}
+		if !ltl.HasUnbounded(f) {
 			cands[i] = cand{f: f, abort: h.DisableIff, d: ltl.Depth(f)}
 		}
 	}

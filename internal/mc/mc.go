@@ -279,7 +279,7 @@ func violation(fe *frameEnv, le *ltl.LassoEval, f ltl.Formula, abort sva.Expr, p
 	viol := truth.Not()
 	if abort != nil {
 		if lasso {
-			for _, j := range lassoReach(le, p) {
+			for _, j := range le.Reach(p) {
 				ab, err := fe.ev.Bool(abort, j)
 				if err != nil {
 					return logic.False, err
@@ -297,19 +297,6 @@ func violation(fe *frameEnv, le *ltl.LassoEval, f ltl.Formula, abort sva.Expr, p
 		}
 	}
 	return viol, nil
-}
-
-// lassoReach lists the positions a lasso reaches from p, in order: p
-// to the last frame, then the loop's positions below p.
-func lassoReach(le *ltl.LassoEval, p int) []int {
-	var out []int
-	for j := p; j < le.K; j++ {
-		out = append(out, j)
-	}
-	for j := le.L; j < min(p, le.K); j++ {
-		out = append(out, j)
-	}
-	return out
 }
 
 // cexOf lays a decoded witness out frame by frame: one value per

@@ -3,13 +3,10 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"os"
 	"path/filepath"
 	"testing"
 )
-
-var update = flag.Bool("update", false, "rewrite golden files")
 
 // goldenSpans builds the deterministic span set behind the Chrome
 // trace fixture: a service-shaped run (queue wait, then a job with a
@@ -44,14 +41,14 @@ func TestChromeTraceGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "chrome_trace.json")
-	if *update {
+	if os.Getenv("UPDATE_GOLDEN") != "" {
 		if err := os.WriteFile(golden, append(got, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 	want, err := os.ReadFile(golden)
 	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
+		t.Fatalf("%v (run with UPDATE_GOLDEN=1 to create it)", err)
 	}
 	if !bytes.Equal(append(got, '\n'), want) {
 		t.Errorf("Chrome trace drifted from golden:\n%s", got)

@@ -165,7 +165,9 @@ func (s *Solver) NewVar() int {
 }
 
 // SetBudget limits the number of conflicts each Solve call may spend;
-// 0 means unlimited. The budget is a per-call delta, not a lifetime
+// 0 means unlimited. The limit holds per conflict: a call with no
+// verdict stops at its first conflict past the budget, whatever the
+// restart schedule. The budget is a per-call delta, not a lifetime
 // cap: every Solve starts from a fresh allowance, so an incremental
 // client issuing many calls on one solver keeps a uniform
 // conflicts-per-query budget regardless of what earlier calls spent.
@@ -748,8 +750,12 @@ func (s *Solver) Solve(assumptions ...Lit) (bool, []bool, error) {
 	learntCap := len(s.clauses)/3 + 100
 	for {
 		restart++
-		budget := 100 * luby(restart)
-		res, done := s.search(budget, assumptions, &learntCap)
+		window := 100 * luby(restart)
+		if s.maxConflicts > 0 {
+			// The window ends at the first conflict past the budget.
+			window = min(window, s.maxConflicts-(s.conflicts-baseConflicts)+1)
+		}
+		res, done := s.search(window, assumptions, &learntCap)
 		if done {
 			var m []bool
 			if res {

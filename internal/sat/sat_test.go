@@ -326,7 +326,9 @@ func TestLuby(t *testing.T) {
 }
 
 func TestBudget(t *testing.T) {
-	// A hard pigeonhole instance with a tiny budget should hit ErrBudget.
+	// A hard pigeonhole instance with a tiny budget should hit ErrBudget
+	// at its first conflict past the budget, well before the first
+	// 100-conflict restart window would end.
 	s := New()
 	const P, H = 9, 8
 	addVars(s, P*H)
@@ -349,6 +351,9 @@ func TestBudget(t *testing.T) {
 	_, _, err := s.Solve()
 	if err != ErrBudget {
 		t.Fatalf("expected ErrBudget, got %v", err)
+	}
+	if c := s.Stats().Conflicts; c <= 10 || c >= 100 {
+		t.Fatalf("budget 10 spent %d conflicts, want just past 10", c)
 	}
 }
 

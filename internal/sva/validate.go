@@ -61,7 +61,7 @@ func validateProp(p Property) error {
 		if err := validateSeq(v.S); err != nil {
 			return err
 		}
-		if hasUnboundedTail(v.S) {
+		if HasUnboundedTail(v.S) {
 			return &SyntaxError{"unbounded sequence not allowed as implication antecedent"}
 		}
 		return validateProp(v.P)
@@ -197,9 +197,9 @@ func validateExpr(e Expr) error {
 	return &SyntaxError{fmt.Sprintf("unknown expression node %T", e)}
 }
 
-// hasUnboundedTail reports whether a sequence can match arbitrarily far
+// HasUnboundedTail reports whether a sequence can match arbitrarily far
 // in the future (contains ##[a:$] or [*a:$]).
-func hasUnboundedTail(s Sequence) bool {
+func HasUnboundedTail(s Sequence) bool {
 	switch v := s.(type) {
 	case *SeqExpr:
 		return false
@@ -207,18 +207,18 @@ func hasUnboundedTail(s Sequence) bool {
 		if v.D.Inf {
 			return true
 		}
-		if v.L != nil && hasUnboundedTail(v.L) {
+		if v.L != nil && HasUnboundedTail(v.L) {
 			return true
 		}
-		return hasUnboundedTail(v.R)
+		return HasUnboundedTail(v.R)
 	case *SeqRepeat:
-		return v.Inf || hasUnboundedTail(v.S)
+		return v.Inf || HasUnboundedTail(v.S)
 	case *SeqBinary:
-		return hasUnboundedTail(v.L) || hasUnboundedTail(v.R)
+		return HasUnboundedTail(v.L) || HasUnboundedTail(v.R)
 	case *SeqThroughout:
-		return hasUnboundedTail(v.S)
+		return HasUnboundedTail(v.S)
 	case *SeqFirstMatch:
-		return hasUnboundedTail(v.S)
+		return HasUnboundedTail(v.S)
 	}
 	return false
 }
