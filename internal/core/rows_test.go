@@ -2,6 +2,7 @@ package core
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"fveval/internal/formal"
@@ -89,40 +90,58 @@ func TestDesignRowsMatchFreshChecks(t *testing.T) {
 	t.Logf("%d assertion checks matched", checks)
 }
 
+// TestHelperRowsMatchFreshChecks judges each AGR row's golden helper
+// set and then its distinct proxy helper sets, in grid order, through
+// one row: later sets meet safety questions the row's verdict memo
+// decided for earlier ones (the same property under the same set of
+// assumed lemmas). Every set must get the target verdict, the helper
+// verdicts and the load-bearing marks of a fresh design on the whole
+// file. The row then judges every set again under BMCDepth 4, so a
+// memo answer for the default options must not serve another depth.
 func TestHelperRowsMatchFreshChecks(t *testing.T) {
 	models := llm.Models()
 	checks := 0
+	shared, fresh := &formal.Stats{}, &formal.Stats{}
 	for _, inst := range helpergen.Sweep() {
-		row, opt := NewHelperRow(inst), sharedOptions()
-		for _, code := range rowResponses(models, llm.BuildHelperPrompt(inst)) {
-			helpers, ok := parseHelperSet(code)
-			if !ok {
-				continue
-			}
-			sys, err := row.system("")
-			if err != nil {
-				t.Fatal(err)
-			}
-			whole, err := row.wholeFile("")
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, gotLemmas, gotErr := row.mc.CheckWithLemmas(sys, inst.TargetAst, helpers, opt)
-			want, wantLemmas, wantErr := mc.NewDesign().CheckWithLemmas(whole, inst.TargetAst, helpers, mc.Options{})
-			checks++
-			if (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("%s: shared error %v, fresh error %v", inst.ID, gotErr, wantErr)
-			}
-			if got.Verdict != want.Verdict {
-				t.Fatalf("%s %q: shared target (%v, depth %d), fresh (%v, depth %d)", inst.ID, code, got.Class, got.Depth, want.Class, want.Depth)
-			}
-			if !slices.Equal(gotLemmas, wantLemmas) {
-				t.Fatalf("%s %q: shared lemmas %+v, fresh %+v", inst.ID, code, gotLemmas, wantLemmas)
+		row := NewHelperRow(inst)
+		sys, err := row.system("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole, err := row.wholeFile("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		codes := append([]string{strings.Join(inst.Helpers, "\n")}, rowResponses(models, llm.BuildHelperPrompt(inst))...)
+		for _, depth := range []int{0, 4} {
+			opt := sharedOptions()
+			opt.BMCDepth, opt.Stats = depth, shared
+			for _, code := range codes {
+				helpers, ok := parseHelperSet(code)
+				if !ok {
+					continue
+				}
+				got, gotLemmas, gotErr := row.mc.CheckWithLemmas(sys, inst.TargetAst, helpers, opt)
+				want, wantLemmas, wantErr := mc.NewDesign().CheckWithLemmas(whole, inst.TargetAst, helpers, mc.Options{BMCDepth: depth, Search: formal.Search{Stats: fresh}})
+				checks++
+				if (gotErr == nil) != (wantErr == nil) {
+					t.Fatalf("%s depth %d: shared error %v, fresh error %v", inst.ID, depth, gotErr, wantErr)
+				}
+				if got.Verdict != want.Verdict {
+					t.Fatalf("%s depth %d %q: shared target %+v, fresh %+v", inst.ID, depth, code, got.Verdict, want.Verdict)
+				}
+				if !slices.Equal(gotLemmas, wantLemmas) {
+					t.Fatalf("%s depth %d %q: shared lemmas %+v, fresh %+v", inst.ID, depth, code, gotLemmas, wantLemmas)
+				}
 			}
 		}
 	}
 	if checks == 0 {
 		t.Fatal("no helper set reached the model checker")
 	}
-	t.Logf("%d helper sets matched", checks)
+	s, f := shared.Snapshot().Queries, fresh.Snapshot().Queries
+	if s >= f {
+		t.Fatalf("the shared rows closed %d queries, the fresh designs %d: the verdict memo answered nothing", s, f)
+	}
+	t.Logf("%d helper sets matched; %d queries shared, %d fresh", checks, s, f)
 }

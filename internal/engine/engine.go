@@ -36,6 +36,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -443,11 +444,21 @@ func (e *Engine) runGrid(ctx context.Context, models []llm.Model, total, nInst, 
 			Wall:       wall,
 		})
 	}
-	// evalRow judges one instance row; false means the grid is over.
-	evalRow := func(inst int) bool {
+	// evalRow judges one instance row; false means the grid is over. A
+	// panic while judging (model text the judge mishandles) fails the
+	// grid with an error naming the job and its stack, as an injected
+	// fault does, instead of ending the process.
+	evalRow := func(inst int) (more bool) {
+		j := job{model: -1, inst: inst}
+		defer func() {
+			if r := recover(); r != nil {
+				abort(g.jobPanic(j, r, debug.Stack()))
+				more = false
+			}
+		}()
 		eval := row(inst)
-		for m := range models {
-			for s := 0; s < nSamples; s++ {
+		for j.model = range models {
+			for j.sample = 0; j.sample < nSamples; j.sample++ {
 				if ctx.Err() != nil {
 					return false
 				}
@@ -455,7 +466,7 @@ func (e *Engine) runGrid(ctx context.Context, models []llm.Model, total, nInst, 
 					abort(err)
 					return false
 				}
-				evalJob(eval, job{model: m, inst: inst, sample: s})
+				evalJob(eval, j)
 			}
 		}
 		return true
@@ -479,6 +490,20 @@ func (e *Engine) runGrid(ctx context.Context, models []llm.Model, total, nInst, 
 		return nil, context.Cause(ctx)
 	}
 	return g, nil
+}
+
+// jobPanic is the error of a job whose judge panicked with r; a model
+// of -1 means the panic came while setting up the row.
+func (g *Grid) jobPanic(j job, r any, stack []byte) error {
+	inst := j.inst
+	if g.Shard.Enabled() {
+		inst = g.Shard.Index + j.inst*g.Shard.Count
+	}
+	if j.model < 0 {
+		return fmt.Errorf("engine: setting up instance index %d panicked: %v\n%s", inst, r, stack)
+	}
+	return fmt.Errorf("engine: judging model %s on instance index %d, sample %d, panicked: %v\n%s",
+		g.Models[j.model], inst, j.sample, r, stack)
 }
 
 // generate runs one model call under a prompt-phase span, so traced

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -106,5 +108,46 @@ func TestRowSessionsDeterministic(t *testing.T) {
 	}
 	if first != second {
 		t.Errorf("formal counters differ between identical runs:\n first  %+v\n second %+v", first, second)
+	}
+}
+
+// TestJudgePanicFailsTheGrid swaps in an AGR judge that panics on one
+// instance: HelperGrid must return an error naming the model, the
+// instance and the panicking stack instead of ending the process, and
+// the same engine must then run the grid to the outcomes of a fresh
+// engine.
+func TestJudgePanicFailsTheGrid(t *testing.T) {
+	helper := judgeHelper
+	t.Cleanup(func() { judgeHelper = helper })
+	bad := helpergen.Sweep()[2]
+	judgeHelper = func(inst *helpergen.Instance, code string, opt mc.Options, row *core.DesignRow) core.Outcome {
+		if inst == bad {
+			panic("judge blew up")
+		}
+		return helper(inst, code, opt, row)
+	}
+	models := llm.Models()[:2]
+	e := New(Config{Limit: 4, Workers: 2})
+	_, err := e.HelperGrid(context.Background(), models, nil)
+	if err == nil {
+		t.Fatal("a panicking judge did not fail the grid")
+	}
+	for _, want := range []string{"model " + models[0].Name(), "instance index 2", "judge blew up", "TestJudgePanicFailsTheGrid"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error lacks %q:\n%v", want, err)
+		}
+	}
+
+	judgeHelper = helper
+	got, err := e.HelperGrid(context.Background(), models, nil)
+	if err != nil {
+		t.Fatalf("the engine failed after a recovered panic: %v", err)
+	}
+	want, err := New(Config{Limit: 4, Workers: 2}).HelperGrid(context.Background(), models, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Outcomes, want.Outcomes) {
+		t.Fatalf("outcomes after the recovered panic differ from a fresh engine's:\n%+v\n%+v", got.Outcomes, want.Outcomes)
 	}
 }

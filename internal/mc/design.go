@@ -7,6 +7,7 @@ import (
 	"fveval/internal/formal"
 	"fveval/internal/logic"
 	"fveval/internal/ltl"
+	"fveval/internal/memo"
 	"fveval/internal/rtl"
 	"fveval/internal/sva"
 )
@@ -26,11 +27,20 @@ import (
 // overlays, which share its inputs, registers and nets. A check on a
 // system of another base opens a fresh pair.
 //
+// The lemma pipeline (CheckWithLemmas) asks many of its safety
+// questions again, from another helper set of the row or from an
+// ablation re-run. Its verdict memo answers each repeat with the
+// result of the first check: a question is the system, the property,
+// the set of assumed lemmas and the options that can change a verdict.
+// A check that returned an error is asked again. The memo is cleared
+// with the session pair.
+//
 // A Design is not safe for concurrent use: give each goroutine its
 // own, and let it die with the design it served.
 type Design struct {
 	sys        *rtl.System // system of the last check
 	base, step *safetySession
+	verdicts   *memo.Memo[verdictKey, Result] // nil: every question is checked
 	// schedule runs a safety check's base and step obligations; nil
 	// means safety. Tests swap in a reference schedule.
 	schedule func(base, step *obligation, opt Options) (Result, bool, error)
@@ -38,7 +48,7 @@ type Design struct {
 
 // NewDesign returns an empty context; it builds nothing until the
 // first check.
-func NewDesign() *Design { return &Design{} }
+func NewDesign() *Design { return &Design{verdicts: memo.New[verdictKey, Result](1 << 16)} }
 
 // sessions returns the session pair for sys: the live pair when sys
 // has the last check's base, a fresh pair otherwise. The pair's frame
@@ -46,6 +56,7 @@ func NewDesign() *Design { return &Design{} }
 func (c *Design) sessions(sys *rtl.System) (base, step *safetySession) {
 	if c.sys == nil || sys.Base() != c.sys.Base() {
 		c.base, c.step = nil, nil
+		c.verdicts.Clear()
 	}
 	c.sys = sys
 	if c.base == nil {

@@ -1,6 +1,10 @@
 package mc
 
 import (
+	"fmt"
+	"slices"
+	"strings"
+
 	"fveval/internal/formal"
 	"fveval/internal/ltl"
 	"fveval/internal/rtl"
@@ -16,7 +20,49 @@ import (
 type assumedLemma struct {
 	f     ltl.Formula
 	abort sva.Expr
-	d     int // bounded evaluation window of f
+	d     int    // bounded evaluation window of f
+	key   string // propKey(f, abort)
+}
+
+// propKey renders a lowered safety property with its disable-iff
+// condition.
+func propKey(f ltl.Formula, abort sva.Expr) string {
+	key := f.String() + "\x00"
+	if abort != nil {
+		key += abort.String()
+	}
+	return key
+}
+
+// verdictKey is one safety question of the lemma pipeline: its system
+// and the rest of the question (question).
+type verdictKey struct {
+	sys *rtl.System
+	q   string
+}
+
+// question renders the options that can change a safety verdict, the
+// property and the set of assumed lemmas. The lemmas are sorted and
+// deduplicated: the verdict does not depend on their order or on
+// repeats (DESIGN.md §12). Rendered SVA holds no control bytes, so the
+// fields cannot run into each other.
+func question(prop string, lemmas []assumedLemma, opt Options) string {
+	set := make([]string, len(lemmas))
+	for i, lm := range lemmas {
+		set[i] = lm.key
+	}
+	slices.Sort(set)
+	return fmt.Sprintf("%d\x00%d\x00%d\x01%s\x01%s", opt.Budget, opt.BMCDepth, opt.MaxInduction, prop, strings.Join(slices.Compact(set), "\x01"))
+}
+
+// decide is checkSafety through c's verdict memo: a question it has
+// decided returns the stored result, whose Cex the caller must treat
+// as read-only.
+func (c *Design) decide(sys *rtl.System, f ltl.Formula, abort sva.Expr, prop string, assumes []ltl.Formula, lemmas []assumedLemma, opt Options) (Result, error) {
+	res, _, err := c.verdicts.GetErr(verdictKey{sys, question(prop, lemmas, opt)}, func() (Result, error) {
+		return c.checkSafety(sys, f, abort, assumes, lemmas, opt)
+	})
+	return res, err
 }
 
 // Lemma reports the fate of one candidate helper assertion submitted
@@ -60,7 +106,9 @@ type Lemma struct {
 //
 // Every safety check of the pipeline runs in c's session pair; each
 // check gates its own assumed lemmas, so a lemma never outlives the
-// check that assumed it.
+// check that assumed it. A safety question c's verdict memo has
+// already decided, in this call or an earlier one, is not checked
+// again.
 func (c *Design) CheckWithLemmas(sys *rtl.System, target *sva.Assertion, helpers []*sva.Assertion, opt Options) (Result, []Lemma, error) {
 	opt = opt.withDefaults()
 	assumes, err := lowerAssumes(sys)
@@ -72,6 +120,7 @@ func (c *Design) CheckWithLemmas(sys *rtl.System, target *sva.Assertion, helpers
 		f     ltl.Formula // nil: a liveness helper, never proved or assumed
 		abort sva.Expr
 		d     int
+		key   string
 	}
 	cands := make([]cand, len(helpers))
 	for i, h := range helpers {
@@ -80,7 +129,7 @@ func (c *Design) CheckWithLemmas(sys *rtl.System, target *sva.Assertion, helpers
 			return Result{}, nil, err
 		}
 		if !ltl.HasUnbounded(f) {
-			cands[i] = cand{f: f, abort: h.DisableIff, d: ltl.Depth(f)}
+			cands[i] = cand{f: f, abort: h.DisableIff, d: ltl.Depth(f), key: propKey(f, h.DisableIff)}
 		}
 	}
 
@@ -88,6 +137,7 @@ func (c *Design) CheckWithLemmas(sys *rtl.System, target *sva.Assertion, helpers
 	if err != nil {
 		return Result{}, nil, err
 	}
+	tkey := propKey(tf, target.DisableIff)
 
 	// run executes one full pipeline pass with candidate exclude (an
 	// index, or -1) removed: fixpoint-prove the helpers, then check
@@ -101,13 +151,13 @@ func (c *Design) CheckWithLemmas(sys *rtl.System, target *sva.Assertion, helpers
 				if i == exclude || cands[i].f == nil || out[i].Class == formal.Proven {
 					continue
 				}
-				res, err := c.checkSafety(sys, cands[i].f, cands[i].abort, assumes, lemmas, opt)
+				res, err := c.decide(sys, cands[i].f, cands[i].abort, cands[i].key, assumes, lemmas, opt)
 				if err != nil {
 					return Result{}, nil, err
 				}
 				out[i].Verdict = res.Verdict
 				if res.Class == formal.Proven {
-					lemmas = append(lemmas, assumedLemma{f: cands[i].f, abort: cands[i].abort, d: cands[i].d})
+					lemmas = append(lemmas, assumedLemma{f: cands[i].f, abort: cands[i].abort, d: cands[i].d, key: cands[i].key})
 					progress = true
 				}
 			}
@@ -119,7 +169,7 @@ func (c *Design) CheckWithLemmas(sys *rtl.System, target *sva.Assertion, helpers
 			// helper validity is still reported.
 			tres, err = c.checkLiveness(sys, tf, target.DisableIff, assumes, opt)
 		} else {
-			tres, err = c.checkSafety(sys, tf, target.DisableIff, assumes, lemmas, opt)
+			tres, err = c.decide(sys, tf, target.DisableIff, tkey, assumes, lemmas, opt)
 		}
 		if err != nil {
 			return Result{}, nil, err

@@ -33,20 +33,47 @@ func (c *Memo[K, V]) Get(key K, compute func() V) (V, bool) {
 	if c == nil {
 		return compute(), false
 	}
+	if v, ok := c.lookup(key); ok {
+		return v, true
+	}
+	v := compute()
+	c.store(key, v)
+	return v, false
+}
+
+// GetErr is Get for a computation that can fail: a value computed
+// with a non-nil error is returned with it but not stored, so the next
+// lookup of key computes again.
+func (c *Memo[K, V]) GetErr(key K, compute func() (V, error)) (V, bool, error) {
+	if c == nil {
+		v, err := compute()
+		return v, false, err
+	}
+	if v, ok := c.lookup(key); ok {
+		return v, true, nil
+	}
+	v, err := compute()
+	if err == nil {
+		c.store(key, v)
+	}
+	return v, false, err
+}
+
+func (c *Memo[K, V]) lookup(key K) (V, bool) {
 	c.mu.RLock()
 	v, ok := c.m[key]
 	c.mu.RUnlock()
-	if ok {
-		return v, true
-	}
-	v = compute()
+	return v, ok
+}
+
+// store memoizes v under key, clearing a full memo first.
+func (c *Memo[K, V]) store(key K, v V) {
 	c.mu.Lock()
 	if len(c.m) >= c.cap {
 		c.m = map[K]V{}
 	}
 	c.m[key] = v
 	c.mu.Unlock()
-	return v, false
 }
 
 // Len reports the number of memoized entries.
@@ -58,6 +85,9 @@ func (c *Memo[K, V]) Len() int {
 
 // Clear drops every entry, releasing the memoized values.
 func (c *Memo[K, V]) Clear() {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	c.m = map[K]V{}
 	c.mu.Unlock()

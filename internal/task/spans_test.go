@@ -25,7 +25,10 @@ func TestFormalSpanCounts(t *testing.T) {
 		// constant false and they record no span.
 		{"nl2sva-human", 4, map[string]int{"ramp": 14, "sim": 24}},
 		{"design2sva", 2, map[string]int{"bmc": 13, "induct": 10, "sim": 30}},
-		{"agr", 2, map[string]int{"bmc": 140, "induct": 27, "sim": 234}},
+		// A safety question the row's verdict memo has decided (the
+		// same property under the same set of assumed lemmas) records
+		// no span: it is answered without a check.
+		{"agr", 2, map[string]int{"bmc": 72, "induct": 23, "sim": 122}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.task, func(t *testing.T) {
