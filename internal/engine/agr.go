@@ -16,7 +16,10 @@ import (
 // through the prove-then-assume lemma pipeline. Always sampled, like
 // Design2SVA. Outcome mapping: Syntax = the helper set parses and
 // elaborates, Partial = every helper is itself proved (helper
-// validity), Full = the target is unlocked.
+// validity), Full = the target is unlocked. Each instance row judges
+// its helper sets through one core.DesignRow, whose mc.Design shares a
+// session pair and a verdict memo across them: a lemma-pipeline
+// question one set decided is not checked again for another.
 func (e *Engine) HelperGrid(ctx context.Context, models []llm.Model, obs Observer) (*Grid, error) {
 	kept, total := clip(helpergen.Sweep(), e.cfg)
 	return e.runGrid(ctx, models, total, len(kept), e.cfg.PassKSamples(), func(i int) evalFunc {

@@ -393,7 +393,9 @@ type evalFunc func(ctx context.Context, j job) core.Outcome
 //
 // Cancelling ctx stops every worker before its next job and its next
 // row; the grid returns ctx.Err() once in-flight jobs have drained,
-// and no grid.
+// and no grid. A judge that panics fails the grid the same way, with
+// an error naming the model, the instance and the stack; the engine
+// and its memo stay usable.
 func (e *Engine) runGrid(ctx context.Context, models []llm.Model, total, nInst, nSamples int, row func(inst int) evalFunc, observer Observer) (*Grid, error) {
 	g := &Grid{Models: make([]string, len(models)), Total: total, Local: nInst, Samples: nSamples,
 		Shard: e.cfg.Shard, Outcomes: make([][]core.Outcome, len(models))}
@@ -418,7 +420,15 @@ func (e *Engine) runGrid(ctx context.Context, models []llm.Model, total, nInst, 
 	// front, instance and verdict attached after), stores the outcome
 	// and reports it; when the run is untraced the span calls are nil
 	// no-ops.
+	// A judge that panics on model text fails the grid with an error
+	// naming the job and its stack, as an injected fault does, instead
+	// of ending the process.
 	evalJob := func(eval evalFunc, j job) {
+		defer func() {
+			if r := recover(); r != nil {
+				abort(g.jobPanic(j, r, debug.Stack()))
+			}
+		}()
 		jctx, sp := obs.Start(ctx, "job")
 		sp.SetStr("model", g.Models[j.model]).SetInt("sample", int64(j.sample))
 		start := time.Now()
@@ -444,21 +454,11 @@ func (e *Engine) runGrid(ctx context.Context, models []llm.Model, total, nInst, 
 			Wall:       wall,
 		})
 	}
-	// evalRow judges one instance row; false means the grid is over. A
-	// panic while judging (model text the judge mishandles) fails the
-	// grid with an error naming the job and its stack, as an injected
-	// fault does, instead of ending the process.
-	evalRow := func(inst int) (more bool) {
-		j := job{model: -1, inst: inst}
-		defer func() {
-			if r := recover(); r != nil {
-				abort(g.jobPanic(j, r, debug.Stack()))
-				more = false
-			}
-		}()
+	// evalRow judges one instance row; false means the grid is over.
+	evalRow := func(inst int) bool {
 		eval := row(inst)
-		for j.model = range models {
-			for j.sample = 0; j.sample < nSamples; j.sample++ {
+		for m := range models {
+			for s := 0; s < nSamples; s++ {
 				if ctx.Err() != nil {
 					return false
 				}
@@ -466,7 +466,7 @@ func (e *Engine) runGrid(ctx context.Context, models []llm.Model, total, nInst, 
 					abort(err)
 					return false
 				}
-				evalJob(eval, j)
+				evalJob(eval, job{model: m, inst: inst, sample: s})
 			}
 		}
 		return true
@@ -492,15 +492,12 @@ func (e *Engine) runGrid(ctx context.Context, models []llm.Model, total, nInst, 
 	return g, nil
 }
 
-// jobPanic is the error of a job whose judge panicked with r; a model
-// of -1 means the panic came while setting up the row.
+// jobPanic is the error of a job whose judge panicked with r, naming
+// the instance by its index on the unsharded instance axis.
 func (g *Grid) jobPanic(j job, r any, stack []byte) error {
 	inst := j.inst
 	if g.Shard.Enabled() {
 		inst = g.Shard.Index + j.inst*g.Shard.Count
-	}
-	if j.model < 0 {
-		return fmt.Errorf("engine: setting up instance index %d panicked: %v\n%s", inst, r, stack)
 	}
 	return fmt.Errorf("engine: judging model %s on instance index %d, sample %d, panicked: %v\n%s",
 		g.Models[j.model], inst, j.sample, r, stack)
