@@ -72,7 +72,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "default evaluation parallelism (0 = GOMAXPROCS)")
-	cache := flag.Bool("cache", true, "memoize equivalence checks and judgments across runs (false disables every memo)")
+	cache := flag.Bool("cache", true, "memoize equivalence checks and judgments across runs (false disables both)")
 	budget := flag.Int64("budget", 0, "SAT conflict budget per formal query (0 = default 200000)")
 	maxBound := flag.Int("maxbound", 0, "cap for the formal backend's bound ramp (0 = defaults)")
 	dataDir := flag.String("data-dir", "", "persistent run store directory (empty = in-memory only)")

@@ -1,6 +1,7 @@
 package memo
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -31,6 +32,42 @@ func TestNilMemoComputesEveryTime(t *testing.T) {
 	}
 	if calls != 3 {
 		t.Fatalf("calls = %d, want 3", calls)
+	}
+}
+
+// TestGetErrStoresOnlySuccesses: a failed computation is returned
+// with its error and computed again on the next lookup; a successful
+// one is memoized. A nil memo computes every lookup, and clearing it
+// is a no-op.
+func TestGetErrStoresOnlySuccesses(t *testing.T) {
+	m := New[string, int](4)
+	calls := 0
+	fail := func() (int, error) { calls++; return calls, errors.New("budget") }
+	for want := 1; want <= 2; want++ {
+		if v, hit, err := m.GetErr("k", fail); v != want || hit || err == nil {
+			t.Fatalf("failing GetErr = %d, %v, %v; want %d, miss, an error", v, hit, err, want)
+		}
+	}
+	ok := func() (int, error) { calls++; return 7, nil }
+	if v, hit, err := m.GetErr("k", ok); v != 7 || hit || err != nil {
+		t.Fatalf("GetErr = %d, %v, %v; want 7, miss, nil", v, hit, err)
+	}
+	if v, hit, err := m.GetErr("k", fail); v != 7 || !hit || err != nil {
+		t.Fatalf("GetErr after a success = %d, %v, %v; want 7, hit, nil", v, hit, err)
+	}
+	if calls != 3 || m.Len() != 1 {
+		t.Fatalf("calls = %d, len = %d; want 3, 1", calls, m.Len())
+	}
+
+	var nilMemo *Memo[string, int]
+	nilMemo.Clear()
+	for range 2 {
+		if _, hit, _ := nilMemo.GetErr("k", ok); hit {
+			t.Fatal("a nil memo hit")
+		}
+	}
+	if calls != 5 {
+		t.Fatalf("calls = %d, want 5", calls)
 	}
 }
 
